@@ -92,14 +92,17 @@ class Scenario:
 
 
 def load_pulse(cfg: ScenarioConfig) -> InputPulse:
+    """The configured input pulse; a pulse file that cannot be read or
+    does not describe a valid envelope is a :class:`ConfigError`."""
     if cfg.pulse == "builtin":
         return builtin_packet(cfg.pulse_duration)
-    data = np.loadtxt(cfg.pulse)
-    if data.ndim != 2 or data.shape[1] < 2:
-        raise ConfigError.single(
-            "value", 0, f"pulse file {cfg.pulse!r} needs two columns (t, phi_in)"
-        )
-    return sampled_packet(data[:, 0], data[:, 1])
+    try:
+        data = np.loadtxt(cfg.pulse)
+        if data.ndim != 2 or data.shape[1] < 2:
+            raise ValueError("needs two columns (t, phi_in)")
+        return sampled_packet(data[:, 0], data[:, 1])
+    except (OSError, ValueError) as exc:
+        raise ConfigError.single("value", 0, f"pulse file {cfg.pulse!r}: {exc}") from exc
 
 
 def materialize(cfg: ScenarioConfig) -> Scenario:
@@ -411,7 +414,8 @@ def run_sweep(cfg: ScenarioConfig, outdir: Path) -> None:
                 _fmt(res["backflow_detected"]),
             ]
             if is_w_sweep:
-                row.append(_fmt(res["sup_diff_rho"]))
+                # detuned points have no Markovian gap: blank cell
+                row.append(_fmt(res["sup_diff_rho"]) if "sup_diff_rho" in res else "")
         rows.append(",".join(row))
     _write_atomic(outdir / "sweep_aggregate.csv", "\n".join([",".join(names)] + rows + [""]))
 

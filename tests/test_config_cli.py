@@ -304,6 +304,36 @@ def test_cli_sampled_pulse_file(tmp_path, pulse):
     assert f"pulse = {table}" in summary
 
 
+@pytest.mark.parametrize(
+    "table,fragment",
+    [(None, "not found"), ("0 1\n1 2\n2 1\n3 0\n", "vanish at t = 0")],
+    ids=["missing", "nonzero_start"],
+)
+def test_cli_bad_pulse_file_exits_2_with_one_line(tmp_path, capsys, table, fragment):
+    path = tmp_path / "pulse.txt"
+    if table is not None:
+        path.write_text(table)
+    out = tmp_path / "o"
+    code = run_cli(["design", "--out", str(out)], tmp_path, GOOD_DESIGN + f"pulse = {path}\n")
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and fragment in err[0] and str(path) in err[0]
+    assert not any(out.iterdir())
+
+
+def test_cli_detuned_bandwidth_sweep_leaves_markovian_gap_blank(tmp_path):
+    text = (
+        "mode = sweep\ng_cav = 30pi\ngamma_L = 6pi\nrho_offset = 0.002\n"
+        "bandwidth_w = 1.0, 2.0\ndelta2 = 3\ngrid.dt = 1e-3\n"
+    )
+    out = tmp_path / "o"
+    assert run_cli(["sweep", "--out", str(out)], tmp_path, text) == 0
+    rows = [r.split(",") for r in (out / "sweep_aggregate.csv").read_text().splitlines()]
+    assert rows[0][-1] == "sup_diff_rho"
+    assert [r[1] for r in rows[1:]] == ["0", "0"]
+    assert [r[-1] for r in rows[1:]] == ["", ""]
+
+
 def test_cli_sweep_workers_do_not_change_results(tmp_path):
     base = (
         "mode = sweep\ng_cav = 30pi\ngamma_L = 6pi\nrho_offset = 0.0075\n"

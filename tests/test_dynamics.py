@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import photon_store as ps
+from photon_store import dynamics
+from photon_store._integrate import rk4
 from photon_store.errors import BandTooNarrow, GridMismatch, NonFiniteState
 
 PI = math.pi
@@ -179,6 +185,127 @@ def test_initial_modes_are_normalized(pulse, make_params, grid):
     modes, capture = ps.initial_modes(pulse, bath, grid)
     assert float(np.sum(np.abs(modes) ** 2)) == pytest.approx(1.0, rel=1e-12)
     assert 0.999 < capture <= 1.0
+
+
+def direct_projection(pulse, bath, grid, indices):
+    """Dense trapezoid Fourier sum of the envelope at selected comb modes.
+
+    Slow reference for :func:`initial_modes`, before renormalization:
+    one full row of phases per mode.
+    """
+    t = grid.times
+    phi = pulse.value(t)
+    out = np.empty(len(indices), dtype=complex)
+    for i, j in enumerate(indices):
+        ft = np.trapezoid(phi * np.exp(1j * bath.frequencies[j] * t), dx=grid.dt)
+        out[i] = -math.sqrt(bath.mode_spacing / (2.0 * math.pi)) * ft
+    return out
+
+
+@pytest.mark.parametrize(
+    "n_modes,half_band,n_picked", [(500, 40.0, 500), (4000, 160.0, 41)]
+)
+def test_initial_modes_match_direct_fourier_sum(
+    pulse, make_params, grid, n_modes, half_band, n_picked
+):
+    params = make_params(2.0, 0.002)
+    bath = ps.discretize_bath(
+        ps.SpectralModel.from_params(params), n_modes=n_modes, band_halfwidth=half_band
+    )
+    modes, capture = ps.initial_modes(pulse, bath, grid)
+    picked = np.linspace(0, n_modes - 1, n_picked).round().astype(int)
+    direct = direct_projection(pulse, bath, grid, picked)
+    err = np.max(np.abs(modes[picked] * math.sqrt(capture) - direct))
+    assert err <= 1e-13 * np.max(np.abs(direct))
+
+
+def explicit_comb_rhs(drive, params, bath, grid):
+    """Right-hand side of the whole (4 + N)-dimensional oracle system."""
+    th = grid.half_times
+    om_h = dynamics._drive_half(drive, grid)
+    e2m = np.exp(-1j * params.delta2 * th)
+    e1m = np.exp(-1j * params.delta1 * th)
+    w, root_gamma = params.bandwidth_w, math.sqrt(params.big_gamma)
+    g_cav, gamma_l = params.g_cav, params.gamma_L
+
+    def rhs(j, s):
+        g, e, x, y, modes = s[0], s[1], s[2], s[3], s[4:]
+        ds = np.empty_like(s)
+        ds[0] = -1j * g_cav * e2m[j] * x - np.dot(np.conj(bath.weights), modes)
+        ds[1] = -1j * np.conj(om_h[j]) * e1m[j] * x
+        ds[2] = -1j * om_h[j] * np.conj(e1m[j]) * e - 1j * g_cav * np.conj(e2m[j]) * g
+        ds[2] -= gamma_l * x
+        ds[3] = -w * y + w * root_gamma * g
+        ds[4:] = -1j * bath.frequencies * modes + bath.weights * g
+        return ds
+
+    return rhs
+
+
+@pytest.fixture
+def tiny_comb(make_params, monkeypatch):
+    """A 6-mode comb on a 200-step grid with a detuned, arbitrary drive.
+
+    Six modes cannot hold the photon, so the projection is replaced by
+    fixed mode amplitudes: the test is about the stepping.  The comb is
+    shifted off resonance, because on a symmetric comb the odd moments
+    sum |k_j|^2 omega_j^m vanish and would hide errors in their terms,
+    and its dt * omega reaches 0.6, where every power of the comb
+    generator in the step matters.
+    """
+    params = make_params(2.0, 0.002, delta1=0.7, delta2=-1.3)
+    model = ps.SpectralModel.from_params(params)
+    comb = ps.discretize_bath(model, n_modes=6, band_halfwidth=40.0)
+    freqs = comb.frequencies + 5.0
+    bath = ps.BathDiscretization(
+        model=model,
+        frequencies=freqs,
+        weights=model.coupling(freqs) * math.sqrt(comb.mode_spacing),
+        band_halfwidth=comb.band_halfwidth,
+    )
+    grid = ps.TimeGrid.from_span(PI, PI / 200)
+    c0 = np.exp(1j * np.arange(6)) * np.linspace(0.2, 0.5, 6)
+    monkeypatch.setattr(dynamics, "initial_modes", lambda *args: (c0.copy(), 1.0))
+    t = grid.times
+    drive = 40.0 * np.sin(t) * np.exp(0.3j * t)
+    return params, bath, grid, c0, drive
+
+
+def test_comb_step_is_rk4_of_the_full_system(pulse, tiny_comb):
+    params, bath, grid, c0, drive = tiny_comb
+    init = ps.InitialState(g_amp=0.1j, e_amp=0.2, x_amp=-0.05)
+    run = ps.simulate_discrete_bath(pulse, drive, params, init, bath, grid)
+    y0 = np.concatenate([[init.g_amp, init.e_amp, init.x_amp, 0.0], c0])
+    path = rk4(y0, explicit_comb_rhs(drive, params, bath, grid), grid.dt, grid.n_steps)
+    tr = run.trajectory
+    for col, amp in enumerate((tr.g, tr.e, tr.x, tr.y_out)):
+        assert np.max(np.abs(amp - path[:, col])) <= 1e-13
+    assert np.max(np.abs(run.final_modes - path[-1, 4:])) <= 1e-13
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_comb_step_and_rk4_fail_at_the_same_time(pulse, tiny_comb):
+    params, bath, grid, c0, drive = tiny_comb
+    drive = drive.copy()
+    drive[120] = np.nan
+    init = ps.InitialState.matched(params.rho_offset)
+    with pytest.raises(NonFiniteState) as oracle_err:
+        ps.simulate_discrete_bath(pulse, drive, params, init, bath, grid)
+    y0 = np.concatenate([[init.g_amp, init.e_amp, init.x_amp, 0.0], c0])
+    with pytest.raises(NonFiniteState) as rk4_err:
+        rk4(y0, explicit_comb_rhs(drive, params, bath, grid), grid.dt, grid.n_steps)
+    assert oracle_err.value.t == rk4_err.value.t < grid.span
+
+
+def test_package_import_leaves_scipy_signal_out():
+    # scipy.signal costs about half a second of import time on its own
+    src = str(Path(ps.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, photon_store; print('scipy.signal' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_oracle_matches_reduced_solver(pulse, design_for, grid):
