@@ -1,21 +1,17 @@
-"""Fixed-step RK4 on a half lattice, plus midpoint interpolation.
+"""Half-lattice sampling of grid-only drivers for the RK4 loops.
 
 The classical RK4 stages need the driving terms at t, t + dt/2 and
-t + dt.  All drivers are therefore precomputed on the half lattice
-(grid points interleaved with midpoints) and the right-hand side is
-called with a half-lattice *index* instead of a time, which keeps the
-stepping loop free of interpolation and bitwise reproducible.
+t + dt.  Drivers known only on the grid (a designed drive, the
+anticipated input, the mixing angle) are therefore interpolated once
+onto the half lattice -- grid points interleaved with cubic midpoints --
+and the scalar stepping loops in ``dynamics`` and ``dark_state`` read
+them by half-lattice *index* instead of by time, which keeps each loop
+free of interpolation and bitwise reproducible.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
-
-from .errors import NonFiniteState
-
-Rhs = Callable[[int, np.ndarray], np.ndarray]
 
 
 def cubic_midpoints(y: np.ndarray) -> np.ndarray:
@@ -53,29 +49,3 @@ def half_lattice(y: np.ndarray) -> np.ndarray:
     out[0::2] = y
     out[1::2] = cubic_midpoints(y)
     return out
-
-
-def rk4(y0: np.ndarray, rhs: Rhs, dt: float, n_steps: int) -> np.ndarray:
-    """Integrate forward from t = 0; returns the (n_steps+1, dim) path.
-
-    ``rhs(j, y)`` receives the half-lattice index of the stage time
-    (j = 2k at t_k, j = 2k + 1 at the midpoint).  Raises
-    :class:`NonFiniteState` as soon as an amplitude stops being finite.
-    """
-    y = np.array(y0, dtype=complex)
-    path = np.empty((n_steps + 1, y.size), dtype=complex)
-    path[0] = y
-    h = dt / 2.0
-    for k in range(n_steps):
-        j = 2 * k
-        k1 = rhs(j, y)
-        k2 = rhs(j + 1, y + h * k1)
-        k3 = rhs(j + 1, y + h * k2)
-        k4 = rhs(j + 2, y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise NonFiniteState((k + 1) * dt)
-        path[k + 1] = y
-    return path
-
-

@@ -2,7 +2,9 @@
 
 Every failure mode that callers are expected to handle is a subclass of
 :class:`PhotonStoreError`, so ``except PhotonStoreError`` at the CLI
-boundary is sufficient to translate failures into exit codes.
+boundary is sufficient to translate failures into exit codes.  Every
+subclass survives a pickle round trip, so a sweep point that fails in
+a worker process reports its own error to the parent.
 """
 
 from __future__ import annotations
@@ -35,6 +37,10 @@ class NonFiniteState(PhotonStoreError):
     def __init__(self, t: float):
         super().__init__(f"state became non-finite at t = {t:.6g} us")
         self.t = t
+
+    def __reduce__(self):
+        # rebuild from the time stamp, not from the formatted message
+        return type(self), (self.t,)
 
 
 class BandTooNarrow(PhotonStoreError):
@@ -76,6 +82,10 @@ class ConfigError(PhotonStoreError):
     def __init__(self, violations: list[Violation]):
         self.violations = list(violations)
         super().__init__("; ".join(str(v) for v in self.violations))
+
+    def __reduce__(self):
+        # rebuild from the violations, not from the joined message
+        return type(self), (self.violations,)
 
     @classmethod
     def single(cls, kind: str, line: int, message: str) -> "ConfigError":

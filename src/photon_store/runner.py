@@ -16,6 +16,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -34,7 +35,6 @@ from .model import (
     PhysicalParams,
     SpectralModel,
     builtin_packet,
-    future_drive,
     sampled_packet,
 )
 
@@ -57,28 +57,49 @@ def _fmt(value) -> str:
     return f"{float(value):.12g}"
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
+    """Stream text chunks into a temp file, then rename it to ``path``.
+
+    If a chunk cannot be produced or written, the temp file is removed
+    and ``path`` is left as it was.
+    """
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    try:
+        with open(tmp, "w") as fh:
+            fh.writelines(chunks)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
 
 
+# rows per formatted block: one %-format string per block keeps the
+# per-cell cost low without holding a long series as one string
+_CSV_BLOCK_ROWS = 2048
+
+
+def _csv_blocks(names: list[str], table: np.ndarray) -> Iterator[str]:
+    yield ",".join(names) + "\n"
+    row = ",".join(["%.12g"] * len(names)) + "\n"
+    for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
+        block = table[start : start + _CSV_BLOCK_ROWS]
+        yield (row * block.shape[0]) % tuple(block.ravel().tolist())
+
+
 def write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
-    """Render named columns with 12 significant digits, atomically."""
+    """Render named real columns with 12 significant digits, atomically.
+
+    Raises TypeError for a complex column instead of dropping its
+    imaginary part.
+    """
     names = list(columns)
-    arrays = [np.asarray(columns[name]) for name in names]
-    n = arrays[0].shape[0]
-    lines = [",".join(names)]
-    for i in range(n):
-        lines.append(",".join(_fmt(a[i]) for a in arrays))
-    lines.append("")
-    _write_atomic(path, "\n".join(lines))
+    table = np.column_stack([columns[name] for name in names])
+    table = table.astype(float, casting="same_kind", copy=False)
+    _write_atomic(path, _csv_blocks(names, table))
 
 
 def write_summary(path: Path, entries: dict[str, object]) -> None:
-    lines = [f"{key} = {_fmt(value)}" for key, value in entries.items()]
-    lines.append("")
-    _write_atomic(path, "\n".join(lines))
+    _write_atomic(path, [f"{key} = {_fmt(value)}\n" for key, value in entries.items()])
 
 
 @dataclass(frozen=True)
@@ -148,23 +169,22 @@ def _echo_params(cfg: ScenarioConfig, sc: Scenario) -> dict[str, object]:
     }
 
 
-def _equilibrium_residual(sc: Scenario) -> float:
-    model = SpectralModel.from_params(sc.params)
-    series = pulse_design.cavity_amplitude(sc.pulse, model, sc.grid)
-    n0 = future_drive(sc.pulse, model, sc.grid)[0]
-    if series.g_dot[0] == 0.0:
+def _equilibrium_residual(design: pulse_design.DesignResult) -> float:
+    """Relative gap between G'(0) and N(0), which equilibrium equates."""
+    g_dot0, n0 = design.g_dot[0], design.n_drive[0]
+    if g_dot0 == 0.0:
         return math.inf
-    return abs(series.g_dot[0] - n0) / abs(series.g_dot[0])
+    return abs(g_dot0 - n0) / abs(g_dot0)
 
 
 def _backflow(rho: np.ndarray) -> bool:
     return bool(np.any(np.diff(rho) < -1e-12))
 
 
-def _design_series(design) -> dict[str, np.ndarray]:
+def _design_series(design, phi_in: np.ndarray) -> dict[str, np.ndarray]:
     return {
         "t": design.grid.times,
-        "phi_in": design.g * 0.0,  # placeholder, replaced by caller
+        "phi_in": phi_in,
         "G": design.g,
         "x_tilde": design.x_tilde,
         "rho_ee": design.rho_ee,
@@ -177,8 +197,7 @@ def _design_series(design) -> dict[str, np.ndarray]:
 
 def run_design(cfg: ScenarioConfig, sc: Scenario, outdir: Path) -> None:
     design = pulse_design.design_drive(sc.pulse, sc.params, sc.grid)
-    series = _design_series(design)
-    series["phi_in"] = sc.pulse.value(sc.grid.times)
+    series = _design_series(design, sc.pulse.value(sc.grid.times))
     write_csv(outdir / "design_series.csv", series)
 
     alpha = design.alpha
@@ -186,7 +205,7 @@ def run_design(cfg: ScenarioConfig, sc: Scenario, outdir: Path) -> None:
     summary = _echo_params(cfg, sc)
     summary.update(
         {
-            "equilibrium_residual": _equilibrium_residual(sc),
+            "equilibrium_residual": _equilibrium_residual(design),
             "rho_min": float(np.min(design.rho_ee)),
             "rho_final": float(design.rho_ee[-1]),
             "max_abs_omega": float(np.max(design.omega_modulus)),
@@ -210,8 +229,7 @@ def run_simulate(cfg: ScenarioConfig, sc: Scenario, outdir: Path) -> None:
         sc.pulse, design.drive, sc.params, dynamics.InitialState.vacuum(), sc.grid
     )
 
-    series = _design_series(design)
-    series["phi_in"] = matched.phi_in
+    series = _design_series(design, matched.phi_in)
     series["re_phi_out"] = matched.phi_out.real
     series["im_phi_out"] = matched.phi_out.imag
     series["abs_phi_out_sq"] = np.abs(matched.phi_out) ** 2
@@ -232,7 +250,7 @@ def run_simulate(cfg: ScenarioConfig, sc: Scenario, outdir: Path) -> None:
     summary = _echo_params(cfg, sc)
     summary.update(
         {
-            "equilibrium_residual": _equilibrium_residual(sc),
+            "equilibrium_residual": _equilibrium_residual(design),
             "reflected_matched": m_matched.reflected,
             "reflected_mismatched": m_mis.reflected,
             "final_excited_matched": m_matched.final_excited,
@@ -248,8 +266,7 @@ def run_simulate(cfg: ScenarioConfig, sc: Scenario, outdir: Path) -> None:
 def run_markovian(cfg: ScenarioConfig, sc: Scenario, outdir: Path) -> None:
     design = pulse_design.design_drive(sc.pulse, sc.params, sc.grid)
     flat = pulse_design.design_drive_markovian(sc.pulse, sc.params, sc.grid)
-    series = _design_series(design)
-    series["phi_in"] = sc.pulse.value(sc.grid.times)
+    series = _design_series(design, sc.pulse.value(sc.grid.times))
     series["rho_fee"] = flat.rho_ee
     series["abs_omega_f"] = flat.omega_modulus
     write_csv(outdir / "markovian_series.csv", series)
@@ -257,7 +274,7 @@ def run_markovian(cfg: ScenarioConfig, sc: Scenario, outdir: Path) -> None:
     summary = _echo_params(cfg, sc)
     summary.update(
         {
-            "equilibrium_residual": _equilibrium_residual(sc),
+            "equilibrium_residual": _equilibrium_residual(design),
             "sup_diff_rho": float(np.max(np.abs(design.rho_ee - flat.rho_ee))),
             "backflow_detected": _backflow(design.rho_ee),
             "max_abs_omega": float(np.max(design.omega_modulus)),
@@ -379,6 +396,9 @@ def _code_for(exc: PhotonStoreError) -> int:
 def run_sweep(cfg: ScenarioConfig, outdir: Path) -> None:
     values = sorted(cfg.sweep_values)
     points = [with_point(cfg, v) for v in values]
+    # every point shares the pulse, so a bad pulse file fails the sweep
+    # as a whole (exit 2) before any point is dispatched
+    load_pulse(cfg)
 
     results: list[dict | None] = [None] * len(points)
     codes: list[int] = [EXIT_OK] * len(points)
@@ -416,8 +436,8 @@ def run_sweep(cfg: ScenarioConfig, outdir: Path) -> None:
             if is_w_sweep:
                 # detuned points have no Markovian gap: blank cell
                 row.append(_fmt(res["sup_diff_rho"]) if "sup_diff_rho" in res else "")
-        rows.append(",".join(row))
-    _write_atomic(outdir / "sweep_aggregate.csv", "\n".join([",".join(names)] + rows + [""]))
+        rows.append(",".join(row) + "\n")
+    _write_atomic(outdir / "sweep_aggregate.csv", [",".join(names) + "\n", *rows])
 
     summary: dict[str, object] = {
         "mode": "sweep",

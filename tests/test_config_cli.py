@@ -1,16 +1,18 @@
-"""Config parsing, presets, and the command-line entry point."""
+"""Config parsing, presets, the error types, the writer and the
+command-line entry point."""
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
 
 import numpy as np
 import pytest
 
 import photon_store as ps
-from photon_store import cli, config
-from photon_store.errors import ConfigError
+from photon_store import cli, config, errors, runner
+from photon_store.errors import ConfigError, PhotonStoreError
 
 PI = math.pi
 
@@ -200,6 +202,87 @@ def test_unknown_preset_lists_known_names():
     assert any("unknown preset" in v.message and "fig2a" in v.message for v in vv)
 
 
+# ------------------------------------------------------------- error types
+
+
+def _error_classes(base=PhotonStoreError):
+    for cls in base.__subclasses__():
+        yield cls
+        yield from _error_classes(cls)
+
+
+def _example_error(cls):
+    if cls is errors.NonFiniteState:
+        return cls(0.123456789)
+    if cls is errors.ConfigError:
+        return cls(
+            [
+                errors.Violation("value", 3, "bad value"),
+                errors.Violation("missing", 0, "rho_offset is required"),
+            ]
+        )
+    return cls("what went wrong")
+
+
+@pytest.mark.parametrize(
+    "cls", [PhotonStoreError, *_error_classes()], ids=lambda c: c.__name__
+)
+def test_every_error_survives_a_pickle_round_trip(cls):
+    # pooled sweep points send their errors back to the parent pickled
+    err = _example_error(cls)
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is cls
+    assert str(back) == str(err)
+    assert getattr(back, "t", None) == getattr(err, "t", None)
+    assert getattr(back, "violations", None) == getattr(err, "violations", None)
+
+
+# ------------------------------------------------------------------ writer
+
+
+def test_write_csv_pins_the_bytes_of_special_values(tmp_path):
+    values = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1.23456789012345e14]
+    texts = ["0", "-0", "inf", "-inf", "nan", "4.94065645841e-324", "1.23456789012e+14"]
+    n = 2 * 2048 + 5  # more than two blocks of rows, and a partial one
+    col = np.resize(np.array(values), n)
+    path = tmp_path / "special.csv"
+    runner.write_csv(path, {"t": np.arange(n, dtype=float), "v": col, "neg": -col})
+    flipped = {"0": "-0", "-0": "0", "inf": "-inf", "-inf": "inf", "nan": "nan"}
+    lines = ["t,v,neg"]
+    for i in range(n):
+        text = texts[i % len(texts)]
+        neg = flipped.get(text, "-" + text)
+        lines.append(f"{i},{text},{neg}")
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_write_csv_of_no_rows_is_the_header(tmp_path):
+    path = tmp_path / "empty.csv"
+    runner.write_csv(path, {"t": np.array([]), "v": np.array([])})
+    assert path.read_text() == "t,v\n"
+
+
+def test_write_csv_refuses_a_complex_column(tmp_path):
+    path = tmp_path / "c.csv"
+    with pytest.raises(TypeError):
+        runner.write_csv(path, {"t": np.arange(3.0), "z": np.array([1.0, 1j, 2.0])})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_leaves_the_old_file_and_no_temp(tmp_path):
+    path = tmp_path / "series.csv"
+    path.write_text("old\n")
+
+    def chunks():
+        yield "t\n"
+        raise OSError("disk full")
+
+    with pytest.raises(OSError):
+        runner._write_atomic(path, chunks())
+    assert [p.name for p in tmp_path.iterdir()] == ["series.csv"]
+    assert path.read_text() == "old\n"
+
+
 # --------------------------------------------------------------------- CLI
 
 
@@ -304,21 +387,54 @@ def test_cli_sampled_pulse_file(tmp_path, pulse):
     assert f"pulse = {table}" in summary
 
 
-@pytest.mark.parametrize(
-    "table,fragment",
-    [(None, "not found"), ("0 1\n1 2\n2 1\n3 0\n", "vanish at t = 0")],
-    ids=["missing", "nonzero_start"],
+BAD_PULSES = [(None, "not found"), ("0 1\n1 2\n2 1\n3 0\n", "vanish at t = 0")]
+SWEEP_W = (
+    "mode = sweep\ng_cav = 30pi\ngamma_L = 6pi\nrho_offset = 0.002\n"
+    "bandwidth_w = 1.0, 2.0\ngrid.dt = 1e-3\n"
 )
-def test_cli_bad_pulse_file_exits_2_with_one_line(tmp_path, capsys, table, fragment):
+
+
+@pytest.mark.parametrize(
+    "mode,text,table,fragment",
+    [
+        (mode, text, table, fragment)
+        for mode, text in (("design", GOOD_DESIGN), ("sweep", SWEEP_W))
+        for table, fragment in BAD_PULSES
+    ],
+    # a sweep fails as a whole, before any point runs
+    ids=["missing", "nonzero_start", "sweep_missing", "sweep_nonzero_start"],
+)
+def test_cli_bad_pulse_file_exits_2_with_one_line(
+    tmp_path, capsys, mode, text, table, fragment
+):
     path = tmp_path / "pulse.txt"
     if table is not None:
         path.write_text(table)
     out = tmp_path / "o"
-    code = run_cli(["design", "--out", str(out)], tmp_path, GOOD_DESIGN + f"pulse = {path}\n")
+    code = run_cli([mode, "--out", str(out)], tmp_path, text + f"pulse = {path}\n")
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and fragment in err[0] and str(path) in err[0]
     assert not any(out.iterdir())
+
+
+def test_cli_pooled_sweep_reports_a_blown_up_point(tmp_path):
+    # at W dt = 50 the design's RK4 recurrences are unstable, so the
+    # second point raises NonFiniteState inside a worker process
+    text = (
+        "mode = sweep\ng_cav = 30pi\ngamma_L = 6pi\nrho_offset = 0.002\n"
+        "bandwidth_w = 1.0, 5000\ngrid.dt = 1e-2\n"
+    )
+    outs = {}
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        code = run_cli(["sweep", "--workers", workers, "--out", str(out)], tmp_path, text)
+        assert code == 0
+        outs[workers] = read_dir(out)
+    rows = outs["2"]["sweep_aggregate.csv"].decode().splitlines()
+    assert [r.split(",")[1] for r in rows[1:]] == ["0", "4"]
+    assert "failed_points = 5000" in outs["2"]["summary"].decode()
+    assert outs["1"]["sweep_aggregate.csv"] == outs["2"]["sweep_aggregate.csv"]
 
 
 def test_cli_detuned_bandwidth_sweep_leaves_markovian_gap_blank(tmp_path):

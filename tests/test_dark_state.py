@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import photon_store as ps
+from photon_store._integrate import half_lattice
 from photon_store.errors import (
     AngleDomain,
     NegativeAccumulator,
+    NonFiniteState,
     UnsupportedRegime,
 )
 
@@ -120,6 +123,56 @@ def test_adiabatic_bookkeeping_drift(pulse, dark_case, grid):
     params, dark = dark_case(30.0, 0.5)
     run = ps.adiabatic_simulate(pulse, dark, params, grid)
     assert ps.conservation_drift(run) < 1e-6
+
+
+def adiabatic_rhs(dark, params):
+    """The dark-only equations as an explicit vector right-hand side."""
+    w = params.bandwidth_w
+    big_gamma = params.big_gamma
+    root_gamma = math.sqrt(big_gamma)
+    cos_h = half_lattice(dark.cos_mixing)
+    n_h = half_lattice(dark.design.n_drive)
+
+    def rhs(j, s):
+        d1s, q, y = s
+        u = cos_h[j] * d1s
+        return np.array(
+            [
+                cos_h[j] * (n_h[j] - q),
+                -w * q + 0.5 * w * big_gamma * u,
+                -w * y + w * root_gamma * u,
+            ]
+        )
+
+    return rhs
+
+
+def test_adiabatic_run_is_rk4_bit_for_bit(pulse, dark_case, grid, rk4):
+    params, dark = dark_case(30.0, 0.5)
+    run = ps.adiabatic_simulate(pulse, dark, params, grid)
+    path = rk4(np.zeros(3), adiabatic_rhs(dark, params), grid.dt, grid.n_steps).real
+    assert np.array_equal(run.d1, path[:, 0])
+    assert np.array_equal(run.q_mem, path[:, 1])
+    assert np.array_equal(run.phi_out, path[:, 2] - pulse.value(grid.times))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("series", ["angle", "drive"])
+def test_adiabatic_run_and_rk4_fail_at_the_same_time(pulse, dark_case, grid, rk4, series):
+    params, dark = dark_case(30.0, 0.5)
+    if series == "angle":
+        angle = dark.mixing_angle.copy()
+        angle[1500] = np.nan
+        broken = replace(dark, mixing_angle=angle)
+    else:
+        n_drive = dark.design.n_drive.copy()
+        n_drive[1500] = np.nan
+        broken = replace(dark, design=replace(dark.design, n_drive=n_drive))
+    with pytest.raises(NonFiniteState) as run_err:
+        ps.adiabatic_simulate(pulse, broken, params, grid)
+    with pytest.raises(NonFiniteState) as rk4_err:
+        rk4(np.zeros(3), adiabatic_rhs(broken, params), grid.dt, grid.n_steps)
+    assert run_err.value.t == rk4_err.value.t < grid.span
 
 
 # ------------------------------------------------------ dual-route population

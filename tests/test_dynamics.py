@@ -13,7 +13,6 @@ import pytest
 
 import photon_store as ps
 from photon_store import dynamics
-from photon_store._integrate import rk4
 from photon_store.errors import BandTooNarrow, GridMismatch, NonFiniteState
 
 PI = math.pi
@@ -271,7 +270,7 @@ def tiny_comb(make_params, monkeypatch):
     return params, bath, grid, c0, drive
 
 
-def test_comb_step_is_rk4_of_the_full_system(pulse, tiny_comb):
+def test_comb_step_is_rk4_of_the_full_system(pulse, tiny_comb, rk4):
     params, bath, grid, c0, drive = tiny_comb
     init = ps.InitialState(g_amp=0.1j, e_amp=0.2, x_amp=-0.05)
     run = ps.simulate_discrete_bath(pulse, drive, params, init, bath, grid)
@@ -284,7 +283,7 @@ def test_comb_step_is_rk4_of_the_full_system(pulse, tiny_comb):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_comb_step_and_rk4_fail_at_the_same_time(pulse, tiny_comb):
+def test_comb_step_and_rk4_fail_at_the_same_time(pulse, tiny_comb, rk4):
     params, bath, grid, c0, drive = tiny_comb
     drive = drive.copy()
     drive[120] = np.nan
