@@ -61,7 +61,6 @@ from .pulse_design import (
     CavitySeries,
     DesignResult,
     IntracavitySeries,
-    MarkovianDesignResult,
     cavity_amplitude,
     coupling_from_bandwidth,
     design_drive,
@@ -90,7 +89,6 @@ __all__ = [
     "InitialState",
     "InputPulse",
     "IntracavitySeries",
-    "MarkovianDesignResult",
     "NegativeAccumulator",
     "NonFiniteState",
     "PhotonStoreError",

@@ -84,12 +84,24 @@ def _drive_half(drive: np.ndarray, grid: TimeGrid) -> np.ndarray:
     return half_lattice(drive)
 
 
-def _check_grid(pulse: InputPulse, grid: TimeGrid) -> None:
-    if not grid.covers(pulse.duration):
-        raise GridMismatch(
-            f"grid span {grid.span:.6g} us does not cover the pulse "
-            f"support {pulse.duration:.6g} us"
-        )
+def _couplings(drive: np.ndarray, params: PhysicalParams, grid: TimeGrid):
+    """Half-lattice couplings of the scalar stepping loops.
+
+    The five coupled amplitudes are too small a state vector to pay
+    per-step array overhead for, so the loops read plain lists, and
+    their arithmetic matches the vector form operation for operation.
+    """
+    th = grid.half_times
+    om_h = _drive_half(drive, grid)
+    e2m = np.exp(-1j * params.delta2 * th)
+    e1m = np.exp(-1j * params.delta1 * th)
+    e2p = np.conj(e2m)
+    e1p = np.conj(e1m)
+    cav = (-1j * params.g_cav * e2m).tolist()   # G <- X coupling
+    sto = (-1j * np.conj(om_h) * e1m).tolist()  # E <- X coupling
+    rev = (-1j * om_h * e1p).tolist()           # X <- E coupling
+    bck = (-1j * params.g_cav * e2p).tolist()   # X <- G coupling
+    return cav, sto, rev, bck
 
 
 def simulate_nonmarkovian(
@@ -106,27 +118,12 @@ def simulate_nonmarkovian(
     accumulator y.  The anticipated input N is integrated backward
     once before the forward sweep.
     """
-    _check_grid(pulse, grid)
+    grid.require_cover(pulse.duration)
     model = SpectralModel.from_params(params)
     w = model.bandwidth_w
     root_gamma = math.sqrt(model.big_gamma)
-    g_cav, gamma_l = params.g_cav, params.gamma_L
-
-    th = grid.half_times
-    om_h = _drive_half(drive, grid)
-    e2m = np.exp(-1j * params.delta2 * th)
-    e1m = np.exp(-1j * params.delta1 * th)
-    e2p = np.conj(e2m)
-    e1p = np.conj(e1m)
-
-    # the stepping loop works on plain scalars: the five coupled
-    # amplitudes are too small a state vector to pay per-step array
-    # overhead for, and the arithmetic below matches the vector form
-    # operation for operation
-    cav = (-1j * g_cav * e2m).tolist()          # G <- X coupling
-    sto = (-1j * np.conj(om_h) * e1m).tolist()  # E <- X coupling
-    rev = (-1j * om_h * e1p).tolist()           # X <- E coupling
-    bck = (-1j * g_cav * e2p).tolist()          # X <- G coupling
+    gamma_l = params.gamma_L
+    cav, sto, rev, bck = _couplings(drive, params, grid)
     n_l = half_lattice(future_drive(pulse, model, grid)).tolist()
     mem = 0.5 * w * model.big_gamma
     pump_y = w * root_gamma
@@ -213,24 +210,14 @@ def simulate_markovian(
     grid: TimeGrid,
 ) -> Trajectory:
     """Integrate the broadband-limit equations (memoryless cavity)."""
-    _check_grid(pulse, grid)
+    grid.require_cover(pulse.duration)
     root_gamma = math.sqrt(params.big_gamma)
-    g_cav, gamma_l = params.g_cav, params.gamma_L
+    gamma_l = params.gamma_L
     half_rate = 0.5 * params.big_gamma
 
-    th = grid.half_times
-    om_h = _drive_half(drive, grid)
-    e2m = np.exp(-1j * params.delta2 * th)
-    e1m = np.exp(-1j * params.delta1 * th)
-    e2p = np.conj(e2m)
-    e1p = np.conj(e1m)
-
     # scalar stepping, same layout as the memory-kernel integrator above
-    cav = (-1j * g_cav * e2m).tolist()
-    sto = (-1j * np.conj(om_h) * e1m).tolist()
-    rev = (-1j * om_h * e1p).tolist()
-    bck = (-1j * g_cav * e2p).tolist()
-    src = (root_gamma * pulse.value(th)).tolist()
+    cav, sto, rev, bck = _couplings(drive, params, grid)
+    src = (root_gamma * pulse.value(grid.half_times)).tolist()
 
     n = grid.n_steps
     dt = grid.dt
@@ -418,21 +405,11 @@ def simulate_discrete_bath(
     rank-4 update, and the system amplitudes are stepped as scalars
     like :func:`simulate_nonmarkovian`.
     """
-    _check_grid(pulse, grid)
-    g_cav, gamma_l = params.g_cav, params.gamma_L
+    grid.require_cover(pulse.duration)
+    gamma_l = params.gamma_L
     w = params.bandwidth_w
     pump_y = w * math.sqrt(params.big_gamma)
-
-    th = grid.half_times
-    om_h = _drive_half(drive, grid)
-    e2m = np.exp(-1j * params.delta2 * th)
-    e1m = np.exp(-1j * params.delta1 * th)
-    e2p = np.conj(e2m)
-    e1p = np.conj(e1m)
-    cav = (-1j * g_cav * e2m).tolist()          # G <- X coupling
-    sto = (-1j * np.conj(om_h) * e1m).tolist()  # E <- X coupling
-    rev = (-1j * om_h * e1p).tolist()           # X <- E coupling
-    bck = (-1j * g_cav * e2p).tolist()          # X <- G coupling
+    cav, sto, rev, bck = _couplings(drive, params, grid)
 
     c, capture = initial_modes(pulse, bath, grid)
 

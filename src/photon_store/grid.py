@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import GridMismatch
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -46,3 +48,11 @@ class TimeGrid:
 
     def covers(self, duration: float) -> bool:
         return self.span >= duration - 1e-12 * max(1.0, duration)
+
+    def require_cover(self, duration: float) -> None:
+        """Raise :class:`GridMismatch` unless the grid covers ``duration``."""
+        if not self.covers(duration):
+            raise GridMismatch(
+                f"grid span {self.span:.6g} us does not cover the pulse "
+                f"support {duration:.6g} us"
+            )

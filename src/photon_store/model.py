@@ -29,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import GridMismatch, NonFiniteState
+from .errors import NonFiniteState
 from .grid import TimeGrid
 
 
@@ -252,11 +252,7 @@ def future_drive(
     d tau``: the part of the photon still to arrive, weighted by the
     bath response.  The grid must cover the pulse support.
     """
-    if not grid.covers(pulse.duration):
-        raise GridMismatch(
-            f"grid span {grid.span:.6g} us does not cover the pulse "
-            f"support {pulse.duration:.6g} us"
-        )
+    grid.require_cover(pulse.duration)
     w = model.bandwidth_w
     pump = (w * math.sqrt(model.big_gamma) * pulse.value(grid.half_times)).tolist()
 

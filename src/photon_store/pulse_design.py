@@ -8,6 +8,11 @@ motion, the excited-state population rho_ee from probability flow, and
 finally the drive quadratures from the intermediate-level equation.
 All series live on a shared uniform grid; explicit integrals use the
 trapezoid rule and auxiliary first-order equations use RK4.
+
+The Markovian (broadband) design is the W -> infinity limit of the same
+chain: the anticipated input N becomes sqrt(big_gamma) * phi_in and the
+memory Z becomes (big_gamma / 2) * G.  Both designs return a
+:class:`DesignResult` through the same tail.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .errors import DegeneratePulse, GridMismatch, InfeasibleDesign, NonFiniteState
+from .errors import DegeneratePulse, InfeasibleDesign, NonFiniteState
 from .grid import TimeGrid
 from .model import InputPulse, PhysicalParams, SpectralModel, future_drive
 
@@ -72,11 +77,7 @@ def cavity_amplitude(
     derivative, ``g_ddot`` falls back to a finite difference of
     ``g_dot``.
     """
-    if not grid.covers(pulse.duration):
-        raise GridMismatch(
-            f"grid span {grid.span:.6g} us does not cover the pulse "
-            f"support {pulse.duration:.6g} us"
-        )
+    grid.require_cover(pulse.duration)
     w = model.bandwidth_w
     scale = 1.0 / (w * math.sqrt(model.big_gamma))
     t = grid.times
@@ -123,12 +124,14 @@ def _memory_series(g_half: np.ndarray, model: SpectralModel, grid: TimeGrid) -> 
 
 @dataclass(frozen=True, eq=False)
 class IntracavitySeries:
-    """Intermediate-level amplitude with the drive-free bath terms."""
+    """Intermediate-level amplitude with the drive-free bath terms, and
+    the cavity series it was derived from."""
 
     x_tilde: np.ndarray
     x_tilde_dot: np.ndarray
     n_drive: np.ndarray
     z_mem: np.ndarray
+    cavity: CavitySeries
 
 
 def intracavity_amplitude(
@@ -151,7 +154,11 @@ def intracavity_amplitude(
     x_tilde = (-series.g_dot + n_drive - z_mem) / params.g_cav
     x_tilde_dot = (-series.g_ddot + n_dot - z_dot) / params.g_cav
     return IntracavitySeries(
-        x_tilde=x_tilde, x_tilde_dot=x_tilde_dot, n_drive=n_drive, z_mem=z_mem
+        x_tilde=x_tilde,
+        x_tilde_dot=x_tilde_dot,
+        n_drive=n_drive,
+        z_mem=z_mem,
+        cavity=series,
     )
 
 
@@ -196,7 +203,9 @@ class DesignResult:
     of the atomic transition; ``omega_modulus`` and the unwrapped
     ``omega_phase`` describe the same complex drive
     ``alpha + i beta``.  ``accumulated_phase`` is the rotating-frame
-    angle that the two detunings wind up over time.
+    angle that the two detunings wind up over time.  The Markovian
+    design fills ``n_drive`` and ``z_mem`` with their W -> infinity
+    limits.
     """
 
     grid: TimeGrid
@@ -220,17 +229,21 @@ class DesignResult:
         return self.alpha + 1j * self.beta
 
 
-def _quadratures(
-    x_tilde: np.ndarray,
-    x_tilde_dot: np.ndarray,
-    g_series: np.ndarray,
-    rho: np.ndarray,
+def _design_result(
     params: PhysicalParams,
     grid: TimeGrid,
-):
-    """Drive quadratures for arbitrary detunings (resonance included)."""
+    g: np.ndarray,
+    g_dot: np.ndarray,
+    x_tilde: np.ndarray,
+    x_tilde_dot: np.ndarray,
+    n_drive: np.ndarray,
+    z_mem: np.ndarray,
+) -> DesignResult:
+    """rho_ee and the drive quadratures for arbitrary detunings
+    (resonance included): the tail shared by both designs."""
+    rho = excited_population(x_tilde, g, params, grid)
     root = np.sqrt(rho)
-    p = (x_tilde_dot - params.g_cav * g_series + params.gamma_L * x_tilde) / root
+    p = (x_tilde_dot - params.g_cav * g + params.gamma_L * x_tilde) / root
     q = params.delta2 * x_tilde / root
     phase = -params.delta * grid.times + params.delta2 * cumulative_trapezoid(
         x_tilde ** 2 / rho, dx=grid.dt, initial=0.0
@@ -238,29 +251,15 @@ def _quadratures(
     cos_a, sin_a = np.cos(phase), np.sin(phase)
     alpha = p * cos_a + q * sin_a
     beta = q * cos_a - p * sin_a
-    return phase, alpha, beta
-
-
-def design_drive(
-    pulse: InputPulse, params: PhysicalParams, grid: TimeGrid
-) -> DesignResult:
-    """Drive that stores the input packet, for any pair of detunings."""
-    model = SpectralModel.from_params(params)
-    series = cavity_amplitude(pulse, model, grid)
-    mid = intracavity_amplitude(pulse, params, grid)
-    rho = excited_population(mid.x_tilde, series.g, params, grid)
-    phase, alpha, beta = _quadratures(
-        mid.x_tilde, mid.x_tilde_dot, series.g, rho, params, grid
-    )
     return DesignResult(
         grid=grid,
         params=params,
-        g=series.g,
-        g_dot=series.g_dot,
-        x_tilde=mid.x_tilde,
-        x_tilde_dot=mid.x_tilde_dot,
-        n_drive=mid.n_drive,
-        z_mem=mid.z_mem,
+        g=g,
+        g_dot=g_dot,
+        x_tilde=x_tilde,
+        x_tilde_dot=x_tilde_dot,
+        n_drive=n_drive,
+        z_mem=z_mem,
         rho_ee=rho,
         accumulated_phase=phase,
         alpha=alpha,
@@ -270,42 +269,36 @@ def design_drive(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class MarkovianDesignResult:
-    """Drive design in the broadband (memoryless cavity) limit."""
-
-    grid: TimeGrid
-    params: PhysicalParams
-    g: np.ndarray
-    g_dot: np.ndarray
-    x_tilde: np.ndarray
-    x_tilde_dot: np.ndarray
-    rho_ee: np.ndarray
-    accumulated_phase: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    omega_modulus: np.ndarray
-    omega_phase: np.ndarray
-
-    @property
-    def drive(self) -> np.ndarray:
-        return self.alpha + 1j * self.beta
+def design_drive(
+    pulse: InputPulse, params: PhysicalParams, grid: TimeGrid
+) -> DesignResult:
+    """Drive that stores the input packet, for any pair of detunings."""
+    mid = intracavity_amplitude(pulse, params, grid)
+    return _design_result(
+        params,
+        grid,
+        mid.cavity.g,
+        mid.cavity.g_dot,
+        mid.x_tilde,
+        mid.x_tilde_dot,
+        mid.n_drive,
+        mid.z_mem,
+    )
 
 
 def design_drive_markovian(
     pulse: InputPulse, params: PhysicalParams, grid: TimeGrid
-) -> MarkovianDesignResult:
+) -> DesignResult:
     """Same design chain with the bath memory collapsed to a rate.
 
     Here ``G = phi_in / sqrt(big_gamma)`` and the cavity equation
     carries the decay rate big_gamma / 2 instead of the memory and
-    anticipation integrals; everything downstream is unchanged.
+    anticipation integrals; everything downstream is unchanged.  The
+    result holds the W -> infinity limits ``n_drive = sqrt(big_gamma)
+    phi_in`` and ``z_mem = (big_gamma / 2) G``, which keep the cavity
+    equation ``g_cav x_tilde = -G' + N - Z`` of the memory design.
     """
-    if not grid.covers(pulse.duration):
-        raise GridMismatch(
-            f"grid span {grid.span:.6g} us does not cover the pulse "
-            f"support {pulse.duration:.6g} us"
-        )
+    grid.require_cover(pulse.duration)
     root_gamma = math.sqrt(params.big_gamma)
     t = grid.times
     v0, v1, v2 = pulse.value(t), pulse.d1(t), pulse.d2(t)
@@ -313,22 +306,9 @@ def design_drive_markovian(
     g_dot = v1 / root_gamma
     x_tilde = (-v1 / root_gamma + 0.5 * root_gamma * v0) / params.g_cav
     x_tilde_dot = (-v2 / root_gamma + 0.5 * root_gamma * v1) / params.g_cav
-    rho = excited_population(x_tilde, g, params, grid)
-    phase, alpha, beta = _quadratures(x_tilde, x_tilde_dot, g, rho, params, grid)
-    return MarkovianDesignResult(
-        grid=grid,
-        params=params,
-        g=g,
-        g_dot=g_dot,
-        x_tilde=x_tilde,
-        x_tilde_dot=x_tilde_dot,
-        rho_ee=rho,
-        accumulated_phase=phase,
-        alpha=alpha,
-        beta=beta,
-        omega_modulus=np.hypot(alpha, beta),
-        omega_phase=np.unwrap(np.arctan2(beta, alpha)),
-    )
+    n_drive = root_gamma * v0
+    z_mem = 0.5 * params.big_gamma * g
+    return _design_result(params, grid, g, g_dot, x_tilde, x_tilde_dot, n_drive, z_mem)
 
 
 def direct_memory_convolution(

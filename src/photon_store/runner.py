@@ -54,6 +54,9 @@ def _fmt(value) -> str:
         return str(int(value))
     if isinstance(value, str):
         return value
+    if isinstance(value, (complex, np.complexfloating)):
+        # float() of a numpy complex would drop the imaginary part
+        raise TypeError(f"cannot write complex value {value!r} as a real number")
     return f"{float(value):.12g}"
 
 
@@ -148,11 +151,17 @@ def materialize(cfg: ScenarioConfig) -> Scenario:
     return Scenario(pulse=pulse, params=params, grid=grid, big_gamma_derived=derived)
 
 
-def _echo_params(cfg: ScenarioConfig, sc: Scenario) -> dict[str, object]:
+def _summary_header(cfg: ScenarioConfig) -> dict[str, object]:
     return {
         "mode": cfg.mode,
         "preset": cfg.preset or "none",
         "preset_overrides": ",".join(cfg.overrides) if cfg.overrides else "none",
+    }
+
+
+def _echo_params(cfg: ScenarioConfig, sc: Scenario) -> dict[str, object]:
+    return {
+        **_summary_header(cfg),
         "pulse": cfg.pulse,
         "pulse_duration": sc.pulse.duration,
         "g_cav": sc.params.g_cav,
@@ -361,28 +370,10 @@ def run_dark(cfg: ScenarioConfig, sc: Scenario, outdir: Path) -> None:
     write_summary(outdir / "summary", summary)
 
 
-def _sweep_point(point_cfg: ScenarioConfig) -> dict[str, object]:
-    """Metrics for one sweep point; runs in a worker process."""
-    sc = materialize(point_cfg)
-    design = pulse_design.design_drive(sc.pulse, sc.params, sc.grid)
-    out: dict[str, object] = {
-        "big_gamma": sc.params.big_gamma,
-        "max_abs_omega": float(np.max(design.omega_modulus)),
-        "backflow_detected": _backflow(design.rho_ee),
-        "theta": design.omega_phase,
-        "rho_ee": design.rho_ee,
-    }
-    if point_cfg.delta1 == 0.0 and point_cfg.delta2 == 0.0:
-        flat = pulse_design.design_drive_markovian(sc.pulse, sc.params, sc.grid)
-        out["sup_diff_rho"] = float(np.max(np.abs(design.rho_ee - flat.rho_ee)))
-    return out
-
-
 _ERROR_CODES = (
     (ConfigError, EXIT_CONFIG),
     (NonFiniteState, EXIT_BLOWUP),
     (BandTooNarrow, EXIT_BAND),
-    (PhotonStoreError, EXIT_INFEASIBLE),
 )
 
 
@@ -393,6 +384,26 @@ def _code_for(exc: PhotonStoreError) -> int:
     return EXIT_INFEASIBLE
 
 
+def _sweep_point(point_cfg: ScenarioConfig) -> tuple[int, dict[str, object] | None]:
+    """Exit code and metrics of one sweep point; runs in a worker process."""
+    try:
+        sc = materialize(point_cfg)
+        design = pulse_design.design_drive(sc.pulse, sc.params, sc.grid)
+        out: dict[str, object] = {
+            "big_gamma": sc.params.big_gamma,
+            "max_abs_omega": float(np.max(design.omega_modulus)),
+            "backflow_detected": _backflow(design.rho_ee),
+            "theta": design.omega_phase,
+            "rho_ee": design.rho_ee,
+        }
+        if point_cfg.delta1 == 0.0 and point_cfg.delta2 == 0.0:
+            flat = pulse_design.design_drive_markovian(sc.pulse, sc.params, sc.grid)
+            out["sup_diff_rho"] = float(np.max(np.abs(design.rho_ee - flat.rho_ee)))
+    except PhotonStoreError as exc:
+        return _code_for(exc), None
+    return EXIT_OK, out
+
+
 def run_sweep(cfg: ScenarioConfig, outdir: Path) -> None:
     values = sorted(cfg.sweep_values)
     points = [with_point(cfg, v) for v in values]
@@ -400,22 +411,11 @@ def run_sweep(cfg: ScenarioConfig, outdir: Path) -> None:
     # as a whole (exit 2) before any point is dispatched
     load_pulse(cfg)
 
-    results: list[dict | None] = [None] * len(points)
-    codes: list[int] = [EXIT_OK] * len(points)
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [pool.submit(_sweep_point, p) for p in points]
-            for i, fut in enumerate(futures):
-                try:
-                    results[i] = fut.result()
-                except PhotonStoreError as exc:
-                    codes[i] = _code_for(exc)
+            outcomes = list(pool.map(_sweep_point, points))
     else:
-        for i, p in enumerate(points):
-            try:
-                results[i] = _sweep_point(p)
-            except PhotonStoreError as exc:
-                codes[i] = _code_for(exc)
+        outcomes = list(map(_sweep_point, points))
 
     is_w_sweep = cfg.sweep_param == "bandwidth_w"
     names = [cfg.sweep_param, "status"]
@@ -423,7 +423,7 @@ def run_sweep(cfg: ScenarioConfig, outdir: Path) -> None:
     if is_w_sweep:
         names.append("sup_diff_rho")
     rows = []
-    for value, res, code in zip(values, results, codes):
+    for value, (code, res) in zip(values, outcomes):
         row = [_fmt(value), str(code)]
         if res is None:
             row += [""] * (len(names) - 2)
@@ -440,17 +440,15 @@ def run_sweep(cfg: ScenarioConfig, outdir: Path) -> None:
     _write_atomic(outdir / "sweep_aggregate.csv", [",".join(names) + "\n", *rows])
 
     summary: dict[str, object] = {
-        "mode": "sweep",
-        "preset": cfg.preset or "none",
-        "preset_overrides": ",".join(cfg.overrides) if cfg.overrides else "none",
+        **_summary_header(cfg),
         "sweep_param": cfg.sweep_param,
         "sweep_values": ",".join(_fmt(v) for v in values),
         "failed_points": ",".join(
-            _fmt(v) for v, c in zip(values, codes) if c != EXIT_OK
+            _fmt(v) for v, (c, _) in zip(values, outcomes) if c != EXIT_OK
         )
         or "none",
     }
-    ok = {v: r for v, r, c in zip(values, results, codes) if c == EXIT_OK}
+    ok = {v: r for v, (c, r) in zip(values, outcomes) if c == EXIT_OK}
     if cfg.sweep_param == "delta2":
         residual = 0.0
         spread = 0.0

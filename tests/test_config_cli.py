@@ -269,6 +269,17 @@ def test_write_csv_refuses_a_complex_column(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "value",
+    [1 + 2j, np.complex128(1 + 2j), np.complex64(1 + 2j)],
+    ids=lambda v: type(v).__name__,
+)
+def test_write_summary_refuses_a_complex_value(tmp_path, value):
+    with pytest.raises(TypeError):
+        runner.write_summary(tmp_path / "summary", {"mode": "design", "z": value})
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_failed_write_leaves_the_old_file_and_no_temp(tmp_path):
     path = tmp_path / "series.csv"
     path.write_text("old\n")

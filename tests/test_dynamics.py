@@ -18,6 +18,42 @@ from photon_store.errors import BandTooNarrow, GridMismatch, NonFiniteState
 PI = math.pi
 
 
+# ------------------------------------------------------------ grid coverage
+
+SHORT_GRID_CALLS = {
+    "cavity_amplitude": lambda pulse, params, grid: ps.cavity_amplitude(
+        pulse, ps.SpectralModel.from_params(params), grid
+    ),
+    "future_drive": lambda pulse, params, grid: ps.future_drive(
+        pulse, ps.SpectralModel.from_params(params), grid
+    ),
+    "design_drive": ps.design_drive,
+    "design_drive_markovian": ps.design_drive_markovian,
+    "simulate_nonmarkovian": lambda pulse, params, grid: ps.simulate_nonmarkovian(
+        pulse, np.zeros(grid.n_steps + 1), params, ps.InitialState.vacuum(), grid
+    ),
+    "simulate_markovian": lambda pulse, params, grid: ps.simulate_markovian(
+        pulse, np.zeros(grid.n_steps + 1), params, ps.InitialState.vacuum(), grid
+    ),
+    "simulate_discrete_bath": lambda pulse, params, grid: ps.simulate_discrete_bath(
+        pulse,
+        np.zeros(grid.n_steps + 1),
+        params,
+        ps.InitialState.vacuum(),
+        ps.discretize_bath(ps.SpectralModel.from_params(params), 8, 40.0),
+        grid,
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SHORT_GRID_CALLS))
+def test_every_entry_point_rejects_a_short_grid(pulse, make_params, entry):
+    short = ps.TimeGrid.from_span(1.0, 1e-2)
+    with pytest.raises(GridMismatch) as err:
+        SHORT_GRID_CALLS[entry](pulse, make_params(2.0, 0.002), short)
+    assert str(err.value) == "grid span 1 us does not cover the pulse support 3.14159 us"
+
+
 # ------------------------------------------------------------ InitialState
 
 
@@ -294,6 +330,11 @@ def test_comb_step_and_rk4_fail_at_the_same_time(pulse, tiny_comb, rk4):
     with pytest.raises(NonFiniteState) as rk4_err:
         rk4(y0, explicit_comb_rhs(drive, params, bath, grid), grid.dt, grid.n_steps)
     assert oracle_err.value.t == rk4_err.value.t < grid.span
+
+
+def test_package_exports_resolve():
+    missing = [name for name in ps.__all__ if not hasattr(ps, name)]
+    assert missing == []
 
 
 def test_package_import_leaves_scipy_signal_out():

@@ -255,7 +255,9 @@ def test_asymmetric_pulse_drive_starts_at_slew_over_root_offset(grid):
 # --------------------------------------------------------- broadband design
 
 
-def test_markovian_design_series_follow_closed_forms(pulse, make_params, grid):
+def test_markovian_design_series_follow_closed_forms(
+    pulse, make_params, design_for, grid
+):
     params = make_params(400.0, 0.0075)
     des = ps.design_drive_markovian(pulse, params, grid)
     t = grid.times
@@ -266,6 +268,14 @@ def test_markovian_design_series_follow_closed_forms(pulse, make_params, grid):
         (-pulse.d1(t) / root + 0.5 * root * pulse.value(t)) / params.g_cav,
         rtol=0,
     )
+    # the W -> infinity limits of the anticipated input and the memory
+    np.testing.assert_array_equal(des.n_drive, root * pulse.value(t))
+    np.testing.assert_array_equal(des.z_mem, 0.5 * params.big_gamma * des.g)
+    # both designs satisfy the cavity equation g_cav x_tilde = -G' + N - Z
+    for d in (des, design_for(400.0, 0.0075)[1]):
+        lhs = params.g_cav * d.x_tilde
+        rhs = -d.g_dot + d.n_drive - d.z_mem
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(lhs))
 
 
 def test_broadband_limit_closes_design_gap(pulse, make_params, grid):
