@@ -1,4 +1,5 @@
-"""Half-lattice sampling of grid-only drivers for the RK4 loops.
+"""Half-lattice sampling for the RK4 loops, and RK4 of a scalar linear
+equation solved as array operations.
 
 The classical RK4 stages need the driving terms at t, t + dt/2 and
 t + dt.  Drivers known only on the grid (a designed drive, the
@@ -7,11 +8,26 @@ onto the half lattice -- grid points interleaved with cubic midpoints --
 and the scalar stepping loops in ``dynamics`` and ``dark_state`` read
 them by half-lattice *index* instead of by time, which keeps each loop
 free of interpolation and bitwise reproducible.
+
+The two bath terms of the drive design (the anticipated input N and the
+memory Z) each obey one scalar equation y' = lam y + f, because a
+Lorentzian bath acts as one damped pseudomode.  RK4 applied to it is
+exactly an affine recurrence, which :func:`_rk4_linear` solves in
+blocks instead of stepping it in Python.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+from .errors import NonFiniteState
+
+# cap on width * log(r): r^width <= exp(700) ~ 1e304 stays finite
+_EXP_ROOM = 700.0
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def cubic_midpoints(y: np.ndarray) -> np.ndarray:
@@ -49,3 +65,115 @@ def half_lattice(y: np.ndarray) -> np.ndarray:
     out[0::2] = y
     out[1::2] = cubic_midpoints(y)
     return out
+
+
+def _rk4_linear(
+    z: float, dt: float, f_half: np.ndarray, backward: bool = False
+) -> np.ndarray:
+    """RK4 path of y' = lam y + f from y = 0, with no per-step loop.
+
+    ``z = lam * dt`` and ``f_half`` holds f on the half lattice
+    (2n + 1 samples).  One RK4 step of this equation is exactly
+
+        y_{k+1} = r y_k + b_k,   r = R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24,
+        b_k = dt/6 [f_k (1 + z + z^2/2 + z^3/4)
+                    + f_{k+1/2} (4 + 2z + z^2/2) + f_{k+1}],
+
+    the r of the forward solvers' RK4 steps (not exp(z)).  The recurrence is
+    solved in blocks of L = isqrt(n) steps: one product with the
+    lower-triangular Toeplitz matrix r^(i-j) gives every block's path
+    from rest, and a scalar carry over the ~sqrt(n) blocks adds the
+    start of each block.  Every power is ``exp(k log1p(r - 1))``, with
+    r - 1 formed without the leading 1: ``r**k`` loses the digits of r
+    near 1 and puts N(0) ~1e-13 off G'(0) at small W.
+
+    With ``backward=True`` the recurrence runs from the last sample to
+    t = 0 and ``lam``, ``f_half`` describe the equation in reversed
+    time span - t; the path is still returned in grid order.  Raises
+    :class:`NonFiniteState` where a stepping loop would: at the first
+    sample, in stepping order, that is not finite or whose step
+    overflows an RK4 stage.
+    """
+    n = (f_half.shape[0] - 1) // 2
+    if backward:
+        f_half = f_half[::-1]
+    q = z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
+    log_r = math.log1p(q)
+    zz = z * z
+    b = (dt / 6.0) * (
+        (1.0 + z + 0.5 * zz + 0.25 * zz * z) * f_half[0:-1:2]
+        + (4.0 + 2.0 * z + 0.5 * zz) * f_half[1::2]
+        + f_half[2::2]
+    )
+    # first sample a stepping loop could not reach finite; n + 1 if none
+    stop = n + 1
+    finite_b = np.isfinite(b)
+    if not finite_b.all():
+        stop = int(np.argmin(finite_b)) + 1
+        # zeros keep the block product from spreading the bad step to
+        # earlier samples
+        b = np.where(finite_b, b, 0.0)
+
+    width = max(1, math.isqrt(n))
+    if log_r > 0.0:
+        # a growing solution: keep r^width finite so that the block
+        # product overflows only where the path itself does
+        width = max(1, min(width, int(_EXP_ROOM / log_r)))
+    blocks = -(-n // width)
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = np.exp(np.arange(width + 1) * log_r)
+        # toeplitz[j, m] = r^(m - j) for m >= j, else 0
+        strip = np.concatenate((np.zeros(width - 1), powers[:width]))
+        toeplitz = np.ascontiguousarray(sliding_window_view(strip, width)[::-1])
+        padded = np.zeros(blocks * width)
+        padded[:n] = b
+        local = padded.reshape(blocks, width) @ toeplitz
+        carry = np.empty((blocks, 1))
+        c = 0.0
+        r_width = float(powers[width])
+        for i, last in enumerate(local[:, -1].tolist()):
+            carry[i, 0] = c
+            c = r_width * c + last
+        local += carry * powers[1:]
+
+    path = np.empty(n + 1)
+    stepped = path[::-1] if backward else path
+    stepped[0] = 0.0
+    stepped[1:] = local.reshape(-1)[:n]
+    # below this size no RK4 stage of the next step can overflow
+    size = abs(z)
+    grow = 1.0 + size
+    limit = _FLOAT_MAX / (6.0 * (grow + size / dt) * grow * grow * grow)
+    if stop <= n or not np.max(np.abs(stepped)) < limit:
+        stop = min(stop, _first_blowup(stepped, limit, z, dt, f_half))
+        if stop <= n:
+            raise NonFiniteState((n - stop if backward else stop) * dt)
+    return path
+
+
+def _first_blowup(
+    path: np.ndarray, limit: float, z: float, dt: float, f_half: np.ndarray
+) -> int:
+    """Index at which a stepping loop would first hold a non-finite y,
+    or ``len(path)`` if it never would.
+
+    A finite sample can still overflow the stages of the step it starts,
+    so the four stages are evaluated from every sample of size ``limit``
+    or more; y_{k+1} is non-finite as soon as one of them is.
+    """
+    n = path.shape[0] - 1
+    near = np.flatnonzero(~(np.abs(path) < limit))
+    start = near[near < n]
+    lam = z / dt
+    h = dt / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = path[start]
+        k1 = lam * y + f_half[2 * start]
+        k2 = lam * (y + h * k1) + f_half[2 * start + 1]
+        k3 = lam * (y + h * k2) + f_half[2 * start + 1]
+        k4 = lam * (y + dt * k3) + f_half[2 * start + 2]
+        y_next = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    blown = np.concatenate(
+        (near[~np.isfinite(path[near])], start[~np.isfinite(y_next)] + 1)
+    )
+    return int(blown.min()) if blown.size else n + 1

@@ -29,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import NonFiniteState
+from ._integrate import _rk4_linear
 from .grid import TimeGrid
 
 
@@ -243,35 +243,26 @@ class SpectralModel:
 
 
 def future_drive(
-    pulse: InputPulse, model: SpectralModel, grid: TimeGrid
+    pulse: InputPulse,
+    model: SpectralModel,
+    grid: TimeGrid,
+    *,
+    phi_half: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Anticipated input seen by the cavity at each grid time.
 
     Solves ``dN/dt = W N - W sqrt(big_gamma) phi_in`` backward from
     N(span) = 0, i.e. ``N(t) = integral_t^span h(tau - t) phi_in(tau)
     d tau``: the part of the photon still to arrive, weighted by the
-    bath response.  The grid must cover the pulse support.
+    bath response.  The RK4 path is solved as the exact recurrence of
+    :func:`photon_store._integrate._rk4_linear` on the reversed half
+    lattice.  ``phi_half`` may pass ``pulse.value(grid.half_times)``
+    when the caller already has it.  The grid must cover the pulse
+    support.
     """
     grid.require_cover(pulse.duration)
     w = model.bandwidth_w
-    pump = (w * math.sqrt(model.big_gamma) * pulse.value(grid.half_times)).tolist()
-
-    # scalar RK4 run backward from the terminal condition N(span) = 0
-    n = grid.n_steps
-    dt = grid.dt
-    h = -dt / 2.0
-    sixth = dt / 6.0
-    path = np.empty(n + 1)
-    y = 0.0
-    path[n] = y
-    for k in range(n, 0, -1):
-        j = 2 * k
-        k1 = w * y - pump[j]
-        k2 = w * (y + h * k1) - pump[j - 1]
-        k3 = w * (y + h * k2) - pump[j - 1]
-        k4 = w * (y - dt * k3) - pump[j - 2]
-        y = y - sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if y - y != 0.0:
-            raise NonFiniteState((k - 1) * dt)
-        path[k - 1] = y
-    return path
+    if phi_half is None:
+        phi_half = pulse.value(grid.half_times)
+    pump = w * math.sqrt(model.big_gamma) * phi_half
+    return _rk4_linear(-w * grid.dt, grid.dt, pump, backward=True)

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .errors import DegeneratePulse, InfeasibleDesign, NonFiniteState
+from ._integrate import _rk4_linear
+from .errors import DegeneratePulse, InfeasibleDesign
 from .grid import TimeGrid
 from .model import InputPulse, PhysicalParams, SpectralModel, future_drive
 
@@ -95,31 +96,13 @@ def _memory_series(g_half: np.ndarray, model: SpectralModel, grid: TimeGrid) -> 
     """Memory accumulator Z(t) = integral_0^t f(t - tau) G(tau) d tau.
 
     The exponential kernel makes Z the solution of
-    ``Z' = -W Z + (W big_gamma / 2) G`` from Z(0) = 0.
+    ``Z' = -W Z + (W big_gamma / 2) G`` from Z(0) = 0, whose RK4 path
+    is solved as the exact recurrence of
+    :func:`photon_store._integrate._rk4_linear`.
     """
     w = model.bandwidth_w
-    feed = (0.5 * w * model.big_gamma * g_half).tolist()
-
-    # scalar RK4; a one-dimensional real state does not justify the
-    # vector integrator's per-stage array traffic
-    n = grid.n_steps
-    dt = grid.dt
-    h = dt / 2.0
-    sixth = dt / 6.0
-    out = np.empty(n + 1)
-    z = 0.0
-    out[0] = z
-    for k in range(n):
-        j = 2 * k
-        k1 = -w * z + feed[j]
-        k2 = -w * (z + h * k1) + feed[j + 1]
-        k3 = -w * (z + h * k2) + feed[j + 1]
-        k4 = -w * (z + dt * k3) + feed[j + 2]
-        z = z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if z - z != 0.0:
-            raise NonFiniteState((k + 1) * dt)
-        out[k + 1] = z
-    return out
+    feed = 0.5 * w * model.big_gamma * g_half
+    return _rk4_linear(-w * grid.dt, grid.dt, feed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,11 +128,15 @@ def intracavity_amplitude(
     """
     model = SpectralModel.from_params(params)
     series = cavity_amplitude(pulse, model, grid)
-    n_drive = future_drive(pulse, model, grid)
-    g_half = _cavity_half(pulse, model, grid)
-    z_mem = _memory_series(g_half, model, grid)
+    th = grid.half_times
+    phi_half = pulse.value(th)
+    n_drive = future_drive(pulse, model, grid, phi_half=phi_half)
     w = model.bandwidth_w
-    n_dot = w * n_drive - w * math.sqrt(model.big_gamma) * pulse.value(grid.times)
+    # perfect-absorption G on the half lattice, the memory's source
+    g_half = (pulse.d1(th) + w * phi_half) / (w * math.sqrt(model.big_gamma))
+    z_mem = _memory_series(g_half, model, grid)
+    # half_times[::2] is bitwise grid.times
+    n_dot = w * n_drive - w * math.sqrt(model.big_gamma) * phi_half[::2]
     z_dot = -w * z_mem + 0.5 * w * model.big_gamma * series.g
     x_tilde = (-series.g_dot + n_drive - z_mem) / params.g_cav
     x_tilde_dot = (-series.g_ddot + n_dot - z_dot) / params.g_cav
@@ -160,13 +147,6 @@ def intracavity_amplitude(
         z_mem=z_mem,
         cavity=series,
     )
-
-
-def _cavity_half(pulse: InputPulse, model: SpectralModel, grid: TimeGrid) -> np.ndarray:
-    """Perfect-absorption G evaluated directly on the half lattice."""
-    w = model.bandwidth_w
-    th = grid.half_times
-    return (pulse.d1(th) + w * pulse.value(th)) / (w * math.sqrt(model.big_gamma))
 
 
 def excited_population(

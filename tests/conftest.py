@@ -1,6 +1,7 @@
-"""Shared fixtures: one pulse, one lab grid, cached designs, and the
+"""Shared fixtures: one pulse, one lab grid, cached designs, the
 generic RK4 that the package's unrolled stepping loops are checked
-against.
+against, and the scalar RK4 loops of the two bath terms that the
+package now solves as array recurrences.
 
 The expensive pieces (equilibrium couplings, full drive designs) are
 memoized per session so the suite stays fast even though many tests
@@ -112,3 +113,71 @@ def rk4():
     """Classical RK4 of an explicit vector right-hand side: the
     reference for every hand-written stepping loop in the package."""
     return _rk4
+
+
+def _future_drive_loop(pulse, model, grid) -> np.ndarray:
+    """Anticipated input N by scalar RK4, backward from N(span) = 0."""
+    grid.require_cover(pulse.duration)
+    w = model.bandwidth_w
+    pump = (w * math.sqrt(model.big_gamma) * pulse.value(grid.half_times)).tolist()
+
+    # scalar RK4 run backward from the terminal condition N(span) = 0
+    n = grid.n_steps
+    dt = grid.dt
+    h = -dt / 2.0
+    sixth = dt / 6.0
+    path = np.empty(n + 1)
+    y = 0.0
+    path[n] = y
+    for k in range(n, 0, -1):
+        j = 2 * k
+        k1 = w * y - pump[j]
+        k2 = w * (y + h * k1) - pump[j - 1]
+        k3 = w * (y + h * k2) - pump[j - 1]
+        k4 = w * (y - dt * k3) - pump[j - 2]
+        y = y - sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if y - y != 0.0:
+            raise NonFiniteState((k - 1) * dt)
+        path[k - 1] = y
+    return path
+
+
+def _memory_series_loop(g_half, model, grid) -> np.ndarray:
+    """Bath memory Z by scalar RK4 of Z' = -W Z + (W big_gamma / 2) G."""
+    w = model.bandwidth_w
+    feed = (0.5 * w * model.big_gamma * g_half).tolist()
+
+    # scalar RK4; a one-dimensional real state does not justify the
+    # vector integrator's per-stage array traffic
+    n = grid.n_steps
+    dt = grid.dt
+    h = dt / 2.0
+    sixth = dt / 6.0
+    out = np.empty(n + 1)
+    z = 0.0
+    out[0] = z
+    for k in range(n):
+        j = 2 * k
+        k1 = -w * z + feed[j]
+        k2 = -w * (z + h * k1) + feed[j + 1]
+        k3 = -w * (z + h * k2) + feed[j + 1]
+        k4 = -w * (z + dt * k3) + feed[j + 2]
+        z = z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if z - z != 0.0:
+            raise NonFiniteState((k + 1) * dt)
+        out[k + 1] = z
+    return out
+
+
+@pytest.fixture(scope="session")
+def future_drive_loop():
+    """The scalar RK4 loop ``future_drive`` ran before it became an
+    array recurrence: the reference for N."""
+    return _future_drive_loop
+
+
+@pytest.fixture(scope="session")
+def memory_series_loop():
+    """The scalar RK4 loop of the bath memory Z, the reference for
+    ``pulse_design._memory_series``."""
+    return _memory_series_loop

@@ -32,6 +32,15 @@ def test_grid_lab_resolution(grid):
     assert not grid.covers(PI + 1e-3)
 
 
+def test_half_lattice_holds_the_grid_bitwise():
+    # the design samples the pulse once on the half lattice and reads
+    # its grid values from the even samples
+    for span in (PI, 1.0, 2.5, 7.3, 0.123):
+        for dt in (1e-4, 5e-5, 3e-3, 1e-2, 0.03):
+            g = ps.TimeGrid.from_span(span, dt)
+            assert g.half_times[::2].tobytes() == g.times.tobytes()
+
+
 @pytest.mark.parametrize("span,dt", [(-1.0, 0.1), (1.0, -0.1), (1.0, 0.0)])
 def test_grid_rejects_nonpositive_inputs(span, dt):
     with pytest.raises(ValueError):

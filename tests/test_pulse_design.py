@@ -3,13 +3,22 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import photon_store as ps
 from photon_store import pulse_design as pd
-from photon_store.errors import DegeneratePulse, GridMismatch, InfeasibleDesign
+from photon_store._integrate import _rk4_linear
+from photon_store.errors import (
+    DegeneratePulse,
+    GridMismatch,
+    InfeasibleDesign,
+    NonFiniteState,
+)
 
 PI = math.pi
 
@@ -159,6 +168,114 @@ def test_direct_convolution_index_subset_is_consistent(pulse, make_params, grid)
     np.testing.assert_allclose(
         some, full[[0, 100, 1000]], rtol=1e-12, atol=1e-15
     )
+
+
+# ------------------------------------------- bath-term recurrences N and Z
+
+
+def _g_half(pulse, model, grid):
+    """Perfect-absorption G on the half lattice: the memory's source."""
+    w = model.bandwidth_w
+    th = grid.half_times
+    return (pulse.d1(th) + w * pulse.value(th)) / (w * math.sqrt(model.big_gamma))
+
+
+def _rel(values, ref):
+    return np.max(np.abs(values - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize(
+    "w,dt",
+    [(0.5, 1e-4), (1.6716, 1e-4), (25.0, 1e-4), (400.0, 1e-4), (1.6716, 5e-5)],
+)
+def test_bath_terms_match_the_scalar_loops(
+    pulse, make_params, future_drive_loop, memory_series_loop, w, dt
+):
+    grid = ps.TimeGrid.from_span(PI, dt)
+    params = make_params(w, 0.002)
+    model = ps.SpectralModel.from_params(params)
+    mid = ps.intracavity_amplitude(pulse, params, grid)
+    n_ref = future_drive_loop(pulse, model, grid)
+    assert _rel(ps.future_drive(pulse, model, grid), n_ref) <= 1e-13
+    assert _rel(mid.n_drive, n_ref) <= 1e-13
+    z_ref = memory_series_loop(_g_half(pulse, model, grid), model, grid)
+    assert _rel(mid.z_mem, z_ref) <= 1e-13
+
+
+def test_anticipated_input_keeps_the_equilibrium_digits(pulse, gamma_of, grid):
+    # criterion 03's 1e-8 cannot see a bias in the recurrence's powers:
+    # forming them as r**k puts N(0) 3e-13 off G'(0) at W = 0.5
+    model = ps.SpectralModel(big_gamma=gamma_of(0.5), bandwidth_w=0.5)
+    g_dot0 = ps.cavity_amplitude(pulse, model, grid).g_dot[0]
+    n0 = ps.future_drive(pulse, model, grid)[0]
+    assert abs(g_dot0 - n0) / abs(g_dot0) <= 1e-14
+
+
+def _nan_near(pulse, t0):
+    """``pulse`` with its envelope replaced by NaN around t0."""
+
+    def value(t):
+        return np.where(np.abs(t - t0) < 3e-4, np.nan, pulse.value(t))
+
+    return ps.InputPulse(pulse.duration, value, pulse.d1, pulse.d2, pulse.d3)
+
+
+@pytest.mark.parametrize(
+    "w,dt,nan_at",
+    [(5000.0, 1e-2, None), (5000.0, 1e-3, None), (2.0, 1e-4, 1.2345)],
+    ids=["overflow", "stage_overflow", "nan"],
+)
+def test_bath_terms_fail_where_the_scalar_loops_do(
+    pulse, make_params, future_drive_loop, memory_series_loop, w, dt, nan_at
+):
+    # at W dt >= 5, R(z) > 1 and both recurrences overflow.  At dt = 1e-3
+    # an RK4 stage of the loop overflows three steps before the path does
+    src = pulse if nan_at is None else _nan_near(pulse, nan_at)
+    grid = ps.TimeGrid.from_span(PI, dt)
+    params = make_params(w, 0.002)
+    model = ps.SpectralModel.from_params(params)
+    g_half = _g_half(src, model, grid)
+    with pytest.raises(NonFiniteState) as n_ref:
+        future_drive_loop(src, model, grid)
+    with pytest.raises(NonFiniteState) as z_ref:
+        memory_series_loop(g_half, model, grid)
+    calls = [
+        (lambda: ps.future_drive(src, model, grid), n_ref),
+        (lambda: ps.design_drive(src, params, grid), n_ref),
+        (lambda: pd._memory_series(g_half, model, grid), z_ref),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call, ref in calls:
+            with pytest.raises(NonFiniteState) as got:
+                call()
+            assert got.value.t == ref.value.t
+
+
+_STEPS = st.one_of(
+    st.sampled_from([1, 2, 3]),
+    st.integers(2, 40).map(lambda k: k * k),
+    st.integers(2, 40).map(lambda k: k * k + k),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=_STEPS,
+    w_dt=st.floats(1e-6, 2.5),
+    dt=st.floats(1e-5, 0.1),
+    seed=st.integers(0, 2**32 - 1),
+    backward=st.booleans(),
+)
+def test_linear_rk4_equals_a_stepping_loop(rk4, n, w_dt, dt, seed, backward):
+    f = np.random.default_rng(seed).standard_normal(2 * n + 1)
+    lam = -w_dt / dt
+    f_step = f[::-1] if backward else f
+    ref = rk4([0.0], lambda j, y: lam * y + f_step[j], dt, n)[:, 0].real
+    if backward:
+        ref = ref[::-1]
+    got = _rk4_linear(-w_dt, dt, f, backward=backward)
+    assert _rel(got, ref) <= 1e-12
 
 
 # -------------------------------------------------------- excited population
