@@ -17,9 +17,7 @@ from .dark_state import (
     adiabaticity_margin,
     compare_dark,
     conservation_drift,
-    dark_bright_amplitudes,
     exact_dark_population,
-    mixing_angle_from_drive,
 )
 from .dynamics import (
     BathDiscretization,
@@ -29,7 +27,6 @@ from .dynamics import (
     Trajectory,
     discretize_bath,
     initial_modes,
-    reconstruct_output,
     simulate_discrete_bath,
     simulate_markovian,
     simulate_nonmarkovian,
@@ -65,7 +62,6 @@ from .pulse_design import (
     coupling_from_bandwidth,
     design_drive,
     design_drive_markovian,
-    direct_memory_convolution,
     excited_population,
     intracavity_amplitude,
 )
@@ -107,18 +103,14 @@ __all__ = [
     "compare_dark",
     "conservation_drift",
     "coupling_from_bandwidth",
-    "dark_bright_amplitudes",
     "design_drive",
     "design_drive_markovian",
-    "direct_memory_convolution",
     "discretize_bath",
     "exact_dark_population",
     "excited_population",
     "future_drive",
     "initial_modes",
     "intracavity_amplitude",
-    "mixing_angle_from_drive",
-    "reconstruct_output",
     "sampled_packet",
     "simulate_discrete_bath",
     "simulate_markovian",

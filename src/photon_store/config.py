@@ -185,6 +185,28 @@ def parse_config(text: str, cli_mode: Optional[str] = None) -> ScenarioConfig:
     values: dict[str, object] = {}
     ranged: dict[str, tuple[float, ...]] = {}
 
+    def number(key: str, lineno: int, text: str) -> Optional[float]:
+        """One number of ``key``, or None after a violation when it is
+        not finite.  A frequency above the unit ceiling is a violation
+        too, checked before presets so that it names what the user typed.
+        Raises ValueError for a token that is no number."""
+        value = parse_number(text)
+        if not math.isfinite(value):
+            violations.append(
+                Violation("value", lineno, f"{key} must be finite, got {text.strip()!r}")
+            )
+            return None
+        if key in _FREQ_KEYS and abs(value) > _UNIT_CEILING:
+            violations.append(
+                Violation(
+                    "unit-suspect",
+                    lineno,
+                    f"{key} = {value:g} is suspiciously large; "
+                    "frequencies are MHz (rad/us), not Hz",
+                )
+            )
+        return value
+
     for key, (lineno, token) in raw.items():
         if key in _STR_KEYS:
             values[key] = token
@@ -205,31 +227,23 @@ def parse_config(text: str, cli_mode: Optional[str] = None) -> ScenarioConfig:
                 )
                 continue
             try:
-                ranged[key] = tuple(parse_number(p) for p in parts if p)
+                parsed = [number(key, lineno, p) for p in parts if p]
             except ValueError:
                 violations.append(
                     Violation("value", lineno, f"could not parse range for {key}")
                 )
+                continue
+            ranged[key] = tuple(v for v in parsed if v is not None)
             continue
         try:
-            values[key] = parse_number(token)
+            value = number(key, lineno, token)
         except ValueError:
             violations.append(
                 Violation("value", lineno, f"{key} expects a number, got {token!r}")
             )
-
-    # unit sanity before presets: suspects refer to what the user typed
-    for key in _FREQ_KEYS:
-        if key in values and abs(values[key]) > _UNIT_CEILING:
-            lineno = raw[key][0]
-            violations.append(
-                Violation(
-                    "unit-suspect",
-                    lineno,
-                    f"{key} = {values[key]:g} is suspiciously large; "
-                    "frequencies are MHz (rad/us), not Hz",
-                )
-            )
+            continue
+        if value is not None:
+            values[key] = value
 
     overrides: list[str] = []
     preset = values.get("preset")

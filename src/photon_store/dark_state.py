@@ -35,26 +35,6 @@ from .model import InputPulse, PhysicalParams
 from .pulse_design import DesignResult, design_drive
 
 
-def mixing_angle_from_drive(drive: np.ndarray, g_cav: float) -> np.ndarray:
-    """Angle phi with tan(phi) = g_cav / drive, for a real drive.
-
-    Built with ``arctan2(g_cav, drive)`` so it stays continuous through
-    drive zeros (phi = pi/2 there) and through sign changes.
-    """
-    return np.arctan2(g_cav, np.asarray(drive, dtype=float))
-
-
-def dark_bright_amplitudes(g_amp, e_amp, phi):
-    """Rotate (cavity, storage) amplitudes into the (dark, bright) pair.
-
-    ``dark = -cos(phi) g + sin(phi) e`` and ``bright = sin(phi) g +
-    cos(phi) e``; the map is orthogonal, so the two-level norm is
-    preserved exactly.
-    """
-    c, s = np.cos(phi), np.sin(phi)
-    return -c * g_amp + s * e_amp, s * g_amp + c * e_amp
-
-
 @dataclass(frozen=True, eq=False)
 class DarkDesign:
     """Adiabatic storage protocol derived from the exact design."""
@@ -141,9 +121,7 @@ class AdiabaticRun:
     flux_cumulative: np.ndarray
 
 
-def adiabatic_simulate(
-    pulse: InputPulse, dark: DarkDesign, params: PhysicalParams, grid: TimeGrid
-) -> AdiabaticRun:
+def adiabatic_simulate(pulse: InputPulse, dark: DarkDesign) -> AdiabaticRun:
     """Integrate the dark amplitude under the designed mixing angle.
 
     The effective cavity amplitude is ``u = cos(phi) d1``; it feeds
@@ -151,10 +129,10 @@ def adiabatic_simulate(
     the reflected output of a perfect adiabatic run vanishes the same
     way.  ``flux_cumulative`` tracks the probability bookkeeping
     ``integral 2 u (N - Q)``, which the exact dynamics would deposit
-    in d1^2.
+    in d1^2.  The run uses the parameters and grid of the design.
     """
-    if grid.n_steps != dark.grid.n_steps or grid.dt != dark.grid.dt:
-        raise UnsupportedRegime("simulate on the grid the protocol was designed on")
+    params = dark.design.params
+    grid = dark.grid
     # scalar RK4 in the layout of the forward solvers in ``dynamics``:
     # the three real amplitudes step as Python floats, with each stage's
     # arithmetic in the order of the vector right-hand side that

@@ -31,6 +31,9 @@ from .errors import BandTooNarrow, GridMismatch, NonFiniteState
 from .grid import TimeGrid
 from .model import InputPulse, PhysicalParams, SpectralModel, future_drive
 
+# least fraction of the photon the comb must capture before renormalizing
+_CAPTURE_FLOOR = 0.999
+
 
 @dataclass(frozen=True)
 class InitialState:
@@ -323,10 +326,7 @@ def discretize_bath(
 
 
 def initial_modes(
-    pulse: InputPulse,
-    bath: BathDiscretization,
-    grid: TimeGrid,
-    capture_floor: float = 0.999,
+    pulse: InputPulse, bath: BathDiscretization, grid: TimeGrid
 ) -> tuple[np.ndarray, float]:
     """Mode amplitudes encoding the incoming single photon.
 
@@ -334,7 +334,7 @@ def initial_modes(
     transform, then renormalizes to exactly one photon in band.
     Returns the amplitudes together with the captured fraction before
     renormalization; raises :class:`BandTooNarrow` when that fraction
-    falls below ``capture_floor``.
+    falls below 0.999.
 
     The grid is uniform, so sample ``n = b*L + r`` carries the phase
     ``exp(i omega b L dt) * exp(i omega r dt)`` with ``L = ceil(sqrt(n))``:
@@ -357,7 +357,7 @@ def initial_modes(
     ft = np.sum((fine @ padded.reshape(outer, inner).T) * coarse, axis=1)
     c0 = -math.sqrt(bath.mode_spacing / (2.0 * math.pi)) * ft
     capture = float(np.sum(np.abs(c0) ** 2))
-    if capture < capture_floor:
+    if capture < _CAPTURE_FLOOR:
         raise BandTooNarrow(
             f"comb captures {capture:.6f} of the photon; "
             f"widen the band beyond +-{bath.band_halfwidth:g} MHz"
@@ -504,26 +504,6 @@ def simulate_discrete_bath(
     return DiscreteBathRun(trajectory=traj, bath=bath, final_modes=c, capture=capture)
 
 
-def reconstruct_output(
-    bath: BathDiscretization,
-    modes: np.ndarray,
-    t_snapshot: float,
-    times: np.ndarray,
-) -> np.ndarray:
-    """Free-evolve a mode snapshot into the emitted envelope.
-
-    After the interaction stops the comb evolves trivially, so the
-    outgoing envelope at ``times >= t_snapshot`` is the phased sum of
-    the snapshot amplitudes.
-    """
-    tt = np.asarray(times, dtype=float)[:, None] - t_snapshot
-    phases = np.exp(-1j * bath.frequencies[None, :] * tt)
-    return (
-        math.sqrt(bath.mode_spacing / (2.0 * math.pi))
-        * np.sum(phases * modes[None, :], axis=1)
-    )
-
-
 @dataclass(frozen=True)
 class StorageMetrics:
     """Scalar figures of merit extracted from one trajectory."""
@@ -532,14 +512,6 @@ class StorageMetrics:
     final_excited: float
     final_cavity: float
     peak_intermediate: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "reflected": self.reflected,
-            "final_excited": self.final_excited,
-            "final_cavity": self.final_cavity,
-            "peak_intermediate": self.peak_intermediate,
-        }
 
 
 def storage_metrics(traj: Trajectory) -> StorageMetrics:

@@ -8,6 +8,10 @@ import numpy as np
 
 from .errors import GridMismatch
 
+# most steps whose half lattice (2 n + 1 float64 values) numpy can
+# still size as one array
+_MAX_STEPS = np.iinfo(np.intp).max // 16
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -25,6 +29,8 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if not (self.dt > 0.0) or self.n_steps < 1:
             raise ValueError("need dt > 0 and at least one step")
+        if self.n_steps > _MAX_STEPS:
+            raise ValueError(f"{self.n_steps:.3g} steps exceed numpy's array size")
 
     @classmethod
     def from_span(cls, span: float, dt_nominal: float) -> TimeGrid:

@@ -29,11 +29,11 @@ from .grid import TimeGrid
 from .model import InputPulse, PhysicalParams, SpectralModel, future_drive
 
 _RHO_FLOOR = 1e-12
+# nominal step of the quadrature that fixes the equilibrium coupling
+_COUPLING_DT = 1e-5
 
 
-def coupling_from_bandwidth(
-    pulse: InputPulse, bandwidth_w: float, dt_nominal: float = 1e-5
-) -> float:
+def coupling_from_bandwidth(pulse: InputPulse, bandwidth_w: float) -> float:
     """Cavity-bath coupling that lets the design start from rest.
 
     With the cavity, bath and atom initially in equilibrium the drive
@@ -41,15 +41,18 @@ def coupling_from_bandwidth(
 
         big_gamma = phi_in''(0) / (W^2 * integral_0^T e^(-W tau) phi_in(tau) d tau).
 
-    Raises :class:`DegeneratePulse` when ``phi_in''(0) = 0`` (the
-    envelope switches on too flatly to pin the coupling).
+    Raises :class:`DegeneratePulse` unless ``phi_in''(0) > 0``: at zero
+    the envelope switches on too flatly to pin the coupling, below zero
+    the coupling would be negative.
     """
     if not bandwidth_w > 0.0:
         raise ValueError("bandwidth_w must be positive")
     curvature = float(pulse.d2(0.0))
-    if curvature == 0.0:
-        raise DegeneratePulse("phi_in''(0) vanishes; coupling is undetermined")
-    grid = TimeGrid.from_span(pulse.duration, dt_nominal)
+    if not curvature > 0.0:
+        raise DegeneratePulse(
+            f"phi_in''(0) = {curvature:.6g} cannot pin a positive coupling"
+        )
+    grid = TimeGrid.from_span(pulse.duration, _COUPLING_DT)
     t = grid.times
     weighted = np.exp(-bandwidth_w * t) * pulse.value(t)
     denom = bandwidth_w ** 2 * float(np.trapezoid(weighted, dx=grid.dt))
@@ -161,13 +164,14 @@ def excited_population(
     x_tilde G - 2 gamma_L x_tilde^2) d tau``.  Raises
     :class:`InfeasibleDesign` if the population falls below the
     positivity floor anywhere on the grid, since the drive divides by
-    ``sqrt(rho_ee)``.
+    ``sqrt(rho_ee)``.  A NaN population counts as below the floor.
     """
     flow = 2.0 * params.g_cav * x_tilde * g_series - 2.0 * params.gamma_L * x_tilde ** 2
     acc = cumulative_trapezoid(flow, dx=grid.dt, initial=0.0)
     rho = params.rho_offset - x_tilde ** 2 + acc
-    if np.min(rho) < _RHO_FLOOR:
-        k = int(np.argmax(rho < _RHO_FLOOR))
+    below = ~(rho >= _RHO_FLOOR)
+    if below.any():
+        k = int(np.argmax(below))
         raise InfeasibleDesign(
             f"rho_ee reaches {rho[k]:.3e} at t = {grid.times[k]:.6g} us; "
             "increase rho_offset"
@@ -290,30 +294,3 @@ def design_drive_markovian(
     z_mem = 0.5 * params.big_gamma * g
     return _design_result(params, grid, g, g_dot, x_tilde, x_tilde_dot, n_drive, z_mem)
 
-
-def direct_memory_convolution(
-    pulse: InputPulse,
-    params: PhysicalParams,
-    grid: TimeGrid,
-    indices: np.ndarray | None = None,
-) -> np.ndarray:
-    """Direct trapezoid evaluation of the memory integral Z.
-
-    Slow reference route that convolves the exponential kernel against
-    the designed cavity amplitude, used to cross-check the RK4 route.
-    ``indices`` restricts the evaluation to selected grid points
-    (O(n) each); by default every point is evaluated (O(n^2) total).
-    """
-    model = SpectralModel.from_params(params)
-    g = cavity_amplitude(pulse, model, grid).g
-    t = grid.times
-    if indices is None:
-        indices = np.arange(t.size)
-    out = np.empty(len(indices), dtype=float)
-    for i, k in enumerate(indices):
-        if k == 0:
-            out[i] = 0.0
-            continue
-        kern = model.memory_kernel(t[k] - t[: k + 1])
-        out[i] = np.trapezoid(kern * g[: k + 1], dx=grid.dt)
-    return out

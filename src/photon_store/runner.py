@@ -117,9 +117,16 @@ class Scenario:
 
 def load_pulse(cfg: ScenarioConfig) -> InputPulse:
     """The configured input pulse; a pulse file that cannot be read or
-    does not describe a valid envelope is a :class:`ConfigError`."""
+    does not describe a valid envelope, or a built-in packet too short
+    to evaluate, is a :class:`ConfigError`."""
     if cfg.pulse == "builtin":
-        return builtin_packet(cfg.pulse_duration)
+        try:
+            return builtin_packet(cfg.pulse_duration)
+        except OverflowError as exc:
+            raise ConfigError.single(
+                "value", 0, f"pulse_duration = {cfg.pulse_duration:g} is too short "
+                "for the built-in packet's derivatives"
+            ) from exc
     try:
         data = np.loadtxt(cfg.pulse)
         if data.ndim != 2 or data.shape[1] < 2:
@@ -130,7 +137,16 @@ def load_pulse(cfg: ScenarioConfig) -> InputPulse:
 
 
 def materialize(cfg: ScenarioConfig) -> Scenario:
+    """Concrete model objects of a config; a grid that numpy cannot
+    build is a :class:`ConfigError`."""
     pulse = load_pulse(cfg)
+    span = max(cfg.effective_span(), pulse.duration)
+    try:
+        grid = TimeGrid.from_span(span, cfg.grid_dt)
+    except (OverflowError, ValueError) as exc:
+        raise ConfigError.single(
+            "value", 0, f"grid.span = {span:g} at grid.dt = {cfg.grid_dt:g}: {exc}"
+        ) from exc
     derived = cfg.big_gamma is None
     big_gamma = (
         pulse_design.coupling_from_bandwidth(pulse, cfg.bandwidth_w)
@@ -147,7 +163,6 @@ def materialize(cfg: ScenarioConfig) -> Scenario:
         rho_offset=cfg.rho_offset,
         pulse_duration=pulse.duration,
     )
-    grid = TimeGrid.from_span(max(cfg.effective_span(), pulse.duration), cfg.grid_dt)
     return Scenario(pulse=pulse, params=params, grid=grid, big_gamma_derived=derived)
 
 
@@ -336,7 +351,7 @@ def run_oracle(cfg: ScenarioConfig, sc: Scenario, outdir: Path) -> None:
 
 def run_dark(cfg: ScenarioConfig, sc: Scenario, outdir: Path) -> None:
     dark = dark_state.adiabatic_design(sc.pulse, sc.params, sc.grid)
-    run = dark_state.adiabatic_simulate(sc.pulse, dark, sc.params, sc.grid)
+    run = dark_state.adiabatic_simulate(sc.pulse, dark)
     comparison = dark_state.compare_dark(dark)
 
     gap = np.abs(dark.omega_adiabatic - dark.design.alpha)
@@ -385,20 +400,22 @@ def _code_for(exc: PhotonStoreError) -> int:
 
 
 def _sweep_point(point_cfg: ScenarioConfig) -> tuple[int, dict[str, object] | None]:
-    """Exit code and metrics of one sweep point; runs in a worker process."""
+    """Exit code and metrics of one sweep point; runs in a worker
+    process, so it silences floating-point warnings itself."""
     try:
-        sc = materialize(point_cfg)
-        design = pulse_design.design_drive(sc.pulse, sc.params, sc.grid)
-        out: dict[str, object] = {
-            "big_gamma": sc.params.big_gamma,
-            "max_abs_omega": float(np.max(design.omega_modulus)),
-            "backflow_detected": _backflow(design.rho_ee),
-            "theta": design.omega_phase,
-            "rho_ee": design.rho_ee,
-        }
-        if point_cfg.delta1 == 0.0 and point_cfg.delta2 == 0.0:
-            flat = pulse_design.design_drive_markovian(sc.pulse, sc.params, sc.grid)
-            out["sup_diff_rho"] = float(np.max(np.abs(design.rho_ee - flat.rho_ee)))
+        with np.errstate(all="ignore"):
+            sc = materialize(point_cfg)
+            design = pulse_design.design_drive(sc.pulse, sc.params, sc.grid)
+            out: dict[str, object] = {
+                "big_gamma": sc.params.big_gamma,
+                "max_abs_omega": float(np.max(design.omega_modulus)),
+                "backflow_detected": _backflow(design.rho_ee),
+                "theta": design.omega_phase,
+                "rho_ee": design.rho_ee,
+            }
+            if point_cfg.delta1 == 0.0 and point_cfg.delta2 == 0.0:
+                flat = pulse_design.design_drive_markovian(sc.pulse, sc.params, sc.grid)
+                out["sup_diff_rho"] = float(np.max(np.abs(design.rho_ee - flat.rho_ee)))
     except PhotonStoreError as exc:
         return _code_for(exc), None
     return EXIT_OK, out
@@ -478,7 +495,10 @@ _MODE_RUNNERS = {
 
 
 def run_scenario(cfg: ScenarioConfig, outdir: str | Path | None = None) -> int:
-    """Execute one scenario; returns a process exit code."""
+    """Execute one scenario; returns a process exit code.
+
+    Floating-point warnings are silenced: a non-finite result ends in
+    one error line with its exit code, not in warnings on stderr."""
     target = Path(
         outdir
         or cfg.output
@@ -488,13 +508,14 @@ def run_scenario(cfg: ScenarioConfig, outdir: str | Path | None = None) -> int:
     started = time.perf_counter()
     try:
         target.mkdir(parents=True, exist_ok=True)
-        if cfg.mode == "sweep":
-            run_sweep(cfg, target)
-        elif cfg.mode in _MODE_RUNNERS:
-            sc = materialize(cfg)
-            _MODE_RUNNERS[cfg.mode](cfg, sc, target)
-        else:
-            raise ConfigError.single("value", 0, f"unsupported mode {cfg.mode!r}")
+        with np.errstate(all="ignore"):
+            if cfg.mode == "sweep":
+                run_sweep(cfg, target)
+            elif cfg.mode in _MODE_RUNNERS:
+                sc = materialize(cfg)
+                _MODE_RUNNERS[cfg.mode](cfg, sc, target)
+            else:
+                raise ConfigError.single("value", 0, f"unsupported mode {cfg.mode!r}")
     except PhotonStoreError as exc:
         code = _code_for(exc)
         print(f"error[{code}]: {exc}", file=sys.stderr)

@@ -1,7 +1,8 @@
 """Shared fixtures: one pulse, one lab grid, cached designs, the
 generic RK4 that the package's unrolled stepping loops are checked
-against, and the scalar RK4 loops of the two bath terms that the
-package now solves as array recurrences.
+against, the scalar RK4 loops of the two bath terms that the package
+now solves as array recurrences, and the direct reference formulas
+(kernels, convolutions, rotations) that only the tests use.
 
 The expensive pieces (equilibrium couplings, full drive designs) are
 memoized per session so the suite stays fast even though many tests
@@ -181,3 +182,125 @@ def memory_series_loop():
     """The scalar RK4 loop of the bath memory Z, the reference for
     ``pulse_design._memory_series``."""
     return _memory_series_loop
+
+
+# ------------------------------------------------------------------------
+# Reference routes that only the tests need.  The package computes the
+# same quantities through recurrences and closed forms; these are the
+# direct formulas those routes are checked against.
+
+
+def _norm_squared(pulse, dt_nominal: float = 1e-5) -> float:
+    """Trapezoid estimate of ``integral |phi_in|^2 dt``."""
+    grid = ps.TimeGrid.from_span(pulse.duration, dt_nominal)
+    v = pulse.value(grid.times)
+    return float(np.trapezoid(v * v, dx=grid.dt))
+
+
+def _spectral_density(model, omega) -> np.ndarray:
+    """Spectral density J(omega) = |kappa(omega)|^2."""
+    w = model.bandwidth_w
+    om = np.asarray(omega, dtype=float)
+    return (model.big_gamma / (2.0 * math.pi)) * w * w / (w * w + om * om)
+
+
+def _impulse_response(model, t) -> np.ndarray:
+    """Causal response h(t) feeding the input field into the cavity."""
+    w = model.bandwidth_w
+    tt = np.asarray(t, dtype=float)
+    decay = np.exp(-w * np.maximum(tt, 0.0))
+    out = np.where(tt >= 0.0, w * math.sqrt(model.big_gamma) * decay, 0.0)
+    return out if out.ndim else float(out)
+
+
+def _memory_kernel(model, t) -> np.ndarray:
+    """Two-sided kernel f(t) damping the cavity amplitude."""
+    w = model.bandwidth_w
+    tt = np.abs(np.asarray(t, dtype=float))
+    out = 0.5 * w * model.big_gamma * np.exp(-w * tt)
+    return out if out.ndim else float(out)
+
+
+def _direct_memory_convolution(pulse, params, grid, indices=None) -> np.ndarray:
+    """Memory integral Z by direct trapezoid convolution of the kernel
+    against the designed cavity amplitude: O(n) per evaluated index
+    (every grid point by default, O(n^2) in total)."""
+    model = ps.SpectralModel.from_params(params)
+    g = ps.cavity_amplitude(pulse, model, grid).g
+    t = grid.times
+    if indices is None:
+        indices = np.arange(t.size)
+    out = np.empty(len(indices), dtype=float)
+    for i, k in enumerate(indices):
+        if k == 0:
+            out[i] = 0.0
+            continue
+        kern = _memory_kernel(model, t[k] - t[: k + 1])
+        out[i] = np.trapezoid(kern * g[: k + 1], dx=grid.dt)
+    return out
+
+
+def _reconstruct_output(bath, modes, t_snapshot: float, times) -> np.ndarray:
+    """Free-evolve a comb snapshot into the emitted envelope at
+    ``times >= t_snapshot``: the phased sum of the mode amplitudes."""
+    tt = np.asarray(times, dtype=float)[:, None] - t_snapshot
+    phases = np.exp(-1j * bath.frequencies[None, :] * tt)
+    return (
+        math.sqrt(bath.mode_spacing / (2.0 * math.pi))
+        * np.sum(phases * modes[None, :], axis=1)
+    )
+
+
+def _mixing_angle_from_drive(drive, g_cav: float) -> np.ndarray:
+    """Angle phi with tan(phi) = g_cav / drive for a real drive,
+    continuous through drive zeros (phi = pi/2) and sign changes."""
+    return np.arctan2(g_cav, np.asarray(drive, dtype=float))
+
+
+def _dark_bright_amplitudes(g_amp, e_amp, phi):
+    """Rotate (cavity, storage) amplitudes into the (dark, bright) pair:
+    ``dark = -cos(phi) g + sin(phi) e``, ``bright = sin(phi) g +
+    cos(phi) e``."""
+    c, s = np.cos(phi), np.sin(phi)
+    return -c * g_amp + s * e_amp, s * g_amp + c * e_amp
+
+
+@pytest.fixture(scope="session")
+def norm_squared():
+    return _norm_squared
+
+
+@pytest.fixture(scope="session")
+def spectral_density():
+    return _spectral_density
+
+
+@pytest.fixture(scope="session")
+def impulse_response():
+    return _impulse_response
+
+
+@pytest.fixture(scope="session")
+def memory_kernel():
+    return _memory_kernel
+
+
+@pytest.fixture(scope="session")
+def direct_memory_convolution():
+    """The O(n^2) reference for the memory recurrence of the design."""
+    return _direct_memory_convolution
+
+
+@pytest.fixture(scope="session")
+def reconstruct_output():
+    return _reconstruct_output
+
+
+@pytest.fixture(scope="session")
+def mixing_angle_from_drive():
+    return _mixing_angle_from_drive
+
+
+@pytest.fixture(scope="session")
+def dark_bright_amplitudes():
+    return _dark_bright_amplitudes

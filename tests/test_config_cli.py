@@ -3,12 +3,21 @@ command-line entry point."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
 import os
 import pickle
+import subprocess
+import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import photon_store as ps
 from photon_store import cli, config, errors, runner
@@ -477,3 +486,202 @@ def test_cli_sweep_workers_do_not_change_results(tmp_path):
     s1 = [l for l in d1["summary"].decode().splitlines() if not l.startswith("workers")]
     s2 = [l for l in d2["summary"].decode().splitlines() if not l.startswith("workers")]
     assert s1 == s2
+
+
+# ---------------------------------------------------------- input boundary
+
+CHEAP = "g_cav = 30pi\ngamma_L = 6pi\nrho_offset = 0.002\ngrid.dt = 1e-2\n"
+CHEAP_W = CHEAP + "bandwidth_w = 2\n"  # the next line is line 6
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "delta1 = nan",
+        "delta2 = nan",
+        "gamma_L = nan",
+        "grid.span = inf",
+        "g_cav = -inf",
+        "rho_offset = nan",
+        "pulse_duration = 1e400",
+    ],
+)
+def test_a_non_finite_number_is_one_violation_at_its_line(line):
+    vv = violations_of(CHEAP_W + line + "\n", cli_mode="design")
+    assert [(v.kind, v.line) for v in vv] == [("value", 6)]
+    assert "must be finite" in vv[0].message
+
+
+@pytest.mark.parametrize(
+    "line,kinds",
+    [
+        ("delta2 = 3, nan, 1e300", ["value", "unit-suspect"]),
+        ("bandwidth_w = inf, 2, 1", ["value"]),
+        ("bandwidth_w = 0.5, inf, 1e300", ["value", "unit-suspect"]),
+        ("bandwidth_w = 0.5, 0, 2e6", ["unit-suspect", "value"]),
+    ],
+)
+def test_range_elements_get_the_checks_of_a_number(line, kinds):
+    vv = violations_of(CHEAP_W + line + "\n", cli_mode="sweep")
+    assert sorted(v.kind for v in vv) == sorted(kinds)
+    assert {v.line for v in vv} == {6}
+
+
+@pytest.mark.parametrize(
+    "mode,line",
+    [
+        ("design", "delta1 = nan"),
+        ("design", "grid.span = inf"),
+        ("sweep", "delta2 = 3, nan, 1e300"),
+        ("sweep", "bandwidth_w = inf, 2, 1"),
+        ("sweep", "bandwidth_w = 0.5, inf, 1e300"),
+    ],
+)
+def test_cli_bad_numbers_exit_2(tmp_path, capsys, mode, line):
+    out = tmp_path / "o"
+    code = run_cli([mode, "--out", str(out)], tmp_path, CHEAP_W + line + "\n")
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err and all(e.startswith("config: ") and "line 6" in e for e in err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "line,key",
+    [
+        ("grid.span = 1e300", "grid.span"),
+        ("grid.dt = 1e-300", "grid.dt"),
+        ("pulse_duration = 1e-300", "pulse_duration"),
+    ],
+)
+def test_cli_unbuildable_grid_or_pulse_exits_2_naming_the_key(tmp_path, capsys, line, key):
+    # numpy refuses these sizes before allocating anything
+    out = tmp_path / "o"
+    code = run_cli(["design", "--out", str(out)], tmp_path, CHEAP_W + line + "\n")
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error[2]: ") and key in err[0]
+    assert not any(out.iterdir())
+
+
+def test_cli_nan_population_exits_3(tmp_path, capsys):
+    # x_tilde^2 overflows at t = 0, so rho_ee is -3e301 there and NaN later
+    text = "g_cav = 1e-160\ngamma_L = 0\nbandwidth_w = 2\nrho_offset = 0.002\n"
+    out = tmp_path / "o"
+    code = run_cli(["design", "--out", str(out)], tmp_path, text + "grid.dt = 1e-2\n")
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error[3]: rho_ee reaches")
+    assert not any(out.iterdir())
+
+
+@pytest.fixture()
+def downward_pulse(tmp_path):
+    """201 samples of sin(t) exp(-t) on [0, pi]: phi''(0) = -2."""
+    path = tmp_path / "down.txt"
+    t = np.linspace(0.0, PI, 201)
+    np.savetxt(path, np.column_stack([t, np.sin(t) * np.exp(-t)]))
+    return path
+
+
+def test_cli_downward_pulse_design_exits_3(tmp_path, capsys, downward_pulse):
+    out = tmp_path / "o"
+    text = CHEAP_W + f"pulse = {downward_pulse}\n"
+    assert run_cli(["design", "--out", str(out)], tmp_path, text) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "positive coupling" in err[0]
+
+
+def test_cli_downward_pulse_sweep_fails_every_point_with_3(tmp_path, downward_pulse):
+    out = tmp_path / "o"
+    text = CHEAP + "bandwidth_w = 1, 2\n" + f"pulse = {downward_pulse}\n"
+    assert run_cli(["sweep", "--out", str(out)], tmp_path, text) == 0
+    rows = (out / "sweep_aggregate.csv").read_text().splitlines()
+    assert [r.split(",")[1] for r in rows[1:]] == ["3", "3"]
+    assert "failed_points = 1,2" in (out / "summary").read_text()
+
+
+@pytest.mark.parametrize("mode,extra", [("design", ""), ("sweep", "workers = 2\n")])
+def test_cli_overflow_leaves_one_stderr_line(tmp_path, mode, extra):
+    # g_cav = 1e-300 overflows x_tilde; in a fresh interpreter numpy's
+    # RuntimeWarnings would reach stderr unless the run silences them
+    # (the sweep's points run in worker processes)
+    src = str(Path(ps.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    w = "bandwidth_w = 2\n" if mode == "design" else "bandwidth_w = 1, 2\n"
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("g_cav = 1e-300\ngamma_L = 6pi\nrho_offset = 0.002\n" + w + extra)
+    argv = [sys.executable, "-m", "photon_store.cli", mode, "--config", str(cfg)]
+    run = subprocess.run(
+        [*argv, "--out", str(tmp_path / "o")], env=env, capture_output=True, text=True
+    )
+    err = run.stderr.splitlines()
+    if mode == "design":
+        assert run.returncode == 3
+        assert len(err) == 1 and err[0].startswith("error[3]: ")
+    else:
+        assert run.returncode == 0
+        assert len(err) == 1 and err[0].startswith("wall ")
+        assert "failed_points = 1,2" in (tmp_path / "o" / "summary").read_text()
+
+
+# every float key takes an ordinary value, except at most one key that
+# takes an edge value
+EDGES = [math.nan, math.inf, -math.inf, 0.0, 1e-300, -1e-300, 1e300]
+ORDINARY = {
+    "g_cav": st.floats(1.0, 200.0),
+    "gamma_L": st.floats(0.0, 50.0),
+    "delta1": st.just(0.0) | st.floats(-20.0, 20.0),
+    "delta2": st.just(0.0) | st.floats(-20.0, 20.0),
+    "big_gamma": st.floats(0.5, 50.0),
+    "bandwidth_w": st.floats(0.1, 50.0),
+    "rho_offset": st.floats(1e-3, 0.1),
+    "pulse_duration": st.floats(0.5, 10.0),
+    "grid.span": st.floats(0.5, 100.0),
+    "band_halfwidth": st.floats(1.0, 100.0),
+}
+OPTIONAL = ("big_gamma", "grid.span")
+
+
+@st.composite
+def scenarios(draw):
+    edge = draw(
+        st.none() | st.tuples(st.sampled_from(list(ORDINARY)), st.sampled_from(EDGES))
+    )
+    edge_key, edge_value = edge or (None, None)
+    values = {}
+    for key, ordinary in ORDINARY.items():
+        if key == edge_key:
+            values[key] = [edge_value]
+        elif key not in OPTIONAL or draw(st.booleans()):
+            values[key] = [draw(ordinary)]
+    mode = draw(st.sampled_from(config.MODES))
+    if mode == "sweep":
+        key = draw(st.sampled_from(["bandwidth_w", "delta2"]))
+        values[key] += [draw(ORDINARY[key]) for _ in range(2)]  # 3 points
+    lines = [f"{k} = {', '.join(map(repr, v))}" for k, v in values.items()]
+    lines += [f"n_modes = {draw(st.integers(2, 64))}", "grid.dt = 1e-2"]
+    return mode, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(scenarios())
+def test_cli_boundary_fuzz(scenario):
+    mode, text = scenario
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "c.cfg").write_text(text)
+        out = root / "out"
+        err = io.StringIO()
+        # a warning would be a stray stderr line of the real command
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = cli.main([mode, "--config", str(root / "c.cfg"), "--out", str(out)])
+        lines = err.getvalue().splitlines()
+        assert code in (0, 2, 3, 4, 5)
+        if code == 0:
+            assert len(lines) == 1 and lines[0].startswith("wall ")
+            assert "nan" not in (out / "summary").read_text()
+        else:
+            assert lines and all(l.startswith(("config:", "error[")) for l in lines)
+        assert not list(root.rglob("*.tmp"))

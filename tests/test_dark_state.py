@@ -40,23 +40,23 @@ def dark_case(pulse, make_params, grid):
 # ------------------------------------------------------------- mixing angle
 
 
-def test_mixing_angle_limits():
+def test_mixing_angle_limits(mixing_angle_from_drive):
     g = 30.0 * PI
-    phi = ps.mixing_angle_from_drive(np.array([0.0, g, 1e12]), g)
+    phi = mixing_angle_from_drive(np.array([0.0, g, 1e12]), g)
     assert phi[0] == pytest.approx(PI / 2.0, rel=1e-12)
     assert phi[1] == pytest.approx(PI / 4.0, rel=1e-12)
     assert phi[2] == pytest.approx(0.0, abs=1e-10)
 
 
-def test_dark_bright_rotation_is_unitary():
+def test_dark_bright_rotation_is_unitary(dark_bright_amplitudes):
     rng = np.random.default_rng(7)
     g_amp = rng.normal(size=16)
     e_amp = rng.normal(size=16)
     phi = rng.uniform(0.0, PI / 2.0, size=16)
-    d, b = ps.dark_bright_amplitudes(g_amp, e_amp, phi)
+    d, b = dark_bright_amplitudes(g_amp, e_amp, phi)
     np.testing.assert_allclose(d * d + b * b, g_amp**2 + e_amp**2, rtol=1e-12)
     # a state along the dark direction maps to pure dark amplitude
-    d0, b0 = ps.dark_bright_amplitudes(-np.cos(phi), np.sin(phi), phi)
+    d0, b0 = dark_bright_amplitudes(-np.cos(phi), np.sin(phi), phi)
     np.testing.assert_allclose(d0, np.ones_like(phi), rtol=1e-12)
     np.testing.assert_allclose(b0, np.zeros_like(phi), atol=1e-12)
 
@@ -112,16 +112,16 @@ def test_undercoupled_cavity_breaks_the_angle_domain(pulse, make_params, grid):
 
 
 def test_adiabatic_run_is_reflection_free(pulse, dark_case, grid):
-    params, dark = dark_case(30.0, 0.5)
-    run = ps.adiabatic_simulate(pulse, dark, params, grid)
+    _, dark = dark_case(30.0, 0.5)
+    run = ps.adiabatic_simulate(pulse, dark)
     reflected = float(np.trapezoid(np.abs(run.phi_out) ** 2, dx=grid.dt))
     assert reflected < 1e-12
     assert np.max(np.abs(run.d1 - dark.d1)) < 1e-6
 
 
-def test_adiabatic_bookkeeping_drift(pulse, dark_case, grid):
-    params, dark = dark_case(30.0, 0.5)
-    run = ps.adiabatic_simulate(pulse, dark, params, grid)
+def test_adiabatic_bookkeeping_drift(pulse, dark_case):
+    _, dark = dark_case(30.0, 0.5)
+    run = ps.adiabatic_simulate(pulse, dark)
     assert ps.conservation_drift(run) < 1e-6
 
 
@@ -149,7 +149,7 @@ def adiabatic_rhs(dark, params):
 
 def test_adiabatic_run_is_rk4_bit_for_bit(pulse, dark_case, grid, rk4):
     params, dark = dark_case(30.0, 0.5)
-    run = ps.adiabatic_simulate(pulse, dark, params, grid)
+    run = ps.adiabatic_simulate(pulse, dark)
     path = rk4(np.zeros(3), adiabatic_rhs(dark, params), grid.dt, grid.n_steps).real
     assert np.array_equal(run.d1, path[:, 0])
     assert np.array_equal(run.q_mem, path[:, 1])
@@ -169,7 +169,7 @@ def test_adiabatic_run_and_rk4_fail_at_the_same_time(pulse, dark_case, grid, rk4
         n_drive[1500] = np.nan
         broken = replace(dark, design=replace(dark.design, n_drive=n_drive))
     with pytest.raises(NonFiniteState) as run_err:
-        ps.adiabatic_simulate(pulse, broken, params, grid)
+        ps.adiabatic_simulate(pulse, broken)
     with pytest.raises(NonFiniteState) as rk4_err:
         rk4(np.zeros(3), adiabatic_rhs(broken, params), grid.dt, grid.n_steps)
     assert run_err.value.t == rk4_err.value.t < grid.span
