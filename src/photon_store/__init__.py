@@ -49,21 +49,16 @@ from .grid import TimeGrid
 from .model import (
     InputPulse,
     PhysicalParams,
-    SpectralModel,
     builtin_packet,
     future_drive,
     sampled_packet,
 )
 from .pulse_design import (
-    CavitySeries,
     DesignResult,
-    IntracavitySeries,
-    cavity_amplitude,
     coupling_from_bandwidth,
     design_drive,
     design_drive_markovian,
     excited_population,
-    intracavity_amplitude,
 )
 
 __version__ = "0.1.0"
@@ -73,7 +68,6 @@ __all__ = [
     "AngleDomain",
     "BandTooNarrow",
     "BathDiscretization",
-    "CavitySeries",
     "ConfigError",
     "DarkComparison",
     "DarkDesign",
@@ -84,12 +78,10 @@ __all__ = [
     "InfeasibleDesign",
     "InitialState",
     "InputPulse",
-    "IntracavitySeries",
     "NegativeAccumulator",
     "NonFiniteState",
     "PhotonStoreError",
     "PhysicalParams",
-    "SpectralModel",
     "StorageMetrics",
     "TimeGrid",
     "Trajectory",
@@ -99,7 +91,6 @@ __all__ = [
     "adiabatic_simulate",
     "adiabaticity_margin",
     "builtin_packet",
-    "cavity_amplitude",
     "compare_dark",
     "conservation_drift",
     "coupling_from_bandwidth",
@@ -110,7 +101,6 @@ __all__ = [
     "excited_population",
     "future_drive",
     "initial_modes",
-    "intracavity_amplitude",
     "sampled_packet",
     "simulate_discrete_bath",
     "simulate_markovian",

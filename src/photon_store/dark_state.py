@@ -43,7 +43,6 @@ class DarkDesign:
     d1: np.ndarray
     mixing_angle: np.ndarray
     omega_adiabatic: np.ndarray
-    m_integrand: np.ndarray
 
     @property
     def grid(self) -> TimeGrid:
@@ -107,7 +106,6 @@ def adiabatic_design(
         d1=d1,
         mixing_angle=np.arccos(cos_phi),
         omega_adiabatic=omega_a,
-        m_integrand=m_series,
     )
 
 

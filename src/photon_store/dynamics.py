@@ -29,7 +29,7 @@ import numpy as np
 from ._integrate import half_lattice
 from .errors import BandTooNarrow, GridMismatch, NonFiniteState
 from .grid import TimeGrid
-from .model import InputPulse, PhysicalParams, SpectralModel, future_drive
+from .model import InputPulse, PhysicalParams, future_drive
 
 # least fraction of the photon the comb must capture before renormalizing
 _CAPTURE_FLOOR = 0.999
@@ -122,13 +122,12 @@ def simulate_nonmarkovian(
     once before the forward sweep.
     """
     grid.require_cover(pulse.duration)
-    model = SpectralModel.from_params(params)
-    w = model.bandwidth_w
-    root_gamma = math.sqrt(model.big_gamma)
+    w = params.bandwidth_w
+    root_gamma = math.sqrt(params.big_gamma)
     gamma_l = params.gamma_L
     cav, sto, rev, bck = _couplings(drive, params, grid)
-    n_l = half_lattice(future_drive(pulse, model, grid)).tolist()
-    mem = 0.5 * w * model.big_gamma
+    n_l = half_lattice(future_drive(pulse, params, grid)).tolist()
+    mem = 0.5 * w * params.big_gamma
     pump_y = w * root_gamma
 
     n = grid.n_steps
@@ -283,7 +282,7 @@ def simulate_markovian(
 class BathDiscretization:
     """Explicit frequency comb standing in for the bath continuum."""
 
-    model: SpectralModel
+    params: PhysicalParams
     frequencies: np.ndarray
     weights: np.ndarray
     band_halfwidth: float
@@ -298,9 +297,9 @@ class BathDiscretization:
 
     def density_capture(self) -> float:
         """sum |w_j|^2 over the in-band part of the spectral density."""
-        w = self.model.bandwidth_w
+        w = self.params.bandwidth_w
         band = (
-            self.model.big_gamma
+            self.params.big_gamma
             * w
             / math.pi
             * math.atan(self.band_halfwidth / w)
@@ -309,16 +308,20 @@ class BathDiscretization:
 
 
 def discretize_bath(
-    model: SpectralModel, n_modes: int, band_halfwidth: float
+    params: PhysicalParams, n_modes: int, band_halfwidth: float
 ) -> BathDiscretization:
-    """Midpoint sampling of the coupling over [-B, B]."""
+    """Midpoint sampling of the Lorentzian coupling
+    ``kappa(omega) = sqrt(big_gamma / 2 pi) * W / (W - i omega)`` over
+    [-B, B]."""
     if n_modes < 2 or not band_halfwidth > 0.0:
         raise ValueError("need n_modes >= 2 and a positive band")
     spacing = 2.0 * band_halfwidth / n_modes
     freqs = -band_halfwidth + (np.arange(n_modes) + 0.5) * spacing
-    weights = model.coupling(freqs) * math.sqrt(spacing)
+    w = params.bandwidth_w
+    kappa = math.sqrt(params.big_gamma / (2.0 * math.pi)) * w / (w - 1j * freqs)
+    weights = kappa * math.sqrt(spacing)
     return BathDiscretization(
-        model=model,
+        params=params,
         frequencies=freqs,
         weights=weights,
         band_halfwidth=band_halfwidth,
@@ -370,7 +373,6 @@ class DiscreteBathRun:
     """Oracle trajectory plus the final bath-mode amplitudes."""
 
     trajectory: Trajectory
-    bath: BathDiscretization
     final_modes: np.ndarray
     capture: float
 
@@ -501,7 +503,7 @@ def simulate_discrete_bath(
         phi_in=phi_in,
         phi_out=py - phi_in,
     )
-    return DiscreteBathRun(trajectory=traj, bath=bath, final_modes=c, capture=capture)
+    return DiscreteBathRun(trajectory=traj, final_modes=c, capture=capture)
 
 
 @dataclass(frozen=True)

@@ -191,6 +191,8 @@ def sampled_packet(times: np.ndarray, values: np.ndarray) -> InputPulse:
     norm = math.sqrt(float(np.trapezoid(v * v, t)))
     if norm == 0.0:
         raise ValueError("envelope is identically zero")
+    if not math.isfinite(norm):
+        raise ValueError(f"envelope norm is {norm}; rescale the samples")
     spline = CubicSpline(t, v / norm)
     return InputPulse(
         duration=float(t[-1]),
@@ -201,26 +203,9 @@ def sampled_packet(times: np.ndarray, values: np.ndarray) -> InputPulse:
     )
 
 
-@dataclass(frozen=True)
-class SpectralModel:
-    """Lorentzian cavity-bath coupling."""
-
-    big_gamma: float
-    bandwidth_w: float
-
-    @classmethod
-    def from_params(cls, params: PhysicalParams) -> SpectralModel:
-        return cls(big_gamma=params.big_gamma, bandwidth_w=params.bandwidth_w)
-
-    def coupling(self, omega) -> np.ndarray:
-        """Complex mode coupling kappa(omega)."""
-        w = self.bandwidth_w
-        return math.sqrt(self.big_gamma / (2.0 * math.pi)) * w / (w - 1j * np.asarray(omega))
-
-
 def future_drive(
     pulse: InputPulse,
-    model: SpectralModel,
+    params: PhysicalParams,
     grid: TimeGrid,
     *,
     phi_half: Optional[np.ndarray] = None,
@@ -237,8 +222,8 @@ def future_drive(
     support.
     """
     grid.require_cover(pulse.duration)
-    w = model.bandwidth_w
+    w = params.bandwidth_w
     if phi_half is None:
         phi_half = pulse.value(grid.half_times)
-    pump = w * math.sqrt(model.big_gamma) * phi_half
+    pump = w * math.sqrt(params.big_gamma) * phi_half
     return _rk4_linear(-w * grid.dt, grid.dt, pump, backward=True)

@@ -26,7 +26,7 @@ from scipy.integrate import cumulative_trapezoid
 from ._integrate import _rk4_linear
 from .errors import DegeneratePulse, InfeasibleDesign
 from .grid import TimeGrid
-from .model import InputPulse, PhysicalParams, SpectralModel, future_drive
+from .model import InputPulse, PhysicalParams, future_drive
 
 _RHO_FLOOR = 1e-12
 # nominal step of the quadrature that fixes the equilibrium coupling
@@ -59,97 +59,6 @@ def coupling_from_bandwidth(pulse: InputPulse, bandwidth_w: float) -> float:
     if denom <= 0.0:
         raise DegeneratePulse("weighted pulse area is not positive")
     return curvature / denom
-
-
-@dataclass(frozen=True, eq=False)
-class CavitySeries:
-    """Perfect-absorption cavity amplitude and its two derivatives."""
-
-    g: np.ndarray
-    g_dot: np.ndarray
-    g_ddot: np.ndarray
-
-
-def cavity_amplitude(
-    pulse: InputPulse, model: SpectralModel, grid: TimeGrid
-) -> CavitySeries:
-    """Cavity amplitude enforcing zero reflection of the input packet.
-
-    Inverting the input-output relation for the Lorentzian bath gives
-    ``G = (phi_in' + W phi_in) / (W sqrt(big_gamma))``;  derivatives
-    follow by differentiating through.  When the pulse lacks a third
-    derivative, ``g_ddot`` falls back to a finite difference of
-    ``g_dot``.
-    """
-    grid.require_cover(pulse.duration)
-    w = model.bandwidth_w
-    scale = 1.0 / (w * math.sqrt(model.big_gamma))
-    t = grid.times
-    v0, v1, v2 = pulse.value(t), pulse.d1(t), pulse.d2(t)
-    g = scale * (v1 + w * v0)
-    g_dot = scale * (v2 + w * v1)
-    if pulse.has_d3:
-        g_ddot = scale * (pulse.d3(t) + w * v2)
-    else:
-        g_ddot = np.gradient(g_dot, grid.dt)
-    return CavitySeries(g=g, g_dot=g_dot, g_ddot=g_ddot)
-
-
-def _memory_series(g_half: np.ndarray, model: SpectralModel, grid: TimeGrid) -> np.ndarray:
-    """Memory accumulator Z(t) = integral_0^t f(t - tau) G(tau) d tau.
-
-    The exponential kernel makes Z the solution of
-    ``Z' = -W Z + (W big_gamma / 2) G`` from Z(0) = 0, whose RK4 path
-    is solved as the exact recurrence of
-    :func:`photon_store._integrate._rk4_linear`.
-    """
-    w = model.bandwidth_w
-    feed = 0.5 * w * model.big_gamma * g_half
-    return _rk4_linear(-w * grid.dt, grid.dt, feed)
-
-
-@dataclass(frozen=True, eq=False)
-class IntracavitySeries:
-    """Intermediate-level amplitude with the drive-free bath terms, and
-    the cavity series it was derived from."""
-
-    x_tilde: np.ndarray
-    x_tilde_dot: np.ndarray
-    n_drive: np.ndarray
-    z_mem: np.ndarray
-    cavity: CavitySeries
-
-
-def intracavity_amplitude(
-    pulse: InputPulse, params: PhysicalParams, grid: TimeGrid
-) -> IntracavitySeries:
-    """Intermediate-level amplitude required by the cavity equation.
-
-    ``x_tilde = (-G' + N - Z) / g_cav`` where N is the anticipated
-    input (:func:`photon_store.model.future_drive`) and Z the bath
-    memory of the cavity history.
-    """
-    model = SpectralModel.from_params(params)
-    series = cavity_amplitude(pulse, model, grid)
-    th = grid.half_times
-    phi_half = pulse.value(th)
-    n_drive = future_drive(pulse, model, grid, phi_half=phi_half)
-    w = model.bandwidth_w
-    # perfect-absorption G on the half lattice, the memory's source
-    g_half = (pulse.d1(th) + w * phi_half) / (w * math.sqrt(model.big_gamma))
-    z_mem = _memory_series(g_half, model, grid)
-    # half_times[::2] is bitwise grid.times
-    n_dot = w * n_drive - w * math.sqrt(model.big_gamma) * phi_half[::2]
-    z_dot = -w * z_mem + 0.5 * w * model.big_gamma * series.g
-    x_tilde = (-series.g_dot + n_drive - z_mem) / params.g_cav
-    x_tilde_dot = (-series.g_ddot + n_dot - z_dot) / params.g_cav
-    return IntracavitySeries(
-        x_tilde=x_tilde,
-        x_tilde_dot=x_tilde_dot,
-        n_drive=n_drive,
-        z_mem=z_mem,
-        cavity=series,
-    )
 
 
 def excited_population(
@@ -256,18 +165,50 @@ def _design_result(
 def design_drive(
     pulse: InputPulse, params: PhysicalParams, grid: TimeGrid
 ) -> DesignResult:
-    """Drive that stores the input packet, for any pair of detunings."""
-    mid = intracavity_amplitude(pulse, params, grid)
-    return _design_result(
-        params,
-        grid,
-        mid.cavity.g,
-        mid.cavity.g_dot,
-        mid.x_tilde,
-        mid.x_tilde_dot,
-        mid.n_drive,
-        mid.z_mem,
-    )
+    """Drive that stores the input packet, for any pair of detunings.
+
+    Inverting the input-output relation for the Lorentzian bath gives
+    the perfect-absorption cavity amplitude
+    ``G = (phi_in' + W phi_in) / (W sqrt(big_gamma))``, whose
+    derivatives follow by differentiating through (``G''`` falls back
+    to a finite difference of ``G'`` when the pulse lacks a third
+    derivative).  The cavity equation then gives
+    ``x_tilde = (-G' + N - Z) / g_cav``, where N is the anticipated
+    input (:func:`photon_store.model.future_drive`) and Z the bath
+    memory ``integral_0^t f(t - tau) G(tau) d tau``.  The exponential
+    kernel makes Z the solution of ``Z' = -W Z + (W big_gamma / 2) G``
+    from Z(0) = 0, whose RK4 path is solved as the exact recurrence of
+    :func:`photon_store._integrate._rk4_linear`.
+    """
+    grid.require_cover(pulse.duration)
+    w = params.bandwidth_w
+    root_gamma = math.sqrt(params.big_gamma)
+    th = grid.half_times
+    phi_half, d1_half = pulse.value(th), pulse.d1(th)
+    # half_times[::2] is bitwise grid.times
+    t, v0, v1 = th[::2], phi_half[::2], d1_half[::2]
+    v2 = pulse.d2(t)
+    scale = 1.0 / (w * root_gamma)
+    g = scale * (v1 + w * v0)
+    g_dot = scale * (v2 + w * v1)
+    if pulse.has_d3:
+        g_ddot = scale * (pulse.d3(t) + w * v2)
+    else:
+        g_ddot = np.gradient(g_dot, grid.dt)
+
+    n_drive = future_drive(pulse, params, grid, phi_half=phi_half)
+    # the memory's source is G on the half lattice; it divides where G
+    # above multiplies by ``scale``, which rounds differently
+    g_half = (d1_half + w * phi_half) / (w * root_gamma)
+    z_mem = _rk4_linear(-w * grid.dt, grid.dt, 0.5 * w * params.big_gamma * g_half)
+    n_dot = w * n_drive - w * root_gamma * v0
+    z_dot = -w * z_mem + 0.5 * w * params.big_gamma * g
+    x_tilde = (-g_dot + n_drive - z_mem) / params.g_cav
+    x_tilde_dot = (-g_ddot + n_dot - z_dot) / params.g_cav
+    # the tail peaks with a dozen grid-length temporaries of its own, so
+    # drop the half lattice and the series it does not take first
+    del th, t, phi_half, d1_half, v0, v1, v2, g_ddot, g_half, n_dot, z_dot
+    return _design_result(params, grid, g, g_dot, x_tilde, x_tilde_dot, n_drive, z_mem)
 
 
 def design_drive_markovian(

@@ -30,13 +30,7 @@ from .errors import (
     PhotonStoreError,
 )
 from .grid import TimeGrid
-from .model import (
-    InputPulse,
-    PhysicalParams,
-    SpectralModel,
-    builtin_packet,
-    sampled_packet,
-)
+from .model import InputPulse, PhysicalParams, builtin_packet, sampled_packet
 
 OUTPUT_ENV_VAR = "PHOTON_STORE_OUT"
 
@@ -136,9 +130,10 @@ def load_pulse(cfg: ScenarioConfig) -> InputPulse:
         raise ConfigError.single("value", 0, f"pulse file {cfg.pulse!r}: {exc}") from exc
 
 
-def materialize(cfg: ScenarioConfig) -> Scenario:
-    """Concrete model objects of a config; a grid that numpy cannot
-    build is a :class:`ConfigError`."""
+def _pulse_and_grid(cfg: ScenarioConfig) -> tuple[InputPulse, TimeGrid]:
+    """The configured pulse and the grid covering it, which every sweep
+    point shares; a grid that numpy cannot build is a
+    :class:`ConfigError`."""
     pulse = load_pulse(cfg)
     span = max(cfg.effective_span(), pulse.duration)
     try:
@@ -147,6 +142,12 @@ def materialize(cfg: ScenarioConfig) -> Scenario:
         raise ConfigError.single(
             "value", 0, f"grid.span = {span:g} at grid.dt = {cfg.grid_dt:g}: {exc}"
         ) from exc
+    return pulse, grid
+
+
+def materialize(cfg: ScenarioConfig) -> Scenario:
+    """Concrete model objects of a config."""
+    pulse, grid = _pulse_and_grid(cfg)
     derived = cfg.big_gamma is None
     big_gamma = (
         pulse_design.coupling_from_bandwidth(pulse, cfg.bandwidth_w)
@@ -314,9 +315,7 @@ def run_oracle(cfg: ScenarioConfig, sc: Scenario, outdir: Path) -> None:
     reduced = dynamics.simulate_nonmarkovian(
         sc.pulse, design.drive, sc.params, init, sc.grid
     )
-    bath = dynamics.discretize_bath(
-        SpectralModel.from_params(sc.params), cfg.n_modes, cfg.band_halfwidth
-    )
+    bath = dynamics.discretize_bath(sc.params, cfg.n_modes, cfg.band_halfwidth)
     oracle = dynamics.simulate_discrete_bath(
         sc.pulse, design.drive, sc.params, init, bath, sc.grid
     )
@@ -424,9 +423,10 @@ def _sweep_point(point_cfg: ScenarioConfig) -> tuple[int, dict[str, object] | No
 def run_sweep(cfg: ScenarioConfig, outdir: Path) -> None:
     values = sorted(cfg.sweep_values)
     points = [with_point(cfg, v) for v in values]
-    # every point shares the pulse, so a bad pulse file fails the sweep
-    # as a whole (exit 2) before any point is dispatched
-    load_pulse(cfg)
+    # every point shares the pulse and the grid, so a config error in
+    # either fails the sweep as a whole (exit 2) before any point is
+    # dispatched
+    _pulse_and_grid(cfg)
 
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:

@@ -116,11 +116,11 @@ def rk4():
     return _rk4
 
 
-def _future_drive_loop(pulse, model, grid) -> np.ndarray:
+def _future_drive_loop(pulse, params, grid) -> np.ndarray:
     """Anticipated input N by scalar RK4, backward from N(span) = 0."""
     grid.require_cover(pulse.duration)
-    w = model.bandwidth_w
-    pump = (w * math.sqrt(model.big_gamma) * pulse.value(grid.half_times)).tolist()
+    w = params.bandwidth_w
+    pump = (w * math.sqrt(params.big_gamma) * pulse.value(grid.half_times)).tolist()
 
     # scalar RK4 run backward from the terminal condition N(span) = 0
     n = grid.n_steps
@@ -143,10 +143,10 @@ def _future_drive_loop(pulse, model, grid) -> np.ndarray:
     return path
 
 
-def _memory_series_loop(g_half, model, grid) -> np.ndarray:
+def _memory_series_loop(g_half, params, grid) -> np.ndarray:
     """Bath memory Z by scalar RK4 of Z' = -W Z + (W big_gamma / 2) G."""
-    w = model.bandwidth_w
-    feed = (0.5 * w * model.big_gamma * g_half).tolist()
+    w = params.bandwidth_w
+    feed = (0.5 * w * params.big_gamma * g_half).tolist()
 
     # scalar RK4; a one-dimensional real state does not justify the
     # vector integrator's per-stage array traffic
@@ -180,7 +180,7 @@ def future_drive_loop():
 @pytest.fixture(scope="session")
 def memory_series_loop():
     """The scalar RK4 loop of the bath memory Z, the reference for
-    ``pulse_design._memory_series``."""
+    the memory recurrence inside ``design_drive``."""
     return _memory_series_loop
 
 
@@ -197,37 +197,45 @@ def _norm_squared(pulse, dt_nominal: float = 1e-5) -> float:
     return float(np.trapezoid(v * v, dx=grid.dt))
 
 
-def _spectral_density(model, omega) -> np.ndarray:
-    """Spectral density J(omega) = |kappa(omega)|^2."""
-    w = model.bandwidth_w
+def _coupling(params, omega) -> np.ndarray:
+    """Complex mode coupling kappa(omega) of the Lorentzian bath."""
+    w = params.bandwidth_w
     om = np.asarray(omega, dtype=float)
-    return (model.big_gamma / (2.0 * math.pi)) * w * w / (w * w + om * om)
+    return math.sqrt(params.big_gamma / (2.0 * math.pi)) * w / (w - 1j * om)
 
 
-def _impulse_response(model, t) -> np.ndarray:
+def _spectral_density(params, omega) -> np.ndarray:
+    """Spectral density J(omega) = |kappa(omega)|^2."""
+    w = params.bandwidth_w
+    om = np.asarray(omega, dtype=float)
+    return (params.big_gamma / (2.0 * math.pi)) * w * w / (w * w + om * om)
+
+
+def _impulse_response(params, t) -> np.ndarray:
     """Causal response h(t) feeding the input field into the cavity."""
-    w = model.bandwidth_w
+    w = params.bandwidth_w
     tt = np.asarray(t, dtype=float)
     decay = np.exp(-w * np.maximum(tt, 0.0))
-    out = np.where(tt >= 0.0, w * math.sqrt(model.big_gamma) * decay, 0.0)
+    out = np.where(tt >= 0.0, w * math.sqrt(params.big_gamma) * decay, 0.0)
     return out if out.ndim else float(out)
 
 
-def _memory_kernel(model, t) -> np.ndarray:
+def _memory_kernel(params, t) -> np.ndarray:
     """Two-sided kernel f(t) damping the cavity amplitude."""
-    w = model.bandwidth_w
+    w = params.bandwidth_w
     tt = np.abs(np.asarray(t, dtype=float))
-    out = 0.5 * w * model.big_gamma * np.exp(-w * tt)
+    out = 0.5 * w * params.big_gamma * np.exp(-w * tt)
     return out if out.ndim else float(out)
 
 
 def _direct_memory_convolution(pulse, params, grid, indices=None) -> np.ndarray:
     """Memory integral Z by direct trapezoid convolution of the kernel
-    against the designed cavity amplitude: O(n) per evaluated index
-    (every grid point by default, O(n^2) in total)."""
-    model = ps.SpectralModel.from_params(params)
-    g = ps.cavity_amplitude(pulse, model, grid).g
+    against the perfect-absorption cavity amplitude
+    ``G = (phi_in' + W phi_in) / (W sqrt(big_gamma))``: O(n) per
+    evaluated index (every grid point by default, O(n^2) in total)."""
     t = grid.times
+    w = params.bandwidth_w
+    g = (pulse.d1(t) + w * pulse.value(t)) / (w * math.sqrt(params.big_gamma))
     if indices is None:
         indices = np.arange(t.size)
     out = np.empty(len(indices), dtype=float)
@@ -235,7 +243,7 @@ def _direct_memory_convolution(pulse, params, grid, indices=None) -> np.ndarray:
         if k == 0:
             out[i] = 0.0
             continue
-        kern = _memory_kernel(model, t[k] - t[: k + 1])
+        kern = _memory_kernel(params, t[k] - t[: k + 1])
         out[i] = np.trapezoid(kern * g[: k + 1], dx=grid.dt)
     return out
 
@@ -268,6 +276,11 @@ def _dark_bright_amplitudes(g_amp, e_amp, phi):
 @pytest.fixture(scope="session")
 def norm_squared():
     return _norm_squared
+
+
+@pytest.fixture(scope="session")
+def coupling():
+    return _coupling
 
 
 @pytest.fixture(scope="session")

@@ -407,7 +407,16 @@ def test_cli_sampled_pulse_file(tmp_path, pulse):
     assert f"pulse = {table}" in summary
 
 
-BAD_PULSES = [(None, "not found"), ("0 1\n1 2\n2 1\n3 0\n", "vanish at t = 0")]
+_T = np.linspace(0.0, PI, 201)
+# the squared samples overflow, so the norm is infinite
+OVERFLOWING = "".join(
+    f"{t:.17g} {v:.17g}\n" for t, v in zip(_T, 1e300 * np.sin(_T) ** 2 * np.exp(-_T))
+)
+BAD_PULSES = [
+    (None, "not found"),
+    ("0 1\n1 2\n2 1\n3 0\n", "vanish at t = 0"),
+    (OVERFLOWING, "norm is inf"),
+]
 SWEEP_W = (
     "mode = sweep\ng_cav = 30pi\ngamma_L = 6pi\nrho_offset = 0.002\n"
     "bandwidth_w = 1.0, 2.0\ngrid.dt = 1e-3\n"
@@ -422,7 +431,14 @@ SWEEP_W = (
         for table, fragment in BAD_PULSES
     ],
     # a sweep fails as a whole, before any point runs
-    ids=["missing", "nonzero_start", "sweep_missing", "sweep_nonzero_start"],
+    ids=[
+        "missing",
+        "nonzero_start",
+        "overflowing_norm",
+        "sweep_missing",
+        "sweep_nonzero_start",
+        "sweep_overflowing_norm",
+    ],
 )
 def test_cli_bad_pulse_file_exits_2_with_one_line(
     tmp_path, capsys, mode, text, table, fragment
@@ -561,6 +577,18 @@ def test_cli_unbuildable_grid_or_pulse_exits_2_naming_the_key(tmp_path, capsys, 
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error[2]: ") and key in err[0]
+    assert not any(out.iterdir())
+
+
+def test_cli_sweep_with_an_unbuildable_grid_exits_2(tmp_path, capsys):
+    # every point shares the grid, so the sweep fails as a whole before
+    # any point is dispatched
+    out = tmp_path / "o"
+    text = CHEAP + "bandwidth_w = 1, 2\ngrid.span = 1e300\n"
+    code = run_cli(["sweep", "--out", str(out)], tmp_path, text)
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error[2]: ") and "grid.span" in err[0]
     assert not any(out.iterdir())
 
 

@@ -22,12 +22,7 @@ PI = math.pi
 # ------------------------------------------------------------ grid coverage
 
 SHORT_GRID_CALLS = {
-    "cavity_amplitude": lambda pulse, params, grid: ps.cavity_amplitude(
-        pulse, ps.SpectralModel.from_params(params), grid
-    ),
-    "future_drive": lambda pulse, params, grid: ps.future_drive(
-        pulse, ps.SpectralModel.from_params(params), grid
-    ),
+    "future_drive": ps.future_drive,
     "design_drive": ps.design_drive,
     "design_drive_markovian": ps.design_drive_markovian,
     "simulate_nonmarkovian": lambda pulse, params, grid: ps.simulate_nonmarkovian(
@@ -41,7 +36,7 @@ SHORT_GRID_CALLS = {
         np.zeros(grid.n_steps + 1),
         params,
         ps.InitialState.vacuum(),
-        ps.discretize_bath(ps.SpectralModel.from_params(params), 8, 40.0),
+        ps.discretize_bath(params, 8, 40.0),
         grid,
     ),
 }
@@ -137,11 +132,10 @@ def test_emission_accumulator_matches_impulse_convolution(
     traj = ps.simulate_nonmarkovian(
         pulse, des.drive, params, ps.InitialState.matched(params.rho_offset), grid
     )
-    model = ps.SpectralModel.from_params(params)
     k = round(1.2 / grid.dt)
     t = grid.times
     direct = np.trapezoid(
-        impulse_response(model, t[k] - t[: k + 1]) * traj.g[: k + 1], dx=grid.dt
+        impulse_response(params, t[k] - t[: k + 1]) * traj.g[: k + 1], dx=grid.dt
     )
     assert abs(traj.y_out[k] - direct) < 1e-7
 
@@ -186,10 +180,9 @@ def test_broadband_limit_closes_simulation_gap(pulse, design_for, grid):
 # ------------------------------------------------------ discrete-bath oracle
 
 
-def test_bath_comb_geometry(make_params):
+def test_bath_comb_geometry(make_params, coupling):
     params = make_params(2.0, 0.002)
-    model = ps.SpectralModel.from_params(params)
-    bath = ps.discretize_bath(model, n_modes=500, band_halfwidth=40.0)
+    bath = ps.discretize_bath(params, n_modes=500, band_halfwidth=40.0)
     assert bath.n_modes == 500
     assert bath.mode_spacing == pytest.approx(2.0 * 40.0 / 500, rel=1e-12)
     f = bath.frequencies
@@ -197,7 +190,7 @@ def test_bath_comb_geometry(make_params):
     np.testing.assert_allclose(f, -f[::-1], atol=1e-12)
     np.testing.assert_allclose(
         bath.weights,
-        model.coupling(f) * math.sqrt(bath.mode_spacing),
+        coupling(params, f) * math.sqrt(bath.mode_spacing),
         rtol=1e-12,
     )
     # comb quadrature reproduces the band-limited spectral weight
@@ -206,18 +199,14 @@ def test_bath_comb_geometry(make_params):
 
 def test_narrow_band_is_rejected(pulse, make_params, grid):
     params = make_params(2.0, 0.002)
-    bath = ps.discretize_bath(
-        ps.SpectralModel.from_params(params), n_modes=100, band_halfwidth=1.0
-    )
+    bath = ps.discretize_bath(params, n_modes=100, band_halfwidth=1.0)
     with pytest.raises(BandTooNarrow):
         ps.initial_modes(pulse, bath, grid)
 
 
 def test_initial_modes_are_normalized(pulse, make_params, grid):
     params = make_params(2.0, 0.002)
-    bath = ps.discretize_bath(
-        ps.SpectralModel.from_params(params), n_modes=500, band_halfwidth=40.0
-    )
+    bath = ps.discretize_bath(params, n_modes=500, band_halfwidth=40.0)
     modes, capture = ps.initial_modes(pulse, bath, grid)
     assert float(np.sum(np.abs(modes) ** 2)) == pytest.approx(1.0, rel=1e-12)
     assert 0.999 < capture <= 1.0
@@ -245,9 +234,7 @@ def test_initial_modes_match_direct_fourier_sum(
     pulse, make_params, grid, n_modes, half_band, n_picked
 ):
     params = make_params(2.0, 0.002)
-    bath = ps.discretize_bath(
-        ps.SpectralModel.from_params(params), n_modes=n_modes, band_halfwidth=half_band
-    )
+    bath = ps.discretize_bath(params, n_modes=n_modes, band_halfwidth=half_band)
     modes, capture = ps.initial_modes(pulse, bath, grid)
     picked = np.linspace(0, n_modes - 1, n_picked).round().astype(int)
     direct = direct_projection(pulse, bath, grid, picked)
@@ -279,7 +266,7 @@ def explicit_comb_rhs(drive, params, bath, grid):
 
 
 @pytest.fixture
-def tiny_comb(make_params, monkeypatch):
+def tiny_comb(make_params, coupling, monkeypatch):
     """A 6-mode comb on a 200-step grid with a detuned, arbitrary drive.
 
     Six modes cannot hold the photon, so the projection is replaced by
@@ -290,13 +277,12 @@ def tiny_comb(make_params, monkeypatch):
     generator in the step matters.
     """
     params = make_params(2.0, 0.002, delta1=0.7, delta2=-1.3)
-    model = ps.SpectralModel.from_params(params)
-    comb = ps.discretize_bath(model, n_modes=6, band_halfwidth=40.0)
+    comb = ps.discretize_bath(params, n_modes=6, band_halfwidth=40.0)
     freqs = comb.frequencies + 5.0
     bath = ps.BathDiscretization(
-        model=model,
+        params=params,
         frequencies=freqs,
-        weights=model.coupling(freqs) * math.sqrt(comb.mode_spacing),
+        weights=coupling(params, freqs) * math.sqrt(comb.mode_spacing),
         band_halfwidth=comb.band_halfwidth,
     )
     grid = ps.TimeGrid.from_span(PI, PI / 200)
@@ -353,9 +339,7 @@ def test_oracle_matches_reduced_solver(pulse, design_for, grid):
     params, des = design_for(2.0, 0.002)
     seed = ps.InitialState.matched(params.rho_offset)
     reduced = ps.simulate_nonmarkovian(pulse, des.drive, params, seed, grid)
-    bath = ps.discretize_bath(
-        ps.SpectralModel.from_params(params), n_modes=500, band_halfwidth=40.0
-    )
+    bath = ps.discretize_bath(params, n_modes=500, band_halfwidth=40.0)
     run = ps.simulate_discrete_bath(pulse, des.drive, params, seed, bath, grid)
     assert np.max(np.abs(run.trajectory.g - reduced.g)) < 1e-4
 
@@ -363,9 +347,7 @@ def test_oracle_matches_reduced_solver(pulse, design_for, grid):
 def test_oracle_conserves_probability_without_loss(pulse, design_for, grid):
     params, des = design_for(2.0, 0.002, gamma_L=0.0)
     seed = ps.InitialState.matched(params.rho_offset)
-    bath = ps.discretize_bath(
-        ps.SpectralModel.from_params(params), n_modes=500, band_halfwidth=40.0
-    )
+    bath = ps.discretize_bath(params, n_modes=500, band_halfwidth=40.0)
     run = ps.simulate_discrete_bath(pulse, des.drive, params, seed, bath, grid)
     tr = run.trajectory
     total = (
@@ -382,9 +364,7 @@ def test_oracle_accounts_for_the_whole_excitation(pulse, design_for, grid):
     # the photon plus the initial seed
     params, des = design_for(2.0, 0.002, gamma_L=0.0)
     seed = ps.InitialState.matched(params.rho_offset)
-    bath = ps.discretize_bath(
-        ps.SpectralModel.from_params(params), n_modes=500, band_halfwidth=40.0
-    )
+    bath = ps.discretize_bath(params, n_modes=500, band_halfwidth=40.0)
     run = ps.simulate_discrete_bath(pulse, des.drive, params, seed, bath, grid)
     tr = run.trajectory
     total = (
@@ -403,9 +383,7 @@ def test_reconstructed_output_tracks_the_reduced_envelope(
     params, des = design_for(2.0, 0.002)
     seed = ps.InitialState.vacuum()
     reduced = ps.simulate_nonmarkovian(pulse, des.drive, params, seed, grid)
-    bath = ps.discretize_bath(
-        ps.SpectralModel.from_params(params), n_modes=500, band_halfwidth=40.0
-    )
+    bath = ps.discretize_bath(params, n_modes=500, band_halfwidth=40.0)
     run = ps.simulate_discrete_bath(pulse, des.drive, params, seed, bath, grid)
     rebuilt = reconstruct_output(
         bath, run.final_modes, grid.span, np.array([grid.span])

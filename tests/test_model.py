@@ -145,10 +145,12 @@ def test_sampled_packet_recovers_closed_forms(pulse, grid, norm_squared):
         (np.array([0.1, 0.5, 1.0, 2.0]), np.array([0.0, 1.0, 1.0, 0.0])),
         (np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 0.0])),
         (np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.5, 1.0, 1.0, 0.0])),
+        # the squared samples overflow, so the norm is infinite
+        (np.linspace(0.0, PI, 201), 1e300 * np.sin(np.linspace(0.0, PI, 201)) ** 2),
     ],
 )
 def test_sampled_packet_rejects_bad_tables(times, values):
-    with pytest.raises(ValueError):
+    with np.errstate(over="ignore"), pytest.raises(ValueError):
         ps.sampled_packet(times, values)
 
 
@@ -159,36 +161,39 @@ def test_spectral_model_shapes(
     make_params, spectral_density, impulse_response, memory_kernel
 ):
     p = make_params(2.0, 0.002)
-    m = ps.SpectralModel.from_params(p)
     w, gam = p.bandwidth_w, p.big_gamma
 
-    assert abs(m.coupling(0.0)) == pytest.approx(math.sqrt(gam / (2.0 * PI)), rel=1e-12)
-    om = np.linspace(-50.0, 50.0, 11)
+    # an 11-mode comb over [-55, 55] samples kappa at -50, -40, ..., 50
+    bath = ps.discretize_bath(p, n_modes=11, band_halfwidth=55.0)
+    om = bath.frequencies
+    np.testing.assert_array_equal(om, np.linspace(-50.0, 50.0, 11))
+    kappa = bath.weights / math.sqrt(bath.mode_spacing)
+    assert abs(kappa[5]) == pytest.approx(math.sqrt(gam / (2.0 * PI)), rel=1e-12)
     np.testing.assert_allclose(
-        spectral_density(m, om), np.abs(m.coupling(om)) ** 2, rtol=1e-12
+        spectral_density(p, om), np.abs(kappa) ** 2, rtol=1e-12
     )
     np.testing.assert_allclose(
-        spectral_density(m, om), gam / (2.0 * PI) * w**2 / (w**2 + om**2), rtol=1e-12
+        spectral_density(p, om), gam / (2.0 * PI) * w**2 / (w**2 + om**2), rtol=1e-12
     )
 
     # exponential emission response, with the step convention h(0) = W sqrt(Gamma)
-    assert impulse_response(m, 0.0) == pytest.approx(w * math.sqrt(gam), rel=1e-12)
-    assert impulse_response(m, -0.5) == 0.0
-    assert impulse_response(m, 1.0) == pytest.approx(
+    assert impulse_response(p, 0.0) == pytest.approx(w * math.sqrt(gam), rel=1e-12)
+    assert impulse_response(p, -0.5) == 0.0
+    assert impulse_response(p, 1.0) == pytest.approx(
         w * math.sqrt(gam) * math.exp(-w), rel=1e-12
     )
 
     # symmetric memory kernel whose peak equals the full spectral weight
-    assert memory_kernel(m, 0.0) == pytest.approx(w * gam / 2.0, rel=1e-12)
-    assert memory_kernel(m, -0.3) == pytest.approx(memory_kernel(m, 0.3), rel=1e-12)
+    assert memory_kernel(p, 0.0) == pytest.approx(w * gam / 2.0, rel=1e-12)
+    assert memory_kernel(p, -0.3) == pytest.approx(memory_kernel(p, 0.3), rel=1e-12)
     om = np.linspace(-4000.0, 4000.0, 400001)
-    area = np.trapezoid(spectral_density(m, om), om)
+    area = np.trapezoid(spectral_density(p, om), om)
     assert area == pytest.approx(w * gam / 2.0, rel=1e-3)
 
 
 def test_future_drive_terminal_condition(pulse, make_params, grid):
     p = make_params(2.0, 0.002)
-    n = ps.future_drive(pulse, ps.SpectralModel.from_params(p), grid)
+    n = ps.future_drive(pulse, p, grid)
     assert n[-1] == 0.0
     # anticipation decays once the remaining pulse is exhausted
     assert abs(n[0]) > abs(n[-2])
@@ -196,8 +201,7 @@ def test_future_drive_terminal_condition(pulse, make_params, grid):
 
 def test_future_drive_satisfies_backward_equation(pulse, make_params, grid):
     p = make_params(2.0, 0.002)
-    m = ps.SpectralModel.from_params(p)
-    n = ps.future_drive(pulse, m, grid)
+    n = ps.future_drive(pulse, p, grid)
     t = grid.times
     w, gam = p.bandwidth_w, p.big_gamma
     lhs = np.gradient(n, grid.dt)
@@ -209,4 +213,4 @@ def test_future_drive_rejects_short_grid(pulse, make_params):
     short = ps.TimeGrid.from_span(1.0, 1e-4)
     p = make_params(2.0, 0.002)
     with pytest.raises(GridMismatch):
-        ps.future_drive(pulse, ps.SpectralModel.from_params(p), short)
+        ps.future_drive(pulse, p, short)

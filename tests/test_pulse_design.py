@@ -11,11 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import photon_store as ps
-from photon_store import pulse_design as pd
 from photon_store._integrate import _rk4_linear
 from photon_store.errors import (
     DegeneratePulse,
-    GridMismatch,
     InfeasibleDesign,
     NonFiniteState,
 )
@@ -102,33 +100,24 @@ def test_downward_start_is_degenerate():
 # -------------------------------------------------------- cavity amplitude
 
 
-def test_cavity_amplitude_zero_crossing(pulse, gamma_of, grid):
+def test_cavity_amplitude_zero_crossing(design_for, grid):
     # at W = 2 the combination d1 + W * value vanishes at t = pi/4
-    model = ps.SpectralModel(big_gamma=gamma_of(2.0), bandwidth_w=2.0)
-    cav = ps.cavity_amplitude(pulse, model, grid)
+    _, des = design_for(2.0, 0.002)
     k = round((PI / 4.0) / grid.dt)
-    assert abs(cav.g[k]) < 1e-12
+    assert abs(des.g[k]) < 1e-12
 
 
-def test_cavity_amplitude_matches_definition(pulse, gamma_of, grid):
+def test_cavity_amplitude_matches_definition(pulse, design_for, grid):
     w = 2.0
-    gam = gamma_of(w)
-    model = ps.SpectralModel(big_gamma=gam, bandwidth_w=w)
-    cav = ps.cavity_amplitude(pulse, model, grid)
+    params, des = design_for(w, 0.002)
+    gam = params.big_gamma
     t = grid.times
     expected = (pulse.d1(t) + w * pulse.value(t)) / (w * math.sqrt(gam))
-    np.testing.assert_allclose(cav.g, expected, rtol=0, atol=1e-14)
-    assert cav.g[0] == pytest.approx(0.0, abs=1e-14)
-    assert cav.g_dot[0] == pytest.approx(
+    np.testing.assert_allclose(des.g, expected, rtol=0, atol=1e-14)
+    assert des.g[0] == pytest.approx(0.0, abs=1e-14)
+    assert des.g_dot[0] == pytest.approx(
         (64.0 / math.sqrt(7.0 * PI)) / (w * math.sqrt(gam)), rel=1e-12
     )
-
-
-def test_cavity_amplitude_rejects_short_grid(pulse, gamma_of):
-    short = ps.TimeGrid.from_span(1.0, 1e-4)
-    model = ps.SpectralModel(big_gamma=gamma_of(2.0), bandwidth_w=2.0)
-    with pytest.raises(GridMismatch):
-        ps.cavity_amplitude(pulse, model, short)
 
 
 def test_missing_third_derivative_falls_back_to_differences(pulse, design_for, grid):
@@ -148,14 +137,12 @@ def test_intracavity_memory_term_matches_direct_convolution(
     pulse, make_params, grid, direct_memory_convolution
 ):
     params = make_params(2.0, 0.002)
-    series = ps.intracavity_amplitude(pulse, params, grid)
+    des = ps.design_drive(pulse, params, grid)
     k = round(0.8 / grid.dt)
     z = direct_memory_convolution(pulse, params, grid, indices=[k])[0]
-    model = ps.SpectralModel.from_params(params)
-    cav = ps.cavity_amplitude(pulse, model, grid)
-    n = ps.future_drive(pulse, model, grid)
-    direct = (-cav.g_dot[k] + n[k] - z) / params.g_cav
-    assert abs(series.x_tilde[k] - direct) < 1e-8
+    n = ps.future_drive(pulse, params, grid)
+    direct = (-des.g_dot[k] + n[k] - z) / params.g_cav
+    assert abs(des.x_tilde[k] - direct) < 1e-8
 
 
 def test_intracavity_matches_convolution_on_refined_grid(
@@ -164,14 +151,12 @@ def test_intracavity_matches_convolution_on_refined_grid(
     # the auxiliary-variable route and the O(n^2) kernel quadrature agree
     fine = ps.TimeGrid.from_span(PI, 1e-5)
     params = make_params(2.0, 0.002)
-    series = ps.intracavity_amplitude(pulse, params, fine)
+    des = ps.design_drive(pulse, params, fine)
     k = round(0.8 / fine.dt)
     z = direct_memory_convolution(pulse, params, fine, indices=[k])[0]
-    model = ps.SpectralModel.from_params(params)
-    cav = ps.cavity_amplitude(pulse, model, fine)
-    n = ps.future_drive(pulse, model, fine)
-    direct = (-cav.g_dot[k] + n[k] - z) / params.g_cav
-    assert abs(series.x_tilde[k] - direct) < 1e-6
+    n = ps.future_drive(pulse, params, fine)
+    direct = (-des.g_dot[k] + n[k] - z) / params.g_cav
+    assert abs(des.x_tilde[k] - direct) < 1e-6
 
 
 def test_direct_convolution_index_subset_is_consistent(
@@ -189,11 +174,11 @@ def test_direct_convolution_index_subset_is_consistent(
 # ------------------------------------------- bath-term recurrences N and Z
 
 
-def _g_half(pulse, model, grid):
+def _g_half(pulse, params, grid):
     """Perfect-absorption G on the half lattice: the memory's source."""
-    w = model.bandwidth_w
+    w = params.bandwidth_w
     th = grid.half_times
-    return (pulse.d1(th) + w * pulse.value(th)) / (w * math.sqrt(model.big_gamma))
+    return (pulse.d1(th) + w * pulse.value(th)) / (w * math.sqrt(params.big_gamma))
 
 
 def _rel(values, ref):
@@ -209,21 +194,20 @@ def test_bath_terms_match_the_scalar_loops(
 ):
     grid = ps.TimeGrid.from_span(PI, dt)
     params = make_params(w, 0.002)
-    model = ps.SpectralModel.from_params(params)
-    mid = ps.intracavity_amplitude(pulse, params, grid)
-    n_ref = future_drive_loop(pulse, model, grid)
-    assert _rel(ps.future_drive(pulse, model, grid), n_ref) <= 1e-13
-    assert _rel(mid.n_drive, n_ref) <= 1e-13
-    z_ref = memory_series_loop(_g_half(pulse, model, grid), model, grid)
-    assert _rel(mid.z_mem, z_ref) <= 1e-13
+    des = ps.design_drive(pulse, params, grid)
+    n_ref = future_drive_loop(pulse, params, grid)
+    assert _rel(ps.future_drive(pulse, params, grid), n_ref) <= 1e-13
+    assert _rel(des.n_drive, n_ref) <= 1e-13
+    z_ref = memory_series_loop(_g_half(pulse, params, grid), params, grid)
+    assert _rel(des.z_mem, z_ref) <= 1e-13
 
 
-def test_anticipated_input_keeps_the_equilibrium_digits(pulse, gamma_of, grid):
+def test_anticipated_input_keeps_the_equilibrium_digits(pulse, design_for, grid):
     # criterion 03's 1e-8 cannot see a bias in the recurrence's powers:
     # forming them as r**k puts N(0) 3e-13 off G'(0) at W = 0.5
-    model = ps.SpectralModel(big_gamma=gamma_of(0.5), bandwidth_w=0.5)
-    g_dot0 = ps.cavity_amplitude(pulse, model, grid).g_dot[0]
-    n0 = ps.future_drive(pulse, model, grid)[0]
+    params, des = design_for(0.5, 0.002)
+    g_dot0 = des.g_dot[0]
+    n0 = ps.future_drive(pulse, params, grid)[0]
     assert abs(g_dot0 - n0) / abs(g_dot0) <= 1e-14
 
 
@@ -249,16 +233,17 @@ def test_bath_terms_fail_where_the_scalar_loops_do(
     src = pulse if nan_at is None else _nan_near(pulse, nan_at)
     grid = ps.TimeGrid.from_span(PI, dt)
     params = make_params(w, 0.002)
-    model = ps.SpectralModel.from_params(params)
-    g_half = _g_half(src, model, grid)
+    g_half = _g_half(src, params, grid)
+    # the design's memory recurrence, fed as in ``design_drive``
+    feed = 0.5 * w * params.big_gamma * g_half
     with pytest.raises(NonFiniteState) as n_ref:
-        future_drive_loop(src, model, grid)
+        future_drive_loop(src, params, grid)
     with pytest.raises(NonFiniteState) as z_ref:
-        memory_series_loop(g_half, model, grid)
+        memory_series_loop(g_half, params, grid)
     calls = [
-        (lambda: ps.future_drive(src, model, grid), n_ref),
+        (lambda: ps.future_drive(src, params, grid), n_ref),
         (lambda: ps.design_drive(src, params, grid), n_ref),
-        (lambda: pd._memory_series(g_half, model, grid), z_ref),
+        (lambda: _rk4_linear(-w * grid.dt, grid.dt, feed), z_ref),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -306,6 +291,37 @@ def test_excited_population_identical_across_detunings(
         variants.append(ps.design_drive(pulse, params, grid).rho_ee)
     assert np.array_equal(variants[0], variants[1])
     assert np.array_equal(variants[0], variants[2])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    w=st.floats(math.log(0.5), math.log(25.0)).map(math.exp),
+    d1=st.floats(-12.0, 12.0),
+    d2=st.floats(-12.0, 12.0),
+    dt=st.sampled_from([1e-2, 1e-3, 1e-4]),
+)
+def test_detuning_invariances_hold_across_the_bandwidth_range(
+    pulse, make_params, w, d1, d2, dt
+):
+    # criterion 08's invariances and tolerances, drawn over the W range
+    # of the bandwidth figures: rho_ee ignores both detunings, |Omega|
+    # ignores the drive detuning, theta is odd under flipping both
+    grid = ps.TimeGrid.from_span(PI, dt)
+
+    def design(delta1, delta2):
+        params = make_params(w, 0.0075, delta1=delta1, delta2=delta2)
+        return ps.design_drive(pulse, params, grid)
+
+    des = design(d1, d2)
+    assert np.array_equal(des.rho_ee, design(0.0, 0.0).rho_ee)
+    assert np.max(np.abs(des.omega_modulus - design(0.0, d2).omega_modulus)) <= 1e-9
+    theta_sum = des.omega_phase + design(-d1, -d2).omega_phase
+    if d1 == 0.0 and d2 == 0.0:
+        # on resonance the drive is real and theta is +-pi on its
+        # negative lobes, the sign set by the sign of a zero beta: only
+        # theta mod 2 pi is defined there
+        theta_sum = np.angle(np.exp(1j * theta_sum))
+    assert np.max(np.abs(theta_sum)) <= 1e-6
 
 
 def test_design_reports_infeasible_offset(pulse, make_params, grid):
@@ -397,8 +413,7 @@ def test_asymmetric_pulse_drive_starts_at_slew_over_root_offset(grid, norm_squar
         pulse_duration=PI,
     )
     des = ps.design_drive(ap, params, grid)
-    series = ps.intracavity_amplitude(ap, params, grid)
-    expected = series.x_tilde_dot[0] / math.sqrt(params.rho_offset)
+    expected = des.x_tilde_dot[0] / math.sqrt(params.rho_offset)
     assert abs(des.drive[0]) > 0.05
     assert des.drive[0].real == pytest.approx(expected, rel=1e-9)
     assert des.drive[0].imag == 0.0
