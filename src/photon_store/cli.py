@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 
 from .config import MODES, PRESETS, parse_config
 from .errors import ConfigError
-from .runner import EXIT_CONFIG, run_scenario
+from .runner import run_scenario
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,7 +41,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         text = Path(args.config).read_text()
     except OSError as exc:
         print(f"config: cannot read {args.config!r}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return ConfigError.exit_code
     # command-line switches win by arriving later (last assignment wins)
     if args.preset:
         text += f"\npreset = {args.preset}\n"
@@ -52,7 +52,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         for violation in exc.violations:
             print(f"config: {violation}", file=sys.stderr)
-        return EXIT_CONFIG
+        return exc.exit_code
     return run_scenario(cfg, outdir=args.out)
 
 

@@ -17,23 +17,28 @@ from .errors import ConfigError, Violation
 
 MODES = ("design", "simulate", "markovian", "oracle", "dark", "sweep")
 
-# keys accepting a single float value (pi token allowed)
-_FLOAT_KEYS = (
-    "g_cav",
-    "gamma_L",
-    "delta1",
-    "delta2",
-    "big_gamma",
-    "bandwidth_w",
-    "rho_offset",
-    "pulse_duration",
-    "grid.dt",
-    "grid.span",
-    "band_halfwidth",
-)
-_INT_KEYS = ("n_modes", "workers")
-_STR_KEYS = ("mode", "preset", "pulse", "output")
-KNOWN_KEYS = _FLOAT_KEYS + _INT_KEYS + _STR_KEYS
+# every key and the type of its value; _suggest proposes the first key
+# in this order (floats, ints, strings) that is one edit away
+_KEY_TYPES: dict[str, type] = {
+    "g_cav": float,
+    "gamma_L": float,
+    "delta1": float,
+    "delta2": float,
+    "big_gamma": float,
+    "bandwidth_w": float,
+    "rho_offset": float,
+    "pulse_duration": float,
+    "grid.dt": float,
+    "grid.span": float,
+    "band_halfwidth": float,
+    "n_modes": int,
+    "workers": int,
+    "mode": str,
+    "preset": str,
+    "pulse": str,
+    "output": str,
+}
+KNOWN_KEYS = tuple(_KEY_TYPES)
 
 # only these may carry a comma-separated range (sweep mode)
 _RANGED_KEYS = ("bandwidth_w", "delta2")
@@ -41,6 +46,27 @@ _RANGED_KEYS = ("bandwidth_w", "delta2")
 # a magnitude above this in any frequency field smells like Hz, not MHz
 _UNIT_CEILING = 1e6
 _FREQ_KEYS = ("g_cav", "gamma_L", "delta1", "delta2", "big_gamma", "bandwidth_w")
+
+# domain checks in reporting order: key, test of a value, and what the
+# violation says when the test fails
+_DOMAIN = (
+    *(
+        (key, lambda v: v > 0.0, "must be positive, got {:g}")
+        for key in (
+            "g_cav",
+            "big_gamma",
+            "pulse_duration",
+            "grid.dt",
+            "grid.span",
+            "band_halfwidth",
+            "bandwidth_w",
+        )
+    ),
+    ("gamma_L", lambda v: v >= 0.0, "must be non-negative"),
+    ("rho_offset", lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),
+    ("n_modes", lambda v: v >= 2, "must be at least 2"),
+    ("workers", lambda v: v >= 1, "must be at least 1"),
+)
 
 _COMMON = {
     "gamma_L": 6.0 * math.pi,
@@ -205,13 +231,16 @@ def parse_config(text: str, cli_mode: Optional[str] = None) -> ScenarioConfig:
                     "frequencies are MHz (rad/us), not Hz",
                 )
             )
-        return value
+        # x + 0.0 is x, except that a signed zero becomes +0.0, so that
+        # "-0" and "0" write the same bytes
+        return value + 0.0
 
     for key, (lineno, token) in raw.items():
-        if key in _STR_KEYS:
+        kind = _KEY_TYPES[key]
+        if kind is str:
             values[key] = token
             continue
-        if key in _INT_KEYS:
+        if kind is int:
             try:
                 values[key] = int(token)
             except ValueError:
@@ -245,15 +274,19 @@ def parse_config(text: str, cli_mode: Optional[str] = None) -> ScenarioConfig:
         if value is not None:
             values[key] = value
 
+    def line_of(key: str) -> int:
+        return raw.get(key, (0, ""))[0]
+
     overrides: list[str] = []
     preset = values.get("preset")
     if preset is not None:
         table = PRESETS.get(str(preset))
         if table is None:
-            lineno = raw["preset"][0]
             known = ", ".join(sorted(PRESETS))
             violations.append(
-                Violation("value", lineno, f"unknown preset {preset!r}; known: {known}")
+                Violation(
+                    "value", line_of("preset"), f"unknown preset {preset!r}; known: {known}"
+                )
             )
         else:
             for key, preset_value in table.items():
@@ -272,13 +305,9 @@ def parse_config(text: str, cli_mode: Optional[str] = None) -> ScenarioConfig:
 
     mode = cli_mode or values.get("mode")
     if mode is not None and mode not in MODES:
-        lineno = raw.get("mode", (0, ""))[0]
         violations.append(
-            Violation("value", lineno, f"mode must be one of {', '.join(MODES)}")
+            Violation("value", line_of("mode"), f"mode must be one of {', '.join(MODES)}")
         )
-
-    def line_of(key: str) -> int:
-        return raw.get(key, (0, ""))[0]
 
     if mode == "sweep":
         if len(ranged) == 0:
@@ -300,80 +329,33 @@ def parse_config(text: str, cli_mode: Optional[str] = None) -> ScenarioConfig:
                 )
             )
 
-    def positive(key: str, value) -> None:
-        if value is not None and not value > 0.0:
-            violations.append(
-                Violation("value", line_of(key), f"{key} must be positive, got {value:g}")
-            )
-
-    positive("g_cav", values.get("g_cav"))
-    positive("big_gamma", values.get("big_gamma"))
-    positive("pulse_duration", values.get("pulse_duration"))
-    positive("grid.dt", values.get("grid.dt"))
-    positive("grid.span", values.get("grid.span"))
-    positive("band_halfwidth", values.get("band_halfwidth"))
-    if "bandwidth_w" in ranged:
-        for v in ranged["bandwidth_w"]:
-            positive("bandwidth_w", v)
-    else:
-        positive("bandwidth_w", values.get("bandwidth_w"))
-    gamma_l = values.get("gamma_L")
-    if gamma_l is not None and gamma_l < 0.0:
-        violations.append(
-            Violation("value", line_of("gamma_L"), "gamma_L must be non-negative")
-        )
-    rho = values.get("rho_offset")
-    if rho is not None and not 0.0 <= rho < 1.0:
-        violations.append(
-            Violation("value", line_of("rho_offset"), "rho_offset must lie in [0, 1)")
-        )
-    for key, minimum in (("n_modes", 2), ("workers", 1)):
-        v = values.get(key)
-        if v is not None and v < minimum:
-            violations.append(
-                Violation("value", line_of(key), f"{key} must be at least {minimum}")
-            )
+    for key, ok, message in _DOMAIN:
+        # every element of a range, or the one value
+        for v in ranged.get(key) or ([values[key]] if key in values else []):
+            if not ok(v):
+                violations.append(
+                    Violation("value", line_of(key), f"{key} {message.format(v)}")
+                )
 
     if mode is not None and not violations:
-        for key in ("g_cav", "rho_offset"):
-            if key not in values:
+        for key in ("g_cav", "rho_offset", "bandwidth_w"):
+            if key not in values and key not in ranged:
                 violations.append(Violation("missing", 0, f"{key} is required"))
-        if "bandwidth_w" not in values and "bandwidth_w" not in ranged:
-            violations.append(Violation("missing", 0, "bandwidth_w is required"))
 
     if violations:
         raise ConfigError(violations)
 
+    fields = {key.replace(".", "_"): value for key, value in values.items()}
+    fields["mode"] = mode
     sweep_param = next(iter(ranged), None)
-    cfg = ScenarioConfig(
-        mode=mode,
-        preset=str(preset) if preset is not None else None,
-        pulse=str(values.get("pulse", "builtin")),
-        g_cav=values.get("g_cav"),
-        gamma_L=float(values.get("gamma_L", 0.0)),
-        delta1=float(values.get("delta1", 0.0)),
-        delta2=float(values.get("delta2", 0.0)) if "delta2" not in ranged else 0.0,
-        big_gamma=values.get("big_gamma"),
-        bandwidth_w=values.get("bandwidth_w"),
-        rho_offset=values.get("rho_offset"),
-        pulse_duration=float(values.get("pulse_duration", math.pi)),
-        grid_dt=float(values.get("grid.dt", 1e-4)),
-        grid_span=values.get("grid.span"),
-        output=values.get("output"),
-        n_modes=int(values.get("n_modes", 2000)),
-        band_halfwidth=float(values.get("band_halfwidth", 80.0)),
-        workers=int(values.get("workers", 1)),
+    return ScenarioConfig(
+        **fields,
         sweep_param=sweep_param,
         sweep_values=ranged.get(sweep_param, ()),
         overrides=tuple(sorted(set(overrides))),
     )
-    return cfg
 
 
 def with_point(cfg: ScenarioConfig, value: float) -> ScenarioConfig:
     """Materialize one sweep point as a plain single-valued config."""
-    if cfg.sweep_param == "bandwidth_w":
-        return replace(cfg, bandwidth_w=value, sweep_param=None, sweep_values=())
-    if cfg.sweep_param == "delta2":
-        return replace(cfg, delta2=value, sweep_param=None, sweep_values=())
-    raise ValueError("config has no ranged parameter")
+    return replace(cfg, **{cfg.sweep_param: value}, sweep_param=None, sweep_values=())

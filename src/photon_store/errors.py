@@ -2,7 +2,8 @@
 
 Every failure mode that callers are expected to handle is a subclass of
 :class:`PhotonStoreError`, so ``except PhotonStoreError`` at the CLI
-boundary is sufficient to translate failures into exit codes.  Every
+boundary is sufficient to translate failures into exit codes: each type
+carries its own ``exit_code`` (3 unless it says otherwise).  Every
 subclass survives a pickle round trip, so a sweep point that fails in
 a worker process reports its own error to the parent.
 """
@@ -13,7 +14,9 @@ from dataclasses import dataclass
 
 
 class PhotonStoreError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors: an infeasible design or scenario."""
+
+    exit_code = 3
 
 
 class GridMismatch(PhotonStoreError):
@@ -34,6 +37,8 @@ class NonFiniteState(PhotonStoreError):
     Carries the time stamp at which the blow-up was detected.
     """
 
+    exit_code = 4
+
     def __init__(self, t: float):
         super().__init__(f"state became non-finite at t = {t:.6g} us")
         self.t = t
@@ -45,6 +50,8 @@ class NonFiniteState(PhotonStoreError):
 
 class BandTooNarrow(PhotonStoreError):
     """The discretized bath band captures too little of the input photon."""
+
+    exit_code = 5
 
 
 class NegativeAccumulator(PhotonStoreError):
@@ -78,6 +85,8 @@ class Violation:
 
 class ConfigError(PhotonStoreError):
     """Invalid scenario configuration; carries *all* violations found."""
+
+    exit_code = 2
 
     def __init__(self, violations: list[Violation]):
         self.violations = list(violations)

@@ -177,13 +177,16 @@ def sampled_packet(times: np.ndarray, values: np.ndarray) -> InputPulse:
     A not-a-knot cubic spline supplies the envelope and its first two
     derivatives; the third derivative of a cubic spline is piecewise
     constant and is exposed as such (adequate for plotting the drive
-    slope, not for convergence studies).  Samples must start at t = 0
-    and the envelope must switch on smoothly (zero value at t = 0).
+    slope, not for convergence studies).  Samples must be finite and
+    start at t = 0, the envelope must switch on smoothly (zero value at
+    t = 0), and the spline through them must be finite.
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
     if t.ndim != 1 or t.shape != v.shape or t.size < 4:
         raise ValueError("need matching 1-d arrays with at least 4 samples")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+        raise ValueError("samples must be finite")
     if abs(t[0]) > 1e-12 or np.any(np.diff(t) <= 0.0):
         raise ValueError("times must start at 0 and increase")
     if abs(v[0]) > 1e-9 * max(1.0, float(np.max(np.abs(v)))):
@@ -194,6 +197,8 @@ def sampled_packet(times: np.ndarray, values: np.ndarray) -> InputPulse:
     if not math.isfinite(norm):
         raise ValueError(f"envelope norm is {norm}; rescale the samples")
     spline = CubicSpline(t, v / norm)
+    if not np.all(np.isfinite(spline.c)):
+        raise ValueError("the cubic spline through the samples is not finite")
     return InputPulse(
         duration=float(t[-1]),
         _value=spline,

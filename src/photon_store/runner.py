@@ -13,6 +13,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,23 +23,13 @@ import numpy as np
 
 from . import dark_state, dynamics, pulse_design
 from .config import ScenarioConfig, with_point
-from .errors import (
-    BandTooNarrow,
-    ConfigError,
-    InfeasibleDesign,
-    NonFiniteState,
-    PhotonStoreError,
-)
+from .errors import ConfigError, PhotonStoreError
 from .grid import TimeGrid
 from .model import InputPulse, PhysicalParams, builtin_packet, sampled_packet
 
 OUTPUT_ENV_VAR = "PHOTON_STORE_OUT"
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_INFEASIBLE = 3
-EXIT_BLOWUP = 4
-EXIT_BAND = 5
 
 
 def _fmt(value) -> str:
@@ -106,7 +97,6 @@ class Scenario:
     pulse: InputPulse
     params: PhysicalParams
     grid: TimeGrid
-    big_gamma_derived: bool
 
 
 def load_pulse(cfg: ScenarioConfig) -> InputPulse:
@@ -122,9 +112,15 @@ def load_pulse(cfg: ScenarioConfig) -> InputPulse:
                 "for the built-in packet's derivatives"
             ) from exc
     try:
-        data = np.loadtxt(cfg.pulse)
-        if data.ndim != 2 or data.shape[1] < 2:
-            raise ValueError("needs two columns (t, phi_in)")
+        with warnings.catch_warnings():
+            # loadtxt warns about a table without rows; the check below
+            # reports it as the one error line instead
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(cfg.pulse)
+        if data.size == 0:
+            raise ValueError("contains no samples")
+        if data.ndim != 2 or data.shape[1] != 2:
+            raise ValueError("needs exactly two columns (t, phi_in)")
         return sampled_packet(data[:, 0], data[:, 1])
     except (OSError, ValueError) as exc:
         raise ConfigError.single("value", 0, f"pulse file {cfg.pulse!r}: {exc}") from exc
@@ -148,10 +144,9 @@ def _pulse_and_grid(cfg: ScenarioConfig) -> tuple[InputPulse, TimeGrid]:
 def materialize(cfg: ScenarioConfig) -> Scenario:
     """Concrete model objects of a config."""
     pulse, grid = _pulse_and_grid(cfg)
-    derived = cfg.big_gamma is None
     big_gamma = (
         pulse_design.coupling_from_bandwidth(pulse, cfg.bandwidth_w)
-        if derived
+        if cfg.big_gamma is None
         else cfg.big_gamma
     )
     params = PhysicalParams(
@@ -164,7 +159,7 @@ def materialize(cfg: ScenarioConfig) -> Scenario:
         rho_offset=cfg.rho_offset,
         pulse_duration=pulse.duration,
     )
-    return Scenario(pulse=pulse, params=params, grid=grid, big_gamma_derived=derived)
+    return Scenario(pulse=pulse, params=params, grid=grid)
 
 
 def _summary_header(cfg: ScenarioConfig) -> dict[str, object]:
@@ -185,13 +180,18 @@ def _echo_params(cfg: ScenarioConfig, sc: Scenario) -> dict[str, object]:
         "delta1": sc.params.delta1,
         "delta2": sc.params.delta2,
         "big_gamma": sc.params.big_gamma,
-        "big_gamma_derived": sc.big_gamma_derived,
+        "big_gamma_derived": cfg.big_gamma is None,
         "bandwidth_w": sc.params.bandwidth_w,
         "rho_offset": sc.params.rho_offset,
         "grid_dt": sc.grid.dt,
         "grid_span": sc.grid.span,
         "n_steps": sc.grid.n_steps,
     }
+
+
+# CSV name -> named columns, and the metrics that follow the echoed
+# parameters in the summary
+_Outputs = tuple[dict[str, dict[str, np.ndarray]], dict[str, object]]
 
 
 def _equilibrium_residual(design: pulse_design.DesignResult) -> float:
@@ -220,28 +220,22 @@ def _design_series(design, phi_in: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
-def run_design(cfg: ScenarioConfig, sc: Scenario, outdir: Path) -> None:
+def run_design(cfg: ScenarioConfig, sc: Scenario) -> _Outputs:
     design = pulse_design.design_drive(sc.pulse, sc.params, sc.grid)
-    series = _design_series(design, sc.pulse.value(sc.grid.times))
-    write_csv(outdir / "design_series.csv", series)
-
     alpha = design.alpha
     crossings = int(np.sum(np.sign(alpha[1:]) * np.sign(alpha[:-1]) < 0))
-    summary = _echo_params(cfg, sc)
-    summary.update(
-        {
-            "equilibrium_residual": _equilibrium_residual(design),
-            "rho_min": float(np.min(design.rho_ee)),
-            "rho_final": float(design.rho_ee[-1]),
-            "max_abs_omega": float(np.max(design.omega_modulus)),
-            "omega_sign_changes": crossings,
-            "backflow_detected": _backflow(design.rho_ee),
-        }
-    )
-    write_summary(outdir / "summary", summary)
+    files = {"design_series.csv": _design_series(design, sc.pulse.value(sc.grid.times))}
+    return files, {
+        "equilibrium_residual": _equilibrium_residual(design),
+        "rho_min": float(np.min(design.rho_ee)),
+        "rho_final": float(design.rho_ee[-1]),
+        "max_abs_omega": float(np.max(design.omega_modulus)),
+        "omega_sign_changes": crossings,
+        "backflow_detected": _backflow(design.rho_ee),
+    }
 
 
-def run_simulate(cfg: ScenarioConfig, sc: Scenario, outdir: Path) -> None:
+def run_simulate(cfg: ScenarioConfig, sc: Scenario) -> _Outputs:
     design = pulse_design.design_drive(sc.pulse, sc.params, sc.grid)
     matched = dynamics.simulate_nonmarkovian(
         sc.pulse,
@@ -258,58 +252,46 @@ def run_simulate(cfg: ScenarioConfig, sc: Scenario, outdir: Path) -> None:
     series["re_phi_out"] = matched.phi_out.real
     series["im_phi_out"] = matched.phi_out.imag
     series["abs_phi_out_sq"] = np.abs(matched.phi_out) ** 2
-    write_csv(outdir / "simulate_series.csv", series)
-    write_csv(
-        outdir / "simulate_series_mismatched.csv",
-        {
+    files = {
+        "simulate_series.csv": series,
+        "simulate_series_mismatched.csv": {
             "t": sc.grid.times,
             "phi_in": mismatched.phi_in,
             "re_phi_out": mismatched.phi_out.real,
             "im_phi_out": mismatched.phi_out.imag,
             "abs_phi_out_sq": np.abs(mismatched.phi_out) ** 2,
         },
-    )
-
+    }
     m_matched = dynamics.storage_metrics(matched)
     m_mis = dynamics.storage_metrics(mismatched)
-    summary = _echo_params(cfg, sc)
-    summary.update(
-        {
-            "equilibrium_residual": _equilibrium_residual(design),
-            "reflected_matched": m_matched.reflected,
-            "reflected_mismatched": m_mis.reflected,
-            "final_excited_matched": m_matched.final_excited,
-            "final_excited_mismatched": m_mis.final_excited,
-            "final_cavity_matched": m_matched.final_cavity,
-            "peak_intermediate_matched": m_matched.peak_intermediate,
-            "backflow_detected": _backflow(design.rho_ee),
-        }
-    )
-    write_summary(outdir / "summary", summary)
+    return files, {
+        "equilibrium_residual": _equilibrium_residual(design),
+        "reflected_matched": m_matched.reflected,
+        "reflected_mismatched": m_mis.reflected,
+        "final_excited_matched": m_matched.final_excited,
+        "final_excited_mismatched": m_mis.final_excited,
+        "final_cavity_matched": m_matched.final_cavity,
+        "peak_intermediate_matched": m_matched.peak_intermediate,
+        "backflow_detected": _backflow(design.rho_ee),
+    }
 
 
-def run_markovian(cfg: ScenarioConfig, sc: Scenario, outdir: Path) -> None:
+def run_markovian(cfg: ScenarioConfig, sc: Scenario) -> _Outputs:
     design = pulse_design.design_drive(sc.pulse, sc.params, sc.grid)
     flat = pulse_design.design_drive_markovian(sc.pulse, sc.params, sc.grid)
     series = _design_series(design, sc.pulse.value(sc.grid.times))
     series["rho_fee"] = flat.rho_ee
     series["abs_omega_f"] = flat.omega_modulus
-    write_csv(outdir / "markovian_series.csv", series)
-
-    summary = _echo_params(cfg, sc)
-    summary.update(
-        {
-            "equilibrium_residual": _equilibrium_residual(design),
-            "sup_diff_rho": float(np.max(np.abs(design.rho_ee - flat.rho_ee))),
-            "backflow_detected": _backflow(design.rho_ee),
-            "max_abs_omega": float(np.max(design.omega_modulus)),
-            "max_abs_omega_f": float(np.max(flat.omega_modulus)),
-        }
-    )
-    write_summary(outdir / "summary", summary)
+    return {"markovian_series.csv": series}, {
+        "equilibrium_residual": _equilibrium_residual(design),
+        "sup_diff_rho": float(np.max(np.abs(design.rho_ee - flat.rho_ee))),
+        "backflow_detected": _backflow(design.rho_ee),
+        "max_abs_omega": float(np.max(design.omega_modulus)),
+        "max_abs_omega_f": float(np.max(flat.omega_modulus)),
+    }
 
 
-def run_oracle(cfg: ScenarioConfig, sc: Scenario, outdir: Path) -> None:
+def run_oracle(cfg: ScenarioConfig, sc: Scenario) -> _Outputs:
     design = pulse_design.design_drive(sc.pulse, sc.params, sc.grid)
     init = dynamics.InitialState.matched(sc.params.rho_offset)
     reduced = dynamics.simulate_nonmarkovian(
@@ -321,9 +303,8 @@ def run_oracle(cfg: ScenarioConfig, sc: Scenario, outdir: Path) -> None:
     )
     tr = oracle.trajectory
     diff = np.abs(reduced.g - tr.g)
-    write_csv(
-        outdir / "oracle_series.csv",
-        {
+    files = {
+        "oracle_series.csv": {
             "t": sc.grid.times,
             "phi_in": reduced.phi_in,
             "re_g_reduced": reduced.g.real,
@@ -332,23 +313,19 @@ def run_oracle(cfg: ScenarioConfig, sc: Scenario, outdir: Path) -> None:
             "im_g_oracle": tr.g.imag,
             "abs_g_diff": diff,
         },
-    )
-    summary = _echo_params(cfg, sc)
-    summary.update(
-        {
-            "n_modes": bath.n_modes,
-            "band_halfwidth": bath.band_halfwidth,
-            "band_capture": oracle.capture,
-            "weight_capture_ratio": bath.density_capture(),
-            "sup_diff_G": float(np.max(diff)),
-            "reflected_reduced": dynamics.storage_metrics(reduced).reflected,
-            "reflected_oracle": dynamics.storage_metrics(tr).reflected,
-        }
-    )
-    write_summary(outdir / "summary", summary)
+    }
+    return files, {
+        "n_modes": bath.n_modes,
+        "band_halfwidth": bath.band_halfwidth,
+        "band_capture": oracle.capture,
+        "weight_capture_ratio": bath.density_capture(),
+        "sup_diff_G": float(np.max(diff)),
+        "reflected_reduced": dynamics.storage_metrics(reduced).reflected,
+        "reflected_oracle": dynamics.storage_metrics(tr).reflected,
+    }
 
 
-def run_dark(cfg: ScenarioConfig, sc: Scenario, outdir: Path) -> None:
+def run_dark(cfg: ScenarioConfig, sc: Scenario) -> _Outputs:
     dark = dark_state.adiabatic_design(sc.pulse, sc.params, sc.grid)
     run = dark_state.adiabatic_simulate(sc.pulse, dark)
     comparison = dark_state.compare_dark(dark)
@@ -357,9 +334,8 @@ def run_dark(cfg: ScenarioConfig, sc: Scenario, outdir: Path) -> None:
     finite = np.isfinite(gap)
     t_gap = float(sc.grid.times[finite][np.argmax(gap[finite])])
 
-    write_csv(
-        outdir / "dark_series.csv",
-        {
+    files = {
+        "dark_series.csv": {
             "t": sc.grid.times,
             "phi_in": sc.pulse.value(sc.grid.times),
             "d1_sq": comparison.d1_sq,
@@ -367,40 +343,23 @@ def run_dark(cfg: ScenarioConfig, sc: Scenario, outdir: Path) -> None:
             "abs_omega": dark.design.omega_modulus,
             "omega_adiabatic": dark.omega_adiabatic,
         },
-    )
-    summary = _echo_params(cfg, sc)
-    summary.update(
-        {
-            "sup_diff_pop": comparison.sup_diff,
-            "conservation_drift": dark_state.conservation_drift(run),
-            "adiabaticity_margin": dark_state.adiabaticity_margin(sc.params),
-            "reflected_adiabatic": float(
-                np.trapezoid(np.abs(run.phi_out) ** 2, dx=sc.grid.dt)
-            ),
-            "d1_final_sq": float(run.d1[-1] ** 2),
-            "max_drive_gap_time": t_gap,
-        }
-    )
-    write_summary(outdir / "summary", summary)
+    }
+    return files, {
+        "sup_diff_pop": comparison.sup_diff,
+        "conservation_drift": dark_state.conservation_drift(run),
+        "adiabaticity_margin": dark_state.adiabaticity_margin(sc.params),
+        "reflected_adiabatic": float(
+            np.trapezoid(np.abs(run.phi_out) ** 2, dx=sc.grid.dt)
+        ),
+        "d1_final_sq": float(run.d1[-1] ** 2),
+        "max_drive_gap_time": t_gap,
+    }
 
 
-_ERROR_CODES = (
-    (ConfigError, EXIT_CONFIG),
-    (NonFiniteState, EXIT_BLOWUP),
-    (BandTooNarrow, EXIT_BAND),
-)
-
-
-def _code_for(exc: PhotonStoreError) -> int:
-    for etype, code in _ERROR_CODES:
-        if isinstance(exc, etype):
-            return code
-    return EXIT_INFEASIBLE
-
-
-def _sweep_point(point_cfg: ScenarioConfig) -> tuple[int, dict[str, object] | None]:
-    """Exit code and metrics of one sweep point; runs in a worker
-    process, so it silences floating-point warnings itself."""
+def _sweep_point(point_cfg: ScenarioConfig) -> tuple[int, dict[str, object]]:
+    """Exit code and metrics of one sweep point (empty when it fails);
+    runs in a worker process, so it silences floating-point warnings
+    itself."""
     try:
         with np.errstate(all="ignore"):
             sc = materialize(point_cfg)
@@ -412,11 +371,11 @@ def _sweep_point(point_cfg: ScenarioConfig) -> tuple[int, dict[str, object] | No
                 "theta": design.omega_phase,
                 "rho_ee": design.rho_ee,
             }
-            if point_cfg.delta1 == 0.0 and point_cfg.delta2 == 0.0:
+            if sc.params.is_resonant:
                 flat = pulse_design.design_drive_markovian(sc.pulse, sc.params, sc.grid)
                 out["sup_diff_rho"] = float(np.max(np.abs(design.rho_ee - flat.rho_ee)))
     except PhotonStoreError as exc:
-        return _code_for(exc), None
+        return exc.exit_code, {}
     return EXIT_OK, out
 
 
@@ -434,26 +393,16 @@ def run_sweep(cfg: ScenarioConfig, outdir: Path) -> None:
     else:
         outcomes = list(map(_sweep_point, points))
 
-    is_w_sweep = cfg.sweep_param == "bandwidth_w"
     names = [cfg.sweep_param, "status"]
     names += ["big_gamma", "max_abs_omega", "backflow_detected"]
-    if is_w_sweep:
+    if cfg.sweep_param == "bandwidth_w":
         names.append("sup_diff_rho")
+    # a failed point has no metrics, and a detuned point no Markovian
+    # gap: their cells stay blank
     rows = []
     for value, (code, res) in zip(values, outcomes):
-        row = [_fmt(value), str(code)]
-        if res is None:
-            row += [""] * (len(names) - 2)
-        else:
-            row += [
-                _fmt(res["big_gamma"]),
-                _fmt(res["max_abs_omega"]),
-                _fmt(res["backflow_detected"]),
-            ]
-            if is_w_sweep:
-                # detuned points have no Markovian gap: blank cell
-                row.append(_fmt(res["sup_diff_rho"]) if "sup_diff_rho" in res else "")
-        rows.append(",".join(row) + "\n")
+        row = {cfg.sweep_param: value, "status": code, **res}
+        rows.append(",".join(_fmt(row[n]) if n in row else "" for n in names) + "\n")
     _write_atomic(outdir / "sweep_aggregate.csv", [",".join(names) + "\n", *rows])
 
     summary: dict[str, object] = {
@@ -497,8 +446,11 @@ _MODE_RUNNERS = {
 def run_scenario(cfg: ScenarioConfig, outdir: str | Path | None = None) -> int:
     """Execute one scenario; returns a process exit code.
 
-    Floating-point warnings are silenced: a non-finite result ends in
-    one error line with its exit code, not in warnings on stderr."""
+    A mode runner returns its CSV series and its metrics; this writes
+    each series and one summary of the echoed parameters and the
+    metrics.  Floating-point warnings are silenced: a non-finite result
+    ends in one error line with its exit code, not in warnings on
+    stderr."""
     target = Path(
         outdir
         or cfg.output
@@ -513,13 +465,15 @@ def run_scenario(cfg: ScenarioConfig, outdir: str | Path | None = None) -> int:
                 run_sweep(cfg, target)
             elif cfg.mode in _MODE_RUNNERS:
                 sc = materialize(cfg)
-                _MODE_RUNNERS[cfg.mode](cfg, sc, target)
+                files, metrics = _MODE_RUNNERS[cfg.mode](cfg, sc)
+                for name, columns in files.items():
+                    write_csv(target / name, columns)
+                write_summary(target / "summary", {**_echo_params(cfg, sc), **metrics})
             else:
                 raise ConfigError.single("value", 0, f"unsupported mode {cfg.mode!r}")
     except PhotonStoreError as exc:
-        code = _code_for(exc)
-        print(f"error[{code}]: {exc}", file=sys.stderr)
-        return code
+        print(f"error[{exc.exit_code}]: {exc}", file=sys.stderr)
+        return exc.exit_code
     print(
         f"wall {time.perf_counter() - started:.2f} s -> {target}",
         file=sys.stderr,

@@ -4,10 +4,12 @@ command-line entry point."""
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import tempfile
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import photon_store as ps
@@ -162,6 +164,11 @@ def test_sweep_needs_exactly_one_range():
     assert any("exactly one ranged" in v.message for v in vv)
 
 
+def test_every_known_key_names_a_config_field():
+    fields = {f.name for f in dataclasses.fields(config.ScenarioConfig)}
+    assert [k for k in config.KNOWN_KEYS if k.replace(".", "_") not in fields] == []
+
+
 def test_sweep_config_round_trip():
     cfg = config.parse_config(
         "mode = sweep\ng_cav = 30pi\ngamma_L = 6pi\nrho_offset = 0.0075\n"
@@ -233,6 +240,16 @@ def _example_error(cls):
     return cls("what went wrong")
 
 
+def _readme_exit_codes():
+    """Error type name -> exit code, from README's exit-code table."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    codes = {}
+    for code, types in re.findall(r"^\| (\d) \| (.*?) \|", readme.read_text(), re.M):
+        for name in re.findall(r"`(\w+)`", types):
+            codes[name] = int(code)
+    return codes
+
+
 @pytest.mark.parametrize(
     "cls", [PhotonStoreError, *_error_classes()], ids=lambda c: c.__name__
 )
@@ -244,6 +261,7 @@ def test_every_error_survives_a_pickle_round_trip(cls):
     assert str(back) == str(err)
     assert getattr(back, "t", None) == getattr(err, "t", None)
     assert getattr(back, "violations", None) == getattr(err, "violations", None)
+    assert back.exit_code == err.exit_code == _readme_exit_codes()[cls.__name__]
 
 
 # ------------------------------------------------------------------ writer
@@ -412,10 +430,35 @@ _T = np.linspace(0.0, PI, 201)
 OVERFLOWING = "".join(
     f"{t:.17g} {v:.17g}\n" for t, v in zip(_T, 1e300 * np.sin(_T) ** 2 * np.exp(-_T))
 )
+_PHI = np.sin(_T) ** 2 * np.exp(-_T)
+
+
+def _table(*columns):
+    return "".join(" ".join(f"{x:.17g}" for x in row) + "\n" for row in zip(*columns))
+
+
 BAD_PULSES = [
     (None, "not found"),
     ("0 1\n1 2\n2 1\n3 0\n", "vanish at t = 0"),
     (OVERFLOWING, "norm is inf"),
+    ("", "contains no samples"),
+    ("# t phi_in\n# no rows\n", "contains no samples"),
+    (_table(_T, _PHI, 0.0 * _PHI), "exactly two columns"),
+    (_table(_T, np.where(_T == _T[50], np.nan, _PHI)), "samples must be finite"),
+    (_table(np.append(_T[:-1], np.inf), _PHI), "samples must be finite"),
+    # the spline's second derivative over the first interval overflows
+    ("0 0\n1e-300 1\n1 2\n2 1\n3 0\n", "spline through the samples is not finite"),
+]
+BAD_PULSE_IDS = [
+    "missing",
+    "nonzero_start",
+    "overflowing_norm",
+    "empty",
+    "comment_only",
+    "three_columns",
+    "nan_sample",
+    "inf_time",
+    "tiny_interval",
 ]
 SWEEP_W = (
     "mode = sweep\ng_cav = 30pi\ngamma_L = 6pi\nrho_offset = 0.002\n"
@@ -431,14 +474,7 @@ SWEEP_W = (
         for table, fragment in BAD_PULSES
     ],
     # a sweep fails as a whole, before any point runs
-    ids=[
-        "missing",
-        "nonzero_start",
-        "overflowing_norm",
-        "sweep_missing",
-        "sweep_nonzero_start",
-        "sweep_overflowing_norm",
-    ],
+    ids=[*BAD_PULSE_IDS, *(f"sweep_{name}" for name in BAD_PULSE_IDS)],
 )
 def test_cli_bad_pulse_file_exits_2_with_one_line(
     tmp_path, capsys, mode, text, table, fragment
@@ -592,6 +628,27 @@ def test_cli_sweep_with_an_unbuildable_grid_exits_2(tmp_path, capsys):
     assert not any(out.iterdir())
 
 
+def test_a_signed_zero_parses_as_plus_zero():
+    text = CHEAP_W + "delta1 = -0\ndelta2 = -0, 1\n"
+    cfg = config.parse_config(text, cli_mode="sweep")
+    numbers = [cfg.delta1, *cfg.sweep_values]
+    assert [math.copysign(1.0, v) for v in numbers] == [1.0, 1.0, 1.0]
+
+
+def test_cli_signed_zero_detunings_write_the_same_bytes(tmp_path):
+    # on resonance the sign of a zero beta picks theta = +-pi on the
+    # drive's negative lobes
+    text = "g_cav = 30pi\ngamma_L = 6pi\nbandwidth_w = 1\nrho_offset = 0.0075\n"
+    text += "grid.dt = 1e-2\n"
+    outs = []
+    for zero in ("0", "-0"):
+        out = tmp_path / f"d{zero}"
+        detunings = f"delta1 = {zero}\ndelta2 = {zero}\n"
+        assert run_cli(["design", "--out", str(out)], tmp_path, text + detunings) == 0
+        outs.append(read_dir(out))
+    assert outs[0] == outs[1]
+
+
 def test_cli_nan_population_exits_3(tmp_path, capsys):
     # x_tilde^2 overflows at t = 0, so rho_ee is -3e301 there and NaN later
     text = "g_cav = 1e-160\ngamma_L = 0\nbandwidth_w = 2\nrho_offset = 0.002\n"
@@ -629,20 +686,27 @@ def test_cli_downward_pulse_sweep_fails_every_point_with_3(tmp_path, downward_pu
     assert "failed_points = 1,2" in (out / "summary").read_text()
 
 
+def run_fresh(mode, tmp_path, text):
+    """The command in a fresh interpreter, where a warning would reach
+    stderr instead of pytest's warning capture."""
+    src = str(Path(ps.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    argv = [sys.executable, "-m", "photon_store.cli", mode, "--config", str(cfg)]
+    return subprocess.run(
+        [*argv, "--out", str(tmp_path / "o")], env=env, capture_output=True, text=True
+    )
+
+
 @pytest.mark.parametrize("mode,extra", [("design", ""), ("sweep", "workers = 2\n")])
 def test_cli_overflow_leaves_one_stderr_line(tmp_path, mode, extra):
     # g_cav = 1e-300 overflows x_tilde; in a fresh interpreter numpy's
     # RuntimeWarnings would reach stderr unless the run silences them
     # (the sweep's points run in worker processes)
-    src = str(Path(ps.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     w = "bandwidth_w = 2\n" if mode == "design" else "bandwidth_w = 1, 2\n"
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text("g_cav = 1e-300\ngamma_L = 6pi\nrho_offset = 0.002\n" + w + extra)
-    argv = [sys.executable, "-m", "photon_store.cli", mode, "--config", str(cfg)]
-    run = subprocess.run(
-        [*argv, "--out", str(tmp_path / "o")], env=env, capture_output=True, text=True
-    )
+    text = "g_cav = 1e-300\ngamma_L = 6pi\nrho_offset = 0.002\n" + w + extra
+    run = run_fresh(mode, tmp_path, text)
     err = run.stderr.splitlines()
     if mode == "design":
         assert run.returncode == 3
@@ -651,6 +715,18 @@ def test_cli_overflow_leaves_one_stderr_line(tmp_path, mode, extra):
         assert run.returncode == 0
         assert len(err) == 1 and err[0].startswith("wall ")
         assert "failed_points = 1,2" in (tmp_path / "o" / "summary").read_text()
+
+
+@pytest.mark.parametrize("mode,table", [("design", ""), ("sweep", "# t phi_in\n")])
+def test_cli_pulse_file_without_rows_leaves_one_stderr_line(tmp_path, mode, table):
+    # numpy's loadtxt warns about a table without rows
+    path = tmp_path / "pulse.txt"
+    path.write_text(table)
+    w = "bandwidth_w = 2\n" if mode == "design" else "bandwidth_w = 1, 2\n"
+    run = run_fresh(mode, tmp_path, CHEAP + w + f"pulse = {path}\n")
+    err = run.stderr.splitlines()
+    assert run.returncode == 2
+    assert len(err) == 1 and err[0].startswith("error[2]: ") and "no samples" in err[0]
 
 
 # every float key takes an ordinary value, except at most one key that
@@ -712,4 +788,60 @@ def test_cli_boundary_fuzz(scenario):
             assert "nan" not in (out / "summary").read_text()
         else:
             assert lines and all(l.startswith(("config:", "error[")) for l in lines)
+        assert not list(root.rglob("*.tmp"))
+
+
+PULSE_EDGES = [math.nan, math.inf, -math.inf, 0.0, 1e-300, -1e-300, 1e300, -1e300]
+
+
+@st.composite
+def pulse_tables(draw):
+    """0-40 rows of 1-3 columns, cells finite except for up to two edge
+    values.  Times are unsorted, or sorted from (0, 0) as a valid
+    envelope's must be; finite times lie in [0, 10] us, like the config
+    fuzz's grid.span, so that no design allocates gigabytes."""
+    n_rows = draw(st.integers(0, 40))
+
+    def column(cells, size=n_rows):
+        return draw(st.lists(cells, min_size=size, max_size=size))
+
+    # hypothesis favours zeros and False, which here make the tables
+    # most likely to pass as an envelope: two columns, sorted times
+    n_cols = 2 + draw(st.integers(-1, 1))
+    columns = [column(st.floats(-10.0, 10.0)) for _ in range(n_cols - 1)]
+    if n_rows and not draw(st.booleans()):
+        steps = column(st.floats(0.01, 0.25), n_rows - 1)
+        columns.insert(0, [0.0, *np.cumsum(steps).tolist()])
+        for values in columns[1:]:
+            values[0] = 0.0
+    else:
+        columns.insert(0, column(st.floats(0.0, 10.0)))
+    for _ in range(draw(st.integers(0, 2)) if n_rows else 0):
+        col = draw(st.integers(0, n_cols - 1))
+        # a time of 1e300 would be a span of 1e300 us
+        edges = [e for e in PULSE_EDGES if col > 0 or abs(e) < 1e300]
+        columns[col][draw(st.integers(0, n_rows - 1))] = draw(st.sampled_from(edges))
+    return "".join(" ".join(repr(c[i]) for c in columns) + "\n" for i in range(n_rows))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(pulse_tables())
+@example("")
+@example("# t phi_in\n# no rows\n")
+@example(_table(_T, _PHI, 0.0 * _PHI))
+@example(_table(_T, _PHI))
+def test_cli_pulse_file_fuzz(table):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "pulse.txt").write_text(table)
+        (root / "c.cfg").write_text(CHEAP_W + f"pulse = {root / 'pulse.txt'}\n")
+        err = io.StringIO()
+        # a warning would be a stray stderr line of the real command
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            argv = ["design", "--config", str(root / "c.cfg"), "--out", str(root / "out")]
+            code = cli.main(argv)
+        lines = err.getvalue().splitlines()
+        assert code in (0, 2, 3, 4, 5)
+        assert len(lines) == 1 and lines[0].startswith(("error[", "wall "))
         assert not list(root.rglob("*.tmp"))
