@@ -68,7 +68,7 @@ def half_lattice(y: np.ndarray) -> np.ndarray:
 
 
 def _rk4_linear(
-    z: float, dt: float, f_half: np.ndarray, backward: bool = False
+    z: float, dt: float, f_half: np.ndarray, backward: bool = False, *, amplitude: str
 ) -> np.ndarray:
     """RK4 path of y' = lam y + f from y = 0, with no per-step loop.
 
@@ -90,9 +90,9 @@ def _rk4_linear(
     With ``backward=True`` the recurrence runs from the last sample to
     t = 0 and ``lam``, ``f_half`` describe the equation in reversed
     time span - t; the path is still returned in grid order.  Raises
-    :class:`NonFiniteState` where a stepping loop would: at the first
-    sample, in stepping order, that is not finite or whose step
-    overflows an RK4 stage.
+    :class:`NonFiniteState`, naming ``amplitude``, where a stepping loop
+    would: at the first sample, in stepping order, that is not finite or
+    whose step overflows an RK4 stage.
     """
     n = (f_half.shape[0] - 1) // 2
     if backward:
@@ -147,7 +147,7 @@ def _rk4_linear(
     if stop <= n or not np.max(np.abs(stepped)) < limit:
         stop = min(stop, _first_blowup(stepped, limit, z, dt, f_half))
         if stop <= n:
-            raise NonFiniteState((n - stop if backward else stop) * dt)
+            raise NonFiniteState((n - stop if backward else stop) * dt, amplitude)
     return path
 
 

@@ -188,7 +188,7 @@ def adiabatic_simulate(pulse: InputPulse, dark: DarkDesign) -> AdiabaticRun:
 
         tot = abs(d) + abs(q) + abs(y)
         if tot != tot or tot == math.inf:
-            raise NonFiniteState((k + 1) * dt)
+            raise NonFiniteState.among((k + 1) * dt, d=d, q=q, y=y)
         pd[k + 1], pq[k + 1], py[k + 1] = d, q, y
 
     u = dark.cos_mixing * pd

@@ -187,7 +187,7 @@ def simulate_nonmarkovian(
 
         tot = abs(g) + abs(e) + abs(x) + abs(z) + abs(y)
         if tot != tot or tot == math.inf:
-            raise NonFiniteState((k + 1) * dt)
+            raise NonFiniteState.among((k + 1) * dt, g=g, e=e, x=x, z=z, y=y)
         pg[k + 1], pe[k + 1], px[k + 1] = g, e, x
         pz[k + 1], py[k + 1] = z, y
 
@@ -261,7 +261,7 @@ def simulate_markovian(
 
         tot = abs(g) + abs(e) + abs(x)
         if tot != tot or tot == math.inf:
-            raise NonFiniteState((k + 1) * dt)
+            raise NonFiniteState.among((k + 1) * dt, g=g, e=e, x=x)
         pg[k + 1], pe[k + 1], px[k + 1] = g, e, x
 
     phi_in = pulse.value(grid.times)
@@ -487,9 +487,10 @@ def simulate_discrete_bath(
 
         # a non-finite mode makes mu0 non-finite
         tot = abs(g) + abs(e) + abs(x) + abs(y)
-        tot += abs(mu0) + abs(mu1) + abs(mu2) + abs(mu3)
+        modes = abs(mu0) + abs(mu1) + abs(mu2) + abs(mu3)
+        tot += modes
         if tot != tot or tot == math.inf:
-            raise NonFiniteState((k + 1) * dt)
+            raise NonFiniteState.among((k + 1) * dt, g=g, e=e, x=x, y=y, modes=modes)
         pg[k + 1], pe[k + 1], px[k + 1], py[k + 1] = g, e, x, y
 
     phi_in = pulse.value(grid.times)

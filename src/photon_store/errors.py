@@ -10,6 +10,7 @@ a worker process reports its own error to the parent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -34,18 +35,28 @@ class InfeasibleDesign(PhotonStoreError):
 class NonFiniteState(PhotonStoreError):
     """The integrator produced a non-finite amplitude.
 
-    Carries the time stamp at which the blow-up was detected.
+    Carries the time stamp at which the blow-up was detected and the
+    name of the amplitude that blew up.
     """
 
     exit_code = 4
 
-    def __init__(self, t: float):
-        super().__init__(f"state became non-finite at t = {t:.6g} us")
+    def __init__(self, t: float, amplitude: str):
+        super().__init__(f"amplitude {amplitude} became non-finite at t = {t:.6g} us")
         self.t = t
+        self.amplitude = amplitude
 
     def __reduce__(self):
-        # rebuild from the time stamp, not from the formatted message
-        return type(self), (self.t,)
+        # rebuild from the fields, not from the formatted message
+        return type(self), (self.t, self.amplitude)
+
+    @classmethod
+    def among(cls, t: float, **amplitudes: complex) -> "NonFiniteState":
+        """The error naming the first of ``amplitudes`` that is not
+        finite, or the largest one when only their sum overflowed."""
+        sizes = {name: abs(value) for name, value in amplitudes.items()}
+        blown = [name for name, size in sizes.items() if not size < math.inf]
+        return cls(t, blown[0] if blown else max(sizes, key=sizes.__getitem__))
 
 
 class BandTooNarrow(PhotonStoreError):

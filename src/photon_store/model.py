@@ -231,4 +231,4 @@ def future_drive(
     if phi_half is None:
         phi_half = pulse.value(grid.half_times)
     pump = w * math.sqrt(params.big_gamma) * phi_half
-    return _rk4_linear(-w * grid.dt, grid.dt, pump, backward=True)
+    return _rk4_linear(-w * grid.dt, grid.dt, pump, backward=True, amplitude="N")

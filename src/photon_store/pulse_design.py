@@ -11,14 +11,20 @@ trapezoid rule and auxiliary first-order equations use RK4.
 
 The Markovian (broadband) design is the W -> infinity limit of the same
 chain: the anticipated input N becomes sqrt(big_gamma) * phi_in and the
-memory Z becomes (big_gamma / 2) * G.  Both designs return a
-:class:`DesignResult` through the same tail.
+memory Z becomes (big_gamma / 2) * G.  Each design runs in three
+stages: :func:`sample_design_pulse` evaluates the envelope, which no
+parameter changes; :func:`memory_chain` or :func:`markovian_chain`
+computes everything up to rho_ee and the in-phase drive quadrature,
+which depend on W and big_gamma but on neither detuning; and
+:func:`rotate_drive` adds the detunings.  A sweep computes the first
+stage once and the second once per W.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -33,6 +39,44 @@ _RHO_FLOOR = 1e-12
 _COUPLING_DT = 1e-5
 
 
+@dataclass(frozen=True, eq=False)
+class CouplingSamples:
+    """The W-free part of the equilibrium coupling: the envelope's
+    curvature at t = 0 and its samples on the quadrature grid."""
+
+    curvature: float
+    dt: float
+    times: np.ndarray
+    values: np.ndarray
+
+
+def sample_coupling_pulse(pulse: InputPulse) -> CouplingSamples:
+    """Samples of the envelope that :func:`coupling_from_samples`
+    weights for each W.
+
+    Raises :class:`DegeneratePulse` unless ``phi_in''(0) > 0``: at zero
+    the envelope switches on too flatly to pin the coupling, below zero
+    the coupling would be negative.
+    """
+    curvature = float(pulse.d2(0.0))
+    if not curvature > 0.0:
+        raise DegeneratePulse(
+            f"phi_in''(0) = {curvature:.6g} cannot pin a positive coupling"
+        )
+    grid = TimeGrid.from_span(pulse.duration, _COUPLING_DT)
+    t = grid.times
+    return CouplingSamples(curvature, grid.dt, t, pulse.value(t))
+
+
+def coupling_from_samples(samples: CouplingSamples, bandwidth_w: float) -> float:
+    """Equilibrium coupling at bandwidth W from the envelope's samples."""
+    weighted = np.exp(-bandwidth_w * samples.times) * samples.values
+    denom = bandwidth_w ** 2 * float(np.trapezoid(weighted, dx=samples.dt))
+    if denom <= 0.0:
+        raise DegeneratePulse("weighted pulse area is not positive")
+    return samples.curvature / denom
+
+
 def coupling_from_bandwidth(pulse: InputPulse, bandwidth_w: float) -> float:
     """Cavity-bath coupling that lets the design start from rest.
 
@@ -41,24 +85,12 @@ def coupling_from_bandwidth(pulse: InputPulse, bandwidth_w: float) -> float:
 
         big_gamma = phi_in''(0) / (W^2 * integral_0^T e^(-W tau) phi_in(tau) d tau).
 
-    Raises :class:`DegeneratePulse` unless ``phi_in''(0) > 0``: at zero
-    the envelope switches on too flatly to pin the coupling, below zero
-    the coupling would be negative.
+    Raises :class:`DegeneratePulse` unless ``phi_in''(0) > 0`` (see
+    :func:`sample_coupling_pulse`).
     """
     if not bandwidth_w > 0.0:
         raise ValueError("bandwidth_w must be positive")
-    curvature = float(pulse.d2(0.0))
-    if not curvature > 0.0:
-        raise DegeneratePulse(
-            f"phi_in''(0) = {curvature:.6g} cannot pin a positive coupling"
-        )
-    grid = TimeGrid.from_span(pulse.duration, _COUPLING_DT)
-    t = grid.times
-    weighted = np.exp(-bandwidth_w * t) * pulse.value(t)
-    denom = bandwidth_w ** 2 * float(np.trapezoid(weighted, dx=grid.dt))
-    if denom <= 0.0:
-        raise DegeneratePulse("weighted pulse area is not positive")
-    return curvature / denom
+    return coupling_from_samples(sample_coupling_pulse(pulse), bandwidth_w)
 
 
 def excited_population(
@@ -89,8 +121,58 @@ def excited_population(
 
 
 @dataclass(frozen=True, eq=False)
-class DesignResult:
-    """Drive design on a grid, including every intermediate series.
+class DesignSamples:
+    """The envelope on a design grid: value and slope on the half
+    lattice, curvature and (when the pulse has one) third derivative on
+    the grid."""
+
+    pulse: InputPulse
+    grid: TimeGrid
+    phi_half: np.ndarray
+    d1_half: np.ndarray
+    d2: np.ndarray
+    d3: Optional[np.ndarray]
+
+
+def sample_design_pulse(pulse: InputPulse, grid: TimeGrid) -> DesignSamples:
+    """Every envelope sample either design takes, for any W and any
+    detunings.  The grid must cover the pulse support."""
+    grid.require_cover(pulse.duration)
+    th = grid.half_times
+    phi_half, d1_half = pulse.value(th), pulse.d1(th)
+    # half_times[::2] is bitwise grid.times
+    t = th[::2]
+    d3 = pulse.d3(t) if pulse.has_d3 else None
+    return DesignSamples(pulse, grid, phi_half, d1_half, pulse.d2(t), d3)
+
+
+@dataclass(frozen=True, eq=False)
+class DesignChain:
+    """The detuning-free part of a design.
+
+    Everything from G to ``p``, the drive quadrature in phase with the
+    atomic frame, and ``winding``, the running integral of
+    ``x_tilde^2 / rho_ee``, depends on W and big_gamma but on neither
+    detuning; :func:`rotate_drive` adds the detunings.
+    """
+
+    grid: TimeGrid
+    g: np.ndarray
+    g_dot: np.ndarray
+    x_tilde: np.ndarray
+    x_tilde_dot: np.ndarray
+    n_drive: np.ndarray
+    z_mem: np.ndarray
+    rho_ee: np.ndarray
+    root_rho: np.ndarray
+    p: np.ndarray
+    winding: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class DesignResult(DesignChain):
+    """Drive design on a grid: its chain, rotated by the detunings of
+    ``params``, with every intermediate series.
 
     ``alpha`` and ``beta`` are the real drive quadratures in the frame
     of the atomic transition; ``omega_modulus`` and the unwrapped
@@ -101,15 +183,7 @@ class DesignResult:
     limits.
     """
 
-    grid: TimeGrid
     params: PhysicalParams
-    g: np.ndarray
-    g_dot: np.ndarray
-    x_tilde: np.ndarray
-    x_tilde_dot: np.ndarray
-    n_drive: np.ndarray
-    z_mem: np.ndarray
-    rho_ee: np.ndarray
     accumulated_phase: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
@@ -122,7 +196,7 @@ class DesignResult:
         return self.alpha + 1j * self.beta
 
 
-def _design_result(
+def _close_chain(
     params: PhysicalParams,
     grid: TimeGrid,
     g: np.ndarray,
@@ -131,22 +205,13 @@ def _design_result(
     x_tilde_dot: np.ndarray,
     n_drive: np.ndarray,
     z_mem: np.ndarray,
-) -> DesignResult:
-    """rho_ee and the drive quadratures for arbitrary detunings
-    (resonance included): the tail shared by both designs."""
+) -> DesignChain:
+    """rho_ee and the detuning-free drive terms: the part of the tail
+    that both designs share."""
     rho = excited_population(x_tilde, g, params, grid)
     root = np.sqrt(rho)
-    p = (x_tilde_dot - params.g_cav * g + params.gamma_L * x_tilde) / root
-    q = params.delta2 * x_tilde / root
-    phase = -params.delta * grid.times + params.delta2 * cumulative_trapezoid(
-        x_tilde ** 2 / rho, dx=grid.dt, initial=0.0
-    )
-    cos_a, sin_a = np.cos(phase), np.sin(phase)
-    alpha = p * cos_a + q * sin_a
-    beta = q * cos_a - p * sin_a
-    return DesignResult(
+    return DesignChain(
         grid=grid,
-        params=params,
         g=g,
         g_dot=g_dot,
         x_tilde=x_tilde,
@@ -154,18 +219,14 @@ def _design_result(
         n_drive=n_drive,
         z_mem=z_mem,
         rho_ee=rho,
-        accumulated_phase=phase,
-        alpha=alpha,
-        beta=beta,
-        omega_modulus=np.hypot(alpha, beta),
-        omega_phase=np.unwrap(np.arctan2(beta, alpha)),
+        root_rho=root,
+        p=(x_tilde_dot - params.g_cav * g + params.gamma_L * x_tilde) / root,
+        winding=cumulative_trapezoid(x_tilde ** 2 / rho, dx=grid.dt, initial=0.0),
     )
 
 
-def design_drive(
-    pulse: InputPulse, params: PhysicalParams, grid: TimeGrid
-) -> DesignResult:
-    """Drive that stores the input packet, for any pair of detunings.
+def memory_chain(samples: DesignSamples, params: PhysicalParams) -> DesignChain:
+    """Detuning-free chain of the design with the Lorentzian bath.
 
     Inverting the input-output relation for the Lorentzian bath gives
     the perfect-absorption cavity amplitude
@@ -180,58 +241,116 @@ def design_drive(
     from Z(0) = 0, whose RK4 path is solved as the exact recurrence of
     :func:`photon_store._integrate._rk4_linear`.
     """
-    grid.require_cover(pulse.duration)
+    grid = samples.grid
     w = params.bandwidth_w
     root_gamma = math.sqrt(params.big_gamma)
-    th = grid.half_times
-    phi_half, d1_half = pulse.value(th), pulse.d1(th)
-    # half_times[::2] is bitwise grid.times
-    t, v0, v1 = th[::2], phi_half[::2], d1_half[::2]
-    v2 = pulse.d2(t)
+    phi_half, d1_half, v2 = samples.phi_half, samples.d1_half, samples.d2
+    v0, v1 = phi_half[::2], d1_half[::2]
     scale = 1.0 / (w * root_gamma)
     g = scale * (v1 + w * v0)
     g_dot = scale * (v2 + w * v1)
-    if pulse.has_d3:
-        g_ddot = scale * (pulse.d3(t) + w * v2)
+    if samples.d3 is not None:
+        g_ddot = scale * (samples.d3 + w * v2)
     else:
         g_ddot = np.gradient(g_dot, grid.dt)
 
-    n_drive = future_drive(pulse, params, grid, phi_half=phi_half)
+    n_drive = future_drive(samples.pulse, params, grid, phi_half=phi_half)
     # the memory's source is G on the half lattice; it divides where G
     # above multiplies by ``scale``, which rounds differently
     g_half = (d1_half + w * phi_half) / (w * root_gamma)
-    z_mem = _rk4_linear(-w * grid.dt, grid.dt, 0.5 * w * params.big_gamma * g_half)
+    z_mem = _rk4_linear(
+        -w * grid.dt, grid.dt, 0.5 * w * params.big_gamma * g_half, amplitude="Z"
+    )
     n_dot = w * n_drive - w * root_gamma * v0
     z_dot = -w * z_mem + 0.5 * w * params.big_gamma * g
     x_tilde = (-g_dot + n_drive - z_mem) / params.g_cav
     x_tilde_dot = (-g_ddot + n_dot - z_dot) / params.g_cav
-    # the tail peaks with a dozen grid-length temporaries of its own, so
-    # drop the half lattice and the series it does not take first
-    del th, t, phi_half, d1_half, v0, v1, v2, g_ddot, g_half, n_dot, z_dot
-    return _design_result(params, grid, g, g_dot, x_tilde, x_tilde_dot, n_drive, z_mem)
+    # the tail peaks with temporaries of its own, so drop the series it
+    # does not take first
+    del g_ddot, g_half, n_dot, z_dot
+    return _close_chain(params, grid, g, g_dot, x_tilde, x_tilde_dot, n_drive, z_mem)
+
+
+def _markovian_cavity(
+    samples: DesignSamples, params: PhysicalParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """G and x_tilde of the Markovian design."""
+    root_gamma = math.sqrt(params.big_gamma)
+    v0, v1 = samples.phi_half[::2], samples.d1_half[::2]
+    g = v0 / root_gamma
+    x_tilde = (-v1 / root_gamma + 0.5 * root_gamma * v0) / params.g_cav
+    return g, x_tilde
+
+
+def markovian_chain(samples: DesignSamples, params: PhysicalParams) -> DesignChain:
+    """Same chain with the bath memory collapsed to a rate.
+
+    Here ``G = phi_in / sqrt(big_gamma)`` and the cavity equation
+    carries the decay rate big_gamma / 2 instead of the memory and
+    anticipation integrals; everything downstream is unchanged.  The
+    chain holds the W -> infinity limits ``n_drive = sqrt(big_gamma)
+    phi_in`` and ``z_mem = (big_gamma / 2) G``, which keep the cavity
+    equation ``g_cav x_tilde = -G' + N - Z`` of the memory design.
+    """
+    root_gamma = math.sqrt(params.big_gamma)
+    v0, v1, v2 = samples.phi_half[::2], samples.d1_half[::2], samples.d2
+    g, x_tilde = _markovian_cavity(samples, params)
+    g_dot = v1 / root_gamma
+    x_tilde_dot = (-v2 / root_gamma + 0.5 * root_gamma * v1) / params.g_cav
+    n_drive = root_gamma * v0
+    z_mem = 0.5 * params.big_gamma * g
+    return _close_chain(
+        params, samples.grid, g, g_dot, x_tilde, x_tilde_dot, n_drive, z_mem
+    )
+
+
+def markovian_population(samples: DesignSamples, params: PhysicalParams) -> np.ndarray:
+    """rho_ee of the Markovian design alone, without its drive."""
+    g, x_tilde = _markovian_cavity(samples, params)
+    return excited_population(x_tilde, g, params, samples.grid)
+
+
+def drive_quadratures(
+    chain: DesignChain, params: PhysicalParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rotating-frame angle and drive quadratures ``alpha``, ``beta`` of
+    a chain at the detunings of ``params`` (resonance included)."""
+    q = params.delta2 * chain.x_tilde / chain.root_rho
+    phase = -params.delta * chain.grid.times + params.delta2 * chain.winding
+    cos_a, sin_a = np.cos(phase), np.sin(phase)
+    alpha = chain.p * cos_a + q * sin_a
+    beta = q * cos_a - chain.p * sin_a
+    return phase, alpha, beta
+
+
+def rotate_drive(chain: DesignChain, params: PhysicalParams) -> DesignResult:
+    """The design of a chain at the detunings of ``params``."""
+    phase, alpha, beta = drive_quadratures(chain, params)
+    return DesignResult(
+        **vars(chain),
+        params=params,
+        accumulated_phase=phase,
+        alpha=alpha,
+        beta=beta,
+        omega_modulus=np.hypot(alpha, beta),
+        omega_phase=np.unwrap(np.arctan2(beta, alpha)),
+    )
+
+
+def design_drive(
+    pulse: InputPulse, params: PhysicalParams, grid: TimeGrid
+) -> DesignResult:
+    """Drive that stores the input packet, for any pair of detunings:
+    :func:`memory_chain` of the pulse's samples, rotated by the
+    detunings."""
+    return rotate_drive(memory_chain(sample_design_pulse(pulse, grid), params), params)
 
 
 def design_drive_markovian(
     pulse: InputPulse, params: PhysicalParams, grid: TimeGrid
 ) -> DesignResult:
-    """Same design chain with the bath memory collapsed to a rate.
-
-    Here ``G = phi_in / sqrt(big_gamma)`` and the cavity equation
-    carries the decay rate big_gamma / 2 instead of the memory and
-    anticipation integrals; everything downstream is unchanged.  The
-    result holds the W -> infinity limits ``n_drive = sqrt(big_gamma)
-    phi_in`` and ``z_mem = (big_gamma / 2) G``, which keep the cavity
-    equation ``g_cav x_tilde = -G' + N - Z`` of the memory design.
-    """
-    grid.require_cover(pulse.duration)
-    root_gamma = math.sqrt(params.big_gamma)
-    t = grid.times
-    v0, v1, v2 = pulse.value(t), pulse.d1(t), pulse.d2(t)
-    g = v0 / root_gamma
-    g_dot = v1 / root_gamma
-    x_tilde = (-v1 / root_gamma + 0.5 * root_gamma * v0) / params.g_cav
-    x_tilde_dot = (-v2 / root_gamma + 0.5 * root_gamma * v1) / params.g_cav
-    n_drive = root_gamma * v0
-    z_mem = 0.5 * params.big_gamma * g
-    return _design_result(params, grid, g, g_dot, x_tilde, x_tilde_dot, n_drive, z_mem)
-
+    """The Markovian design (:func:`markovian_chain`) for any pair of
+    detunings."""
+    return rotate_drive(
+        markovian_chain(sample_design_pulse(pulse, grid), params), params
+    )

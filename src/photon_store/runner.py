@@ -9,13 +9,14 @@ run leaves no partial CSV behind.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import sys
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -141,15 +142,10 @@ def _pulse_and_grid(cfg: ScenarioConfig) -> tuple[InputPulse, TimeGrid]:
     return pulse, grid
 
 
-def materialize(cfg: ScenarioConfig) -> Scenario:
-    """Concrete model objects of a config."""
-    pulse, grid = _pulse_and_grid(cfg)
-    big_gamma = (
-        pulse_design.coupling_from_bandwidth(pulse, cfg.bandwidth_w)
-        if cfg.big_gamma is None
-        else cfg.big_gamma
-    )
-    params = PhysicalParams(
+def _physical_params(
+    cfg: ScenarioConfig, pulse: InputPulse, big_gamma: float
+) -> PhysicalParams:
+    return PhysicalParams(
         g_cav=cfg.g_cav,
         gamma_L=cfg.gamma_L,
         delta1=cfg.delta1,
@@ -159,7 +155,17 @@ def materialize(cfg: ScenarioConfig) -> Scenario:
         rho_offset=cfg.rho_offset,
         pulse_duration=pulse.duration,
     )
-    return Scenario(pulse=pulse, params=params, grid=grid)
+
+
+def materialize(cfg: ScenarioConfig) -> Scenario:
+    """Concrete model objects of a config."""
+    pulse, grid = _pulse_and_grid(cfg)
+    big_gamma = (
+        pulse_design.coupling_from_bandwidth(pulse, cfg.bandwidth_w)
+        if cfg.big_gamma is None
+        else cfg.big_gamma
+    )
+    return Scenario(pulse=pulse, params=_physical_params(cfg, pulse, big_gamma), grid=grid)
 
 
 def _summary_header(cfg: ScenarioConfig) -> dict[str, object]:
@@ -277,9 +283,15 @@ def run_simulate(cfg: ScenarioConfig, sc: Scenario) -> _Outputs:
 
 
 def run_markovian(cfg: ScenarioConfig, sc: Scenario) -> _Outputs:
-    design = pulse_design.design_drive(sc.pulse, sc.params, sc.grid)
-    flat = pulse_design.design_drive_markovian(sc.pulse, sc.params, sc.grid)
-    series = _design_series(design, sc.pulse.value(sc.grid.times))
+    # both designs take the same envelope samples
+    samples = pulse_design.sample_design_pulse(sc.pulse, sc.grid)
+    design = pulse_design.rotate_drive(
+        pulse_design.memory_chain(samples, sc.params), sc.params
+    )
+    flat = pulse_design.rotate_drive(
+        pulse_design.markovian_chain(samples, sc.params), sc.params
+    )
+    series = _design_series(design, samples.phi_half[::2])
     series["rho_fee"] = flat.rho_ee
     series["abs_omega_f"] = flat.omega_modulus
     return {"markovian_series.csv": series}, {
@@ -356,42 +368,101 @@ def run_dark(cfg: ScenarioConfig, sc: Scenario) -> _Outputs:
     }
 
 
-def _sweep_point(point_cfg: ScenarioConfig) -> tuple[int, dict[str, object]]:
-    """Exit code and metrics of one sweep point (empty when it fails);
-    runs in a worker process, so it silences floating-point warnings
-    itself."""
-    try:
-        with np.errstate(all="ignore"):
-            sc = materialize(point_cfg)
-            design = pulse_design.design_drive(sc.pulse, sc.params, sc.grid)
-            out: dict[str, object] = {
-                "big_gamma": sc.params.big_gamma,
-                "max_abs_omega": float(np.max(design.omega_modulus)),
-                "backflow_detected": _backflow(design.rho_ee),
-                "theta": design.omega_phase,
-                "rho_ee": design.rho_ee,
-            }
-            if sc.params.is_resonant:
-                flat = pulse_design.design_drive_markovian(sc.pulse, sc.params, sc.grid)
-                out["sup_diff_rho"] = float(np.max(np.abs(design.rho_ee - flat.rho_ee)))
-    except PhotonStoreError as exc:
-        return exc.exit_code, {}
-    return EXIT_OK, out
+class SweepState:
+    """What the points of a sweep share, built once per process.
+
+    The pulse and the grid are loaded up front.  The pulse's samples on
+    the coupling grid and on the design half lattice are taken when a
+    point first needs them.  Γ and the detuning-free design chain are
+    kept for the last W, so the points of a Δ₂ sweep, which share W,
+    share both.  The entry is stored only once the chain succeeded, so
+    a failed point cannot poison the points after it.
+    """
+
+    def __init__(self, cfg: ScenarioConfig):
+        self.cfg = cfg
+        self.pulse, self.grid = _pulse_and_grid(cfg)
+        self._last: tuple[float, float, pulse_design.DesignChain] | None = None
+
+    @functools.cached_property
+    def coupling_samples(self) -> pulse_design.CouplingSamples:
+        return pulse_design.sample_coupling_pulse(self.pulse)
+
+    @functools.cached_property
+    def design_samples(self) -> pulse_design.DesignSamples:
+        return pulse_design.sample_design_pulse(self.pulse, self.grid)
+
+    def chain(self, cfg: ScenarioConfig) -> tuple[float, pulse_design.DesignChain]:
+        """Γ and the detuning-free chain at the W of a point's config."""
+        w = cfg.bandwidth_w
+        if self._last is None or self._last[0] != w:
+            big_gamma = cfg.big_gamma
+            if big_gamma is None:
+                big_gamma = pulse_design.coupling_from_samples(self.coupling_samples, w)
+            resonant = replace(cfg, delta1=0.0, delta2=0.0)
+            params = _physical_params(resonant, self.pulse, big_gamma)
+            chain = pulse_design.memory_chain(self.design_samples, params)
+            self._last = (w, big_gamma, chain)
+        return self._last[1:]
+
+    def point(self, value: float) -> tuple[int, dict[str, object]]:
+        """Exit code and metrics of one sweep point (empty when it
+        fails); it may run in a worker process, so it silences
+        floating-point warnings itself.  Only a Δ₂ sweep returns the
+        phase and ρ_ee its summary compares, and only a W sweep on
+        resonance the Markovian gap of its aggregate."""
+        cfg = with_point(self.cfg, value)
+        try:
+            with np.errstate(all="ignore"):
+                big_gamma, chain = self.chain(cfg)
+                params = _physical_params(cfg, self.pulse, big_gamma)
+                _, alpha, beta = pulse_design.drive_quadratures(chain, params)
+                out: dict[str, object] = {
+                    "big_gamma": big_gamma,
+                    "max_abs_omega": float(np.max(np.hypot(alpha, beta))),
+                    "backflow_detected": _backflow(chain.rho_ee),
+                }
+                if self.cfg.sweep_param == "delta2":
+                    out["theta"] = np.unwrap(np.arctan2(beta, alpha))
+                    out["rho_ee"] = chain.rho_ee
+                elif params.is_resonant:
+                    flat = pulse_design.markovian_population(self.design_samples, params)
+                    out["sup_diff_rho"] = float(np.max(np.abs(chain.rho_ee - flat)))
+        except PhotonStoreError as exc:
+            return exc.exit_code, {}
+        return EXIT_OK, out
+
+
+# a pool worker's sweep state, built by its initializer
+_worker_state: SweepState | None = None
+
+
+def _init_worker(cfg: ScenarioConfig) -> None:
+    global _worker_state
+    with np.errstate(all="ignore"):
+        _worker_state = SweepState(cfg)
+
+
+def _worker_point(value: float) -> tuple[int, dict[str, object]]:
+    return _worker_state.point(value)
 
 
 def run_sweep(cfg: ScenarioConfig, outdir: Path) -> None:
     values = sorted(cfg.sweep_values)
-    points = [with_point(cfg, v) for v in values]
     # every point shares the pulse and the grid, so a config error in
     # either fails the sweep as a whole (exit 2) before any point is
     # dispatched
-    _pulse_and_grid(cfg)
+    state = SweepState(cfg)
 
     if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            outcomes = list(pool.map(_sweep_point, points))
+        # only the config crosses to the workers: each builds its own
+        # state, since a built-in packet's closures do not pickle
+        with ProcessPoolExecutor(
+            max_workers=cfg.workers, initializer=_init_worker, initargs=(cfg,)
+        ) as pool:
+            outcomes = list(pool.map(_worker_point, values))
     else:
-        outcomes = list(map(_sweep_point, points))
+        outcomes = list(map(state.point, values))
 
     names = [cfg.sweep_param, "status"]
     names += ["big_gamma", "max_abs_omega", "backflow_detected"]

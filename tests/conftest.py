@@ -103,8 +103,9 @@ def _rk4(y0, rhs, dt: float, n_steps: int) -> np.ndarray:
         k3 = rhs(j + 1, y + h * k2)
         k4 = rhs(j + 2, y + dt * k3)
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise NonFiniteState((k + 1) * dt)
+        finite = np.isfinite(y)
+        if not finite.all():
+            raise NonFiniteState((k + 1) * dt, f"y[{int(np.argmin(finite))}]")
         path[k + 1] = y
     return path
 
@@ -138,7 +139,7 @@ def _future_drive_loop(pulse, params, grid) -> np.ndarray:
         k4 = w * (y - dt * k3) - pump[j - 2]
         y = y - sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if y - y != 0.0:
-            raise NonFiniteState((k - 1) * dt)
+            raise NonFiniteState((k - 1) * dt, "N")
         path[k - 1] = y
     return path
 
@@ -165,7 +166,7 @@ def _memory_series_loop(g_half, params, grid) -> np.ndarray:
         k4 = -w * (z + dt * k3) + feed[j + 2]
         z = z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if z - z != 0.0:
-            raise NonFiniteState((k + 1) * dt)
+            raise NonFiniteState((k + 1) * dt, "Z")
         out[k + 1] = z
     return out
 

@@ -3,6 +3,7 @@ command-line entry point."""
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import dataclasses
 import io
@@ -22,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import photon_store as ps
-from photon_store import cli, config, errors, runner
+from photon_store import cli, config, errors, model, pulse_design, runner
 from photon_store.errors import ConfigError, PhotonStoreError
 
 PI = math.pi
@@ -229,7 +230,7 @@ def _error_classes(base=PhotonStoreError):
 
 def _example_error(cls):
     if cls is errors.NonFiniteState:
-        return cls(0.123456789)
+        return cls(0.123456789, "Z")
     if cls is errors.ConfigError:
         return cls(
             [
@@ -260,8 +261,16 @@ def test_every_error_survives_a_pickle_round_trip(cls):
     assert type(back) is cls
     assert str(back) == str(err)
     assert getattr(back, "t", None) == getattr(err, "t", None)
+    assert getattr(back, "amplitude", None) == getattr(err, "amplitude", None)
     assert getattr(back, "violations", None) == getattr(err, "violations", None)
     assert back.exit_code == err.exit_code == _readme_exit_codes()[cls.__name__]
+
+
+def test_non_finite_state_names_the_amplitude_that_blew_up():
+    err = errors.NonFiniteState.among(0.5, g=1.0, e=complex(math.nan, 0.0), x=math.inf)
+    assert err.amplitude == "e" and str(err).startswith("amplitude e became non-finite")
+    # only the sum overflowed: the largest amplitude is named
+    assert errors.NonFiniteState.among(0.5, g=1e308, e=1.0, x=1.5e308).amplitude == "x"
 
 
 # ------------------------------------------------------------------ writer
@@ -540,6 +549,140 @@ def test_cli_sweep_workers_do_not_change_results(tmp_path):
     assert s1 == s2
 
 
+def test_cli_design_blow_up_names_the_amplitude(tmp_path, capsys):
+    # at W dt = 50 the anticipated input N overflows first
+    text = "g_cav = 30pi\ngamma_L = 6pi\nrho_offset = 0.002\n"
+    text += "bandwidth_w = 5000\ngrid.dt = 1e-2\n"
+    assert run_cli(["design", "--out", str(tmp_path / "o")], tmp_path, text) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error[4]: amplitude N became non-finite")
+
+
+# ------------------------------------------------------- shared sweep state
+
+SWEEP_BASE = "mode = sweep\ng_cav = 30pi\ngamma_L = 6pi\ngrid.dt = 1e-2\n"
+SWEEPS = {
+    "delta2": "bandwidth_w = 0.5\ndelta1 = 2\ndelta2 = -7, 0, 3.5\nrho_offset = 0.003\n",
+    "bandwidth_w": "bandwidth_w = 0.5, 1.6716, 25\nrho_offset = 0.0075\n",
+}
+
+
+def aggregate_rows(out):
+    head, *rows = (out / "sweep_aggregate.csv").read_text().splitlines()
+    return [dict(zip(head.split(","), row.split(","))) for row in rows]
+
+
+def summary_of(out):
+    return dict(line.split(" = ", 1) for line in (out / "summary").read_text().splitlines())
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("param", list(SWEEPS))
+def test_sweep_rows_equal_independent_designs(tmp_path, workers, param):
+    text = SWEEP_BASE + SWEEPS[param]
+    out = tmp_path / "sweep"
+    assert run_cli(["sweep", "--workers", workers, "--out", str(out)], tmp_path, text) == 0
+    cfg = config.parse_config(text)
+    rows = aggregate_rows(out)
+    values = sorted(cfg.sweep_values)
+    assert [r["status"] for r in rows] == ["0"] * len(values)
+    for value, row in zip(values, rows):
+        # a design run of the point on its own shares nothing with the sweep
+        point = dataclasses.replace(config.with_point(cfg, value), mode="design")
+        assert runner.run_scenario(point, tmp_path / f"{param}{value}") == 0
+        summary = summary_of(tmp_path / f"{param}{value}")
+        assert row["big_gamma"] == summary["big_gamma"]
+        assert row["max_abs_omega"] == summary["max_abs_omega"]
+
+
+def test_delta2_sweep_with_an_infeasible_chain_fails_every_row(tmp_path):
+    # the points share one chain, and at W = 0.3 its rho_ee crosses the floor
+    text = SWEEP_BASE + "bandwidth_w = 0.3\ndelta2 = -5, 0, 5\nrho_offset = 1e-4\n"
+    out = tmp_path / "o"
+    assert run_cli(["sweep", "--out", str(out)], tmp_path, text) == 0
+    assert [r["status"] for r in aggregate_rows(out)] == ["3", "3", "3"]
+    assert summary_of(out)["failed_points"] == "-5,0,5"
+
+
+def test_a_failed_bandwidth_point_leaves_the_next_one_alone(tmp_path):
+    # at rho_offset = 5e-4 the Markovian comparison at W = 2 crosses the floor
+    text = SWEEP_BASE + "bandwidth_w = 0.5, 2, 25\nrho_offset = 5e-4\n"
+    outs = {}
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        assert run_cli(["sweep", "--workers", workers, "--out", str(out)], tmp_path, text) == 0
+        assert [r["status"] for r in aggregate_rows(out)] == ["0", "3", "0"]
+        outs[workers] = read_dir(out)
+    assert outs["1"] == outs["2"]
+
+
+def test_a_failed_chain_is_not_kept_for_the_next_point(monkeypatch):
+    cfg = config.parse_config(SWEEP_BASE + SWEEPS["delta2"])
+    state = runner.SweepState(cfg)
+    real = pulse_design.memory_chain
+    failures = [errors.InfeasibleDesign("first call fails")]
+
+    def flaky(samples, params):
+        if failures:
+            raise failures.pop()
+        return real(samples, params)
+
+    monkeypatch.setattr(pulse_design, "memory_chain", flaky)
+    assert state.point(-7.0) == (3, {})
+    code, metrics = state.point(0.0)
+    assert code == 0 and metrics["max_abs_omega"] > 0.0
+
+
+def test_serial_delta2_sweep_samples_and_solves_once(tmp_path, monkeypatch):
+    calls = collections.Counter()
+
+    def count(module, name, key=lambda kwargs: None):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name, key(kwargs)] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(pulse_design, "sample_coupling_pulse")
+    count(pulse_design, "sample_design_pulse")
+    # N is solved through model, Z in pulse_design
+    for module in (model, pulse_design):
+        count(module, "_rk4_linear", key=lambda kwargs: kwargs["amplitude"])
+    text = SWEEP_BASE + "bandwidth_w = 0.5\ndelta2 = -4, -2, 0, 2, 4\nrho_offset = 0.003\n"
+    assert run_cli(["sweep", "--out", str(tmp_path / "o")], tmp_path, text) == 0
+    assert calls == {
+        ("sample_coupling_pulse", None): 1,
+        ("sample_design_pulse", None): 1,
+        ("_rk4_linear", "N"): 1,
+        ("_rk4_linear", "Z"): 1,
+    }
+
+
+def test_pooled_sweep_under_spawn_matches_serial(tmp_path):
+    # spawn (and forkserver, the default from Python 3.14) pickle what
+    # reaches a worker: it must be the config alone, never a pulse
+    text = SWEEP_BASE + SWEEPS["bandwidth_w"]
+    assert run_cli(["sweep", "--out", str(tmp_path / "serial")], tmp_path, text) == 0
+    script = (
+        "import multiprocessing, sys\n"
+        "multiprocessing.set_start_method('spawn')\n"
+        "from photon_store import cli\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    argv = ["sweep", "--workers", "2", "--config", str(tmp_path / "scenario.cfg")]
+    run = subprocess.run(
+        [sys.executable, "-c", script, *argv, "--out", str(tmp_path / "spawn")],
+        env=fresh_env(),
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    serial = read_dir(tmp_path / "serial")
+    assert read_dir(tmp_path / "spawn")["sweep_aggregate.csv"] == serial["sweep_aggregate.csv"]
+
+
 # ---------------------------------------------------------- input boundary
 
 CHEAP = "g_cav = 30pi\ngamma_L = 6pi\nrho_offset = 0.002\ngrid.dt = 1e-2\n"
@@ -686,11 +829,16 @@ def test_cli_downward_pulse_sweep_fails_every_point_with_3(tmp_path, downward_pu
     assert "failed_points = 1,2" in (out / "summary").read_text()
 
 
+def fresh_env():
+    """Environment of a fresh interpreter that imports this package."""
+    src = str(Path(ps.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def run_fresh(mode, tmp_path, text):
     """The command in a fresh interpreter, where a warning would reach
     stderr instead of pytest's warning capture."""
-    src = str(Path(ps.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = fresh_env()
     cfg = tmp_path / "c.cfg"
     cfg.write_text(text)
     argv = [sys.executable, "-m", "photon_store.cli", mode, "--config", str(cfg)]

@@ -104,6 +104,8 @@ def test_runaway_state_raises_with_timestamp(pulse, make_params, grid):
             pulse, wild, params, ps.InitialState.vacuum(), grid
         )
     assert "t =" in str(err.value)
+    assert err.value.amplitude in ("g", "e", "x", "z", "y")
+    assert f"amplitude {err.value.amplitude} " in str(err.value)
 
 
 def test_zero_input_stays_in_vacuum(make_params, grid):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import photon_store as ps
+from photon_store import pulse_design
 from photon_store._integrate import _rk4_linear
 from photon_store.errors import (
     DegeneratePulse,
@@ -243,7 +244,7 @@ def test_bath_terms_fail_where_the_scalar_loops_do(
     calls = [
         (lambda: ps.future_drive(src, params, grid), n_ref),
         (lambda: ps.design_drive(src, params, grid), n_ref),
-        (lambda: _rk4_linear(-w * grid.dt, grid.dt, feed), z_ref),
+        (lambda: _rk4_linear(-w * grid.dt, grid.dt, feed, amplitude="Z"), z_ref),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -251,6 +252,7 @@ def test_bath_terms_fail_where_the_scalar_loops_do(
             with pytest.raises(NonFiniteState) as got:
                 call()
             assert got.value.t == ref.value.t
+            assert got.value.amplitude == ref.value.amplitude
 
 
 _STEPS = st.one_of(
@@ -275,7 +277,7 @@ def test_linear_rk4_equals_a_stepping_loop(rk4, n, w_dt, dt, seed, backward):
     ref = rk4([0.0], lambda j, y: lam * y + f_step[j], dt, n)[:, 0].real
     if backward:
         ref = ref[::-1]
-    got = _rk4_linear(-w_dt, dt, f, backward=backward)
+    got = _rk4_linear(-w_dt, dt, f, backward=backward, amplitude="y")
     assert _rel(got, ref) <= 1e-12
 
 
@@ -322,6 +324,46 @@ def test_detuning_invariances_hold_across_the_bandwidth_range(
         # theta mod 2 pi is defined there
         theta_sum = np.angle(np.exp(1j * theta_sum))
     assert np.max(np.abs(theta_sum)) <= 1e-6
+
+
+_RESULT_ARRAYS = (
+    "g", "g_dot", "x_tilde", "x_tilde_dot", "n_drive", "z_mem", "rho_ee",
+    "accumulated_phase", "alpha", "beta", "omega_modulus", "omega_phase",
+)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    w=st.floats(math.log(0.5), math.log(25.0)).map(math.exp),
+    d1=st.floats(-12.0, 12.0),
+    d2=st.floats(-12.0, 12.0),
+)
+def test_rotating_a_shared_chain_is_the_design(pulse, make_params, w, d1, d2):
+    # a sweep computes the chain once at zero detuning and only rotates
+    # it per point; that must be bit for bit the design of the point
+    grid = ps.TimeGrid.from_span(PI, 1e-2)
+    samples = pulse_design.sample_design_pulse(pulse, grid)
+    chain = pulse_design.memory_chain(samples, make_params(w, 0.0075))
+    params = make_params(w, 0.0075, delta1=d1, delta2=d2)
+    got = pulse_design.rotate_drive(chain, params)
+    want = ps.design_drive(pulse, params, grid)
+    for name in _RESULT_ARRAYS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    # the Markovian comparison of a bandwidth sweep takes rho_ee alone
+    flat = ps.design_drive_markovian(pulse, params, grid)
+    assert np.array_equal(pulse_design.markovian_population(samples, params), flat.rho_ee)
+
+
+@pytest.mark.parametrize("dt", [1e-2, 1e-3, 1e-4])
+def test_even_half_lattice_samples_are_the_grid_samples(pulse, dt):
+    # both designs and the runner read the envelope on the grid as the
+    # even samples of its half-lattice evaluation
+    t = np.linspace(0.0, PI, 2001)
+    for src in (pulse, ps.sampled_packet(t, pulse.value(t))):
+        grid = ps.TimeGrid.from_span(PI, dt)
+        samples = pulse_design.sample_design_pulse(src, grid)
+        assert np.array_equal(samples.phi_half[::2], src.value(grid.times))
+        assert np.array_equal(samples.d1_half[::2], src.d1(grid.times))
 
 
 def test_design_reports_infeasible_offset(pulse, make_params, grid):
