@@ -67,6 +67,12 @@ def half_lattice(y: np.ndarray) -> np.ndarray:
     return out
 
 
+def cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
+    """Running trapezoid integral of uniform samples from 0: scipy's
+    ``cumulative_trapezoid(y, dx=dx, initial=0)``, bit for bit."""
+    return np.concatenate(([0.0], np.cumsum(dx * (y[1:] + y[:-1]) / 2.0)))
+
+
 def _rk4_linear(
     z: float, dt: float, f_half: np.ndarray, backward: bool = False, *, amplitude: str
 ) -> np.ndarray:

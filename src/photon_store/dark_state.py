@@ -21,9 +21,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
-from ._integrate import half_lattice
+from ._integrate import cumulative_trapezoid, half_lattice
 from .errors import (
     AngleDomain,
     NegativeAccumulator,
@@ -77,7 +76,7 @@ def adiabatic_design(
         raise UnsupportedRegime("adiabatic storage is designed on resonance only")
     base = design_drive(pulse, params, grid)
     m_series = base.g * (base.n_drive - base.z_mem)
-    acc = 2.0 * cumulative_trapezoid(m_series, dx=grid.dt, initial=0.0)
+    acc = 2.0 * cumulative_trapezoid(m_series, grid.dt)
     if float(np.min(acc)) < -1e-10:
         raise NegativeAccumulator(
             f"dark population integral reaches {np.min(acc):.3e}"
@@ -193,7 +192,7 @@ def adiabatic_simulate(pulse: InputPulse, dark: DarkDesign) -> AdiabaticRun:
 
     u = dark.cos_mixing * pd
     flux = 2.0 * u * (dark.design.n_drive - pq)
-    flux_cum = cumulative_trapezoid(flux, dx=grid.dt, initial=0.0)
+    flux_cum = cumulative_trapezoid(flux, grid.dt)
     return AdiabaticRun(
         d1=pd,
         q_mem=pq,

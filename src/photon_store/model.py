@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from ._integrate import _rk4_linear
 from .grid import TimeGrid
@@ -97,6 +96,9 @@ class InputPulse:
     outside the support [0, duration].  ``d3`` may be None when a third
     derivative is not available (it is only needed to evaluate the
     time derivative of the drive itself, never for the drive design).
+    ``breakpoints`` holds the times where a piecewise envelope changes
+    piece (a spline's knots); None means the envelope is smooth on its
+    whole support.
     """
 
     duration: float
@@ -104,6 +106,7 @@ class InputPulse:
     _d1: Callable[[np.ndarray], np.ndarray]
     _d2: Callable[[np.ndarray], np.ndarray]
     _d3: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None)
+    breakpoints: Optional[np.ndarray] = field(default=None)
 
     def _masked(self, fn: Callable, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -181,6 +184,9 @@ def sampled_packet(times: np.ndarray, values: np.ndarray) -> InputPulse:
     start at t = 0, the envelope must switch on smoothly (zero value at
     t = 0), and the spline through them must be finite.
     """
+    # scipy loads only for runs that read a pulse file
+    from scipy.interpolate import CubicSpline
+
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
     if t.ndim != 1 or t.shape != v.shape or t.size < 4:
@@ -205,6 +211,7 @@ def sampled_packet(times: np.ndarray, values: np.ndarray) -> InputPulse:
         _d1=spline.derivative(1),
         _d2=spline.derivative(2),
         _d3=spline.derivative(3),
+        breakpoints=spline.x,
     )
 
 

@@ -7,7 +7,8 @@ intermediate-level amplitude x_tilde from the cavity equation of
 motion, the excited-state population rho_ee from probability flow, and
 finally the drive quadratures from the intermediate-level equation.
 All series live on a shared uniform grid; explicit integrals use the
-trapezoid rule and auxiliary first-order equations use RK4.
+trapezoid rule and auxiliary first-order equations use RK4; big_gamma's
+pulse area alone uses Gauss-Legendre panels (:func:`coupling_from_bandwidth`).
 
 The Markovian (broadband) design is the W -> infinity limit of the same
 chain: the anticipated input N becomes sqrt(big_gamma) * phi_in and the
@@ -27,54 +28,18 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
-from ._integrate import _rk4_linear
+from ._integrate import _rk4_linear, cumulative_trapezoid
 from .errors import DegeneratePulse, InfeasibleDesign
 from .grid import TimeGrid
 from .model import InputPulse, PhysicalParams, future_drive
 
 _RHO_FLOOR = 1e-12
-# nominal step of the quadrature that fixes the equilibrium coupling
-_COUPLING_DT = 1e-5
-
-
-@dataclass(frozen=True, eq=False)
-class CouplingSamples:
-    """The W-free part of the equilibrium coupling: the envelope's
-    curvature at t = 0 and its samples on the quadrature grid."""
-
-    curvature: float
-    dt: float
-    times: np.ndarray
-    values: np.ndarray
-
-
-def sample_coupling_pulse(pulse: InputPulse) -> CouplingSamples:
-    """Samples of the envelope that :func:`coupling_from_samples`
-    weights for each W.
-
-    Raises :class:`DegeneratePulse` unless ``phi_in''(0) > 0``: at zero
-    the envelope switches on too flatly to pin the coupling, below zero
-    the coupling would be negative.
-    """
-    curvature = float(pulse.d2(0.0))
-    if not curvature > 0.0:
-        raise DegeneratePulse(
-            f"phi_in''(0) = {curvature:.6g} cannot pin a positive coupling"
-        )
-    grid = TimeGrid.from_span(pulse.duration, _COUPLING_DT)
-    t = grid.times
-    return CouplingSamples(curvature, grid.dt, t, pulse.value(t))
-
-
-def coupling_from_samples(samples: CouplingSamples, bandwidth_w: float) -> float:
-    """Equilibrium coupling at bandwidth W from the envelope's samples."""
-    weighted = np.exp(-bandwidth_w * samples.times) * samples.values
-    denom = bandwidth_w ** 2 * float(np.trapezoid(weighted, dx=samples.dt))
-    if denom <= 0.0:
-        raise DegeneratePulse("weighted pulse area is not positive")
-    return samples.curvature / denom
+# Gauss-Legendre rule of each panel of big_gamma's weighted pulse area,
+# the equal panels of a smooth envelope, and the 1/W steps resolving e^(-W tau)
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_SMOOTH_PANELS = 64
+_DECAY_PANELS = 40
 
 
 def coupling_from_bandwidth(pulse: InputPulse, bandwidth_w: float) -> float:
@@ -85,12 +50,33 @@ def coupling_from_bandwidth(pulse: InputPulse, bandwidth_w: float) -> float:
 
         big_gamma = phi_in''(0) / (W^2 * integral_0^T e^(-W tau) phi_in(tau) d tau).
 
-    Raises :class:`DegeneratePulse` unless ``phi_in''(0) > 0`` (see
-    :func:`sample_coupling_pulse`).
+    The integral is 8-node Gauss-Legendre on panels cut at the pulse's
+    breakpoints (64 equal panels for a smooth envelope) and at steps of
+    1/W over the first min(T, 40/W), so its cost is set by the pulse,
+    not by its duration.  Raises :class:`DegeneratePulse` unless
+    ``phi_in''(0) > 0`` (at zero the envelope switches on too flatly to
+    pin the coupling, below zero the coupling would be negative) and the
+    weighted area is positive.
     """
     if not bandwidth_w > 0.0:
         raise ValueError("bandwidth_w must be positive")
-    return coupling_from_samples(sample_coupling_pulse(pulse), bandwidth_w)
+    curvature = float(pulse.d2(0.0))
+    if not curvature > 0.0:
+        raise DegeneratePulse(
+            f"phi_in''(0) = {curvature:.6g} cannot pin a positive coupling"
+        )
+    edges = pulse.breakpoints
+    if edges is None:
+        edges = np.linspace(0.0, pulse.duration, _SMOOTH_PANELS + 1)
+    decay = np.arange(1, _DECAY_PANELS + 1) / bandwidth_w
+    edges = np.union1d(edges, decay[decay < pulse.duration])
+    half = 0.5 * np.diff(edges)[:, None]
+    tau = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half * _GL_NODES
+    weighted = half * _GL_WEIGHTS * np.exp(-bandwidth_w * tau) * pulse.value(tau)
+    denom = bandwidth_w ** 2 * float(np.sum(weighted))
+    if denom <= 0.0:
+        raise DegeneratePulse("weighted pulse area is not positive")
+    return curvature / denom
 
 
 def excited_population(
@@ -108,7 +94,7 @@ def excited_population(
     ``sqrt(rho_ee)``.  A NaN population counts as below the floor.
     """
     flow = 2.0 * params.g_cav * x_tilde * g_series - 2.0 * params.gamma_L * x_tilde ** 2
-    acc = cumulative_trapezoid(flow, dx=grid.dt, initial=0.0)
+    acc = cumulative_trapezoid(flow, grid.dt)
     rho = params.rho_offset - x_tilde ** 2 + acc
     below = ~(rho >= _RHO_FLOOR)
     if below.any():
@@ -221,7 +207,7 @@ def _close_chain(
         rho_ee=rho,
         root_rho=root,
         p=(x_tilde_dot - params.g_cav * g + params.gamma_L * x_tilde) / root,
-        winding=cumulative_trapezoid(x_tilde ** 2 / rho, dx=grid.dt, initial=0.0),
+        winding=cumulative_trapezoid(x_tilde ** 2 / rho, grid.dt),
     )
 
 

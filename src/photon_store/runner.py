@@ -371,22 +371,18 @@ def run_dark(cfg: ScenarioConfig, sc: Scenario) -> _Outputs:
 class SweepState:
     """What the points of a sweep share, built once per process.
 
-    The pulse and the grid are loaded up front.  The pulse's samples on
-    the coupling grid and on the design half lattice are taken when a
-    point first needs them.  Γ and the detuning-free design chain are
-    kept for the last W, so the points of a Δ₂ sweep, which share W,
-    share both.  The entry is stored only once the chain succeeded, so
-    a failed point cannot poison the points after it.
+    The pulse and the grid are loaded up front, the pulse's samples on
+    the design half lattice when a point first needs them.  Γ and the
+    detuning-free design chain are kept for the last W, so the points of
+    a Δ₂ sweep, which share W, share both.  The entry is stored only
+    once the chain succeeded, so a failed point cannot poison the points
+    after it.
     """
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
         self.pulse, self.grid = _pulse_and_grid(cfg)
         self._last: tuple[float, float, pulse_design.DesignChain] | None = None
-
-    @functools.cached_property
-    def coupling_samples(self) -> pulse_design.CouplingSamples:
-        return pulse_design.sample_coupling_pulse(self.pulse)
 
     @functools.cached_property
     def design_samples(self) -> pulse_design.DesignSamples:
@@ -398,7 +394,7 @@ class SweepState:
         if self._last is None or self._last[0] != w:
             big_gamma = cfg.big_gamma
             if big_gamma is None:
-                big_gamma = pulse_design.coupling_from_samples(self.coupling_samples, w)
+                big_gamma = pulse_design.coupling_from_bandwidth(self.pulse, w)
             resonant = replace(cfg, delta1=0.0, delta2=0.0)
             params = _physical_params(resonant, self.pulse, big_gamma)
             chain = pulse_design.memory_chain(self.design_samples, params)

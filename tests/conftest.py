@@ -198,6 +198,15 @@ def _norm_squared(pulse, dt_nominal: float = 1e-5) -> float:
     return float(np.trapezoid(v * v, dx=grid.dt))
 
 
+def _coupling_trapezoid(pulse, w: float, dt_nominal: float = 1e-5) -> float:
+    """Equilibrium coupling with the weighted pulse area taken by the
+    trapezoid rule on a fine uniform grid."""
+    grid = ps.TimeGrid.from_span(pulse.duration, dt_nominal)
+    t = grid.times
+    area = float(np.trapezoid(np.exp(-w * t) * pulse.value(t), dx=grid.dt))
+    return float(pulse.d2(0.0)) / (w * w * area)
+
+
 def _coupling(params, omega) -> np.ndarray:
     """Complex mode coupling kappa(omega) of the Lorentzian bath."""
     w = params.bandwidth_w
@@ -277,6 +286,13 @@ def _dark_bright_amplitudes(g_amp, e_amp, phi):
 @pytest.fixture(scope="session")
 def norm_squared():
     return _norm_squared
+
+
+@pytest.fixture(scope="session")
+def coupling_trapezoid():
+    """Equilibrium coupling by a fine fixed-grid trapezoid: the
+    reference for sampled pulses, which have no closed form."""
+    return _coupling_trapezoid
 
 
 @pytest.fixture(scope="session")

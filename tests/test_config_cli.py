@@ -645,7 +645,7 @@ def test_serial_delta2_sweep_samples_and_solves_once(tmp_path, monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    count(pulse_design, "sample_coupling_pulse")
+    count(pulse_design, "coupling_from_bandwidth")
     count(pulse_design, "sample_design_pulse")
     # N is solved through model, Z in pulse_design
     for module in (model, pulse_design):
@@ -653,7 +653,7 @@ def test_serial_delta2_sweep_samples_and_solves_once(tmp_path, monkeypatch):
     text = SWEEP_BASE + "bandwidth_w = 0.5\ndelta2 = -4, -2, 0, 2, 4\nrho_offset = 0.003\n"
     assert run_cli(["sweep", "--out", str(tmp_path / "o")], tmp_path, text) == 0
     assert calls == {
-        ("sample_coupling_pulse", None): 1,
+        ("coupling_from_bandwidth", None): 1,
         ("sample_design_pulse", None): 1,
         ("_rk4_linear", "N"): 1,
         ("_rk4_linear", "Z"): 1,

@@ -337,6 +337,17 @@ def test_package_import_leaves_scipy_signal_out():
     assert out.stdout.strip() == "False"
 
 
+def test_package_import_leaves_scipy_out():
+    # scipy loads only with a pulse file; the built-in packet needs numpy alone
+    src = str(Path(ps.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, photon_store; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_oracle_matches_reduced_solver(pulse, design_for, grid):
     params, des = design_for(2.0, 0.002)
     seed = ps.InitialState.matched(params.rho_offset)

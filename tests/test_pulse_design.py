@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,6 +62,61 @@ def test_equilibrium_coupling_hand_value(gamma_of):
 def test_equilibrium_coupling_broadband_asymptote(gamma_of):
     # for W far above the pulse bandwidth the constraint gives Gamma -> W
     assert 0.98 < gamma_of(100.0) / 100.0 < 1.02
+
+
+def builtin_coupling(w: float, duration: float) -> float:
+    """Equilibrium coupling of the built-in packet of any duration T,
+    with s = pi / T; no term cancels, so it holds to rounding up to the
+    largest W the config admits."""
+    s2 = (PI / duration) ** 2
+    bracket = 1.0 / (w * (w * w + 16.0 * s2)) + w / (
+        (w * w + 4.0 * s2) * (w * w + 36.0 * s2)
+    )
+    return 2.0 / (w * w * -math.expm1(-w * duration) * bracket)
+
+
+def benchmark_spline(stretch: float = 1.0) -> ps.InputPulse:
+    """The benchmark's sampled pulse: the built-in packet at 2001
+    samples, its time axis stretched by ``stretch``."""
+    t = np.linspace(0.0, PI, 2001)
+    return ps.sampled_packet(stretch * t, ps.builtin_packet().value(t))
+
+
+@pytest.mark.parametrize("duration", [PI, 1.3, 7.0])
+@pytest.mark.parametrize("w", [0.5, 1.6716, 25.0, 1e3, 1e4, 1e6])
+def test_equilibrium_coupling_matches_closed_form_to_rounding(w, duration):
+    gamma = ps.coupling_from_bandwidth(ps.builtin_packet(duration), w)
+    assert gamma == pytest.approx(builtin_coupling(w, duration), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("w", [0.5, 1.0, 1.6716, 2.0, 5.0, 25.0])
+def test_sampled_coupling_matches_fine_trapezoid(coupling_trapezoid, w):
+    spline = benchmark_spline()
+    expected = coupling_trapezoid(spline, w)
+    assert ps.coupling_from_bandwidth(spline, w) == pytest.approx(
+        expected, rel=1e-13, abs=0.0
+    )
+
+
+@pytest.mark.parametrize("w", [1e-3, 1.0])
+def test_coupling_cost_is_set_by_the_pulse(w):
+    # 2001 knots over pi * 1e5 us: 8 samples per knot interval and per
+    # 1/W step, whatever the span
+    stretch = 1e5
+    spline = benchmark_spline(stretch)
+    evaluated = []
+
+    def counted(t):
+        evaluated.append(np.size(t))
+        return spline._value(t)
+
+    pulse = replace(spline, _value=counted)
+    gamma = ps.coupling_from_bandwidth(pulse, w)
+    assert sum(evaluated) <= 8 * (spline.breakpoints.size + 40)
+    # stretching time by a divides W and big_gamma by a
+    unstretched = ps.coupling_from_bandwidth(benchmark_spline(), stretch * w)
+    assert math.isfinite(gamma)
+    assert gamma == pytest.approx(unstretched / stretch, rel=1e-12)
 
 
 def test_flat_start_envelope_is_degenerate():
