@@ -174,19 +174,118 @@ def builtin_packet(duration: float = math.pi) -> InputPulse:
     return InputPulse(duration=duration, _value=value, _d1=d1, _d2=d2, _d3=d3)
 
 
+def _solve_tridiagonal(dl: list, d: list, du: list, b: list) -> list:
+    """Solve a tridiagonal system in place, step for step as LAPACK's
+    ``dgtsv`` with one right-hand side: Gaussian elimination with
+    partial pivoting (the row interchange when ``|dl| > |d|``), then
+    back substitution.  ``dl``, ``d``, ``du`` are the sub-, main and
+    super-diagonal; a zero pivot raises ValueError."""
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            if d[i] == 0.0:
+                raise ValueError("the spline's tridiagonal system is singular")
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+            dl[i] = 0.0
+        else:
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    if d[n - 1] == 0.0:
+        raise ValueError("the spline's tridiagonal system is singular")
+    b[n - 1] = b[n - 1] / d[n - 1]
+    b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return b
+
+
+def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients ``c[k, i]`` of ``(t - x[i])**(3 - k)`` of the
+    not-a-knot cubic spline through at least 4 points (de Boor, *A
+    Practical Guide to Splines*, ch. IV), bit for bit those of
+    ``scipy.interpolate.CubicSpline``: the same rows and right-hand
+    side, the same elimination and the same Hermite step."""
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    # the slopes s solve dl[i-1] s[i-1] + d[i] s[i] + du[i] s[i+1] = b[i]
+    d = np.empty_like(x)
+    d[0], d[-1] = dx[1], dx[-2]
+    d[1:-1] = 2 * (dx[:-1] + dx[1:])
+    du = np.concatenate(([x[2] - x[0]], dx[:-1]))
+    dl = np.concatenate((dx[1:], [x[-1] - x[-3]]))
+    b = np.empty_like(x)
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    h = x[2] - x[0]
+    b[0] = ((dx[0] + 2 * h) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / h
+    h = x[-1] - x[-3]
+    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * h + dx[-1]) * dx[-2] * slope[-1]) / h
+    s = np.array(_solve_tridiagonal(dl.tolist(), d.tolist(), du.tolist(), b.tolist()))
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+
+def _piecewise_cubic(x: np.ndarray, c: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Evaluator of the piecewise polynomial with breakpoints ``x`` and
+    coefficients ``c`` (highest power first), extrapolating the end
+    pieces.  It sums as ``scipy.interpolate.PPoly`` does -- constant
+    term first, then rising powers of ``t - x[i]`` -- so its values
+    match scipy's bit for bit."""
+    inner, start = x[1:-1], x[:-1]
+    rows = list(c[::-1])
+
+    def evaluate(t):
+        t = np.asarray(t, dtype=float)
+        q = t.ravel()
+        # the piece of each time is the number of inner knots at or
+        # below it; a sorted query (a lattice, Gauss-Legendre panels)
+        # takes its pieces in runs, found by one search per knot
+        if q.size > 1 and np.all(q[1:] >= q[:-1]):
+            runs = np.diff(np.searchsorted(q, inner), prepend=0, append=q.size)
+            spread = lambda a: a.repeat(runs)
+        else:
+            piece = np.searchsorted(inner, q, side="right")
+            spread = lambda a: a[piece]
+        s = q - spread(start)
+        out = 0.0 + spread(rows[0])
+        power = s
+        for k in range(1, len(rows)):
+            if k > 1:
+                power = power * s
+            out += spread(rows[k]) * power
+        return out.reshape(t.shape)
+
+    return evaluate
+
+
+# the coefficients of a cubic's derivative k are c[:-k] times the
+# falling factorials p! / (p - k)! of the powers p = 3, 2, 1
+_FALLING = {
+    1: np.array([[3.0], [2.0], [1.0]]),
+    2: np.array([[6.0], [2.0]]),
+    3: np.array([[6.0]]),
+}
+
+
 def sampled_packet(times: np.ndarray, values: np.ndarray) -> InputPulse:
     """Build a pulse from samples; renormalizes to unit photon number.
 
-    A not-a-knot cubic spline supplies the envelope and its first two
+    A not-a-knot cubic spline, identical in every bit to scipy's
+    ``CubicSpline``, supplies the envelope and its first two
     derivatives; the third derivative of a cubic spline is piecewise
     constant and is exposed as such (adequate for plotting the drive
     slope, not for convergence studies).  Samples must be finite and
     start at t = 0, the envelope must switch on smoothly (zero value at
     t = 0), and the spline through them must be finite.
     """
-    # scipy loads only for runs that read a pulse file
-    from scipy.interpolate import CubicSpline
-
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
     if t.ndim != 1 or t.shape != v.shape or t.size < 4:
@@ -202,16 +301,16 @@ def sampled_packet(times: np.ndarray, values: np.ndarray) -> InputPulse:
         raise ValueError("envelope is identically zero")
     if not math.isfinite(norm):
         raise ValueError(f"envelope norm is {norm}; rescale the samples")
-    spline = CubicSpline(t, v / norm)
-    if not np.all(np.isfinite(spline.c)):
+    c = _not_a_knot(t, v / norm)
+    if not np.all(np.isfinite(c)):
         raise ValueError("the cubic spline through the samples is not finite")
     return InputPulse(
         duration=float(t[-1]),
-        _value=spline,
-        _d1=spline.derivative(1),
-        _d2=spline.derivative(2),
-        _d3=spline.derivative(3),
-        breakpoints=spline.x,
+        _value=_piecewise_cubic(t, c),
+        _d1=_piecewise_cubic(t, c[:-1] * _FALLING[1]),
+        _d2=_piecewise_cubic(t, c[:-2] * _FALLING[2]),
+        _d3=_piecewise_cubic(t, c[:-3] * _FALLING[3]),
+        breakpoints=t,
     )
 
 

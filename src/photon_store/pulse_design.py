@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from ._integrate import _rk4_linear, cumulative_trapezoid
-from .errors import DegeneratePulse, InfeasibleDesign
+from .errors import ConfigError, DegeneratePulse, InfeasibleDesign
 from .grid import TimeGrid
 from .model import InputPulse, PhysicalParams, future_drive
 
@@ -56,7 +56,8 @@ def coupling_from_bandwidth(pulse: InputPulse, bandwidth_w: float) -> float:
     not by its duration.  Raises :class:`DegeneratePulse` unless
     ``phi_in''(0) > 0`` (at zero the envelope switches on too flatly to
     pin the coupling, below zero the coupling would be negative) and the
-    weighted area is positive.
+    weighted area is positive, and :class:`ConfigError` when W^2 times
+    that area (which underflows for a tiny W) fixes no finite coupling.
     """
     if not bandwidth_w > 0.0:
         raise ValueError("bandwidth_w must be positive")
@@ -73,10 +74,17 @@ def coupling_from_bandwidth(pulse: InputPulse, bandwidth_w: float) -> float:
     half = 0.5 * np.diff(edges)[:, None]
     tau = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half * _GL_NODES
     weighted = half * _GL_WEIGHTS * np.exp(-bandwidth_w * tau) * pulse.value(tau)
-    denom = bandwidth_w ** 2 * float(np.sum(weighted))
-    if denom <= 0.0:
+    area = float(np.sum(weighted))
+    if not area > 0.0:
         raise DegeneratePulse("weighted pulse area is not positive")
-    return curvature / denom
+    denom = bandwidth_w ** 2 * area
+    big_gamma = curvature / denom if denom > 0.0 else math.inf
+    if not 0.0 < big_gamma < math.inf:
+        raise ConfigError.single(
+            "value", 0, f"bandwidth_w = {bandwidth_w:g} gives W^2 * weighted pulse "
+            f"area = {denom:.3g}, which fixes no finite positive big_gamma"
+        )
+    return big_gamma
 
 
 def excited_population(

@@ -127,18 +127,36 @@ def load_pulse(cfg: ScenarioConfig) -> InputPulse:
         raise ConfigError.single("value", 0, f"pulse file {cfg.pulse!r}: {exc}") from exc
 
 
+# cost ceilings of one run: a simulate run holds about 0.9 kB per grid
+# step (0.85 GiB at the ceiling), and the oracle steps every bath mode
+# at every grid step (about 15 ns a mode-step, 4 s at the ceiling)
+MAX_STEPS = 1_000_000
+MAX_MODE_STEPS = 250_000_000
+
+
 def _pulse_and_grid(cfg: ScenarioConfig) -> tuple[InputPulse, TimeGrid]:
     """The configured pulse and the grid covering it, which every sweep
-    point shares; a grid that numpy cannot build is a
-    :class:`ConfigError`."""
+    point shares; a grid that numpy cannot build, or whose run would
+    pass a cost ceiling, is a :class:`ConfigError` raised before any
+    series is allocated."""
     pulse = load_pulse(cfg)
     span = max(cfg.effective_span(), pulse.duration)
+    where = f"grid.span = {span:g} at grid.dt = {cfg.grid_dt:g}"
     try:
         grid = TimeGrid.from_span(span, cfg.grid_dt)
     except (OverflowError, ValueError) as exc:
+        raise ConfigError.single("value", 0, f"{where}: {exc}") from exc
+    if grid.n_steps > MAX_STEPS:
         raise ConfigError.single(
-            "value", 0, f"grid.span = {span:g} at grid.dt = {cfg.grid_dt:g}: {exc}"
-        ) from exc
+            "value", 0, f"{where} makes {grid.n_steps:.3g} steps, "
+            f"above the ceiling of {MAX_STEPS:.3g}"
+        )
+    if cfg.mode == "oracle" and cfg.n_modes * grid.n_steps > MAX_MODE_STEPS:
+        raise ConfigError.single(
+            "value", 0, f"n_modes = {cfg.n_modes} over {where} makes "
+            f"{cfg.n_modes * grid.n_steps:.3g} mode-steps, above the ceiling of "
+            f"{MAX_MODE_STEPS:.3g}"
+        )
     return pulse, grid
 
 

@@ -14,6 +14,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -457,6 +458,8 @@ BAD_PULSES = [
     (_table(np.append(_T[:-1], np.inf), _PHI), "samples must be finite"),
     # the spline's second derivative over the first interval overflows
     ("0 0\n1e-300 1\n1 2\n2 1\n3 0\n", "spline through the samples is not finite"),
+    # the squared spacing in the end rows overflows, so the slopes do
+    ("0 0\n1e200 1\n2e200 2\n3e200 1\n4e200 0\n", "spline through the samples is not finite"),
 ]
 BAD_PULSE_IDS = [
     "missing",
@@ -468,6 +471,7 @@ BAD_PULSE_IDS = [
     "nan_sample",
     "inf_time",
     "tiny_interval",
+    "huge_interval",
 ]
 SWEEP_W = (
     "mode = sweep\ng_cav = 30pi\ngamma_L = 6pi\nrho_offset = 0.002\n"
@@ -757,6 +761,55 @@ def test_cli_unbuildable_grid_or_pulse_exits_2_naming_the_key(tmp_path, capsys, 
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error[2]: ") and key in err[0]
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "mode,line,fragment",
+    [
+        ("design", "bandwidth_w = 2\ngrid.span = 1e6", "1e+08 steps"),
+        ("sweep", "bandwidth_w = 1, 2\ngrid.span = 1e6", "1e+08 steps"),
+        ("oracle", "bandwidth_w = 2\ngrid.dt = 1e-4\nn_modes = 10000", "3.14e+08 mode-steps"),
+    ],
+)
+def test_cli_run_above_the_cost_ceiling_exits_2_at_once(tmp_path, capsys, mode, line, fragment):
+    # 1e8 steps would take 763 MiB per series; the check allocates none
+    out = tmp_path / "o"
+    started = time.perf_counter()
+    code = run_cli([mode, "--out", str(out)], tmp_path, CHEAP + line + "\n")
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error[2]: ") and fragment in err[0]
+    assert not any(out.iterdir())
+
+
+def test_cost_ceiling_admits_every_preset_and_benchmark_scale():
+    assert runner.MAX_STEPS >= 31416
+    # the acceptance check's 4000-mode comb on the preset grid
+    assert runner.MAX_MODE_STEPS >= 4000 * 31416
+
+
+@pytest.mark.parametrize("w", ["1e-200", "1e-160"])
+def test_cli_underflowing_bandwidth_exits_2_naming_it(tmp_path, capsys, w):
+    # W^2 * area is 0 at 1e-200 and subnormal at 1e-160, where big_gamma
+    # would overflow
+    out = tmp_path / "o"
+    text = CHEAP + f"bandwidth_w = {w}\n"
+    assert run_cli(["design", "--out", str(out)], tmp_path, text) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error[2]: ") and f"bandwidth_w = {w}" in err[0]
+
+
+def test_cli_negative_weighted_area_exits_3(tmp_path, capsys):
+    # phi''(0) is about 0.8 > 0, but the envelope is negative beyond t = 0.1 pi
+    path = tmp_path / "negative.txt"
+    t = np.linspace(0.0, PI, 201)
+    np.savetxt(path, np.column_stack([t, np.sin(2.0 * t) ** 2 * (0.1 - t / PI)]))
+    out = tmp_path / "o"
+    text = CHEAP + f"bandwidth_w = 1\npulse = {path}\n"
+    assert run_cli(["design", "--out", str(out)], tmp_path, text) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error[3]: weighted pulse area is not positive"]
 
 
 def test_cli_sweep_with_an_unbuildable_grid_exits_2(tmp_path, capsys):

@@ -337,8 +337,8 @@ def test_package_import_leaves_scipy_signal_out():
     assert out.stdout.strip() == "False"
 
 
-def test_package_import_leaves_scipy_out():
-    # scipy loads only with a pulse file; the built-in packet needs numpy alone
+def test_package_import_leaves_scipy_out(tmp_path, pulse):
+    # numpy alone, for the built-in packet and for a pulse file's spline
     src = str(Path(ps.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     probe = "import sys, photon_store; print('scipy' in sys.modules)"
@@ -346,6 +346,22 @@ def test_package_import_leaves_scipy_out():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+    t = np.linspace(0.0, np.pi, 201)
+    np.savetxt(tmp_path / "pulse.txt", np.column_stack([t, pulse.value(t)]))
+    (tmp_path / "c.cfg").write_text(
+        "g_cav = 30pi\ngamma_L = 6pi\nbandwidth_w = 2\nrho_offset = 0.002\n"
+        f"grid.dt = 1e-2\npulse = {tmp_path / 'pulse.txt'}\n"
+    )
+    argv = ["design", "--config", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "o")]
+    probe = (
+        "import sys; from photon_store import cli; code = cli.main(sys.argv[1:]); "
+        "print(code, 'scipy' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True
+    )
+    assert out.stdout.strip() == "0 False"
 
 
 def test_oracle_matches_reduced_solver(pulse, design_for, grid):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import photon_store as ps
+from photon_store import model
 from photon_store.errors import GridMismatch
 
 PI = math.pi
@@ -152,6 +153,78 @@ def test_sampled_packet_recovers_closed_forms(pulse, grid, norm_squared):
 def test_sampled_packet_rejects_bad_tables(times, values):
     with np.errstate(over="ignore"), pytest.raises(ValueError):
         ps.sampled_packet(times, values)
+
+
+# ------------------------------------------------ not-a-knot spline vs scipy
+
+
+def _knot_families():
+    """Knot sets that stress the elimination: uniform, jittered,
+    exponential, geometric and log-uniform spacings."""
+    rng = np.random.default_rng(12)
+    for n in (4, 5, 2001):
+        yield f"uniform{n}", np.linspace(0.0, PI, n)
+    x = np.linspace(0.0, 1.0, 300)
+    x[1:-1] += rng.uniform(-0.4, 0.4, 298) / 299
+    yield "jittered", x
+    for k in range(20):
+        n = int(rng.integers(4, 401))
+        steps = rng.exponential(1.0, n - 1)
+        yield f"exponential{k}", np.concatenate(([0.0], np.cumsum(steps)))
+    yield "geometric", np.concatenate(([0.0], np.cumsum(1.3 ** np.arange(60))))
+    steps = 10.0 ** rng.uniform(-3.0, 3.0, 200)
+    yield "log_uniform", np.concatenate(([0.0], np.cumsum(steps)))
+    # not-a-knot row 0 leaves d[1] = 2 * (1 + 1) - 2 = 2 against dl[1] = 8,
+    # so the elimination swaps rows 1 and 2
+    yield "interchange", np.array([0.0, 1.0, 2.0, 10.0, 11.0])
+
+
+KNOT_FAMILIES = list(_knot_families())
+
+
+@pytest.mark.parametrize("x", [x for _, x in KNOT_FAMILIES], ids=[n for n, _ in KNOT_FAMILIES])
+def test_spline_matches_scipy_bit_for_bit(x):
+    interpolate = pytest.importorskip("scipy.interpolate")
+    rng = np.random.default_rng(x.size)
+    y = np.sin(3.0 * x / x[-1]) * x / x[-1] + 0.1 * rng.standard_normal(x.size)
+    reference = interpolate.CubicSpline(x, y)
+    c = model._not_a_knot(x, y)
+    assert c.tobytes() == reference.c.tobytes()
+    # sorted (the merge lookup), shuffled and reversed (the search) and
+    # 0-d queries, the knots themselves and a point past the last knot
+    q = np.sort(np.concatenate([np.linspace(0.0, x[-1], 3001), x, [x[-1] * (1 + 1e-12)]]))
+    queries = [q, rng.permutation(q), q[::-1].copy(), np.array(0.3 * x[-1])]
+    for k in range(4):
+        ours = model._piecewise_cubic(x, c if k == 0 else c[:-k] * model._FALLING[k])
+        theirs = reference if k == 0 else reference.derivative(k)
+        for t in queries:
+            assert ours(t).tobytes() == theirs(t).tobytes(), k
+
+
+def test_sampled_packet_wires_the_spline_like_scipy(grid):
+    interpolate = pytest.importorskip("scipy.interpolate")
+    ts = np.linspace(0.0, PI, 2001)
+    values = np.sin(ts) ** 2 * np.exp(-ts)
+    sp = ps.sampled_packet(ts, values)
+    reference = interpolate.CubicSpline(ts, values / math.sqrt(np.trapezoid(values**2, ts)))
+    t = grid.half_times
+    assert sp.breakpoints.tobytes() == reference.x.tobytes()
+    for k, ours in enumerate((sp.value, sp.d1, sp.d2, sp.d3)):
+        theirs = reference if k == 0 else reference.derivative(k)
+        assert ours(t).tobytes() == theirs(t).tobytes(), k
+
+
+@pytest.mark.parametrize(
+    "dl,d",
+    [
+        ([0.0, 1.0], [0.0, 1.0, 1.0]),  # the first pivot is zero
+        ([1.0, 0.0], [1.0, 1.0, 1.0]),  # elimination zeroes the second pivot
+        ([0.0, 0.0], [1.0, 1.0, 0.0]),  # the last pivot is zero
+    ],
+)
+def test_spline_zero_pivot_raises_value_error(dl, d):
+    with pytest.raises(ValueError, match="singular"):
+        model._solve_tridiagonal(dl, d, [1.0, 1.0], [1.0, 1.0, 1.0])
 
 
 # ----------------------------------------------------------- bath model
