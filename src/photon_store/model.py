@@ -245,22 +245,15 @@ def _piecewise_cubic(x: np.ndarray, c: np.ndarray) -> Callable[[np.ndarray], np.
     def evaluate(t):
         t = np.asarray(t, dtype=float)
         q = t.ravel()
-        # the piece of each time is the number of inner knots at or
-        # below it; a sorted query (a lattice, Gauss-Legendre panels)
-        # takes its pieces in runs, found by one search per knot
-        if q.size > 1 and np.all(q[1:] >= q[:-1]):
-            runs = np.diff(np.searchsorted(q, inner), prepend=0, append=q.size)
-            spread = lambda a: a.repeat(runs)
-        else:
-            piece = np.searchsorted(inner, q, side="right")
-            spread = lambda a: a[piece]
-        s = q - spread(start)
-        out = 0.0 + spread(rows[0])
+        # the piece of each time is the number of inner knots at or below it
+        piece = np.searchsorted(inner, q, side="right")
+        s = q - start[piece]
+        out = 0.0 + rows[0][piece]
         power = s
         for k in range(1, len(rows)):
             if k > 1:
                 power = power * s
-            out += spread(rows[k]) * power
+            out += rows[k][piece] * power
         return out.reshape(t.shape)
 
     return evaluate

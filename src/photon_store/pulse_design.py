@@ -56,8 +56,9 @@ def coupling_from_bandwidth(pulse: InputPulse, bandwidth_w: float) -> float:
     not by its duration.  Raises :class:`DegeneratePulse` unless
     ``phi_in''(0) > 0`` (at zero the envelope switches on too flatly to
     pin the coupling, below zero the coupling would be negative) and the
-    weighted area is positive, and :class:`ConfigError` when W^2 times
-    that area (which underflows for a tiny W) fixes no finite coupling.
+    weighted area is positive, and :class:`ConfigError` when phi_in''(0)
+    over W^2 times that area (which underflows for a tiny W) is not
+    finite.
     """
     if not bandwidth_w > 0.0:
         raise ValueError("bandwidth_w must be positive")
@@ -79,10 +80,11 @@ def coupling_from_bandwidth(pulse: InputPulse, bandwidth_w: float) -> float:
         raise DegeneratePulse("weighted pulse area is not positive")
     denom = bandwidth_w ** 2 * area
     big_gamma = curvature / denom if denom > 0.0 else math.inf
-    if not 0.0 < big_gamma < math.inf:
+    if not math.isfinite(big_gamma):
         raise ConfigError.single(
-            "value", 0, f"bandwidth_w = {bandwidth_w:g} gives W^2 * weighted pulse "
-            f"area = {denom:.3g}, which fixes no finite positive big_gamma"
+            "value", 0, f"big_gamma = phi_in''(0) / (W^2 * weighted pulse area) = "
+            f"{curvature:.6g} / {denom:.3g} is not finite at bandwidth_w = "
+            f"{bandwidth_w:g}; raise bandwidth_w or lower the pulse's phi_in''(0)"
         )
     return big_gamma
 

@@ -14,7 +14,6 @@ import re
 import subprocess
 import sys
 import tempfile
-import time
 import warnings
 from pathlib import Path
 
@@ -26,6 +25,7 @@ from hypothesis import strategies as st
 import photon_store as ps
 from photon_store import cli, config, errors, model, pulse_design, runner
 from photon_store.errors import ConfigError, PhotonStoreError
+from photon_store.grid import TimeGrid
 
 PI = math.pi
 
@@ -771,22 +771,22 @@ def test_cli_unbuildable_grid_or_pulse_exits_2_naming_the_key(tmp_path, capsys, 
         ("oracle", "bandwidth_w = 2\ngrid.dt = 1e-4\nn_modes = 10000", "3.14e+08 mode-steps"),
     ],
 )
-def test_cli_run_above_the_cost_ceiling_exits_2_at_once(tmp_path, capsys, mode, line, fragment):
-    # 1e8 steps would take 763 MiB per series; the check allocates none
+def test_cli_run_above_the_cost_ceiling_exits_2_at_once(
+    tmp_path, capsys, monkeypatch, mode, line, fragment
+):
+    # 1e8 steps would take 763 MiB per series; the check comes before
+    # any grid series is built
+    def unbuilt(grid):
+        raise AssertionError("a grid series was built before the ceiling check")
+
+    monkeypatch.setattr(TimeGrid, "times", property(unbuilt))
+    monkeypatch.setattr(TimeGrid, "half_times", property(unbuilt))
     out = tmp_path / "o"
-    started = time.perf_counter()
     code = run_cli([mode, "--out", str(out)], tmp_path, CHEAP + line + "\n")
-    assert time.perf_counter() - started < 1.0
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error[2]: ") and fragment in err[0]
     assert not any(out.iterdir())
-
-
-def test_cost_ceiling_admits_every_preset_and_benchmark_scale():
-    assert runner.MAX_STEPS >= 31416
-    # the acceptance check's 4000-mode comb on the preset grid
-    assert runner.MAX_MODE_STEPS >= 4000 * 31416
 
 
 @pytest.mark.parametrize("w", ["1e-200", "1e-160"])
