@@ -30,7 +30,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="figure preset overriding individual parameters",
     )
     parser.add_argument(
-        "--workers", type=int, default=None, help="max concurrent sweep points"
+        "--workers",
+        type=int,
+        default=None,
+        help=(
+            "max concurrent sweep points; a pooled sweep wants one BLAS thread "
+            "per process (OPENBLAS_NUM_THREADS=1, see README's sweep table)"
+        ),
     )
     return parser
 

@@ -33,6 +33,10 @@ from .model import InputPulse, PhysicalParams, future_drive
 
 # least fraction of the photon the comb must capture before renormalizing
 _CAPTURE_FLOOR = 0.999
+# complex vectors per mode that the oracle holds besides the projection's
+# phase blocks: frequencies and weights; the step's z, gain, mode vector
+# and update; and its powers, lift and project rows (four each)
+_MODE_VECTORS = 18
 
 
 @dataclass(frozen=True)
@@ -328,6 +332,22 @@ def discretize_bath(
     )
 
 
+def _projection_blocks(n_samples: int) -> tuple[int, int]:
+    """Sizes L = ceil(sqrt(n)) and B = ceil(n / L) of the projection's
+    blocks of ``n_samples`` samples."""
+    inner = math.isqrt(n_samples - 1) + 1
+    return inner, -(-n_samples // inner)
+
+
+def comb_bytes(n_modes: int, n_steps: int) -> int:
+    """Bytes of the mode vectors an oracle run of ``n_modes`` holds on a
+    grid of ``n_steps``, at most: :data:`_MODE_VECTORS` per mode, and
+    :func:`initial_modes`' (modes x L) phase block with two (modes x B)
+    ones, its coarse phases and the block product."""
+    inner, outer = _projection_blocks(n_steps + 1)
+    return 16 * n_modes * (_MODE_VECTORS + inner + 2 * outer)
+
+
 def initial_modes(
     pulse: InputPulse, bath: BathDiscretization, grid: TimeGrid
 ) -> tuple[np.ndarray, float]:
@@ -350,8 +370,7 @@ def initial_modes(
     weighted[0] *= 0.5
     weighted[-1] *= 0.5
     n_samples = weighted.size
-    inner = math.isqrt(n_samples - 1) + 1
-    outer = -(-n_samples // inner)
+    inner, outer = _projection_blocks(n_samples)
     padded = np.zeros(inner * outer, dtype=weighted.dtype)
     padded[:n_samples] = weighted
     om = bath.frequencies[:, None]

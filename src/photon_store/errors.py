@@ -89,7 +89,7 @@ class Violation:
     line: int
     message: str
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         where = f"line {self.line}: " if self.line > 0 else ""
         return f"[{self.kind}] {where}{self.message}"
 

@@ -93,9 +93,9 @@ class InputPulse:
     """Real input envelope with closed-form or interpolated derivatives.
 
     ``value`` through ``d3`` accept scalars or arrays and return zero
-    outside the support [0, duration].  ``d3`` may be None when a third
-    derivative is not available (it is only needed to evaluate the
-    time derivative of the drive itself, never for the drive design).
+    outside the support [0, duration].  ``_d3`` may be None for a pulse
+    that is only simulated; the drive design needs it, because G'' feeds
+    x_tilde' and through it the in-phase drive quadrature.
     ``breakpoints`` holds the times where a piecewise envelope changes
     piece (a spline's knots); None means the envelope is smooth on its
     whole support.
@@ -125,12 +125,8 @@ class InputPulse:
 
     def d3(self, t) -> np.ndarray:
         if self._d3 is None:
-            raise ValueError("this pulse has no third derivative")
+            raise ValueError("the drive design needs phi_in''', which this pulse lacks")
         return self._masked(self._d3, t)
-
-    @property
-    def has_d3(self) -> bool:
-        return self._d3 is not None
 
 
 def builtin_packet(duration: float = math.pi) -> InputPulse:
@@ -274,8 +270,9 @@ def sampled_packet(times: np.ndarray, values: np.ndarray) -> InputPulse:
     A not-a-knot cubic spline, identical in every bit to scipy's
     ``CubicSpline``, supplies the envelope and its first two
     derivatives; the third derivative of a cubic spline is piecewise
-    constant and is exposed as such (adequate for plotting the drive
-    slope, not for convergence studies).  Samples must be finite and
+    constant and is exposed as such.  It enters the drive through G'',
+    so a designed drive is only as accurate as that fit, which converges
+    at first order in the sample spacing.  Samples must be finite and
     start at t = 0, the envelope must switch on smoothly (zero value at
     t = 0), and the spline through them must be finite.
     """

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -119,27 +118,26 @@ def excited_population(
 @dataclass(frozen=True, eq=False)
 class DesignSamples:
     """The envelope on a design grid: value and slope on the half
-    lattice, curvature and (when the pulse has one) third derivative on
-    the grid."""
+    lattice, curvature and third derivative on the grid."""
 
     pulse: InputPulse
     grid: TimeGrid
     phi_half: np.ndarray
     d1_half: np.ndarray
     d2: np.ndarray
-    d3: Optional[np.ndarray]
+    d3: np.ndarray
 
 
 def sample_design_pulse(pulse: InputPulse, grid: TimeGrid) -> DesignSamples:
     """Every envelope sample either design takes, for any W and any
-    detunings.  The grid must cover the pulse support."""
+    detunings.  The grid must cover the pulse support, and the pulse
+    needs its third derivative (:func:`memory_chain` takes it for G'')."""
     grid.require_cover(pulse.duration)
     th = grid.half_times
     phi_half, d1_half = pulse.value(th), pulse.d1(th)
     # half_times[::2] is bitwise grid.times
     t = th[::2]
-    d3 = pulse.d3(t) if pulse.has_d3 else None
-    return DesignSamples(pulse, grid, phi_half, d1_half, pulse.d2(t), d3)
+    return DesignSamples(pulse, grid, phi_half, d1_half, pulse.d2(t), pulse.d3(t))
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,18 +171,19 @@ class DesignResult(DesignChain):
     ``alpha`` and ``beta`` are the real drive quadratures in the frame
     of the atomic transition; ``omega_modulus`` and the unwrapped
     ``omega_phase`` describe the same complex drive
-    ``alpha + i beta``.  ``accumulated_phase`` is the rotating-frame
-    angle that the two detunings wind up over time.  The Markovian
-    design fills ``n_drive`` and ``z_mem`` with their W -> infinity
-    limits.
+    ``alpha + i beta``.  The Markovian design fills ``n_drive`` and
+    ``z_mem`` with their W -> infinity limits.
     """
 
     params: PhysicalParams
-    accumulated_phase: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
     omega_modulus: np.ndarray
-    omega_phase: np.ndarray
+
+    @property
+    def omega_phase(self) -> np.ndarray:
+        """Unwrapped phase of ``alpha + i beta``, computed when read."""
+        return np.unwrap(np.arctan2(self.beta, self.alpha))
 
     @property
     def drive(self) -> np.ndarray:
@@ -227,9 +226,8 @@ def memory_chain(samples: DesignSamples, params: PhysicalParams) -> DesignChain:
     Inverting the input-output relation for the Lorentzian bath gives
     the perfect-absorption cavity amplitude
     ``G = (phi_in' + W phi_in) / (W sqrt(big_gamma))``, whose
-    derivatives follow by differentiating through (``G''`` falls back
-    to a finite difference of ``G'`` when the pulse lacks a third
-    derivative).  The cavity equation then gives
+    derivatives follow by differentiating through (``G''`` from the
+    envelope's third derivative).  The cavity equation then gives
     ``x_tilde = (-G' + N - Z) / g_cav``, where N is the anticipated
     input (:func:`photon_store.model.future_drive`) and Z the bath
     memory ``integral_0^t f(t - tau) G(tau) d tau``.  The exponential
@@ -245,10 +243,7 @@ def memory_chain(samples: DesignSamples, params: PhysicalParams) -> DesignChain:
     scale = 1.0 / (w * root_gamma)
     g = scale * (v1 + w * v0)
     g_dot = scale * (v2 + w * v1)
-    if samples.d3 is not None:
-        g_ddot = scale * (samples.d3 + w * v2)
-    else:
-        g_ddot = np.gradient(g_dot, grid.dt)
+    g_ddot = scale * (samples.d3 + w * v2)
 
     n_drive = future_drive(samples.pulse, params, grid, phi_half=phi_half)
     # the memory's source is G on the half lattice; it divides where G
@@ -306,30 +301,20 @@ def markovian_population(samples: DesignSamples, params: PhysicalParams) -> np.n
     return excited_population(x_tilde, g, params, samples.grid)
 
 
-def drive_quadratures(
-    chain: DesignChain, params: PhysicalParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rotating-frame angle and drive quadratures ``alpha``, ``beta`` of
-    a chain at the detunings of ``params`` (resonance included)."""
+def rotate_drive(chain: DesignChain, params: PhysicalParams) -> DesignResult:
+    """The design of a chain at the detunings of ``params`` (resonance
+    included): the drive quadratures ``alpha``, ``beta`` and their modulus."""
     q = params.delta2 * chain.x_tilde / chain.root_rho
     phase = -params.delta * chain.grid.times + params.delta2 * chain.winding
     cos_a, sin_a = np.cos(phase), np.sin(phase)
     alpha = chain.p * cos_a + q * sin_a
     beta = q * cos_a - chain.p * sin_a
-    return phase, alpha, beta
-
-
-def rotate_drive(chain: DesignChain, params: PhysicalParams) -> DesignResult:
-    """The design of a chain at the detunings of ``params``."""
-    phase, alpha, beta = drive_quadratures(chain, params)
     return DesignResult(
         **vars(chain),
         params=params,
-        accumulated_phase=phase,
         alpha=alpha,
         beta=beta,
         omega_modulus=np.hypot(alpha, beta),
-        omega_phase=np.unwrap(np.arctan2(beta, alpha)),
     )
 
 

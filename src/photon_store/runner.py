@@ -128,10 +128,12 @@ def load_pulse(cfg: ScenarioConfig) -> InputPulse:
 
 
 # cost ceilings of one run: a simulate run holds about 0.9 kB per grid
-# step (0.85 GiB at the ceiling), and the oracle steps every bath mode
-# at every grid step (about 15 ns a mode-step, 4 s at the ceiling)
+# step (0.85 GiB at the ceiling); the oracle steps every bath mode at
+# every grid step (about 15 ns a mode-step, 4 s at the ceiling), and its
+# mode vectors (dynamics.comb_bytes) get the same 0.85 GiB
 MAX_STEPS = 1_000_000
 MAX_MODE_STEPS = 250_000_000
+MAX_MODE_BYTES = int(0.85 * 2**30)
 
 
 def _pulse_and_grid(cfg: ScenarioConfig) -> tuple[InputPulse, TimeGrid]:
@@ -151,11 +153,19 @@ def _pulse_and_grid(cfg: ScenarioConfig) -> tuple[InputPulse, TimeGrid]:
             "value", 0, f"{where} makes {grid.n_steps:.3g} steps, "
             f"above the ceiling of {MAX_STEPS:.3g}"
         )
-    if cfg.mode == "oracle" and cfg.n_modes * grid.n_steps > MAX_MODE_STEPS:
+    if cfg.mode != "oracle":
+        return pulse, grid
+    comb = f"n_modes = {cfg.n_modes} over {where}"
+    if cfg.n_modes * grid.n_steps > MAX_MODE_STEPS:
         raise ConfigError.single(
-            "value", 0, f"n_modes = {cfg.n_modes} over {where} makes "
-            f"{cfg.n_modes * grid.n_steps:.3g} mode-steps, above the ceiling of "
-            f"{MAX_MODE_STEPS:.3g}"
+            "value", 0, f"{comb} makes {cfg.n_modes * grid.n_steps:.3g} mode-steps, "
+            f"above the ceiling of {MAX_MODE_STEPS:.3g}"
+        )
+    held = dynamics.comb_bytes(cfg.n_modes, grid.n_steps)
+    if held > MAX_MODE_BYTES:
+        raise ConfigError.single(
+            "value", 0, f"{comb} holds {held / 2**30:.3g} GiB of mode vectors, "
+            f"above the ceiling of {MAX_MODE_BYTES / 2**30:.3g} GiB"
         )
     return pulse, grid
 
@@ -430,14 +440,14 @@ class SweepState:
             with np.errstate(all="ignore"):
                 big_gamma, chain = self.chain(cfg)
                 params = _physical_params(cfg, self.pulse, big_gamma)
-                _, alpha, beta = pulse_design.drive_quadratures(chain, params)
+                design = pulse_design.rotate_drive(chain, params)
                 out: dict[str, object] = {
                     "big_gamma": big_gamma,
-                    "max_abs_omega": float(np.max(np.hypot(alpha, beta))),
+                    "max_abs_omega": float(np.max(design.omega_modulus)),
                     "backflow_detected": _backflow(chain.rho_ee),
                 }
                 if self.cfg.sweep_param == "delta2":
-                    out["theta"] = np.unwrap(np.arctan2(beta, alpha))
+                    out["theta"] = design.omega_phase
                     out["rho_ee"] = chain.rho_ee
                 elif params.is_resonant:
                     flat = pulse_design.markovian_population(self.design_samples, params)

@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import photon_store as ps
-from photon_store import cli, config, errors, model, pulse_design, runner
+from photon_store import cli, config, dynamics, errors, model, pulse_design, runner
 from photon_store.errors import ConfigError, PhotonStoreError
 from photon_store.grid import TimeGrid
 
@@ -146,6 +146,11 @@ def test_missing_required_keys_reported():
         ("n_modes = 1\n", "n_modes"),
         ("workers = 0\n", "workers"),
         ("mode = destroy\n", "mode must be one of"),
+        ("n_modes = 2.5\n", "n_modes expects an integer"),
+        ("g_cav = 1, 2\n", "g_cav does not accept a range"),
+        ("bandwidth_w = 1, two\n", "could not parse range for bandwidth_w"),
+        ("g_cav = thirty\n", "g_cav expects a number"),
+        ("mode = sweep\nbandwidth_w = ,\n", "bandwidth_w range is empty"),
     ],
 )
 def test_domain_checks(line, fragment):
@@ -213,6 +218,15 @@ def test_preset_overrides_user_values_and_records_it():
     cfg = config.parse_config("rho_offset = 0.5\npreset = fig2a\n")
     assert cfg.rho_offset == 0.002
     assert "rho_offset" in cfg.overrides
+    # a range where the preset holds a scalar, and a scalar where it
+    # holds a range
+    cfg = config.parse_config("bandwidth_w = 1, 2\npreset = fig6\n")
+    assert cfg.bandwidth_w == 0.5 and cfg.sweep_param == "delta2"
+    assert cfg.overrides == ("bandwidth_w",)
+    cfg = config.parse_config("bandwidth_w = 3\npreset = fig4\n")
+    assert cfg.sweep_param == "bandwidth_w"
+    assert cfg.sweep_values == (0.5, 1.0, 2.0, 5.0, 25.0)
+    assert cfg.overrides == ("bandwidth_w",)
 
 
 def test_unknown_preset_lists_known_names():
@@ -387,6 +401,12 @@ def test_cli_reports_violations_and_exits_2(tmp_path, capsys):
     assert "gamma_L" in err and "line 1" in err
 
 
+def test_cli_unreadable_config_exits_2(tmp_path, capsys):
+    assert cli.main(["design", "--config", str(tmp_path / "missing.cfg")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config: cannot read ")
+
+
 def test_cli_infeasible_design_exits_3(tmp_path):
     text = GOOD_DESIGN.replace("rho_offset = 0.002", "rho_offset = 1e-15")
     code = run_cli(["design", "--out", str(tmp_path / "o")], tmp_path, text)
@@ -398,6 +418,29 @@ def test_cli_narrow_band_exits_5(tmp_path):
     text += "band_halfwidth = 1\nn_modes = 50\n"
     code = run_cli(["oracle", "--out", str(tmp_path / "o")], tmp_path, text)
     assert code == 5
+
+
+def test_cli_oracle_writes_its_series_and_passes_its_gate(tmp_path):
+    # the benchmark's small comb
+    text = GOOD_DESIGN.replace("mode = design", "mode = oracle").replace(
+        "bandwidth_w = 1.6716", "bandwidth_w = 2"
+    )
+    text += "n_modes = 500\nband_halfwidth = 40\ngrid.dt = 5e-4\n"
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert run_cli(["oracle", "--out", str(out1)], tmp_path, text) == 0
+    files = read_dir(out1)
+    assert set(files) == {"oracle_series.csv", "summary"}
+    header = files["oracle_series.csv"].decode().splitlines()[0]
+    assert header == (
+        "t,phi_in,re_g_reduced,im_g_reduced,re_g_oracle,im_g_oracle,abs_g_diff"
+    )
+    summary = dict(
+        line.split(" = ", 1) for line in files["summary"].decode().splitlines()
+    )
+    assert float(summary["band_capture"]) >= 0.999
+    assert float(summary["sup_diff_G"]) <= 1e-3
+    assert run_cli(["oracle", "--out", str(out2)], tmp_path, text) == 0
+    assert read_dir(out2) == files
 
 
 def test_cli_preset_flag_matches_config_line(tmp_path):
@@ -787,6 +830,29 @@ def test_cli_run_above_the_cost_ceiling_exits_2_at_once(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error[2]: ") and fragment in err[0]
     assert not any(out.iterdir())
+
+
+def test_cli_oracle_above_the_mode_byte_ceiling_exits_2_at_once(
+    tmp_path, capsys, monkeypatch
+):
+    # one grid step admits 1e8 modes by the mode-step ceiling, but their
+    # vectors would take gigabytes; no mode vector may be built first
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("the bath was discretized before the ceiling check")
+
+    monkeypatch.setattr(dynamics, "discretize_bath", unbuilt)
+    out = tmp_path / "o"
+    text = CHEAP_W + "pulse_duration = 0.01\nn_modes = 100000000\n"
+    assert run_cli(["oracle", "--out", str(out)], tmp_path, text) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error[2]: ")
+    assert "n_modes = 100000000" in err[0] and "GiB of mode vectors" in err[0]
+    assert not any(out.iterdir())
+    # the default comb on the preset grid, the benchmark's and criterion
+    # 10's combs stay below the ceiling
+    for n_modes, dt in [(2000, 1e-4), (4000, 5e-4), (4000, 1e-4)]:
+        steps = TimeGrid.from_span(PI, dt).n_steps
+        assert dynamics.comb_bytes(n_modes, steps) <= runner.MAX_MODE_BYTES
 
 
 @pytest.mark.parametrize("w", ["1e-200", "1e-160"])

@@ -91,6 +91,7 @@ def test_negative_dark_weight_is_reported(make_params, grid):
         _value=lambda t: 0.2 * (-0.25 + 0.5 * np.cos(2.0 * t) - 0.25 * np.cos(4.0 * t)),
         _d1=lambda t: 0.2 * (-np.sin(2.0 * t) + np.sin(4.0 * t)),
         _d2=lambda t: 0.2 * (-2.0 * np.cos(2.0 * t) + 4.0 * np.cos(4.0 * t)),
+        _d3=lambda t: 0.2 * (4.0 * np.sin(2.0 * t) - 16.0 * np.sin(4.0 * t)),
     )
     params = make_params(
         2.0, 0.9, gamma_L=0.0, big_gamma=16.029934985578567

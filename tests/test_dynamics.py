@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -371,6 +372,29 @@ def test_oracle_matches_reduced_solver(pulse, design_for, grid):
     bath = ps.discretize_bath(params, n_modes=500, band_halfwidth=40.0)
     run = ps.simulate_discrete_bath(pulse, des.drive, params, seed, bath, grid)
     assert np.max(np.abs(run.trajectory.g - reduced.g)) < 1e-4
+
+
+def test_comb_bytes_bounds_what_a_mode_costs(pulse, make_params):
+    # the runner's mode ceiling rests on comb_bytes: it must bound the
+    # traced peak each extra mode adds to discretize_bath and the run,
+    # and not by a wide margin
+    grid = ps.TimeGrid.from_span(PI, 2e-3)
+    params = make_params(2.0, 0.002)
+    des = ps.design_drive(pulse, params, grid)
+    seed = ps.InitialState.matched(params.rho_offset)
+
+    def peak(n_modes):
+        tracemalloc.start()
+        try:
+            bath = ps.discretize_bath(params, n_modes=n_modes, band_halfwidth=40.0)
+            ps.simulate_discrete_bath(pulse, des.drive, params, seed, bath, grid)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    per_mode = (peak(1000) - peak(500)) / 500
+    estimate = dynamics.comb_bytes(1, grid.n_steps)
+    assert 0.8 * estimate <= per_mode <= estimate
 
 
 def test_oracle_conserves_probability_without_loss(pulse, design_for, grid):

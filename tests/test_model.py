@@ -9,6 +9,7 @@ import pytest
 
 import photon_store as ps
 from photon_store import model
+from photon_store._integrate import cubic_midpoints
 from photon_store.errors import GridMismatch
 
 PI = math.pi
@@ -40,6 +41,17 @@ def test_half_lattice_holds_the_grid_bitwise():
         for dt in (1e-4, 5e-5, 3e-3, 1e-2, 0.03):
             g = ps.TimeGrid.from_span(span, dt)
             assert g.half_times[::2].tobytes() == g.times.tobytes()
+
+
+def test_cubic_midpoints_of_two_and_three_samples():
+    # too few samples for the 4-point stencil: the midpoint of a line
+    # and the two midpoints of a parabola are still exact
+    line = cubic_midpoints(np.array([1.0, 3.0]))
+    np.testing.assert_array_equal(line, [2.0])
+    parabola = cubic_midpoints(np.array([0.0, 1.0, 4.0]))
+    np.testing.assert_array_equal(parabola, [0.25, 2.25])
+    with pytest.raises(ValueError, match="at least two samples"):
+        cubic_midpoints(np.array([1.0]))
 
 
 @pytest.mark.parametrize("span,dt", [(-1.0, 0.1), (1.0, -0.1), (1.0, 0.0)])
