@@ -9,10 +9,10 @@ input, which both simplifies the physics and provides an independent
 cross-check of the exact design: the two population series should
 agree wherever g_cav^2 >> gamma_L * big_gamma.
 
-:func:`adiabatic_simulate` steps the three real amplitudes (d1, the
-memory Q and the emission accumulator y) with classical RK4 written out
-on Python floats, like the forward solvers in ``dynamics``, so the
-dark-state route costs about as much as one scalar forward run.
+:func:`adiabatic_simulate` steps the two real amplitudes d1 and the
+memory Q with classical RK4 written out on Python floats, like the
+forward solvers in ``dynamics``, so the dark-state route costs about as
+much as one scalar forward run.
 """
 
 from __future__ import annotations
@@ -121,22 +121,22 @@ class AdiabaticRun:
 def adiabatic_simulate(pulse: InputPulse, dark: DarkDesign) -> AdiabaticRun:
     """Integrate the dark amplitude under the designed mixing angle.
 
-    The effective cavity amplitude is ``u = cos(phi) d1``; it feeds
-    the same memory and emission accumulators as the full model, so
-    the reflected output of a perfect adiabatic run vanishes the same
-    way.  ``flux_cumulative`` tracks the probability bookkeeping
-    ``integral 2 u (N - Q)``, which the exact dynamics would deposit
-    in d1^2.  The run uses the parameters and grid of the design.
+    The effective cavity amplitude is ``u = cos(phi) d1``; it feeds the
+    same memory Q as the full model, and the emission accumulator is
+    ``(2 / sqrt(big_gamma)) Q``, so the reflected output of a perfect
+    adiabatic run vanishes the same way.  ``flux_cumulative`` tracks the
+    probability bookkeeping ``integral 2 u (N - Q)``, which the exact
+    dynamics would deposit in d1^2.  The run uses the parameters and grid
+    of the design.
     """
     params = dark.design.params
     grid = dark.grid
     # scalar RK4 in the layout of the forward solvers in ``dynamics``:
-    # the three real amplitudes step as Python floats, with each stage's
+    # the two real amplitudes step as Python floats, with each stage's
     # arithmetic in the order of the vector right-hand side that
     # tests/test_dark_state.py checks this loop against bit for bit
     w = params.bandwidth_w
     mem = 0.5 * w * params.big_gamma
-    pump_y = w * math.sqrt(params.big_gamma)
     cos_h = half_lattice(dark.cos_mixing).tolist()
     n_h = half_lattice(dark.design.n_drive).tolist()
 
@@ -146,9 +146,8 @@ def adiabatic_simulate(pulse: InputPulse, dark: DarkDesign) -> AdiabaticRun:
     sixth = dt / 6.0
     pd = np.empty(n + 1)
     pq = np.empty(n + 1)
-    py = np.empty(n + 1)
-    d, q, y = 0.0, 0.0, 0.0
-    pd[0], pq[0], py[0] = d, q, y
+    d, q = 0.0, 0.0
+    pd[0], pq[0] = d, q
 
     for k in range(n):
         j0 = 2 * k
@@ -159,37 +158,34 @@ def adiabatic_simulate(pulse: InputPulse, dark: DarkDesign) -> AdiabaticRun:
         u = c * d
         a1d = c * (n_h[j0] - q)
         a1q = -w * q + mem * u
-        a1y = -w * y + pump_y * u
 
-        bd, bq, by = d + h * a1d, q + h * a1q, y + h * a1y
+        bd, bq = d + h * a1d, q + h * a1q
         c = cos_h[j1]
         u = c * bd
         a2d = c * (n_h[j1] - bq)
         a2q = -w * bq + mem * u
-        a2y = -w * by + pump_y * u
 
-        bd, bq, by = d + h * a2d, q + h * a2q, y + h * a2y
+        bd, bq = d + h * a2d, q + h * a2q
         u = c * bd
         a3d = c * (n_h[j1] - bq)
         a3q = -w * bq + mem * u
-        a3y = -w * by + pump_y * u
 
-        bd, bq, by = d + dt * a3d, q + dt * a3q, y + dt * a3y
+        bd, bq = d + dt * a3d, q + dt * a3q
         c = cos_h[j2]
         u = c * bd
         a4d = c * (n_h[j2] - bq)
         a4q = -w * bq + mem * u
-        a4y = -w * by + pump_y * u
 
         d = d + sixth * (a1d + 2.0 * a2d + 2.0 * a3d + a4d)
         q = q + sixth * (a1q + 2.0 * a2q + 2.0 * a3q + a4q)
-        y = y + sixth * (a1y + 2.0 * a2y + 2.0 * a3y + a4y)
 
-        tot = abs(d) + abs(q) + abs(y)
+        tot = abs(d) + abs(q)
         if tot != tot or tot == math.inf:
-            raise NonFiniteState.among((k + 1) * dt, d=d, q=q, y=y)
-        pd[k + 1], pq[k + 1], py[k + 1] = d, q, y
+            raise NonFiniteState.among((k + 1) * dt, d=d, q=q)
+        pd[k + 1], pq[k + 1] = d, q
 
+    # h = (2 / sqrt(big_gamma)) f, so y = integral h u is that multiple of Q
+    py = (2.0 / math.sqrt(params.big_gamma)) * pq
     u = dark.cos_mixing * pd
     flux = 2.0 * u * (dark.design.n_drive - pq)
     flux_cum = cumulative_trapezoid(flux, grid.dt)

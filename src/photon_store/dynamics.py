@@ -3,8 +3,8 @@
 Three routes of increasing independence from the design chain:
 
 * :func:`simulate_nonmarkovian` -- the reduced equations with the
-  exponential memory kernel replaced by two auxiliary first-order
-  equations (exact for a Lorentzian bath).
+  exponential memory kernel replaced by one auxiliary first-order
+  equation, the bath pseudomode Z (exact for a Lorentzian bath).
 * :func:`simulate_markovian` -- the broadband limit, where the bath
   memory collapses to the decay rate ``big_gamma``.
 * :func:`simulate_discrete_bath` -- a brute-force oracle: the bath is
@@ -35,8 +35,8 @@ from .model import InputPulse, PhysicalParams, future_drive
 _CAPTURE_FLOOR = 0.999
 # complex vectors per mode that the oracle holds besides the projection's
 # phase blocks: frequencies and weights; the step's z, gain, mode vector
-# and update; and its powers, lift and project rows (four each)
-_MODE_VECTORS = 18
+# and update; and its lift and project rows (four each)
+_MODE_VECTORS = 14
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,10 @@ class Trajectory:
     ``y_out`` is the emission accumulator ``integral h(t-tau) G(tau)``;
     the output envelope is always ``phi_out = y_out - phi_in``.
     ``z_mem`` is the bath-memory accumulator of the reduced equations
-    (zero for solvers that do not track it explicitly).
+    (zero for solvers that do not track it explicitly).  The memory-kernel
+    solver forms y as ``(2 / sqrt(big_gamma)) z_mem``, the broadband one as
+    ``sqrt(big_gamma) g``; the oracle steps its own y, because its memory
+    lives in the comb rather than in one Z.
     """
 
     grid: TimeGrid
@@ -120,19 +123,17 @@ def simulate_nonmarkovian(
 ) -> Trajectory:
     """Integrate the reduced memory-kernel equations of motion.
 
-    The convolution terms are carried by two auxiliary amplitudes: the
-    memory Z (kernel against the simulated G) and the emission
-    accumulator y.  The anticipated input N is integrated backward
-    once before the forward sweep.
+    The convolution term is carried by one auxiliary amplitude, the
+    memory Z (kernel against the simulated G); the emission accumulator
+    is its multiple (2 / sqrt(big_gamma)) Z.  The anticipated input N is
+    integrated backward once before the forward sweep.
     """
     grid.require_cover(pulse.duration)
     w = params.bandwidth_w
-    root_gamma = math.sqrt(params.big_gamma)
     gamma_l = params.gamma_L
     cav, sto, rev, bck = _couplings(drive, params, grid)
     n_l = half_lattice(future_drive(pulse, params, grid)).tolist()
     mem = 0.5 * w * params.big_gamma
-    pump_y = w * root_gamma
 
     n = grid.n_steps
     dt = grid.dt
@@ -142,11 +143,9 @@ def simulate_nonmarkovian(
     pe = np.empty(n + 1, dtype=complex)
     px = np.empty(n + 1, dtype=complex)
     pz = np.empty(n + 1, dtype=complex)
-    py = np.empty(n + 1, dtype=complex)
     g, e, x = complex(init.g_amp), complex(init.e_amp), complex(init.x_amp)
     z = 0.0 + 0.0j
-    y = 0.0 + 0.0j
-    pg[0], pe[0], px[0], pz[0], py[0] = g, e, x, z, y
+    pg[0], pe[0], px[0], pz[0] = g, e, x, z
 
     for k in range(n):
         j0 = 2 * k
@@ -157,44 +156,37 @@ def simulate_nonmarkovian(
         a1e = sto[j0] * x
         a1x = rev[j0] * e + bck[j0] * g - gamma_l * x
         a1z = -w * z + mem * g
-        a1y = -w * y + pump_y * g
 
-        bg, be, bx = g + h * a1g, e + h * a1e, x + h * a1x
-        bz, by = z + h * a1z, y + h * a1y
+        bg, be, bx, bz = g + h * a1g, e + h * a1e, x + h * a1x, z + h * a1z
         a2g = cav[j1] * bx + n_l[j1] - bz
         a2e = sto[j1] * bx
         a2x = rev[j1] * be + bck[j1] * bg - gamma_l * bx
         a2z = -w * bz + mem * bg
-        a2y = -w * by + pump_y * bg
 
-        bg, be, bx = g + h * a2g, e + h * a2e, x + h * a2x
-        bz, by = z + h * a2z, y + h * a2y
+        bg, be, bx, bz = g + h * a2g, e + h * a2e, x + h * a2x, z + h * a2z
         a3g = cav[j1] * bx + n_l[j1] - bz
         a3e = sto[j1] * bx
         a3x = rev[j1] * be + bck[j1] * bg - gamma_l * bx
         a3z = -w * bz + mem * bg
-        a3y = -w * by + pump_y * bg
 
-        bg, be, bx = g + dt * a3g, e + dt * a3e, x + dt * a3x
-        bz, by = z + dt * a3z, y + dt * a3y
+        bg, be, bx, bz = g + dt * a3g, e + dt * a3e, x + dt * a3x, z + dt * a3z
         a4g = cav[j2] * bx + n_l[j2] - bz
         a4e = sto[j2] * bx
         a4x = rev[j2] * be + bck[j2] * bg - gamma_l * bx
         a4z = -w * bz + mem * bg
-        a4y = -w * by + pump_y * bg
 
         g = g + sixth * (a1g + 2.0 * a2g + 2.0 * a3g + a4g)
         e = e + sixth * (a1e + 2.0 * a2e + 2.0 * a3e + a4e)
         x = x + sixth * (a1x + 2.0 * a2x + 2.0 * a3x + a4x)
         z = z + sixth * (a1z + 2.0 * a2z + 2.0 * a3z + a4z)
-        y = y + sixth * (a1y + 2.0 * a2y + 2.0 * a3y + a4y)
 
-        tot = abs(g) + abs(e) + abs(x) + abs(z) + abs(y)
+        tot = abs(g) + abs(e) + abs(x) + abs(z)
         if tot != tot or tot == math.inf:
-            raise NonFiniteState.among((k + 1) * dt, g=g, e=e, x=x, z=z, y=y)
-        pg[k + 1], pe[k + 1], px[k + 1] = g, e, x
-        pz[k + 1], py[k + 1] = z, y
+            raise NonFiniteState.among((k + 1) * dt, g=g, e=e, x=x, z=z)
+        pg[k + 1], pe[k + 1], px[k + 1], pz[k + 1] = g, e, x, z
 
+    # h = (2 / sqrt(big_gamma)) f, so y = integral h G is that multiple of Z
+    py = (2.0 / math.sqrt(params.big_gamma)) * pz
     phi_in = pulse.value(grid.times)
     return Trajectory(
         grid=grid,
@@ -440,9 +432,9 @@ def simulate_discrete_bath(
     sixth = dt / 6.0
     # powers of the scaled generator dt*D keep the moments O(|c|)
     z = -1j * dt * bath.frequencies
-    powers = np.stack([np.ones_like(z), z, z * z, z * z * z])
-    lift = powers * bath.weights              # rows (dt D)^m k
-    project = powers * np.conj(bath.weights)  # rows conj(k) (dt D)^m
+    project = np.stack([np.ones_like(z), z, z * z, z * z * z])
+    lift = project * bath.weights              # rows (dt D)^m k
+    project *= np.conj(bath.weights)           # rows conj(k) (dt D)^m
     gain = 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
     nu0, nu1, nu2 = (lift[:3] @ project[0]).tolist()
 

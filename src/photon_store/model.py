@@ -18,6 +18,11 @@ field through the causal impulse response
 ``h(t) = W * sqrt(big_gamma) * exp(-W t)`` for t >= 0 (with h(0) taken
 at its full height).  W -> infinity recovers the memoryless
 (Markovian) cavity with decay rate ``big_gamma``.
+
+h and f decay at the same rate and ``h = (2 / sqrt(big_gamma)) f`` for
+t >= 0, so the bath is one damped pseudomode: with the memory
+``Z = integral f(t - tau) G(tau) d tau``, the non-Markovian input-output
+relation reads ``phi_out = (2 / sqrt(big_gamma)) Z - phi_in``.
 """
 
 from __future__ import annotations
@@ -51,8 +56,6 @@ class PhysicalParams:
     rho_offset : float
         Initial excited-state population seeding the drive design,
         in [0, 1).
-    pulse_duration : float
-        Support length T of the input envelope (us), > 0.
     """
 
     g_cav: float
@@ -62,7 +65,6 @@ class PhysicalParams:
     big_gamma: float
     bandwidth_w: float
     rho_offset: float
-    pulse_duration: float
 
     def __post_init__(self) -> None:
         if not self.g_cav > 0.0:
@@ -75,8 +77,6 @@ class PhysicalParams:
             raise ValueError("bandwidth_w must be positive")
         if not 0.0 <= self.rho_offset < 1.0:
             raise ValueError("rho_offset must lie in [0, 1)")
-        if not self.pulse_duration > 0.0:
-            raise ValueError("pulse_duration must be positive")
 
     @property
     def delta(self) -> float:

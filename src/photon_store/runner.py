@@ -170,9 +170,7 @@ def _pulse_and_grid(cfg: ScenarioConfig) -> tuple[InputPulse, TimeGrid]:
     return pulse, grid
 
 
-def _physical_params(
-    cfg: ScenarioConfig, pulse: InputPulse, big_gamma: float
-) -> PhysicalParams:
+def _physical_params(cfg: ScenarioConfig, big_gamma: float) -> PhysicalParams:
     return PhysicalParams(
         g_cav=cfg.g_cav,
         gamma_L=cfg.gamma_L,
@@ -181,7 +179,6 @@ def _physical_params(
         big_gamma=big_gamma,
         bandwidth_w=cfg.bandwidth_w,
         rho_offset=cfg.rho_offset,
-        pulse_duration=pulse.duration,
     )
 
 
@@ -193,7 +190,7 @@ def materialize(cfg: ScenarioConfig) -> Scenario:
         if cfg.big_gamma is None
         else cfg.big_gamma
     )
-    return Scenario(pulse=pulse, params=_physical_params(cfg, pulse, big_gamma), grid=grid)
+    return Scenario(pulse=pulse, params=_physical_params(cfg, big_gamma), grid=grid)
 
 
 def _summary_header(cfg: ScenarioConfig) -> dict[str, object]:
@@ -424,7 +421,7 @@ class SweepState:
             if big_gamma is None:
                 big_gamma = pulse_design.coupling_from_bandwidth(self.pulse, w)
             resonant = replace(cfg, delta1=0.0, delta2=0.0)
-            params = _physical_params(resonant, self.pulse, big_gamma)
+            params = _physical_params(resonant, big_gamma)
             chain = pulse_design.memory_chain(self.design_samples, params)
             self._last = (w, big_gamma, chain)
         return self._last[1:]
@@ -439,7 +436,7 @@ class SweepState:
         try:
             with np.errstate(all="ignore"):
                 big_gamma, chain = self.chain(cfg)
-                params = _physical_params(cfg, self.pulse, big_gamma)
+                params = _physical_params(cfg, big_gamma)
                 design = pulse_design.rotate_drive(chain, params)
                 out: dict[str, object] = {
                     "big_gamma": big_gamma,

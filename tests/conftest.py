@@ -64,7 +64,6 @@ def make_params(gamma_of):
             big_gamma=big_gamma if big_gamma is not None else gamma_of(w),
             bandwidth_w=w,
             rho_offset=rho,
-            pulse_duration=PI,
         )
 
     return make

@@ -15,6 +15,7 @@ import pytest
 
 import photon_store as ps
 from photon_store import dynamics
+from photon_store._integrate import half_lattice
 from photon_store.errors import BandTooNarrow, GridMismatch, NonFiniteState
 
 PI = math.pi
@@ -178,6 +179,92 @@ def test_broadband_limit_closes_simulation_gap(pulse, design_for, grid):
     full = ps.simulate_nonmarkovian(pulse, des.drive, params, seed, grid)
     rate = ps.simulate_markovian(pulse, des.drive, params, seed, grid)
     assert np.max(np.abs(full.g - rate.g)) < 0.02
+
+
+# ------------------------------------------------ reduced solvers against rk4
+
+
+def explicit_reduced_rhs(pulse, drive, params, grid, memory):
+    """Right-hand side of the memory-kernel (g, e, x, Z) or the broadband
+    (g, e, x) equations as one vector function.
+
+    The couplings are formed as arrays, as the solvers form them: numpy
+    may fuse an array product's multiply and add where a scalar product
+    rounds twice, so only the stepping is compared bit for bit.
+    """
+    th = grid.half_times
+    om_h = dynamics._drive_half(drive, grid)
+    e2m = np.exp(-1j * params.delta2 * th)
+    e1m = np.exp(-1j * params.delta1 * th)
+    w, big_gamma = params.bandwidth_w, params.big_gamma
+    gamma_l = params.gamma_L
+    cav = -1j * params.g_cav * e2m
+    sto = -1j * np.conj(om_h) * e1m
+    rev = -1j * om_h * np.conj(e1m)
+    bck = -1j * params.g_cav * np.conj(e2m)
+    if memory:
+        feed = half_lattice(ps.future_drive(pulse, params, grid))
+    else:
+        feed = math.sqrt(big_gamma) * pulse.value(th)
+
+    def rhs(j, s):
+        g, e, x = s[0], s[1], s[2]
+        ds = np.empty_like(s)
+        ds[0] = cav[j] * x + feed[j]
+        ds[1] = sto[j] * x
+        ds[2] = rev[j] * e + bck[j] * g - gamma_l * x
+        if memory:
+            ds[0] -= s[3]
+            ds[3] = -w * s[3] + 0.5 * w * big_gamma * g
+        else:
+            ds[0] -= 0.5 * big_gamma * g
+        return ds
+
+    return rhs
+
+
+@pytest.fixture(scope="module")
+def detuned_case(make_params):
+    """A detuned scenario, an arbitrary drive and a start with every
+    amplitude occupied, on a 2000-step grid."""
+    params = make_params(2.0, 0.002, delta1=0.7, delta2=-1.3)
+    grid = ps.TimeGrid.from_span(PI, PI / 2000)
+    t = grid.times
+    drive = 40.0 * np.sin(t) * np.exp(0.3j * t)
+    init = ps.InitialState(g_amp=0.1j, e_amp=0.2, x_amp=-0.05)
+    return params, grid, drive, init
+
+
+@pytest.mark.parametrize("memory", [True, False], ids=["nonmarkovian", "markovian"])
+def test_reduced_solver_is_rk4_bit_for_bit(pulse, detuned_case, rk4, memory):
+    params, grid, drive, init = detuned_case
+    solve = ps.simulate_nonmarkovian if memory else ps.simulate_markovian
+    traj = solve(pulse, drive, params, init, grid)
+    y0 = [init.g_amp, init.e_amp, init.x_amp] + ([0.0] if memory else [])
+    rhs = explicit_reduced_rhs(pulse, drive, params, grid, memory)
+    path = rk4(y0, rhs, grid.dt, grid.n_steps)
+    for col, amp in enumerate((traj.g, traj.e, traj.x)):
+        assert np.array_equal(amp, path[:, col])
+    if memory:
+        assert np.array_equal(traj.z_mem, path[:, 3])
+        # y obeys Z's equation with its source scaled by 2 / sqrt(big_gamma)
+        y = (2.0 / math.sqrt(params.big_gamma)) * traj.z_mem
+        assert np.array_equal(traj.y_out, y)
+    assert np.array_equal(traj.phi_out, traj.y_out - pulse.value(grid.times))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_memory_solver_and_rk4_fail_at_the_same_time(pulse, detuned_case, rk4):
+    params, grid, drive, init = detuned_case
+    drive = drive.copy()
+    drive[1200] = np.nan
+    with pytest.raises(NonFiniteState) as run_err:
+        ps.simulate_nonmarkovian(pulse, drive, params, init, grid)
+    y0 = [init.g_amp, init.e_amp, init.x_amp, 0.0]
+    rhs = explicit_reduced_rhs(pulse, drive, params, grid, memory=True)
+    with pytest.raises(NonFiniteState) as rk4_err:
+        rk4(y0, rhs, grid.dt, grid.n_steps)
+    assert run_err.value.t == rk4_err.value.t < grid.span
 
 
 # ------------------------------------------------------ discrete-bath oracle

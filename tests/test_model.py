@@ -80,7 +80,6 @@ def test_params_detuning_helpers(make_params):
         {"bandwidth_w": 0.0},
         {"rho_offset": -1e-6},
         {"rho_offset": 1.0},
-        {"pulse_duration": 0.0},
     ],
 )
 def test_params_reject_bad_values(kw):
@@ -92,7 +91,6 @@ def test_params_reject_bad_values(kw):
         big_gamma=16.03,
         bandwidth_w=2.0,
         rho_offset=0.002,
-        pulse_duration=PI,
     )
     with pytest.raises(ValueError):
         ps.PhysicalParams(**{**good, **kw})

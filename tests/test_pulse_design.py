@@ -438,7 +438,6 @@ def test_nan_population_is_infeasible(grid):
         big_gamma=1.0,
         bandwidth_w=1.0,
         rho_offset=0.5,
-        pulse_duration=PI,
     )
     x_tilde = np.zeros(grid.n_steps + 1)
     x_tilde[-3:] = [np.inf, np.nan, 0.0]
@@ -507,7 +506,6 @@ def test_asymmetric_pulse_drive_starts_at_slew_over_root_offset(grid, norm_squar
         big_gamma=gam,
         bandwidth_w=2.0,
         rho_offset=0.02,
-        pulse_duration=PI,
     )
     des = ps.design_drive(ap, params, grid)
     expected = des.x_tilde_dot[0] / math.sqrt(params.rho_offset)
