@@ -6,7 +6,8 @@ Three routes of increasing independence from the design chain:
   exponential memory kernel replaced by one auxiliary first-order
   equation, the bath pseudomode Z (exact for a Lorentzian bath).
 * :func:`simulate_markovian` -- the broadband limit, where the bath
-  memory collapses to the decay rate ``big_gamma``.
+  memory collapses to the decay rate ``big_gamma``; it is the same
+  loop with the pseudomode switched off.
 * :func:`simulate_discrete_bath` -- a brute-force oracle: the bath is
   sampled as thousands of explicit harmonic modes and the full linear
   system is integrated with no memory-kernel reduction at all.
@@ -68,11 +69,13 @@ class Trajectory:
 
     ``y_out`` is the emission accumulator ``integral h(t-tau) G(tau)``;
     the output envelope is always ``phi_out = y_out - phi_in``.
-    ``z_mem`` is the bath-memory accumulator of the reduced equations
-    (zero for solvers that do not track it explicitly).  The memory-kernel
-    solver forms y as ``(2 / sqrt(big_gamma)) z_mem``, the broadband one as
-    ``sqrt(big_gamma) g``; the oracle steps its own y, because its memory
-    lives in the comb rather than in one Z.
+    ``z_mem`` is the bath pseudomode Z of the reduced equations.  The
+    memory-kernel solver steps Z and forms y as
+    ``(2 / sqrt(big_gamma)) z_mem``.  The broadband solver steps the same
+    loop with Z's source and decay at zero, so its ``z_mem`` is exactly
+    zero, and forms y as ``sqrt(big_gamma) g``.  The oracle keeps
+    ``z_mem`` at zero and steps its own y, because its memory lives in
+    the comb rather than in one Z.
     """
 
     grid: TimeGrid
@@ -97,7 +100,7 @@ def _drive_half(drive: np.ndarray, grid: TimeGrid) -> np.ndarray:
 def _couplings(drive: np.ndarray, params: PhysicalParams, grid: TimeGrid):
     """Half-lattice couplings of the scalar stepping loops.
 
-    The five coupled amplitudes are too small a state vector to pay
+    The four coupled amplitudes are too small a state vector to pay
     per-step array overhead for, so the loops read plain lists, and
     their arithmetic matches the vector form operation for operation.
     """
@@ -112,6 +115,83 @@ def _couplings(drive: np.ndarray, params: PhysicalParams, grid: TimeGrid):
     rev = (-1j * om_h * e1p).tolist()           # X <- E coupling
     bck = (-1j * params.g_cav * e2p).tolist()   # X <- G coupling
     return cav, sto, rev, bck
+
+
+def _trajectory(pulse, grid, g, e, x, z_mem, y_out) -> Trajectory:
+    """The input-output relation ``phi_out = y_out - phi_in`` on the grid."""
+    phi_in = pulse.value(grid.times)
+    return Trajectory(
+        grid=grid,
+        g=g,
+        e=e,
+        x=x,
+        z_mem=z_mem,
+        y_out=y_out,
+        phi_in=phi_in,
+        phi_out=y_out - phi_in,
+    )
+
+
+def _reduced_loop(couplings, src, rate, w, mem, params, init, grid):
+    """Step g, e, x and the pseudomode Z of the reduced equations
+
+        G' = cav X + src - Z - rate G,   Z' = -w Z + mem G,
+
+    with the atom block of :func:`_couplings`; ``src`` is read on the
+    half lattice.  Returns the four amplitudes on the grid.
+    """
+    cav, sto, rev, bck = couplings
+    gamma_l = params.gamma_L
+    n = grid.n_steps
+    dt = grid.dt
+    h = dt / 2.0
+    sixth = dt / 6.0
+    pg = np.empty(n + 1, dtype=complex)
+    pe = np.empty(n + 1, dtype=complex)
+    px = np.empty(n + 1, dtype=complex)
+    pz = np.empty(n + 1, dtype=complex)
+    g, e, x = complex(init.g_amp), complex(init.e_amp), complex(init.x_amp)
+    z = 0.0 + 0.0j
+    pg[0], pe[0], px[0], pz[0] = g, e, x, z
+
+    for k in range(n):
+        j0 = 2 * k
+        j1 = j0 + 1
+        j2 = j0 + 2
+
+        a1g = cav[j0] * x + src[j0] - z - rate * g
+        a1e = sto[j0] * x
+        a1x = rev[j0] * e + bck[j0] * g - gamma_l * x
+        a1z = -w * z + mem * g
+
+        bg, be, bx, bz = g + h * a1g, e + h * a1e, x + h * a1x, z + h * a1z
+        a2g = cav[j1] * bx + src[j1] - bz - rate * bg
+        a2e = sto[j1] * bx
+        a2x = rev[j1] * be + bck[j1] * bg - gamma_l * bx
+        a2z = -w * bz + mem * bg
+
+        bg, be, bx, bz = g + h * a2g, e + h * a2e, x + h * a2x, z + h * a2z
+        a3g = cav[j1] * bx + src[j1] - bz - rate * bg
+        a3e = sto[j1] * bx
+        a3x = rev[j1] * be + bck[j1] * bg - gamma_l * bx
+        a3z = -w * bz + mem * bg
+
+        bg, be, bx, bz = g + dt * a3g, e + dt * a3e, x + dt * a3x, z + dt * a3z
+        a4g = cav[j2] * bx + src[j2] - bz - rate * bg
+        a4e = sto[j2] * bx
+        a4x = rev[j2] * be + bck[j2] * bg - gamma_l * bx
+        a4z = -w * bz + mem * bg
+
+        g = g + sixth * (a1g + 2.0 * a2g + 2.0 * a3g + a4g)
+        e = e + sixth * (a1e + 2.0 * a2e + 2.0 * a3e + a4e)
+        x = x + sixth * (a1x + 2.0 * a2x + 2.0 * a3x + a4x)
+        z = z + sixth * (a1z + 2.0 * a2z + 2.0 * a3z + a4z)
+
+        tot = abs(g) + abs(e) + abs(x) + abs(z)
+        if tot != tot or tot == math.inf:
+            raise NonFiniteState.among((k + 1) * dt, g=g, e=e, x=x, z=z)
+        pg[k + 1], pe[k + 1], px[k + 1], pz[k + 1] = g, e, x, z
+    return pg, pe, px, pz
 
 
 def simulate_nonmarkovian(
@@ -130,74 +210,13 @@ def simulate_nonmarkovian(
     """
     grid.require_cover(pulse.duration)
     w = params.bandwidth_w
-    gamma_l = params.gamma_L
-    cav, sto, rev, bck = _couplings(drive, params, grid)
+    couplings = _couplings(drive, params, grid)
     n_l = half_lattice(future_drive(pulse, params, grid)).tolist()
     mem = 0.5 * w * params.big_gamma
-
-    n = grid.n_steps
-    dt = grid.dt
-    h = dt / 2.0
-    sixth = dt / 6.0
-    pg = np.empty(n + 1, dtype=complex)
-    pe = np.empty(n + 1, dtype=complex)
-    px = np.empty(n + 1, dtype=complex)
-    pz = np.empty(n + 1, dtype=complex)
-    g, e, x = complex(init.g_amp), complex(init.e_amp), complex(init.x_amp)
-    z = 0.0 + 0.0j
-    pg[0], pe[0], px[0], pz[0] = g, e, x, z
-
-    for k in range(n):
-        j0 = 2 * k
-        j1 = j0 + 1
-        j2 = j0 + 2
-
-        a1g = cav[j0] * x + n_l[j0] - z
-        a1e = sto[j0] * x
-        a1x = rev[j0] * e + bck[j0] * g - gamma_l * x
-        a1z = -w * z + mem * g
-
-        bg, be, bx, bz = g + h * a1g, e + h * a1e, x + h * a1x, z + h * a1z
-        a2g = cav[j1] * bx + n_l[j1] - bz
-        a2e = sto[j1] * bx
-        a2x = rev[j1] * be + bck[j1] * bg - gamma_l * bx
-        a2z = -w * bz + mem * bg
-
-        bg, be, bx, bz = g + h * a2g, e + h * a2e, x + h * a2x, z + h * a2z
-        a3g = cav[j1] * bx + n_l[j1] - bz
-        a3e = sto[j1] * bx
-        a3x = rev[j1] * be + bck[j1] * bg - gamma_l * bx
-        a3z = -w * bz + mem * bg
-
-        bg, be, bx, bz = g + dt * a3g, e + dt * a3e, x + dt * a3x, z + dt * a3z
-        a4g = cav[j2] * bx + n_l[j2] - bz
-        a4e = sto[j2] * bx
-        a4x = rev[j2] * be + bck[j2] * bg - gamma_l * bx
-        a4z = -w * bz + mem * bg
-
-        g = g + sixth * (a1g + 2.0 * a2g + 2.0 * a3g + a4g)
-        e = e + sixth * (a1e + 2.0 * a2e + 2.0 * a3e + a4e)
-        x = x + sixth * (a1x + 2.0 * a2x + 2.0 * a3x + a4x)
-        z = z + sixth * (a1z + 2.0 * a2z + 2.0 * a3z + a4z)
-
-        tot = abs(g) + abs(e) + abs(x) + abs(z)
-        if tot != tot or tot == math.inf:
-            raise NonFiniteState.among((k + 1) * dt, g=g, e=e, x=x, z=z)
-        pg[k + 1], pe[k + 1], px[k + 1], pz[k + 1] = g, e, x, z
-
+    pg, pe, px, pz = _reduced_loop(couplings, n_l, 0.0, w, mem, params, init, grid)
     # h = (2 / sqrt(big_gamma)) f, so y = integral h G is that multiple of Z
     py = (2.0 / math.sqrt(params.big_gamma)) * pz
-    phi_in = pulse.value(grid.times)
-    return Trajectory(
-        grid=grid,
-        g=pg,
-        e=pe,
-        x=px,
-        z_mem=pz,
-        y_out=py,
-        phi_in=phi_in,
-        phi_out=py - phi_in,
-    )
+    return _trajectory(pulse, grid, pg, pe, px, pz, py)
 
 
 def simulate_markovian(
@@ -207,71 +226,21 @@ def simulate_markovian(
     init: InitialState,
     grid: TimeGrid,
 ) -> Trajectory:
-    """Integrate the broadband-limit equations (memoryless cavity)."""
+    """Integrate the broadband-limit equations (memoryless cavity).
+
+    This is the memory loop of :func:`simulate_nonmarkovian` in the
+    W -> infinity limit, where N -> sqrt(big_gamma) phi_in and
+    Z -> (big_gamma / 2) G: the source is the input itself, the memory
+    collapses to the decay rate big_gamma / 2, and the pseudomode,
+    stepped with no source and no decay, stays exactly zero.
+    """
     grid.require_cover(pulse.duration)
     root_gamma = math.sqrt(params.big_gamma)
-    gamma_l = params.gamma_L
-    half_rate = 0.5 * params.big_gamma
-
-    # scalar stepping, same layout as the memory-kernel integrator above
-    cav, sto, rev, bck = _couplings(drive, params, grid)
+    couplings = _couplings(drive, params, grid)
     src = (root_gamma * pulse.value(grid.half_times)).tolist()
-
-    n = grid.n_steps
-    dt = grid.dt
-    h = dt / 2.0
-    sixth = dt / 6.0
-    pg = np.empty(n + 1, dtype=complex)
-    pe = np.empty(n + 1, dtype=complex)
-    px = np.empty(n + 1, dtype=complex)
-    g, e, x = complex(init.g_amp), complex(init.e_amp), complex(init.x_amp)
-    pg[0], pe[0], px[0] = g, e, x
-
-    for k in range(n):
-        j0 = 2 * k
-        j1 = j0 + 1
-        j2 = j0 + 2
-
-        a1g = cav[j0] * x + src[j0] - half_rate * g
-        a1e = sto[j0] * x
-        a1x = rev[j0] * e + bck[j0] * g - gamma_l * x
-
-        bg, be, bx = g + h * a1g, e + h * a1e, x + h * a1x
-        a2g = cav[j1] * bx + src[j1] - half_rate * bg
-        a2e = sto[j1] * bx
-        a2x = rev[j1] * be + bck[j1] * bg - gamma_l * bx
-
-        bg, be, bx = g + h * a2g, e + h * a2e, x + h * a2x
-        a3g = cav[j1] * bx + src[j1] - half_rate * bg
-        a3e = sto[j1] * bx
-        a3x = rev[j1] * be + bck[j1] * bg - gamma_l * bx
-
-        bg, be, bx = g + dt * a3g, e + dt * a3e, x + dt * a3x
-        a4g = cav[j2] * bx + src[j2] - half_rate * bg
-        a4e = sto[j2] * bx
-        a4x = rev[j2] * be + bck[j2] * bg - gamma_l * bx
-
-        g = g + sixth * (a1g + 2.0 * a2g + 2.0 * a3g + a4g)
-        e = e + sixth * (a1e + 2.0 * a2e + 2.0 * a3e + a4e)
-        x = x + sixth * (a1x + 2.0 * a2x + 2.0 * a3x + a4x)
-
-        tot = abs(g) + abs(e) + abs(x)
-        if tot != tot or tot == math.inf:
-            raise NonFiniteState.among((k + 1) * dt, g=g, e=e, x=x)
-        pg[k + 1], pe[k + 1], px[k + 1] = g, e, x
-
-    phi_in = pulse.value(grid.times)
-    y_out = root_gamma * pg
-    return Trajectory(
-        grid=grid,
-        g=pg,
-        e=pe,
-        x=px,
-        z_mem=np.zeros_like(y_out),
-        y_out=y_out,
-        phi_in=phi_in,
-        phi_out=y_out - phi_in,
-    )
+    rate = 0.5 * params.big_gamma
+    pg, pe, px, pz = _reduced_loop(couplings, src, rate, 0.0, 0.0, params, init, grid)
+    return _trajectory(pulse, grid, pg, pe, px, pz, root_gamma * pg)
 
 
 @dataclass(frozen=True, eq=False)
@@ -504,17 +473,7 @@ def simulate_discrete_bath(
             raise NonFiniteState.among((k + 1) * dt, g=g, e=e, x=x, y=y, modes=modes)
         pg[k + 1], pe[k + 1], px[k + 1], py[k + 1] = g, e, x, y
 
-    phi_in = pulse.value(grid.times)
-    traj = Trajectory(
-        grid=grid,
-        g=pg,
-        e=pe,
-        x=px,
-        z_mem=np.zeros_like(py),
-        y_out=py,
-        phi_in=phi_in,
-        phi_out=py - phi_in,
-    )
+    traj = _trajectory(pulse, grid, pg, pe, px, np.zeros_like(py), py)
     return DiscreteBathRun(trajectory=traj, final_modes=c, capture=capture)
 
 

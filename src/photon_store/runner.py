@@ -49,17 +49,18 @@ def _fmt(value) -> str:
 def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
     """Stream text chunks into a temp file, then rename it to ``path``.
 
-    If a chunk cannot be produced or written, the temp file is removed
-    and ``path`` is left as it was.
+    If a chunk cannot be produced or written, or the rename fails, the
+    temp file is removed and ``path`` is left as it was.
     """
     tmp = path.with_name(path.name + ".tmp")
+    fh = open(tmp, "w")
     try:
-        with open(tmp, "w") as fh:
+        with fh:
             fh.writelines(chunks)
+        os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    os.replace(tmp, path)
 
 
 # rows per formatted block: one %-format string per block keeps the
@@ -475,11 +476,14 @@ def run_sweep(cfg: ScenarioConfig, outdir: Path) -> None:
     # dispatched
     state = SweepState(cfg)
 
-    if cfg.workers > 1:
+    # a fork-started pool launches all its workers at the first submit,
+    # so it gets no more of them than there are points
+    workers = min(cfg.workers, len(values))
+    if workers > 1:
         # only the config crosses to the workers: each builds its own
         # state, since a built-in packet's closures do not pickle
         with ProcessPoolExecutor(
-            max_workers=cfg.workers, initializer=_init_worker, initargs=(cfg,)
+            max_workers=workers, initializer=_init_worker, initargs=(cfg,)
         ) as pool:
             outcomes = list(pool.map(_worker_point, values))
     else:
@@ -542,7 +546,8 @@ def run_scenario(cfg: ScenarioConfig, outdir: str | Path | None = None) -> int:
     each series and one summary of the echoed parameters and the
     metrics.  Floating-point warnings are silenced: a non-finite result
     ends in one error line with its exit code, not in warnings on
-    stderr."""
+    stderr.  An output location that cannot be created or written ends
+    in one error line naming the path, with exit code 2."""
     target = Path(
         outdir
         or cfg.output
@@ -566,6 +571,12 @@ def run_scenario(cfg: ScenarioConfig, outdir: str | Path | None = None) -> int:
     except PhotonStoreError as exc:
         print(f"error[{exc.exit_code}]: {exc}", file=sys.stderr)
         return exc.exit_code
+    except OSError as exc:
+        # a rename names its target second
+        path = exc.filename2 or exc.filename or target
+        code = ConfigError.exit_code
+        print(f"error[{code}]: cannot write {path}: {exc.strerror}", file=sys.stderr)
+        return code
     print(
         f"wall {time.perf_counter() - started:.2f} s -> {target}",
         file=sys.stderr,

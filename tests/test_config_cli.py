@@ -467,6 +467,25 @@ def test_cli_explicit_out_beats_env_var(tmp_path, monkeypatch):
     assert not (tmp_path / "ignored").exists()
 
 
+@pytest.mark.parametrize(
+    "out,where,reason",
+    [
+        ("afile", "afile", "File exists"),
+        ("afile/sub", "afile/sub", "Not a directory"),
+        ("full", "full/summary", "Is a directory"),
+    ],
+    ids=["out_is_a_file", "out_under_a_file", "summary_is_a_directory"],
+)
+def test_cli_unusable_output_exits_2_with_one_line(tmp_path, capsys, out, where, reason):
+    (tmp_path / "afile").write_text("")
+    (tmp_path / "full" / "summary").mkdir(parents=True)
+    code = run_cli(["design", "--out", str(tmp_path / out)], tmp_path, GOOD_DESIGN)
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error[2]: cannot write {tmp_path / where}: {reason}"]
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def test_cli_sampled_pulse_file(tmp_path, pulse):
     table = tmp_path / "pulse.csv"
     ts = np.linspace(0.0, PI, 501)
@@ -705,6 +724,33 @@ def test_serial_delta2_sweep_samples_and_solves_once(tmp_path, monkeypatch):
         ("_rk4_linear", "N"): 1,
         ("_rk4_linear", "Z"): 1,
     }
+
+
+def test_sweep_pool_has_no_more_workers_than_points(tmp_path, monkeypatch):
+    # a fork-started pool launches all max_workers processes at the
+    # first submit; this fake records the size and starts none
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, values):
+            return map(fn, values)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(runner, "_worker_state", None)
+    text = SWEEP_BASE + SWEEPS["bandwidth_w"] + f"workers = {10**6}\n"
+    assert run_cli(["sweep", "--out", str(tmp_path / "o")], tmp_path, text) == 0
+    assert sizes == [3]
+    assert [row["status"] for row in aggregate_rows(tmp_path / "o")] == ["0"] * 3
 
 
 def test_pooled_sweep_under_spawn_matches_serial(tmp_path):

@@ -170,6 +170,8 @@ def test_broadband_round_trip_stores_perfectly(pulse, make_params, grid):
     np.testing.assert_array_equal(
         traj.y_out, math.sqrt(params.big_gamma) * traj.g
     )
+    # its pseudomode has no source and no decay, so it never leaves zero
+    assert not np.any(traj.z_mem)
 
 
 def test_broadband_limit_closes_simulation_gap(pulse, design_for, grid):
@@ -254,14 +256,16 @@ def test_reduced_solver_is_rk4_bit_for_bit(pulse, detuned_case, rk4, memory):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_memory_solver_and_rk4_fail_at_the_same_time(pulse, detuned_case, rk4):
+@pytest.mark.parametrize("memory", [True, False], ids=["nonmarkovian", "markovian"])
+def test_memory_solver_and_rk4_fail_at_the_same_time(pulse, detuned_case, rk4, memory):
     params, grid, drive, init = detuned_case
     drive = drive.copy()
     drive[1200] = np.nan
+    solve = ps.simulate_nonmarkovian if memory else ps.simulate_markovian
     with pytest.raises(NonFiniteState) as run_err:
-        ps.simulate_nonmarkovian(pulse, drive, params, init, grid)
-    y0 = [init.g_amp, init.e_amp, init.x_amp, 0.0]
-    rhs = explicit_reduced_rhs(pulse, drive, params, grid, memory=True)
+        solve(pulse, drive, params, init, grid)
+    y0 = [init.g_amp, init.e_amp, init.x_amp] + ([0.0] if memory else [])
+    rhs = explicit_reduced_rhs(pulse, drive, params, grid, memory)
     with pytest.raises(NonFiniteState) as rk4_err:
         rk4(y0, rhs, grid.dt, grid.n_steps)
     assert run_err.value.t == rk4_err.value.t < grid.span
