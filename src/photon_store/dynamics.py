@@ -10,7 +10,8 @@ Three routes of increasing independence from the design chain:
   loop with the pseudomode switched off.
 * :func:`simulate_discrete_bath` -- a brute-force oracle: the bath is
   sampled as thousands of explicit harmonic modes and the full linear
-  system is integrated with no memory-kernel reduction at all.
+  system is integrated with no memory-kernel reduction at all; its
+  reflection is the comb's final population, with no emission kernel.
 
 All solvers take classical fixed-step RK4 steps and interpolate the
 drive onto the half lattice with the same cubic stencil, so cross-route
@@ -73,9 +74,7 @@ class Trajectory:
     memory-kernel solver steps Z and forms y as
     ``(2 / sqrt(big_gamma)) z_mem``.  The broadband solver steps the same
     loop with Z's source and decay at zero, so its ``z_mem`` is exactly
-    zero, and forms y as ``sqrt(big_gamma) g``.  The oracle keeps
-    ``z_mem`` at zero and steps its own y, because its memory lives in
-    the comb rather than in one Z.
+    zero, and forms y as ``sqrt(big_gamma) g``.
     """
 
     grid: TimeGrid
@@ -350,9 +349,13 @@ def initial_modes(
 
 @dataclass(frozen=True, eq=False)
 class DiscreteBathRun:
-    """Oracle trajectory plus the final bath-mode amplitudes."""
+    """Oracle amplitudes g, e, x on the grid and the final mode vector,
+    whose population ``sum |final_modes|^2`` is the photon that has left
+    the cavity; ``capture`` is the fraction :func:`initial_modes` caught."""
 
-    trajectory: Trajectory
+    g: np.ndarray
+    e: np.ndarray
+    x: np.ndarray
     final_modes: np.ndarray
     capture: float
 
@@ -367,11 +370,12 @@ def simulate_discrete_bath(
 ) -> DiscreteBathRun:
     """Integrate the full atom + cavity + comb linear system.
 
-    No memory kernel, no anticipated input: the photon lives in the
-    mode amplitudes from the start.  Memory stays bounded by keeping
+    No memory kernel, no anticipated input, no emission accumulator: the
+    photon lives in the mode amplitudes from the start, and what leaves
+    the cavity is in them at the end.  Memory stays bounded by keeping
     only the system amplitudes per step and the mode vector at the end.
 
-    The step is classical RK4 of the whole (4 + N)-dimensional system,
+    The step is classical RK4 of the whole (3 + N)-dimensional system,
     written out exactly.  The comb obeys ``c' = D c + k G(t)`` with the
     couplings ``k = bath.weights`` and a constant ``D = diag(-i omega_j)``,
     so every RK4 stage state of the comb is a cubic in ``D`` applied to
@@ -389,8 +393,6 @@ def simulate_discrete_bath(
     """
     grid.require_cover(pulse.duration)
     gamma_l = params.gamma_L
-    w = params.bandwidth_w
-    pump_y = w * math.sqrt(params.big_gamma)
     cav, sto, rev, bck = _couplings(drive, params, grid)
 
     c, capture = initial_modes(pulse, bath, grid)
@@ -410,10 +412,8 @@ def simulate_discrete_bath(
     pg = np.empty(n + 1, dtype=complex)
     pe = np.empty(n + 1, dtype=complex)
     px = np.empty(n + 1, dtype=complex)
-    py = np.empty(n + 1, dtype=complex)
     g, e, x = complex(init.g_amp), complex(init.e_amp), complex(init.x_amp)
-    y = 0.0 + 0.0j
-    pg[0], pe[0], px[0], py[0] = g, e, x, y
+    pg[0], pe[0], px[0] = g, e, x
     mu0, mu1, mu2, mu3 = np.dot(project, c).tolist()
     beta = np.empty(4, dtype=complex)
 
@@ -426,23 +426,20 @@ def simulate_discrete_bath(
         a1g = cav[j0] * x - mu0
         a1e = sto[j0] * x
         a1x = rev[j0] * e + bck[j0] * g - gamma_l * x
-        a1y = -w * y + pump_y * g
 
-        g2, be, bx, by = g + h * a1g, e + h * a1e, x + h * a1x, y + h * a1y
+        g2, be, bx = g + h * a1g, e + h * a1e, x + h * a1x
         dot2 = mu0 + 0.5 * mu1 + h * g1 * nu0
         a2g = cav[j1] * bx - dot2
         a2e = sto[j1] * bx
         a2x = rev[j1] * be + bck[j1] * g2 - gamma_l * bx
-        a2y = -w * by + pump_y * g2
 
-        g3, be, bx, by = g + h * a2g, e + h * a2e, x + h * a2x, y + h * a2y
+        g3, be, bx = g + h * a2g, e + h * a2e, x + h * a2x
         dot3 = mu0 + 0.5 * mu1 + 0.25 * mu2 + h * g2 * nu0 + 0.5 * h * g1 * nu1
         a3g = cav[j1] * bx - dot3
         a3e = sto[j1] * bx
         a3x = rev[j1] * be + bck[j1] * g3 - gamma_l * bx
-        a3y = -w * by + pump_y * g3
 
-        g4, be, bx, by = g + dt * a3g, e + dt * a3e, x + dt * a3x, y + dt * a3y
+        g4, be, bx = g + dt * a3g, e + dt * a3e, x + dt * a3x
         dot4 = (
             mu0 + mu1 + 0.5 * mu2 + 0.25 * mu3
             + dt * g3 * nu0 + h * g2 * nu1 + 0.5 * h * g1 * nu2
@@ -450,12 +447,10 @@ def simulate_discrete_bath(
         a4g = cav[j2] * bx - dot4
         a4e = sto[j2] * bx
         a4x = rev[j2] * be + bck[j2] * g4 - gamma_l * bx
-        a4y = -w * by + pump_y * g4
 
         g = g + sixth * (a1g + 2.0 * a2g + 2.0 * a3g + a4g)
         e = e + sixth * (a1e + 2.0 * a2e + 2.0 * a3e + a4e)
         x = x + sixth * (a1x + 2.0 * a2x + 2.0 * a3x + a4x)
-        y = y + sixth * (a1y + 2.0 * a2y + 2.0 * a3y + a4y)
 
         beta[0] = sixth * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
         beta[1] = sixth * (g1 + g2 + g3)
@@ -466,15 +461,13 @@ def simulate_discrete_bath(
         mu0, mu1, mu2, mu3 = np.dot(project, c).tolist()
 
         # a non-finite mode makes mu0 non-finite
-        tot = abs(g) + abs(e) + abs(x) + abs(y)
         modes = abs(mu0) + abs(mu1) + abs(mu2) + abs(mu3)
-        tot += modes
+        tot = abs(g) + abs(e) + abs(x) + modes
         if tot != tot or tot == math.inf:
-            raise NonFiniteState.among((k + 1) * dt, g=g, e=e, x=x, y=y, modes=modes)
-        pg[k + 1], pe[k + 1], px[k + 1], py[k + 1] = g, e, x, y
+            raise NonFiniteState.among((k + 1) * dt, g=g, e=e, x=x, modes=modes)
+        pg[k + 1], pe[k + 1], px[k + 1] = g, e, x
 
-    traj = _trajectory(pulse, grid, pg, pe, px, np.zeros_like(py), py)
-    return DiscreteBathRun(trajectory=traj, final_modes=c, capture=capture)
+    return DiscreteBathRun(g=pg, e=pe, x=px, final_modes=c, capture=capture)
 
 
 @dataclass(frozen=True)

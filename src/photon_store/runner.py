@@ -3,12 +3,15 @@
 All output is deterministic: floats are rendered with 12 significant
 digits, summation orders are fixed, and nothing time- or
 machine-dependent lands in the files (wall time goes to stderr only).
-Files are written to a temp path and atomically renamed, so a failed
-run leaves no partial CSV behind.
+Every file of a run, sweeps included, is streamed to a temp name, and
+all are renamed into place only after the last write succeeded; a
+failed run removes its temp files and any file it already renamed, so
+the output directory gets all of a run's files or none of them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
@@ -18,7 +21,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -46,20 +49,38 @@ def _fmt(value) -> str:
     return f"{float(value):.12g}"
 
 
-def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
-    """Stream text chunks into a temp file, then rename it to ``path``.
+def _stream(path: Path, chunks: Iterable[str]) -> None:
+    with open(path, "w") as fh:
+        fh.writelines(chunks)
 
-    If a chunk cannot be produced or written, or the rename fails, the
-    temp file is removed and ``path`` is left as it was.
+
+@contextlib.contextmanager
+def _staged(outdir: Path) -> Iterator[Callable[[str], Path]]:
+    """All-or-nothing output of one run into ``outdir``.
+
+    Yields ``stage(name)``, the temp path to stream file ``name`` to.
+    Once the block ends, every staged file is renamed into place.  If a
+    chunk, a write or a rename fails, every temp file and every file
+    already renamed is removed, so ``outdir`` gets all of the run's
+    files or none of them.
     """
-    tmp = path.with_name(path.name + ".tmp")
-    fh = open(tmp, "w")
+    pending: list[tuple[Path, Path]] = []
+    placed: list[Path] = []
+
+    def stage(name: str) -> Path:
+        tmp = outdir / (name + ".tmp")
+        pending.append((tmp, outdir / name))
+        return tmp
+
     try:
-        with fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
+        yield stage
+        for tmp, final in pending:
+            os.replace(tmp, final)
+            placed.append(final)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for path in [tmp for tmp, _ in pending] + placed:
+            with contextlib.suppress(OSError):
+                path.unlink(missing_ok=True)
         raise
 
 
@@ -77,19 +98,19 @@ def _csv_blocks(names: list[str], table: np.ndarray) -> Iterator[str]:
 
 
 def write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
-    """Render named real columns with 12 significant digits, atomically.
+    """Stream named real columns to ``path`` with 12 significant digits.
 
-    Raises TypeError for a complex column instead of dropping its
-    imaginary part.
+    Raises TypeError for a complex column, before ``path`` is opened,
+    instead of dropping its imaginary part.
     """
     names = list(columns)
     table = np.column_stack([columns[name] for name in names])
     table = table.astype(float, casting="same_kind", copy=False)
-    _write_atomic(path, _csv_blocks(names, table))
+    _stream(path, _csv_blocks(names, table))
 
 
 def write_summary(path: Path, entries: dict[str, object]) -> None:
-    _write_atomic(path, [f"{key} = {_fmt(value)}\n" for key, value in entries.items()])
+    _stream(path, [f"{key} = {_fmt(value)}\n" for key, value in entries.items()])
 
 
 @dataclass(frozen=True)
@@ -139,9 +160,9 @@ MAX_MODE_BYTES = int(0.85 * 2**30)
 
 def _pulse_and_grid(cfg: ScenarioConfig) -> tuple[InputPulse, TimeGrid]:
     """The configured pulse and the grid covering it, which every sweep
-    point shares; a grid that numpy cannot build, or whose run would
-    pass a cost ceiling, is a :class:`ConfigError` raised before any
-    series is allocated."""
+    point shares; a grid that numpy cannot build, an oracle comb too
+    coarse to resolve it, or a run that would pass a cost ceiling is a
+    :class:`ConfigError` raised before any series is allocated."""
     pulse = load_pulse(cfg)
     span = max(cfg.effective_span(), pulse.duration)
     where = f"grid.span = {span:g} at grid.dt = {cfg.grid_dt:g}"
@@ -156,6 +177,17 @@ def _pulse_and_grid(cfg: ScenarioConfig) -> tuple[InputPulse, TimeGrid]:
         )
     if cfg.mode != "oracle":
         return pulse, grid
+    # a comb of spacing Δω repeats the photon every 2π/Δω (Poisson
+    # summation); a recurrence within the grid aliases the pulse
+    recurrence = math.pi * cfg.n_modes / cfg.band_halfwidth
+    if recurrence < span:
+        need = cfg.band_halfwidth * span / math.pi
+        least = math.ceil(need) if need < math.inf else need
+        raise ConfigError.single(
+            "value", 0, f"n_modes = {cfg.n_modes} over band_halfwidth = "
+            f"{cfg.band_halfwidth:g} recurs after {recurrence:.3g} us, within "
+            f"grid.span = {span:g}; it needs n_modes >= {least:.12g}"
+        )
     comb = f"n_modes = {cfg.n_modes} over {where}"
     if cfg.n_modes * grid.n_steps > MAX_MODE_STEPS:
         raise ConfigError.single(
@@ -339,16 +371,15 @@ def run_oracle(cfg: ScenarioConfig, sc: Scenario) -> _Outputs:
     oracle = dynamics.simulate_discrete_bath(
         sc.pulse, design.drive, sc.params, init, bath, sc.grid
     )
-    tr = oracle.trajectory
-    diff = np.abs(reduced.g - tr.g)
+    diff = np.abs(reduced.g - oracle.g)
     files = {
         "oracle_series.csv": {
             "t": sc.grid.times,
             "phi_in": reduced.phi_in,
             "re_g_reduced": reduced.g.real,
             "im_g_reduced": reduced.g.imag,
-            "re_g_oracle": tr.g.real,
-            "im_g_oracle": tr.g.imag,
+            "re_g_oracle": oracle.g.real,
+            "im_g_oracle": oracle.g.imag,
             "abs_g_diff": diff,
         },
     }
@@ -359,7 +390,8 @@ def run_oracle(cfg: ScenarioConfig, sc: Scenario) -> _Outputs:
         "weight_capture_ratio": bath.density_capture(),
         "sup_diff_G": float(np.max(diff)),
         "reflected_reduced": dynamics.storage_metrics(reduced).reflected,
-        "reflected_oracle": dynamics.storage_metrics(tr).reflected,
+        # what left the cavity: reflected_reduced + 2|z_T|^2 / (W Γ)
+        "reflected_oracle": float(np.sum(np.abs(oracle.final_modes) ** 2)),
     }
 
 
@@ -499,8 +531,6 @@ def run_sweep(cfg: ScenarioConfig, outdir: Path) -> None:
     for value, (code, res) in zip(values, outcomes):
         row = {cfg.sweep_param: value, "status": code, **res}
         rows.append(",".join(_fmt(row[n]) if n in row else "" for n in names) + "\n")
-    _write_atomic(outdir / "sweep_aggregate.csv", [",".join(names) + "\n", *rows])
-
     summary: dict[str, object] = {
         **_summary_header(cfg),
         "sweep_param": cfg.sweep_param,
@@ -527,7 +557,9 @@ def run_sweep(cfg: ScenarioConfig, outdir: Path) -> None:
                 )
         summary["theta_odd_residual"] = residual
         summary["rho_detuning_spread"] = spread
-    write_summary(outdir / "summary", summary)
+    with _staged(outdir) as stage:
+        _stream(stage("sweep_aggregate.csv"), [",".join(names) + "\n", *rows])
+        write_summary(stage("summary"), summary)
 
 
 _MODE_RUNNERS = {
@@ -544,7 +576,7 @@ def run_scenario(cfg: ScenarioConfig, outdir: str | Path | None = None) -> int:
 
     A mode runner returns its CSV series and its metrics; this writes
     each series and one summary of the echoed parameters and the
-    metrics.  Floating-point warnings are silenced: a non-finite result
+    metrics, all or none of them.  Floating-point warnings are silenced: a non-finite result
     ends in one error line with its exit code, not in warnings on
     stderr.  An output location that cannot be created or written ends
     in one error line naming the path, with exit code 2."""
@@ -563,9 +595,10 @@ def run_scenario(cfg: ScenarioConfig, outdir: str | Path | None = None) -> int:
             elif cfg.mode in _MODE_RUNNERS:
                 sc = materialize(cfg)
                 files, metrics = _MODE_RUNNERS[cfg.mode](cfg, sc)
-                for name, columns in files.items():
-                    write_csv(target / name, columns)
-                write_summary(target / "summary", {**_echo_params(cfg, sc), **metrics})
+                with _staged(target) as stage:
+                    for name, columns in files.items():
+                        write_csv(stage(name), columns)
+                    write_summary(stage("summary"), {**_echo_params(cfg, sc), **metrics})
             else:
                 raise ConfigError.single("value", 0, f"unsupported mode {cfg.mode!r}")
     except PhotonStoreError as exc:

@@ -215,7 +215,7 @@ def test_criterion_10_oracle_equivalence(pulse, design_for, grid):
     for n_modes, half_band in ((2000, 80.0), (4000, 160.0)):
         bath = ps.discretize_bath(params, n_modes=n_modes, band_halfwidth=half_band)
         run = ps.simulate_discrete_bath(pulse, design.drive, params, seed, bath, grid)
-        sups[n_modes] = float(np.max(np.abs(run.trajectory.g - reduced.g)))
+        sups[n_modes] = float(np.max(np.abs(run.g - reduced.g)))
     elapsed = time.perf_counter() - started
 
     assert sups[2000] <= 1e-3

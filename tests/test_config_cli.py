@@ -339,8 +339,8 @@ def test_failed_write_leaves_the_old_file_and_no_temp(tmp_path):
         yield "t\n"
         raise OSError("disk full")
 
-    with pytest.raises(OSError):
-        runner._write_atomic(path, chunks())
+    with pytest.raises(OSError), runner._staged(tmp_path) as stage:
+        runner._stream(stage("series.csv"), chunks())
     assert [p.name for p in tmp_path.iterdir()] == ["series.csv"]
     assert path.read_text() == "old\n"
 
@@ -420,7 +420,34 @@ def test_cli_narrow_band_exits_5(tmp_path):
     assert code == 5
 
 
-def test_cli_oracle_writes_its_series_and_passes_its_gate(tmp_path):
+@pytest.mark.parametrize("n_modes,code", [(3, 2), (10, 2), (30, 2), (40, 0)])
+def test_cli_oracle_comb_must_resolve_the_grid(tmp_path, capsys, n_modes, code):
+    # 40 modes over +-40 MHz recur after 2 pi / 2 MHz = pi us, the span;
+    # coarser combs alias the photon and would over-count it
+    text = GOOD_DESIGN.replace("mode = design", "mode = oracle").replace(
+        "bandwidth_w = 1.6716", "bandwidth_w = 2"
+    )
+    text += f"n_modes = {n_modes}\nband_halfwidth = 40\ngrid.dt = 5e-4\n"
+    out = tmp_path / "o"
+    assert run_cli(["oracle", "--out", str(out)], tmp_path, text) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    if code:
+        assert err[0].startswith("error[2]: ") and f"n_modes = {n_modes} " in err[0]
+        assert "band_halfwidth = 40 " in err[0] and "grid.span = 3.14159" in err[0]
+        assert err[0].endswith("it needs n_modes >= 40")
+        assert not any(out.iterdir())
+
+
+def test_cli_oracle_comb_whose_least_size_overflows_exits_2(tmp_path, capsys):
+    # band_halfwidth * span overflows to inf on a one-step grid
+    text = CHEAP_W + "band_halfwidth = 1e300\ngrid.span = 1e300\ngrid.dt = 1e300\n"
+    assert run_cli(["oracle", "--out", str(tmp_path / "o")], tmp_path, text) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].endswith("it needs n_modes >= inf")
+
+
+def test_cli_oracle_writes_its_series_and_passes_its_gate(tmp_path, monkeypatch):
     # the benchmark's small comb
     text = GOOD_DESIGN.replace("mode = design", "mode = oracle").replace(
         "bandwidth_w = 1.6716", "bandwidth_w = 2"
@@ -439,8 +466,16 @@ def test_cli_oracle_writes_its_series_and_passes_its_gate(tmp_path):
     )
     assert float(summary["band_capture"]) >= 0.999
     assert float(summary["sup_diff_G"]) <= 1e-3
+    runs = []
+    simulate = dynamics.simulate_discrete_bath
+    monkeypatch.setattr(
+        dynamics, "simulate_discrete_bath", lambda *a: runs.append(simulate(*a)) or runs[-1]
+    )
     assert run_cli(["oracle", "--out", str(out2)], tmp_path, text) == 0
     assert read_dir(out2) == files
+    # the reflection is the comb's final population
+    comb = float(np.sum(np.abs(runs[0].final_modes) ** 2))
+    assert summary["reflected_oracle"] == f"{comb:.12g}"
 
 
 def test_cli_preset_flag_matches_config_line(tmp_path):
@@ -484,6 +519,9 @@ def test_cli_unusable_output_exits_2_with_one_line(tmp_path, capsys, out, where,
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error[2]: cannot write {tmp_path / where}: {reason}"]
     assert not list(tmp_path.rglob("*.tmp"))
+    # the series was written and renamed before the summary's rename
+    # failed; the run leaves none of its files
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def test_cli_sampled_pulse_file(tmp_path, pulse):
