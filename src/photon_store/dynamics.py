@@ -308,6 +308,19 @@ def comb_bytes(n_modes: int, n_steps: int) -> int:
     return 16 * n_modes * (_MODE_VECTORS + inner + 2 * outer)
 
 
+def least_comb_modes(band_halfwidth: float, span: float) -> float:
+    """Fewest modes of a comb over +-``band_halfwidth`` that resolve a
+    grid of ``span``, ``inf`` when band x span overflows.
+
+    A comb of spacing 2B/n repeats the photon every pi n / B (Poisson
+    summation); a recurrence within the grid aliases the pulse, so
+    ``n_modes >= band_halfwidth * span / pi``, to within the 1e-12 by
+    which a grid's span may miss its configured value.
+    """
+    need = band_halfwidth * span / math.pi * (1.0 - 1e-12)
+    return math.ceil(need) if need < math.inf else need
+
+
 def initial_modes(
     pulse: InputPulse, bath: BathDiscretization, grid: TimeGrid
 ) -> tuple[np.ndarray, float]:
@@ -316,8 +329,9 @@ def initial_modes(
     Projects the input envelope onto the comb via a trapezoid Fourier
     transform, then renormalizes to exactly one photon in band.
     Returns the amplitudes together with the captured fraction before
-    renormalization; raises :class:`BandTooNarrow` when that fraction
-    falls below 0.999.
+    renormalization.  Raises ValueError for a comb too coarse to
+    resolve the grid (:func:`least_comb_modes`), and
+    :class:`BandTooNarrow` when the captured fraction falls below 0.999.
 
     The grid is uniform, so sample ``n = b*L + r`` carries the phase
     ``exp(i omega b L dt) * exp(i omega r dt)`` with ``L = ceil(sqrt(n))``:
@@ -325,6 +339,12 @@ def initial_modes(
     matrix, weighted by a (modes x B) phase block -- O(modes * sqrt(n))
     exponentials instead of O(modes * n).
     """
+    least = least_comb_modes(bath.band_halfwidth, grid.span)
+    if bath.n_modes < least:
+        raise ValueError(
+            f"n_modes = {bath.n_modes} over +-{bath.band_halfwidth:g} MHz recurs "
+            f"within the grid span {grid.span:g} us; it needs n_modes >= {least:.12g}"
+        )
     phi = pulse.value(grid.times)
     weighted = phi * grid.dt
     weighted[0] *= 0.5

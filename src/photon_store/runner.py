@@ -3,6 +3,9 @@
 All output is deterministic: floats are rendered with 12 significant
 digits, summation orders are fixed, and nothing time- or
 machine-dependent lands in the files (wall time goes to stderr only).
+CSV series are formatted a block of rows at a time by a numpy kernel
+that writes exactly the bytes of Python's ``"%.12g"``; the values it
+cannot settle exactly are formatted by Python itself.
 Every file of a run, sweeps included, is streamed to a temp name, and
 all are renamed into place only after the last write succeeded; a
 failed run removes its temp files and any file it already renamed, so
@@ -84,24 +87,31 @@ def _staged(outdir: Path) -> Iterator[Callable[[str], Path]]:
         raise
 
 
-# rows per formatted block: one %-format string per block keeps the
-# per-cell cost low without holding a long series as one string
-_CSV_BLOCK_ROWS = 2048
+# rows per formatted block: each of the kernel's temporaries of a
+# 12-column block stays under 400 kB
+_CSV_BLOCK_ROWS = 512
 
 
 def _csv_blocks(names: list[str], table: np.ndarray) -> Iterator[str]:
+    # imported on the first write: compiling the kernel would add about
+    # 4 ms to every start-up that writes no series
+    from ._csv_kernel import format_block
+
     yield ",".join(names) + "\n"
-    row = ",".join(["%.12g"] * len(names)) + "\n"
     for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
-        block = table[start : start + _CSV_BLOCK_ROWS]
-        yield (row * block.shape[0]) % tuple(block.ravel().tolist())
+        yield format_block(table[start : start + _CSV_BLOCK_ROWS])
 
 
 def write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
     """Stream named real columns to ``path`` with 12 significant digits.
 
-    Raises TypeError for a complex column, before ``path`` is opened,
-    instead of dropping its imaginary part.
+    The bytes are those of Python's ``"%.12g" % value``.  A numpy kernel
+    scales each value to a 12-digit integer with a double-double
+    product, exact to well within a rounding tie, and lays out its
+    digits; non-finite values, subnormals, |v| outside about
+    [1e-280, 1e280] and values within 1e-15 of a tie go to Python's
+    ``%``.  Raises TypeError for a complex column, before ``path`` is
+    opened, instead of dropping its imaginary part.
     """
     names = list(columns)
     table = np.column_stack([columns[name] for name in names])
@@ -177,12 +187,9 @@ def _pulse_and_grid(cfg: ScenarioConfig) -> tuple[InputPulse, TimeGrid]:
         )
     if cfg.mode != "oracle":
         return pulse, grid
-    # a comb of spacing Δω repeats the photon every 2π/Δω (Poisson
-    # summation); a recurrence within the grid aliases the pulse
-    recurrence = math.pi * cfg.n_modes / cfg.band_halfwidth
-    if recurrence < span:
-        need = cfg.band_halfwidth * span / math.pi
-        least = math.ceil(need) if need < math.inf else need
+    least = dynamics.least_comb_modes(cfg.band_halfwidth, grid.span)
+    if cfg.n_modes < least:
+        recurrence = math.pi * cfg.n_modes / cfg.band_halfwidth
         raise ConfigError.single(
             "value", 0, f"n_modes = {cfg.n_modes} over band_halfwidth = "
             f"{cfg.band_halfwidth:g} recurs after {recurrence:.3g} us, within "

@@ -298,6 +298,25 @@ def test_narrow_band_is_rejected(pulse, make_params, grid):
         ps.initial_modes(pulse, bath, grid)
 
 
+@pytest.mark.parametrize("n_modes", [3, 10, 30, 40])
+def test_initial_modes_rejects_a_comb_too_coarse_for_the_grid(
+    pulse, make_params, n_modes
+):
+    # 40 modes over +-40 MHz recur after pi us, the span; coarser combs
+    # alias the photon (3 and 10 modes captured 7.62 and 1.14 photons,
+    # 30 modes raised BandTooNarrow), which no band widening mends
+    params = make_params(2.0, 0.002)
+    grid = ps.TimeGrid.from_span(PI, 5e-4)
+    bath = ps.discretize_bath(params, n_modes=n_modes, band_halfwidth=40.0)
+    assert dynamics.least_comb_modes(40.0, grid.span) == 40
+    if n_modes < 40:
+        with pytest.raises(ValueError, match=rf"n_modes = {n_modes} .*n_modes >= 40$"):
+            ps.initial_modes(pulse, bath, grid)
+    else:
+        _, capture = ps.initial_modes(pulse, bath, grid)
+        assert 0.999 < capture <= 1.0
+
+
 def test_initial_modes_are_normalized(pulse, make_params, grid):
     params = make_params(2.0, 0.002)
     bath = ps.discretize_bath(params, n_modes=500, band_halfwidth=40.0)
