@@ -13,7 +13,9 @@ The two bath terms of the drive design (the anticipated input N and the
 memory Z) each obey one scalar equation y' = lam y + f, because a
 Lorentzian bath acts as one damped pseudomode.  RK4 applied to it is
 exactly an affine recurrence, which :func:`_rk4_linear` solves in
-blocks instead of stepping it in Python.
+blocks instead of stepping it in Python.  Only a path the blocks cannot
+settle (not finite, or near enough to overflow for an RK4 stage to) is
+stepped by that scalar loop, whose first non-finite y raises.
 """
 
 from __future__ import annotations
@@ -95,10 +97,14 @@ def _rk4_linear(
 
     With ``backward=True`` the recurrence runs from the last sample to
     t = 0 and ``lam``, ``f_half`` describe the equation in reversed
-    time span - t; the path is still returned in grid order.  Raises
-    :class:`NonFiniteState`, naming ``amplitude``, where a stepping loop
-    would: at the first sample, in stepping order, that is not finite or
-    whose step overflows an RK4 stage.
+    time span - t; the path is still returned in grid order.
+
+    A path the blocks cannot settle -- one that is not finite, or that
+    comes near enough to overflow for an RK4 stage to -- is stepped by
+    the scalar RK4 loop the recurrence stands for.  That loop's raise is
+    the contract: :class:`NonFiniteState`, naming ``amplitude``, at the
+    first step whose y is not finite.  If the loop gets through, the
+    block path is returned.
     """
     n = (f_half.shape[0] - 1) // 2
     if backward:
@@ -111,14 +117,6 @@ def _rk4_linear(
         + (4.0 + 2.0 * z + 0.5 * zz) * f_half[1::2]
         + f_half[2::2]
     )
-    # first sample a stepping loop could not reach finite; n + 1 if none
-    stop = n + 1
-    finite_b = np.isfinite(b)
-    if not finite_b.all():
-        stop = int(np.argmin(finite_b)) + 1
-        # zeros keep the block product from spreading the bad step to
-        # earlier samples
-        b = np.where(finite_b, b, 0.0)
 
     width = max(1, math.isqrt(n))
     if log_r > 0.0:
@@ -150,36 +148,19 @@ def _rk4_linear(
     size = abs(z)
     grow = 1.0 + size
     limit = _FLOAT_MAX / (6.0 * (grow + size / dt) * grow * grow * grow)
-    if stop <= n or not np.max(np.abs(stepped)) < limit:
-        stop = min(stop, _first_blowup(stepped, limit, z, dt, f_half))
-        if stop <= n:
-            raise NonFiniteState((n - stop if backward else stop) * dt, amplitude)
+    if not np.max(np.abs(path)) < limit:
+        # step the loop the blocks stand for, which stops where it blows up
+        lam = z / dt
+        h = dt / 2.0
+        f = f_half.tolist()
+        y = 0.0
+        for k in range(n):
+            j = 2 * k
+            k1 = lam * y + f[j]
+            k2 = lam * (y + h * k1) + f[j + 1]
+            k3 = lam * (y + h * k2) + f[j + 1]
+            k4 = lam * (y + dt * k3) + f[j + 2]
+            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not math.isfinite(y):
+                raise NonFiniteState((n - k - 1 if backward else k + 1) * dt, amplitude)
     return path
-
-
-def _first_blowup(
-    path: np.ndarray, limit: float, z: float, dt: float, f_half: np.ndarray
-) -> int:
-    """Index at which a stepping loop would first hold a non-finite y,
-    or ``len(path)`` if it never would.
-
-    A finite sample can still overflow the stages of the step it starts,
-    so the four stages are evaluated from every sample of size ``limit``
-    or more; y_{k+1} is non-finite as soon as one of them is.
-    """
-    n = path.shape[0] - 1
-    near = np.flatnonzero(~(np.abs(path) < limit))
-    start = near[near < n]
-    lam = z / dt
-    h = dt / 2.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = path[start]
-        k1 = lam * y + f_half[2 * start]
-        k2 = lam * (y + h * k1) + f_half[2 * start + 1]
-        k3 = lam * (y + h * k2) + f_half[2 * start + 1]
-        k4 = lam * (y + dt * k3) + f_half[2 * start + 2]
-        y_next = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    blown = np.concatenate(
-        (near[~np.isfinite(path[near])], start[~np.isfinite(y_next)] + 1)
-    )
-    return int(blown.min()) if blown.size else n + 1

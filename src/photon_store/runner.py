@@ -149,10 +149,10 @@ def load_pulse(cfg: ScenarioConfig) -> InputPulse:
             # loadtxt warns about a table without rows; the check below
             # reports it as the one error line instead
             warnings.simplefilter("ignore", UserWarning)
-            data = np.loadtxt(cfg.pulse)
+            data = np.loadtxt(cfg.pulse, ndmin=2)
         if data.size == 0:
             raise ValueError("contains no samples")
-        if data.ndim != 2 or data.shape[1] != 2:
+        if data.shape[1] != 2:
             raise ValueError("needs exactly two columns (t, phi_in)")
         return sampled_packet(data[:, 0], data[:, 1])
     except (OSError, ValueError) as exc:
@@ -516,8 +516,9 @@ def run_sweep(cfg: ScenarioConfig, outdir: Path) -> None:
     state = SweepState(cfg)
 
     # a fork-started pool launches all its workers at the first submit,
-    # so it gets no more of them than there are points
-    workers = min(cfg.workers, len(values))
+    # so it gets no more of them than there are points, and a CPU-bound
+    # pool gains nothing past the cores
+    workers = min(cfg.workers, len(values), os.cpu_count() or 1)
     if workers > 1:
         # only the config crosses to the workers: each builds its own
         # state, since a built-in packet's closures do not pickle

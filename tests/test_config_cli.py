@@ -649,6 +649,8 @@ BAD_PULSES = [
     ("", "contains no samples"),
     ("# t phi_in\n# no rows\n", "contains no samples"),
     (_table(_T, _PHI, 0.0 * _PHI), "exactly two columns"),
+    ("0\n1\n2\n3\n", "exactly two columns"),
+    ("0 0\n", "at least 4 samples"),
     (_table(_T, np.where(_T == _T[50], np.nan, _PHI)), "samples must be finite"),
     (_table(np.append(_T[:-1], np.inf), _PHI), "samples must be finite"),
     # the spline's second derivative over the first interval overflows
@@ -663,6 +665,8 @@ BAD_PULSE_IDS = [
     "empty",
     "comment_only",
     "three_columns",
+    "one_column",
+    "one_row",
     "nan_sample",
     "inf_time",
     "tiny_interval",
@@ -859,9 +863,11 @@ def test_serial_delta2_sweep_samples_and_solves_once(tmp_path, monkeypatch):
     }
 
 
-def test_sweep_pool_has_no_more_workers_than_points(tmp_path, monkeypatch):
-    # a fork-started pool launches all max_workers processes at the
-    # first submit; this fake records the size and starts none
+def _pool_sizes(tmp_path, monkeypatch, cores):
+    """Pool sizes a 3-point sweep asks for with unbounded ``workers`` on
+    a machine of ``cores`` cores.  A fork-started pool launches all
+    max_workers processes at the first submit; the fake pool records
+    the size and starts none."""
     sizes = []
 
     class FakePool:
@@ -880,10 +886,19 @@ def test_sweep_pool_has_no_more_workers_than_points(tmp_path, monkeypatch):
 
     monkeypatch.setattr(runner, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(runner, "_worker_state", None)
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: cores)
     text = SWEEP_BASE + SWEEPS["bandwidth_w"] + f"workers = {10**6}\n"
     assert run_cli(["sweep", "--out", str(tmp_path / "o")], tmp_path, text) == 0
-    assert sizes == [3]
     assert [row["status"] for row in aggregate_rows(tmp_path / "o")] == ["0"] * 3
+    return sizes
+
+
+def test_sweep_pool_has_no_more_workers_than_points(tmp_path, monkeypatch):
+    assert _pool_sizes(tmp_path, monkeypatch, cores=64) == [3]
+
+
+def test_sweep_pool_has_no_more_workers_than_cores(tmp_path, monkeypatch):
+    assert _pool_sizes(tmp_path, monkeypatch, cores=2) == [2]
 
 
 def test_pooled_sweep_under_spawn_matches_serial(tmp_path):

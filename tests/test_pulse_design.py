@@ -278,8 +278,14 @@ def _nan_near(pulse, t0):
 
 @pytest.mark.parametrize(
     "w,dt,nan_at",
-    [(5000.0, 1e-2, None), (5000.0, 1e-3, None), (2.0, 1e-4, 1.2345)],
-    ids=["overflow", "stage_overflow", "nan"],
+    [
+        (5000.0, 1e-2, None),
+        (5000.0, 1e-3, None),
+        (2.0, 1e-4, 1.2345),
+        (2.0, 1e-4, 0.01),
+        (2.0, 1e-4, PI - 0.01),
+    ],
+    ids=["overflow", "stage_overflow", "nan", "nan_early", "nan_late"],
 )
 def test_bath_terms_fail_where_the_scalar_loops_do(
     pulse, make_params, future_drive_loop, memory_series_loop, w, dt, nan_at
@@ -334,6 +340,38 @@ def test_linear_rk4_equals_a_stepping_loop(rk4, n, w_dt, dt, seed, backward):
         ref = ref[::-1]
     got = _rk4_linear(-w_dt, dt, f, backward=backward, amplitude="y")
     assert _rel(got, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("backward", [False, True])
+@pytest.mark.parametrize("z", [0.0, -1e-4])
+def test_linear_rk4_keeps_a_finite_path_near_the_stage_bound(z, backward):
+    # y reaches about 2^1023 here, past the size below which no RK4 stage can
+    # overflow, yet every stage of the loop stays finite: the path must
+    # come back, and it is the block solve's, since scaling f by a power
+    # of two scales every operation of it exactly
+    scale = 2.0**1021
+    f = np.ones(2 * 4000 + 1)
+    ref = _rk4_linear(z, 1e-3, f, backward=backward, amplitude="y")
+    got = _rk4_linear(z, 1e-3, scale * f, backward=backward, amplitude="y")
+    assert np.array_equal(got, scale * ref)
+
+
+def test_linear_rk4_raises_where_only_a_stage_overflows(rk4):
+    # R(-5) > 1, so the path grows; scaled to end near 1e305 it stays
+    # finite, but the last step's k4 = lam (y + dt k3) overflows, and a
+    # stepping loop stops there
+    z, dt, n = -5.0, 1e-3, 40
+    unit = _rk4_linear(z, dt, np.ones(2 * n + 1), amplitude="y")
+    scale = 2.0 ** math.floor(math.log2(1e305 / np.max(np.abs(unit))))
+    assert np.isfinite(scale * unit).all()
+    f = np.full(2 * n + 1, scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteState) as ref:
+            rk4([0.0], lambda j, y: (z / dt) * y + f[j], dt, n)
+    with pytest.raises(NonFiniteState) as got:
+        _rk4_linear(z, dt, f, amplitude="y")
+    assert got.value.t == ref.value.t == n * dt
+    assert got.value.amplitude == "y"
 
 
 # -------------------------------------------------------- excited population
