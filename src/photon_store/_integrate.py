@@ -7,7 +7,9 @@ anticipated input, the mixing angle) are therefore interpolated once
 onto the half lattice -- grid points interleaved with cubic midpoints --
 and the scalar stepping loops in ``dynamics`` and ``dark_state`` read
 them by half-lattice *index* instead of by time, which keeps each loop
-free of interpolation and bitwise reproducible.
+free of interpolation and bitwise reproducible.  The loops take them
+one block of steps at a time (:func:`half_lattice_block`), so no loop
+holds a whole half lattice.
 
 The two bath terms of the drive design (the anticipated input N and the
 memory Z) each obey one scalar equation y' = lam y + f, because a
@@ -67,6 +69,20 @@ def half_lattice(y: np.ndarray) -> np.ndarray:
     out[0::2] = y
     out[1::2] = cubic_midpoints(y)
     return out
+
+
+def half_lattice_block(y: np.ndarray, k0: int, k1: int) -> np.ndarray:
+    """``half_lattice(y)[2 k0 : 2 k1 + 1]``, bit for bit, from the
+    samples around steps ``k0 .. k1`` only.
+
+    The window reaches one sample past each end of the block, and at
+    least four samples, so its one-sided midpoints fall outside the
+    block or on the ends of ``y``, where ``half_lattice`` has them too.
+    """
+    n = y.shape[0] - 1
+    lo = max(0, min(k0 - 1, n - 3))
+    hi = min(n, max(k1 + 1, 3))
+    return half_lattice(y[lo : hi + 1])[2 * (k0 - lo) : 2 * (k1 - lo) + 1]
 
 
 def cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:

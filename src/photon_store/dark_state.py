@@ -10,9 +10,9 @@ cross-check of the exact design: the two population series should
 agree wherever g_cav^2 >> gamma_L * big_gamma.
 
 :func:`adiabatic_simulate` steps the two real amplitudes d1 and the
-memory Q with classical RK4 written out on Python floats, like the
-forward solvers in ``dynamics``, so the dark-state route costs about as
-much as one scalar forward run.
+memory Q with classical RK4 written out on Python floats, fed block by
+block like the forward solvers in ``dynamics``, so the dark-state route
+costs about as much as one scalar forward run.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrate import cumulative_trapezoid, half_lattice
+from ._integrate import cumulative_trapezoid, half_lattice_block
+from .dynamics import _feed
 from .errors import (
     AngleDomain,
     NegativeAccumulator,
@@ -134,11 +135,18 @@ def adiabatic_simulate(pulse: InputPulse, dark: DarkDesign) -> AdiabaticRun:
     # scalar RK4 in the layout of the forward solvers in ``dynamics``:
     # the two real amplitudes step as Python floats, with each stage's
     # arithmetic in the order of the vector right-hand side that
-    # tests/test_dark_state.py checks this loop against bit for bit
+    # tests/test_dark_state.py checks this loop against bit for bit;
+    # cos(phi) and N reach it one block of half-lattice samples at a time
     w = params.bandwidth_w
     mem = 0.5 * w * params.big_gamma
-    cos_h = half_lattice(dark.cos_mixing).tolist()
-    n_h = half_lattice(dark.design.n_drive).tolist()
+    cos_mixing = dark.cos_mixing
+    n_drive = dark.design.n_drive
+
+    def inputs(k0, k1):
+        return (
+            half_lattice_block(cos_mixing, k0, k1),
+            half_lattice_block(n_drive, k0, k1),
+        )
 
     n = grid.n_steps
     dt = grid.dt
@@ -149,40 +157,37 @@ def adiabatic_simulate(pulse: InputPulse, dark: DarkDesign) -> AdiabaticRun:
     d, q = 0.0, 0.0
     pd[0], pq[0] = d, q
 
-    for k in range(n):
-        j0 = 2 * k
-        j1 = j0 + 1
-        j2 = j0 + 2
+    for k0, k1, steps in _feed(n, inputs):
+        od, oq = [], []
+        for c0, c1, c2, n0, n1, n2 in steps:
+            u = c0 * d
+            a1d = c0 * (n0 - q)
+            a1q = -w * q + mem * u
 
-        c = cos_h[j0]
-        u = c * d
-        a1d = c * (n_h[j0] - q)
-        a1q = -w * q + mem * u
+            bd, bq = d + h * a1d, q + h * a1q
+            u = c1 * bd
+            a2d = c1 * (n1 - bq)
+            a2q = -w * bq + mem * u
 
-        bd, bq = d + h * a1d, q + h * a1q
-        c = cos_h[j1]
-        u = c * bd
-        a2d = c * (n_h[j1] - bq)
-        a2q = -w * bq + mem * u
+            bd, bq = d + h * a2d, q + h * a2q
+            u = c1 * bd
+            a3d = c1 * (n1 - bq)
+            a3q = -w * bq + mem * u
 
-        bd, bq = d + h * a2d, q + h * a2q
-        u = c * bd
-        a3d = c * (n_h[j1] - bq)
-        a3q = -w * bq + mem * u
+            bd, bq = d + dt * a3d, q + dt * a3q
+            u = c2 * bd
+            a4d = c2 * (n2 - bq)
+            a4q = -w * bq + mem * u
 
-        bd, bq = d + dt * a3d, q + dt * a3q
-        c = cos_h[j2]
-        u = c * bd
-        a4d = c * (n_h[j2] - bq)
-        a4q = -w * bq + mem * u
+            d = d + sixth * (a1d + 2.0 * a2d + 2.0 * a3d + a4d)
+            q = q + sixth * (a1q + 2.0 * a2q + 2.0 * a3q + a4q)
 
-        d = d + sixth * (a1d + 2.0 * a2d + 2.0 * a3d + a4d)
-        q = q + sixth * (a1q + 2.0 * a2q + 2.0 * a3q + a4q)
-
-        tot = abs(d) + abs(q)
-        if tot != tot or tot == math.inf:
-            raise NonFiniteState.among((k + 1) * dt, d=d, q=q)
-        pd[k + 1], pq[k + 1] = d, q
+            tot = abs(d) + abs(q)
+            if tot != tot or tot == math.inf:
+                raise NonFiniteState.among((k0 + len(od) + 1) * dt, d=d, q=q)
+            od.append(d)
+            oq.append(q)
+        pd[k0 + 1 : k1 + 1], pq[k0 + 1 : k1 + 1] = od, oq
 
     # h = (2 / sqrt(big_gamma)) f, so y = integral h u is that multiple of Q
     py = (2.0 / math.sqrt(params.big_gamma)) * pq

@@ -19,16 +19,23 @@ differences measure modelling error, not integrator drift.  The oracle's
 comb is linear with a constant diagonal generator, so
 :func:`simulate_discrete_bath` writes its RK4 step out exactly instead
 of evaluating four vector stages.
+
+The system amplitudes step as Python scalars.  :func:`_feed` hands each
+loop its half-lattice couplings and sources one block of
+:data:`_BLOCK` steps at a time, so a loop holds no whole-grid list and
+its memory beyond the output arrays does not grow with the grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 
 import numpy as np
 
-from ._integrate import half_lattice
+from ._integrate import half_lattice, half_lattice_block
 from .errors import BandTooNarrow, GridMismatch, NonFiniteState
 from .grid import TimeGrid
 from .model import InputPulse, PhysicalParams, future_drive
@@ -39,6 +46,8 @@ _CAPTURE_FLOOR = 0.999
 # phase blocks: frequencies and weights; the step's z, gain, mode vector
 # and update; and its lift and project rows (four each)
 _MODE_VECTORS = 14
+# steps per block of the scalar loops' half-lattice feed
+_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -87,38 +96,68 @@ class Trajectory:
     phi_out: np.ndarray
 
 
-def _drive_half(drive: np.ndarray, grid: TimeGrid) -> np.ndarray:
+def _grid_drive(drive: np.ndarray, grid: TimeGrid) -> np.ndarray:
     drive = np.asarray(drive, dtype=complex)
     if drive.shape != (grid.n_steps + 1,):
         raise GridMismatch(
             f"drive has {drive.shape[0]} samples, grid wants {grid.n_steps + 1}"
         )
-    return half_lattice(drive)
+    return drive
+
+
+def _drive_half(drive: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """The whole drive on the half lattice, as the blocks of
+    :func:`_couplings` see it piece by piece."""
+    return half_lattice(_grid_drive(drive, grid))
 
 
 def _couplings(drive: np.ndarray, params: PhysicalParams, grid: TimeGrid):
-    """Half-lattice couplings of the scalar stepping loops.
+    """Half-lattice couplings of the scalar stepping loops, by block.
 
-    The four coupled amplitudes are too small a state vector to pay
-    per-step array overhead for, so the loops read plain lists, and
-    their arithmetic matches the vector form operation for operation.
+    Checks the drive against the grid at once and returns a function of
+    a step block ``k0, k1`` that gives the four couplings on the half
+    lattice ``2 k0 .. 2 k1`` as arrays.  The loops' arithmetic matches
+    the vector form operation for operation.
     """
-    th = grid.half_times
-    om_h = _drive_half(drive, grid)
-    e2m = np.exp(-1j * params.delta2 * th)
-    e1m = np.exp(-1j * params.delta1 * th)
-    e2p = np.conj(e2m)
-    e1p = np.conj(e1m)
-    cav = (-1j * params.g_cav * e2m).tolist()   # G <- X coupling
-    sto = (-1j * np.conj(om_h) * e1m).tolist()  # E <- X coupling
-    rev = (-1j * om_h * e1p).tolist()           # X <- E coupling
-    bck = (-1j * params.g_cav * e2p).tolist()   # X <- G coupling
-    return cav, sto, rev, bck
+    drive = _grid_drive(drive, grid)
+
+    def block(k0: int, k1: int):
+        th = grid.half_times_block(k0, k1)
+        om_h = half_lattice_block(drive, k0, k1)
+        e2m = np.exp(-1j * params.delta2 * th)
+        e1m = np.exp(-1j * params.delta1 * th)
+        return (
+            -1j * params.g_cav * e2m,           # G <- X coupling
+            -1j * np.conj(om_h) * e1m,          # E <- X coupling
+            -1j * om_h * np.conj(e1m),          # X <- E coupling
+            -1j * params.g_cav * np.conj(e2m),  # X <- G coupling
+        )
+
+    return block
 
 
-def _trajectory(pulse, grid, g, e, x, z_mem, y_out) -> Trajectory:
+def _feed(n: int, series):
+    """The half-lattice inputs of an ``n``-step scalar RK4 loop, by block.
+
+    ``series(k0, k1)`` gives the inputs of steps ``k0 .. k1 - 1`` as
+    arrays on the half lattice ``2 k0 .. 2 k1``.  Yields ``k0``, ``k1``
+    and an iterator over those steps: for step k, each array's samples
+    at 2k, 2k + 1 and 2k + 2 in turn, as Python numbers.  The four
+    coupled amplitudes are too small a state vector to pay per-step
+    array overhead for, and a block bounds what the lists hold.
+    """
+    for k0 in range(0, n, _BLOCK):
+        k1 = min(k0 + _BLOCK, n)
+        cols = []
+        for arr in series(k0, k1):
+            even = arr[0::2].tolist()
+            # step k's 2k + 2 is step k + 1's 2k: one list serves both
+            cols += (even, arr[1::2].tolist(), islice(even, 1, None))
+        yield k0, k1, zip(*cols)
+
+
+def _trajectory(grid, phi_in, g, e, x, z_mem, y_out) -> Trajectory:
     """The input-output relation ``phi_out = y_out - phi_in`` on the grid."""
-    phi_in = pulse.value(grid.times)
     return Trajectory(
         grid=grid,
         g=g,
@@ -136,10 +175,10 @@ def _reduced_loop(couplings, src, rate, w, mem, params, init, grid):
 
         G' = cav X + src - Z - rate G,   Z' = -w Z + mem G,
 
-    with the atom block of :func:`_couplings`; ``src`` is read on the
-    half lattice.  Returns the four amplitudes on the grid.
+    with the atom block of :func:`_couplings`; ``src(k0, k1)`` gives the
+    source on the half lattice ``2 k0 .. 2 k1``.  Returns the four
+    amplitudes on the grid.
     """
-    cav, sto, rev, bck = couplings
     gamma_l = params.gamma_L
     n = grid.n_steps
     dt = grid.dt
@@ -153,43 +192,56 @@ def _reduced_loop(couplings, src, rate, w, mem, params, init, grid):
     z = 0.0 + 0.0j
     pg[0], pe[0], px[0], pz[0] = g, e, x, z
 
-    for k in range(n):
-        j0 = 2 * k
-        j1 = j0 + 1
-        j2 = j0 + 2
+    def inputs(k0, k1):
+        return (*couplings(k0, k1), src(k0, k1))
 
-        a1g = cav[j0] * x + src[j0] - z - rate * g
-        a1e = sto[j0] * x
-        a1x = rev[j0] * e + bck[j0] * g - gamma_l * x
-        a1z = -w * z + mem * g
+    for k0, k1, steps in _feed(n, inputs):
+        og, oe, ox, oz = [], [], [], []
+        for (
+            cav0, cav1, cav2, sto0, sto1, sto2,
+            rev0, rev1, rev2, bck0, bck1, bck2, src0, src1, src2,
+        ) in steps:
+            a1g = cav0 * x + src0 - z - rate * g
+            a1e = sto0 * x
+            a1x = rev0 * e + bck0 * g - gamma_l * x
+            a1z = -w * z + mem * g
 
-        bg, be, bx, bz = g + h * a1g, e + h * a1e, x + h * a1x, z + h * a1z
-        a2g = cav[j1] * bx + src[j1] - bz - rate * bg
-        a2e = sto[j1] * bx
-        a2x = rev[j1] * be + bck[j1] * bg - gamma_l * bx
-        a2z = -w * bz + mem * bg
+            bg, be, bx, bz = g + h * a1g, e + h * a1e, x + h * a1x, z + h * a1z
+            a2g = cav1 * bx + src1 - bz - rate * bg
+            a2e = sto1 * bx
+            a2x = rev1 * be + bck1 * bg - gamma_l * bx
+            a2z = -w * bz + mem * bg
 
-        bg, be, bx, bz = g + h * a2g, e + h * a2e, x + h * a2x, z + h * a2z
-        a3g = cav[j1] * bx + src[j1] - bz - rate * bg
-        a3e = sto[j1] * bx
-        a3x = rev[j1] * be + bck[j1] * bg - gamma_l * bx
-        a3z = -w * bz + mem * bg
+            bg, be, bx, bz = g + h * a2g, e + h * a2e, x + h * a2x, z + h * a2z
+            a3g = cav1 * bx + src1 - bz - rate * bg
+            a3e = sto1 * bx
+            a3x = rev1 * be + bck1 * bg - gamma_l * bx
+            a3z = -w * bz + mem * bg
 
-        bg, be, bx, bz = g + dt * a3g, e + dt * a3e, x + dt * a3x, z + dt * a3z
-        a4g = cav[j2] * bx + src[j2] - bz - rate * bg
-        a4e = sto[j2] * bx
-        a4x = rev[j2] * be + bck[j2] * bg - gamma_l * bx
-        a4z = -w * bz + mem * bg
+            bg, be, bx, bz = g + dt * a3g, e + dt * a3e, x + dt * a3x, z + dt * a3z
+            a4g = cav2 * bx + src2 - bz - rate * bg
+            a4e = sto2 * bx
+            a4x = rev2 * be + bck2 * bg - gamma_l * bx
+            a4z = -w * bz + mem * bg
 
-        g = g + sixth * (a1g + 2.0 * a2g + 2.0 * a3g + a4g)
-        e = e + sixth * (a1e + 2.0 * a2e + 2.0 * a3e + a4e)
-        x = x + sixth * (a1x + 2.0 * a2x + 2.0 * a3x + a4x)
-        z = z + sixth * (a1z + 2.0 * a2z + 2.0 * a3z + a4z)
+            g = g + sixth * (a1g + 2.0 * a2g + 2.0 * a3g + a4g)
+            e = e + sixth * (a1e + 2.0 * a2e + 2.0 * a3e + a4e)
+            x = x + sixth * (a1x + 2.0 * a2x + 2.0 * a3x + a4x)
+            z = z + sixth * (a1z + 2.0 * a2z + 2.0 * a3z + a4z)
 
-        tot = abs(g) + abs(e) + abs(x) + abs(z)
-        if tot != tot or tot == math.inf:
-            raise NonFiniteState.among((k + 1) * dt, g=g, e=e, x=x, z=z)
-        pg[k + 1], pe[k + 1], px[k + 1], pz[k + 1] = g, e, x, z
+            try:
+                tot = abs(g) + abs(e) + abs(x) + abs(z)
+            except OverflowError:  # a modulus past the float maximum
+                tot = math.inf
+            if tot != tot or tot == math.inf:
+                t = (k0 + len(og) + 1) * dt
+                raise NonFiniteState.among(t, g=g, e=e, x=x, z=z)
+            og.append(g)
+            oe.append(e)
+            ox.append(x)
+            oz.append(z)
+        pg[k0 + 1 : k1 + 1], pe[k0 + 1 : k1 + 1] = og, oe
+        px[k0 + 1 : k1 + 1], pz[k0 + 1 : k1 + 1] = ox, oz
     return pg, pe, px, pz
 
 
@@ -206,16 +258,22 @@ def simulate_nonmarkovian(
     memory Z (kernel against the simulated G); the emission accumulator
     is its multiple (2 / sqrt(big_gamma)) Z.  The anticipated input N is
     integrated backward once before the forward sweep.
+
+    Beyond the series it returns, the run holds N and one block of the
+    loop's inputs: phi_in is formed before N, and N is freed with the
+    loop, ahead of y and phi_out.
     """
     grid.require_cover(pulse.duration)
     w = params.bandwidth_w
     couplings = _couplings(drive, params, grid)
-    n_l = half_lattice(future_drive(pulse, params, grid)).tolist()
+    phi_in = pulse.value(grid.times)
+    src = partial(half_lattice_block, future_drive(pulse, params, grid))
     mem = 0.5 * w * params.big_gamma
-    pg, pe, px, pz = _reduced_loop(couplings, n_l, 0.0, w, mem, params, init, grid)
+    pg, pe, px, pz = _reduced_loop(couplings, src, 0.0, w, mem, params, init, grid)
+    del src
     # h = (2 / sqrt(big_gamma)) f, so y = integral h G is that multiple of Z
     py = (2.0 / math.sqrt(params.big_gamma)) * pz
-    return _trajectory(pulse, grid, pg, pe, px, pz, py)
+    return _trajectory(grid, phi_in, pg, pe, px, pz, py)
 
 
 def simulate_markovian(
@@ -236,10 +294,14 @@ def simulate_markovian(
     grid.require_cover(pulse.duration)
     root_gamma = math.sqrt(params.big_gamma)
     couplings = _couplings(drive, params, grid)
-    src = (root_gamma * pulse.value(grid.half_times)).tolist()
+
+    def src(k0, k1):
+        return root_gamma * pulse.value(grid.half_times_block(k0, k1))
+
+    phi_in = pulse.value(grid.times)
     rate = 0.5 * params.big_gamma
     pg, pe, px, pz = _reduced_loop(couplings, src, rate, 0.0, 0.0, params, init, grid)
-    return _trajectory(pulse, grid, pg, pe, px, pz, root_gamma * pg)
+    return _trajectory(grid, phi_in, pg, pe, px, pz, root_gamma * pg)
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,7 +475,7 @@ def simulate_discrete_bath(
     """
     grid.require_cover(pulse.duration)
     gamma_l = params.gamma_L
-    cav, sto, rev, bck = _couplings(drive, params, grid)
+    couplings = _couplings(drive, params, grid)
 
     c, capture = initial_modes(pulse, bath, grid)
 
@@ -437,55 +499,64 @@ def simulate_discrete_bath(
     mu0, mu1, mu2, mu3 = np.dot(project, c).tolist()
     beta = np.empty(4, dtype=complex)
 
-    for k in range(n):
-        j0 = 2 * k
-        j1 = j0 + 1
-        j2 = j0 + 2
+    for k0, k1, steps in _feed(n, couplings):
+        og, oe, ox = [], [], []
+        for cav0, cav1, cav2, sto0, sto1, sto2, rev0, rev1, rev2, bck0, bck1, bck2 in steps:
+            g1 = g
+            a1g = cav0 * x - mu0
+            a1e = sto0 * x
+            a1x = rev0 * e + bck0 * g - gamma_l * x
 
-        g1 = g
-        a1g = cav[j0] * x - mu0
-        a1e = sto[j0] * x
-        a1x = rev[j0] * e + bck[j0] * g - gamma_l * x
+            g2, be, bx = g + h * a1g, e + h * a1e, x + h * a1x
+            dot2 = mu0 + 0.5 * mu1 + h * g1 * nu0
+            a2g = cav1 * bx - dot2
+            a2e = sto1 * bx
+            a2x = rev1 * be + bck1 * g2 - gamma_l * bx
 
-        g2, be, bx = g + h * a1g, e + h * a1e, x + h * a1x
-        dot2 = mu0 + 0.5 * mu1 + h * g1 * nu0
-        a2g = cav[j1] * bx - dot2
-        a2e = sto[j1] * bx
-        a2x = rev[j1] * be + bck[j1] * g2 - gamma_l * bx
+            g3, be, bx = g + h * a2g, e + h * a2e, x + h * a2x
+            dot3 = mu0 + 0.5 * mu1 + 0.25 * mu2 + h * g2 * nu0 + 0.5 * h * g1 * nu1
+            a3g = cav1 * bx - dot3
+            a3e = sto1 * bx
+            a3x = rev1 * be + bck1 * g3 - gamma_l * bx
 
-        g3, be, bx = g + h * a2g, e + h * a2e, x + h * a2x
-        dot3 = mu0 + 0.5 * mu1 + 0.25 * mu2 + h * g2 * nu0 + 0.5 * h * g1 * nu1
-        a3g = cav[j1] * bx - dot3
-        a3e = sto[j1] * bx
-        a3x = rev[j1] * be + bck[j1] * g3 - gamma_l * bx
+            g4, be, bx = g + dt * a3g, e + dt * a3e, x + dt * a3x
+            dot4 = (
+                mu0 + mu1 + 0.5 * mu2 + 0.25 * mu3
+                + dt * g3 * nu0 + h * g2 * nu1 + 0.5 * h * g1 * nu2
+            )
+            a4g = cav2 * bx - dot4
+            a4e = sto2 * bx
+            a4x = rev2 * be + bck2 * g4 - gamma_l * bx
 
-        g4, be, bx = g + dt * a3g, e + dt * a3e, x + dt * a3x
-        dot4 = (
-            mu0 + mu1 + 0.5 * mu2 + 0.25 * mu3
-            + dt * g3 * nu0 + h * g2 * nu1 + 0.5 * h * g1 * nu2
-        )
-        a4g = cav[j2] * bx - dot4
-        a4e = sto[j2] * bx
-        a4x = rev[j2] * be + bck[j2] * g4 - gamma_l * bx
+            g = g + sixth * (a1g + 2.0 * a2g + 2.0 * a3g + a4g)
+            e = e + sixth * (a1e + 2.0 * a2e + 2.0 * a3e + a4e)
+            x = x + sixth * (a1x + 2.0 * a2x + 2.0 * a3x + a4x)
 
-        g = g + sixth * (a1g + 2.0 * a2g + 2.0 * a3g + a4g)
-        e = e + sixth * (a1e + 2.0 * a2e + 2.0 * a3e + a4e)
-        x = x + sixth * (a1x + 2.0 * a2x + 2.0 * a3x + a4x)
+            beta[0] = sixth * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
+            beta[1] = sixth * (g1 + g2 + g3)
+            beta[2] = 0.5 * sixth * (g1 + g2)
+            beta[3] = 0.25 * sixth * g1
+            c *= gain
+            c += np.dot(beta, lift)
+            mu0, mu1, mu2, mu3 = np.dot(project, c).tolist()
 
-        beta[0] = sixth * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
-        beta[1] = sixth * (g1 + g2 + g3)
-        beta[2] = 0.5 * sixth * (g1 + g2)
-        beta[3] = 0.25 * sixth * g1
-        c *= gain
-        c += np.dot(beta, lift)
-        mu0, mu1, mu2, mu3 = np.dot(project, c).tolist()
-
-        # a non-finite mode makes mu0 non-finite
-        modes = abs(mu0) + abs(mu1) + abs(mu2) + abs(mu3)
-        tot = abs(g) + abs(e) + abs(x) + modes
-        if tot != tot or tot == math.inf:
-            raise NonFiniteState.among((k + 1) * dt, g=g, e=e, x=x, modes=modes)
-        pg[k + 1], pe[k + 1], px[k + 1] = g, e, x
+            # a non-finite mode makes mu0 non-finite; a modulus past the
+            # float maximum counts as an overflowed sum
+            try:
+                modes = abs(mu0) + abs(mu1) + abs(mu2) + abs(mu3)
+            except OverflowError:
+                modes = math.inf
+            try:
+                tot = abs(g) + abs(e) + abs(x) + modes
+            except OverflowError:
+                tot = math.inf
+            if tot != tot or tot == math.inf:
+                t = (k0 + len(og) + 1) * dt
+                raise NonFiniteState.among(t, g=g, e=e, x=x, modes=modes)
+            og.append(g)
+            oe.append(e)
+            ox.append(x)
+        pg[k0 + 1 : k1 + 1], pe[k0 + 1 : k1 + 1], px[k0 + 1 : k1 + 1] = og, oe, ox
 
     return DiscreteBathRun(g=pg, e=pe, x=px, final_modes=c, capture=capture)
 

@@ -53,8 +53,14 @@ class NonFiniteState(PhotonStoreError):
     @classmethod
     def among(cls, t: float, **amplitudes: complex) -> "NonFiniteState":
         """The error naming the first of ``amplitudes`` that is not
-        finite, or the largest one when only their sum overflowed."""
-        sizes = {name: abs(value) for name, value in amplitudes.items()}
+        finite, or the largest one when only their sum overflowed.
+
+        Sizes are half moduli, which stay finite for finite parts where
+        ``abs`` of a complex would raise OverflowError."""
+        sizes = {
+            name: math.hypot(0.5 * value.real, 0.5 * value.imag)
+            for name, value in amplitudes.items()
+        }
         blown = [name for name, size in sizes.items() if not size < math.inf]
         return cls(t, blown[0] if blown else max(sizes, key=sizes.__getitem__))
 

@@ -50,7 +50,17 @@ class TimeGrid:
     @property
     def half_times(self) -> np.ndarray:
         """All grid points and midpoints: ``2 * n_steps + 1`` values."""
-        return np.linspace(0.0, self.span, 2 * self.n_steps + 1)
+        return self.half_times_block(0, self.n_steps)
+
+    def half_times_block(self, k0: int, k1: int) -> np.ndarray:
+        """The half-lattice times of steps ``k0 .. k1``, ``2 k0 .. 2 k1``,
+        as ``np.linspace(0, span, 2 n_steps + 1)`` forms them: ``j * step``
+        with the last one ``span`` exactly."""
+        th = np.arange(2 * k0, 2 * k1 + 1, dtype=float)
+        th *= self.span / (2 * self.n_steps)
+        if k1 == self.n_steps:
+            th[-1] = self.span
+        return th
 
     def covers(self, duration: float) -> bool:
         return self.span >= duration - 1e-12 * max(1.0, duration)

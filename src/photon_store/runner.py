@@ -92,14 +92,15 @@ def _staged(outdir: Path) -> Iterator[Callable[[str], Path]]:
 _CSV_BLOCK_ROWS = 512
 
 
-def _csv_blocks(names: list[str], table: np.ndarray) -> Iterator[str]:
+def _csv_blocks(names: list[str], columns: list[np.ndarray]) -> Iterator[str]:
     # imported on the first write: compiling the kernel would add about
     # 4 ms to every start-up that writes no series
     from ._csv_kernel import format_block
 
     yield ",".join(names) + "\n"
-    for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
-        yield format_block(table[start : start + _CSV_BLOCK_ROWS])
+    for start in range(0, columns[0].shape[0], _CSV_BLOCK_ROWS):
+        block = np.column_stack([c[start : start + _CSV_BLOCK_ROWS] for c in columns])
+        yield format_block(block.astype(float, casting="same_kind", copy=False))
 
 
 def write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
@@ -111,12 +112,17 @@ def write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
     digits; non-finite values, subnormals, |v| outside about
     [1e-280, 1e280] and values within 1e-15 of a tie go to Python's
     ``%``.  Raises TypeError for a complex column, before ``path`` is
-    opened, instead of dropping its imaginary part.
+    opened, instead of dropping its imaginary part, and ValueError for
+    columns of different lengths.
     """
     names = list(columns)
-    table = np.column_stack([columns[name] for name in names])
-    table = table.astype(float, casting="same_kind", copy=False)
-    _stream(path, _csv_blocks(names, table))
+    series = [np.asarray(columns[name]) for name in names]
+    # the table is stacked one block of rows at a time; its empty head
+    # checks the columns before the file is opened
+    if len({column.shape[0] for column in series}) > 1:
+        raise ValueError("columns differ in length")
+    np.column_stack([column[:0] for column in series]).astype(float, casting="same_kind")
+    _stream(path, _csv_blocks(names, series))
 
 
 def write_summary(path: Path, entries: dict[str, object]) -> None:
@@ -159,10 +165,10 @@ def load_pulse(cfg: ScenarioConfig) -> InputPulse:
         raise ConfigError.single("value", 0, f"pulse file {cfg.pulse!r}: {exc}") from exc
 
 
-# cost ceilings of one run: a simulate run holds about 0.9 kB per grid
-# step (0.85 GiB at the ceiling); the oracle steps every bath mode at
+# cost ceilings of one run: a simulate run holds about 0.4 kB per grid
+# step (0.4 GiB at the ceiling); the oracle steps every bath mode at
 # every grid step (about 15 ns a mode-step, 4 s at the ceiling), and its
-# mode vectors (dynamics.comb_bytes) get the same 0.85 GiB
+# mode vectors (dynamics.comb_bytes) get at most 0.85 GiB
 MAX_STEPS = 1_000_000
 MAX_MODE_STEPS = 250_000_000
 MAX_MODE_BYTES = int(0.85 * 2**30)

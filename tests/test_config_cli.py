@@ -321,6 +321,15 @@ def test_write_csv_refuses_a_complex_column(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_write_csv_refuses_columns_of_different_lengths(tmp_path):
+    # the longer column would lose its tail at a block edge
+    path = tmp_path / "r.csv"
+    rows = 2 * runner._CSV_BLOCK_ROWS
+    with pytest.raises(ValueError, match="differ in length"):
+        runner.write_csv(path, {"t": np.arange(float(rows)), "v": np.zeros(rows + 3)})
+    assert list(tmp_path.iterdir()) == []
+
+
 def python_csv(names, table) -> bytes:
     """The CSV bytes of Python's own ``"%.12g"``, one value at a time."""
     lines = [",".join(names)] + [",".join("%.12g" % v for v in row) for row in table.tolist()]
@@ -413,6 +422,24 @@ def test_write_csv_peak_memory_stays_below_the_string_writer(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 4_406_638
+
+
+def test_write_csv_stacks_one_block_of_rows_at_a_time(tmp_path):
+    # the fig2c-sized table above: stacking all of it cost 3 016 032 B
+    # of a 4 265 012 B traced peak; one block at a time peaks at
+    # 1 298 329 B (Python 3.11, numpy 2.4), so the table is never whole
+    n = 31417
+    rng = np.random.default_rng(17)
+    columns = {f"c{j}": rng.standard_normal(n) for j in range(12)}
+    path = tmp_path / "fig2c.csv"
+    runner.write_csv(path, {"t": np.arange(3.0)})  # lookup tables built once
+    tracemalloc.start()
+    try:
+        runner.write_csv(path, columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 @pytest.mark.parametrize(

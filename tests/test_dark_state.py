@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import photon_store as ps
+from photon_store import dynamics
 from photon_store._integrate import half_lattice
 from photon_store.errors import (
     AngleDomain,
@@ -168,6 +169,49 @@ def test_adiabatic_run_and_rk4_fail_at_the_same_time(pulse, dark_case, grid, rk4
     with pytest.raises(NonFiniteState) as rk4_err:
         rk4(np.zeros(2), adiabatic_rhs(broken, params), grid.dt, grid.n_steps)
     assert run_err.value.t == rk4_err.value.t < grid.span
+
+
+@pytest.fixture(scope="module")
+def block_dark(pulse, make_params):
+    """The (30 pi, W = 0.5) design on a grid of three full blocks of the
+    loop's input feed and a partial fourth."""
+    n = 3 * dynamics._BLOCK + 517
+    grid = ps.TimeGrid.from_span(PI, PI / n)
+    params = make_params(0.5, DARK_RHO)
+    return params, grid, ps.adiabatic_design(pulse, params, grid)
+
+
+def test_adiabatic_run_is_rk4_bit_for_bit_across_blocks(pulse, block_dark, rk4):
+    params, grid, dark = block_dark
+    assert grid.n_steps > 3 * dynamics._BLOCK and grid.n_steps % dynamics._BLOCK
+    run = ps.adiabatic_simulate(pulse, dark)
+    path = rk4(np.zeros(2), adiabatic_rhs(dark, params), grid.dt, grid.n_steps).real
+    assert np.array_equal(run.d1, path[:, 0])
+    assert np.array_equal(run.q_mem, path[:, 1])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("series", ["angle", "drive"])
+def test_adiabatic_run_and_rk4_fail_alike_in_a_later_block(
+    pulse, block_dark, rk4, series
+):
+    params, grid, dark = block_dark
+    at = 2 * dynamics._BLOCK + 300
+    if series == "angle":
+        angle = dark.mixing_angle.copy()
+        angle[at] = np.nan
+        broken = replace(dark, mixing_angle=angle)
+    else:
+        n_drive = dark.design.n_drive.copy()
+        n_drive[at] = np.nan
+        broken = replace(dark, design=replace(dark.design, n_drive=n_drive))
+    with pytest.raises(NonFiniteState) as run_err:
+        ps.adiabatic_simulate(pulse, broken)
+    with pytest.raises(NonFiniteState) as rk4_err:
+        rk4(np.zeros(2), adiabatic_rhs(broken, params), grid.dt, grid.n_steps)
+    assert run_err.value.t == rk4_err.value.t
+    assert 2 * dynamics._BLOCK * grid.dt < run_err.value.t < grid.span
+    assert run_err.value.amplitude == "dq"[int(rk4_err.value.amplitude[2:-1])]
 
 
 # ------------------------------------------------------ dual-route population

@@ -97,6 +97,26 @@ def test_simulator_rejects_mismatched_drive(pulse, design_for, grid):
         )
 
 
+@pytest.mark.parametrize(
+    "entry", ["simulate_nonmarkovian", "simulate_markovian", "simulate_discrete_bath"]
+)
+def test_a_short_drive_is_rejected_before_any_series_is_computed(
+    pulse, design_for, grid, monkeypatch, entry
+):
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a series was computed before the drive was checked")
+
+    monkeypatch.setattr(dynamics, "future_drive", unbuilt)
+    monkeypatch.setattr(dynamics, "initial_modes", unbuilt)
+    monkeypatch.setattr(dynamics, "_feed", unbuilt)
+    params, des = design_for(1.6716, 0.002)
+    args = [pulse, des.drive[:-5], params, ps.InitialState.vacuum()]
+    if entry == "simulate_discrete_bath":
+        args.append(ps.discretize_bath(params, 8, 40.0))
+    with pytest.raises(GridMismatch, match="grid wants 31417"):
+        getattr(ps, entry)(*args, grid)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_runaway_state_raises_with_timestamp(pulse, make_params, grid):
     params = make_params(2.0, 0.002)
@@ -271,6 +291,126 @@ def test_memory_solver_and_rk4_fail_at_the_same_time(pulse, detuned_case, rk4, m
     assert run_err.value.t == rk4_err.value.t < grid.span
 
 
+def block_grid():
+    """Three full blocks of the loops' input feed and a partial fourth."""
+    n = 3 * dynamics._BLOCK + 517
+    return ps.TimeGrid.from_span(PI, PI / n)
+
+
+def named_as_the_loop_names(err, names):
+    """The loop's name for the rk4 reference's ``y[i]`` amplitude."""
+    index = int(err.amplitude[2:-1])
+    return names[min(index, len(names) - 1)]
+
+
+@pytest.fixture(scope="module")
+def detuned_blocks(detuned_case):
+    """``detuned_case`` on :func:`block_grid`."""
+    params, _, _, init = detuned_case
+    grid = block_grid()
+    t = grid.times
+    return params, grid, 40.0 * np.sin(t) * np.exp(0.3j * t), init
+
+
+@pytest.mark.parametrize("memory", [True, False], ids=["nonmarkovian", "markovian"])
+def test_reduced_solver_is_rk4_bit_for_bit_across_blocks(
+    pulse, detuned_blocks, rk4, memory
+):
+    params, grid, drive, init = detuned_blocks
+    assert grid.n_steps > 3 * dynamics._BLOCK and grid.n_steps % dynamics._BLOCK
+    solve = ps.simulate_nonmarkovian if memory else ps.simulate_markovian
+    traj = solve(pulse, drive, params, init, grid)
+    y0 = [init.g_amp, init.e_amp, init.x_amp] + ([0.0] if memory else [])
+    rhs = explicit_reduced_rhs(pulse, drive, params, grid, memory)
+    path = rk4(y0, rhs, grid.dt, grid.n_steps)
+    for col, amp in enumerate((traj.g, traj.e, traj.x, traj.z_mem)[: len(y0)]):
+        assert np.array_equal(amp, path[:, col])
+    if not memory:
+        assert not np.any(traj.z_mem)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("memory", [True, False], ids=["nonmarkovian", "markovian"])
+def test_reduced_solver_and_rk4_fail_alike_in_a_later_block(
+    pulse, detuned_blocks, rk4, memory
+):
+    params, grid, drive, init = detuned_blocks
+    drive = drive.copy()
+    drive[2 * dynamics._BLOCK + 300] = np.nan
+    solve = ps.simulate_nonmarkovian if memory else ps.simulate_markovian
+    with pytest.raises(NonFiniteState) as run_err:
+        solve(pulse, drive, params, init, grid)
+    y0 = [init.g_amp, init.e_amp, init.x_amp] + ([0.0] if memory else [])
+    rhs = explicit_reduced_rhs(pulse, drive, params, grid, memory)
+    with pytest.raises(NonFiniteState) as rk4_err:
+        rk4(y0, rhs, grid.dt, grid.n_steps)
+    assert run_err.value.t == rk4_err.value.t
+    assert 2 * dynamics._BLOCK * grid.dt < run_err.value.t < grid.span
+    assert run_err.value.amplitude == named_as_the_loop_names(rk4_err.value, "gexz")
+
+
+def test_reduced_loop_ends_an_overflowing_modulus_in_nonfinite_state():
+    # g = 1.5e308 (1 + 1j) after the one step: both parts are finite,
+    # but abs(g) would raise OverflowError.  The loop reads only
+    # gamma_L of the parameters; the couplings come from the feed
+    grid = ps.TimeGrid.from_span(6.0, 6.0)
+    params = ps.PhysicalParams(
+        g_cav=1.0, gamma_L=0.0, delta1=0.0, delta2=0.0,
+        big_gamma=1.0, bandwidth_w=1.0, rho_offset=0.0,
+    )
+
+    def zero_couplings(k0, k1):
+        return (np.zeros(2 * (k1 - k0) + 1, dtype=complex),) * 4
+
+    def src(k0, k1):
+        return np.full(2 * (k1 - k0) + 1, 0.25e308 * (1 + 1j))
+
+    with pytest.raises(NonFiniteState) as err:
+        dynamics._reduced_loop(
+            zero_couplings, src, 0.0, 0.0, 0.0, params, ps.InitialState(), grid
+        )
+    assert err.value.t == 6.0 and err.value.amplitude == "g"
+
+
+@pytest.mark.parametrize("largest", ["g", "e"])
+def test_among_names_the_largest_of_moduli_past_the_float_maximum(largest):
+    sizes = {"g": 1.2e308, "e": 1.3e308}
+    if largest == "g":
+        sizes = {"g": 1.3e308, "e": 1.2e308}
+    amplitudes = {name: size * (1 + 1j) for name, size in sizes.items()}
+    err = NonFiniteState.among(1.0, x=0.0, **amplitudes)
+    assert err.amplitude == largest
+    assert NonFiniteState.among(1.0, g=1e308j, e=complex(math.inf, 0.0)).amplitude == "e"
+
+
+def test_forward_run_memory_beyond_its_output_does_not_grow_with_the_grid(
+    pulse, make_params, monkeypatch
+):
+    # the loop's inputs reach it one block at a time.  Tracing costs
+    # about 0.5 ms a step of the loop, so short grids of 64-step blocks
+    # stand in for long grids of full blocks
+    monkeypatch.setattr(dynamics, "_BLOCK", 64)
+    params = make_params(2.0, 0.002)
+
+    def excess(n_steps):
+        grid = ps.TimeGrid(dt=PI / n_steps, n_steps=n_steps)
+        drive = ps.design_drive(pulse, params, grid).drive
+        seed = ps.InitialState.matched(params.rho_offset)
+        tracemalloc.start()
+        try:
+            traj = ps.simulate_nonmarkovian(pulse, drive, params, seed, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        series = (traj.g, traj.e, traj.x, traj.z_mem, traj.y_out, traj.phi_in, traj.phi_out)
+        return peak - sum(a.nbytes for a in series)
+
+    # measured 6.1 B a step; one whole half lattice as a list of
+    # floats adds 64, and the whole-grid lists of the coupling feed
+    # added 424
+    assert (excess(4000) - excess(1000)) / 3000 < 12.0
+
+
 # ------------------------------------------------------ discrete-bath oracle
 
 
@@ -427,6 +567,43 @@ def test_comb_step_and_rk4_fail_at_the_same_time(pulse, tiny_comb, rk4):
     with pytest.raises(NonFiniteState) as rk4_err:
         rk4(y0, explicit_comb_rhs(drive, params, bath, grid), grid.dt, grid.n_steps)
     assert oracle_err.value.t == rk4_err.value.t < grid.span
+
+
+@pytest.fixture
+def block_comb(tiny_comb):
+    """``tiny_comb`` on :func:`block_grid`."""
+    params, bath, _, c0, _ = tiny_comb
+    grid = block_grid()
+    t = grid.times
+    return params, bath, grid, c0, 40.0 * np.sin(t) * np.exp(0.3j * t)
+
+
+def test_comb_step_is_rk4_of_the_full_system_across_blocks(pulse, block_comb, rk4):
+    params, bath, grid, c0, drive = block_comb
+    init = ps.InitialState(g_amp=0.1j, e_amp=0.2, x_amp=-0.05)
+    run = ps.simulate_discrete_bath(pulse, drive, params, init, bath, grid)
+    y0 = np.concatenate([[init.g_amp, init.e_amp, init.x_amp], c0])
+    path = rk4(y0, explicit_comb_rhs(drive, params, bath, grid), grid.dt, grid.n_steps)
+    for col, amp in enumerate((run.g, run.e, run.x)):
+        assert np.max(np.abs(amp - path[:, col])) <= 1e-13
+    assert np.max(np.abs(run.final_modes - path[-1, 3:])) <= 1e-13
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_comb_step_and_rk4_fail_alike_in_a_later_block(pulse, block_comb, rk4):
+    params, bath, grid, c0, drive = block_comb
+    drive = drive.copy()
+    drive[3 * dynamics._BLOCK + 100] = np.nan
+    init = ps.InitialState.matched(params.rho_offset)
+    with pytest.raises(NonFiniteState) as oracle_err:
+        ps.simulate_discrete_bath(pulse, drive, params, init, bath, grid)
+    y0 = np.concatenate([[init.g_amp, init.e_amp, init.x_amp], c0])
+    with pytest.raises(NonFiniteState) as rk4_err:
+        rk4(y0, explicit_comb_rhs(drive, params, bath, grid), grid.dt, grid.n_steps)
+    assert oracle_err.value.t == rk4_err.value.t
+    assert 3 * dynamics._BLOCK * grid.dt < oracle_err.value.t < grid.span
+    names = ("g", "e", "x", "modes")
+    assert oracle_err.value.amplitude == named_as_the_loop_names(rk4_err.value, names)
 
 
 def test_package_exports_resolve():

@@ -9,7 +9,7 @@ import pytest
 
 import photon_store as ps
 from photon_store import model
-from photon_store._integrate import cubic_midpoints
+from photon_store._integrate import cubic_midpoints, half_lattice, half_lattice_block
 from photon_store.errors import GridMismatch
 
 PI = math.pi
@@ -41,6 +41,26 @@ def test_half_lattice_holds_the_grid_bitwise():
         for dt in (1e-4, 5e-5, 3e-3, 1e-2, 0.03):
             g = ps.TimeGrid.from_span(span, dt)
             assert g.half_times[::2].tobytes() == g.times.tobytes()
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 4, 5, 9, 4100])
+def test_blocks_of_the_half_lattice_are_its_slices_bitwise(n_steps):
+    # the scalar loops read their inputs block by block: every block,
+    # down to one step at either end, must be the slice of the whole
+    grid = ps.TimeGrid.from_span(2.7, 2.7 / n_steps)
+    y = np.exp(1.3j * grid.times) * np.cos(3.1 * grid.times)
+    whole_y = half_lattice(y)
+    whole_t = np.linspace(0.0, grid.span, 2 * n_steps + 1)
+    assert grid.half_times.tobytes() == whole_t.tobytes()
+    ends = sorted({0, 1, 2, 3, n_steps // 2, n_steps - 3, n_steps - 2, n_steps - 1, n_steps})
+    ends = [k for k in ends if 0 <= k <= n_steps]
+    for k0 in ends:
+        for k1 in ends:
+            if k1 < k0:
+                continue
+            block = slice(2 * k0, 2 * k1 + 1)
+            assert half_lattice_block(y, k0, k1).tobytes() == whole_y[block].tobytes()
+            assert grid.half_times_block(k0, k1).tobytes() == whole_t[block].tobytes()
 
 
 def test_cubic_midpoints_of_two_and_three_samples():
