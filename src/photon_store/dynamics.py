@@ -23,7 +23,8 @@ of evaluating four vector stages.
 The system amplitudes step as Python scalars.  :func:`_feed` hands each
 loop its half-lattice couplings and sources one block of
 :data:`_BLOCK` steps at a time, so a loop holds no whole-grid list and
-its memory beyond the output arrays does not grow with the grid.
+its memory beyond the output arrays does not grow with the grid.  The
+oracle's Fourier projection likewise takes one block of modes at a time.
 """
 
 from __future__ import annotations
@@ -42,10 +43,14 @@ from .model import InputPulse, PhysicalParams, future_drive
 
 # least fraction of the photon the comb must capture before renormalizing
 _CAPTURE_FLOOR = 0.999
-# complex vectors per mode that the oracle holds besides the projection's
-# phase blocks: frequencies and weights; the step's z, gain, mode vector
-# and update; and its lift and project rows (four each)
+# complex vectors per mode that the oracle holds: frequencies and
+# weights; the step's z, gain, mode vector and update; and its lift and
+# project rows (four each)
 _MODE_VECTORS = 14
+# bytes of one phase block of the comb's Fourier projection, and how
+# many such blocks it holds at once (see initial_modes)
+_PHASE_BYTES = 2**18
+_PHASE_BLOCKS = 3
 # steps per block of the scalar loops' half-lattice feed
 _BLOCK = 2048
 
@@ -361,13 +366,13 @@ def _projection_blocks(n_samples: int) -> tuple[int, int]:
     return inner, -(-n_samples // inner)
 
 
-def comb_bytes(n_modes: int, n_steps: int) -> int:
-    """Bytes of the mode vectors an oracle run of ``n_modes`` holds on a
-    grid of ``n_steps``, at most: :data:`_MODE_VECTORS` per mode, and
-    :func:`initial_modes`' (modes x L) phase block with two (modes x B)
-    ones, its coarse phases and the block product."""
-    inner, outer = _projection_blocks(n_steps + 1)
-    return 16 * n_modes * (_MODE_VECTORS + inner + 2 * outer)
+def comb_bytes(n_modes: int) -> int:
+    """Bytes of the mode vectors an oracle run of ``n_modes`` holds, at
+    most: :data:`_MODE_VECTORS` complex vectors per mode, and the
+    :data:`_PHASE_BLOCKS` phase blocks of :data:`_PHASE_BYTES` that
+    :func:`initial_modes` holds at once, whatever the comb, on any grid
+    of up to 2**26 samples."""
+    return 16 * _MODE_VECTORS * n_modes + _PHASE_BLOCKS * _PHASE_BYTES
 
 
 def least_comb_modes(band_halfwidth: float, span: float) -> float:
@@ -397,9 +402,14 @@ def initial_modes(
 
     The grid is uniform, so sample ``n = b*L + r`` carries the phase
     ``exp(i omega b L dt) * exp(i omega r dt)`` with ``L = ceil(sqrt(n))``:
-    the sum is one (modes x L) phase block times the (L x B) sample
-    matrix, weighted by a (modes x B) phase block -- O(modes * sqrt(n))
-    exponentials instead of O(modes * n).
+    a mode's sum is its row of fine phases times the (L x B) sample
+    matrix, weighted by its row of coarse phases -- O(modes * sqrt(n))
+    exponentials instead of O(modes * n).  The modes are projected a
+    block of rows at a time, each phase block at most
+    :data:`_PHASE_BYTES` (on grids of up to 2**26 samples), so the
+    projection holds :data:`_PHASE_BLOCKS` such blocks at most, whatever
+    the comb.  With a single-threaded BLAS, every amplitude is bit for
+    bit the one a single block of all the modes gives.
     """
     least = least_comb_modes(bath.band_halfwidth, grid.span)
     if bath.n_modes < least:
@@ -415,10 +425,21 @@ def initial_modes(
     inner, outer = _projection_blocks(n_samples)
     padded = np.zeros(inner * outer, dtype=weighted.dtype)
     padded[:n_samples] = weighted
-    om = bath.frequencies[:, None]
-    fine = np.exp(1j * (om * (grid.dt * np.arange(inner))))
-    coarse = np.exp(1j * (om * (inner * grid.dt * np.arange(outer))))
-    ft = np.sum((fine @ padded.reshape(outer, inner).T) * coarse, axis=1)
+    samples = padded.reshape(outer, inner).T
+    fine_t = grid.dt * np.arange(inner)
+    coarse_t = inner * grid.dt * np.arange(outer)
+    # L >= B, so a fine phase block is the largest; a block leaves room
+    # for one more row
+    rows = max(1, _PHASE_BYTES // (16 * inner) - 1)
+    # a last block of one row joins the one before it: numpy takes a
+    # one-row product through gemv, which sums in another order
+    edges = [0, *range(rows, bath.n_modes - 1, rows), bath.n_modes]
+    ft = np.empty(bath.n_modes, dtype=complex)
+    for i0, i1 in zip(edges, edges[1:]):
+        om = bath.frequencies[i0:i1, None]
+        block = np.exp(1j * (om * fine_t)) @ samples
+        block *= np.exp(1j * (om * coarse_t))
+        ft[i0:i1] = np.sum(block, axis=1)
     c0 = -math.sqrt(bath.mode_spacing / (2.0 * math.pi)) * ft
     capture = float(np.sum(np.abs(c0) ** 2))
     if capture < _CAPTURE_FLOOR:

@@ -168,7 +168,8 @@ def load_pulse(cfg: ScenarioConfig) -> InputPulse:
 # cost ceilings of one run: a simulate run holds about 0.4 kB per grid
 # step (0.4 GiB at the ceiling); the oracle steps every bath mode at
 # every grid step (about 15 ns a mode-step, 4 s at the ceiling), and its
-# mode vectors (dynamics.comb_bytes) get at most 0.85 GiB
+# mode vectors (dynamics.comb_bytes: 224 B a mode, whatever the grid)
+# get at most 0.85 GiB
 MAX_STEPS = 1_000_000
 MAX_MODE_STEPS = 250_000_000
 MAX_MODE_BYTES = int(0.85 * 2**30)
@@ -207,7 +208,7 @@ def _pulse_and_grid(cfg: ScenarioConfig) -> tuple[InputPulse, TimeGrid]:
             "value", 0, f"{comb} makes {cfg.n_modes * grid.n_steps:.3g} mode-steps, "
             f"above the ceiling of {MAX_MODE_STEPS:.3g}"
         )
-    held = dynamics.comb_bytes(cfg.n_modes, grid.n_steps)
+    held = dynamics.comb_bytes(cfg.n_modes)
     if held > MAX_MODE_BYTES:
         raise ConfigError.single(
             "value", 0, f"{comb} holds {held / 2**30:.3g} GiB of mode vectors, "
@@ -312,35 +313,39 @@ def run_design(cfg: ScenarioConfig, sc: Scenario) -> _Outputs:
     }
 
 
+def _forward(sc: Scenario, drive: np.ndarray, init: dynamics.InitialState):
+    """phi_in, phi_out and the storage metrics of one memory-kernel run;
+    the rest of its trajectory is freed here."""
+    traj = dynamics.simulate_nonmarkovian(sc.pulse, drive, sc.params, init, sc.grid)
+    return traj.phi_in, traj.phi_out, dynamics.storage_metrics(traj)
+
+
+def _output_columns(phi_out: np.ndarray) -> dict[str, np.ndarray]:
+    return {
+        "re_phi_out": phi_out.real,
+        "im_phi_out": phi_out.imag,
+        "abs_phi_out_sq": np.abs(phi_out) ** 2,
+    }
+
+
 def run_simulate(cfg: ScenarioConfig, sc: Scenario) -> _Outputs:
     design = pulse_design.design_drive(sc.pulse, sc.params, sc.grid)
-    matched = dynamics.simulate_nonmarkovian(
-        sc.pulse,
-        design.drive,
-        sc.params,
-        dynamics.InitialState.matched(sc.params.rho_offset),
-        sc.grid,
+    drive = design.drive
+    phi_in, phi_out, m_matched = _forward(
+        sc, drive, dynamics.InitialState.matched(sc.params.rho_offset)
     )
-    mismatched = dynamics.simulate_nonmarkovian(
-        sc.pulse, design.drive, sc.params, dynamics.InitialState.vacuum(), sc.grid
-    )
+    mis_in, mis_out, m_mis = _forward(sc, drive, dynamics.InitialState.vacuum())
 
-    series = _design_series(design, matched.phi_in)
-    series["re_phi_out"] = matched.phi_out.real
-    series["im_phi_out"] = matched.phi_out.imag
-    series["abs_phi_out_sq"] = np.abs(matched.phi_out) ** 2
+    series = _design_series(design, phi_in)
+    series.update(_output_columns(phi_out))
     files = {
         "simulate_series.csv": series,
         "simulate_series_mismatched.csv": {
             "t": sc.grid.times,
-            "phi_in": mismatched.phi_in,
-            "re_phi_out": mismatched.phi_out.real,
-            "im_phi_out": mismatched.phi_out.imag,
-            "abs_phi_out_sq": np.abs(mismatched.phi_out) ** 2,
+            "phi_in": mis_in,
+            **_output_columns(mis_out),
         },
     }
-    m_matched = dynamics.storage_metrics(matched)
-    m_mis = dynamics.storage_metrics(mismatched)
     return files, {
         "equilibrium_residual": _equilibrium_residual(design),
         "reflected_matched": m_matched.reflected,
@@ -375,22 +380,25 @@ def run_markovian(cfg: ScenarioConfig, sc: Scenario) -> _Outputs:
 
 
 def run_oracle(cfg: ScenarioConfig, sc: Scenario) -> _Outputs:
-    design = pulse_design.design_drive(sc.pulse, sc.params, sc.grid)
+    # the oracle needs only the design's drive
+    drive = pulse_design.design_drive(sc.pulse, sc.params, sc.grid).drive
     init = dynamics.InitialState.matched(sc.params.rho_offset)
-    reduced = dynamics.simulate_nonmarkovian(
-        sc.pulse, design.drive, sc.params, init, sc.grid
-    )
+    reduced = dynamics.simulate_nonmarkovian(sc.pulse, drive, sc.params, init, sc.grid)
+    # what the outputs read of the reduced run, taken before the comb steps
+    phi_in, g_reduced = reduced.phi_in, reduced.g
+    reflected_reduced = dynamics.storage_metrics(reduced).reflected
+    del reduced
     bath = dynamics.discretize_bath(sc.params, cfg.n_modes, cfg.band_halfwidth)
     oracle = dynamics.simulate_discrete_bath(
-        sc.pulse, design.drive, sc.params, init, bath, sc.grid
+        sc.pulse, drive, sc.params, init, bath, sc.grid
     )
-    diff = np.abs(reduced.g - oracle.g)
+    diff = np.abs(g_reduced - oracle.g)
     files = {
         "oracle_series.csv": {
             "t": sc.grid.times,
-            "phi_in": reduced.phi_in,
-            "re_g_reduced": reduced.g.real,
-            "im_g_reduced": reduced.g.imag,
+            "phi_in": phi_in,
+            "re_g_reduced": g_reduced.real,
+            "im_g_reduced": g_reduced.imag,
             "re_g_oracle": oracle.g.real,
             "im_g_oracle": oracle.g.imag,
             "abs_g_diff": diff,
@@ -402,7 +410,7 @@ def run_oracle(cfg: ScenarioConfig, sc: Scenario) -> _Outputs:
         "band_capture": oracle.capture,
         "weight_capture_ratio": bath.density_capture(),
         "sup_diff_G": float(np.max(diff)),
-        "reflected_reduced": dynamics.storage_metrics(reduced).reflected,
+        "reflected_reduced": reflected_reduced,
         # what left the cavity: reflected_reduced + 2|z_T|^2 / (W Γ)
         "reflected_oracle": float(np.sum(np.abs(oracle.final_modes) ** 2)),
     }

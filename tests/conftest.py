@@ -257,6 +257,28 @@ def _direct_memory_convolution(pulse, params, grid, indices=None) -> np.ndarray:
     return out
 
 
+def _one_block_projection(pulse, bath, grid) -> tuple[np.ndarray, float]:
+    """Mode amplitudes and captured fraction of the trapezoid Fourier
+    projection with every mode in one phase block: the (modes x L) fine
+    phases times the (L x B) sample matrix, weighted by the (modes x B)
+    coarse phases, then renormalized, with no capture floor."""
+    weighted = pulse.value(grid.times) * grid.dt
+    weighted[0] *= 0.5
+    weighted[-1] *= 0.5
+    n_samples = weighted.size
+    inner = math.isqrt(n_samples - 1) + 1
+    outer = -(-n_samples // inner)
+    padded = np.zeros(inner * outer, dtype=weighted.dtype)
+    padded[:n_samples] = weighted
+    om = bath.frequencies[:, None]
+    fine = np.exp(1j * (om * (grid.dt * np.arange(inner))))
+    coarse = np.exp(1j * (om * (inner * grid.dt * np.arange(outer))))
+    ft = np.sum((fine @ padded.reshape(outer, inner).T) * coarse, axis=1)
+    c0 = -math.sqrt(bath.mode_spacing / (2.0 * math.pi)) * ft
+    capture = float(np.sum(np.abs(c0) ** 2))
+    return c0 / math.sqrt(capture), capture
+
+
 def _reconstruct_output(bath, modes, t_snapshot: float, times) -> np.ndarray:
     """Free-evolve a comb snapshot into the emitted envelope at
     ``times >= t_snapshot``: the phased sum of the mode amplitudes."""
@@ -318,6 +340,14 @@ def memory_kernel():
 def direct_memory_convolution():
     """The O(n^2) reference for the memory recurrence of the design."""
     return _direct_memory_convolution
+
+
+@pytest.fixture(scope="session")
+def one_block_projection():
+    """The comb's Fourier projection as one phase block: the reference
+    that ``initial_modes``, which projects a block of modes at a time,
+    must match bit for bit."""
+    return _one_block_projection
 
 
 @pytest.fixture(scope="session")

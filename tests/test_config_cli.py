@@ -16,6 +16,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -600,6 +601,40 @@ def test_cli_oracle_writes_its_series_and_passes_its_gate(tmp_path, monkeypatch)
     assert summary["reflected_oracle"] == f"{comb:.12g}"
 
 
+@pytest.mark.parametrize("mode", ["simulate", "oracle"])
+def test_a_run_forms_the_drive_once_and_frees_each_trajectory(
+    tmp_path, monkeypatch, mode
+):
+    # the outputs read phi_in, phi_out and a few numbers of a forward
+    # run; the rest of it must be gone before the next run steps
+    text = CHEAP_W + "n_modes = 100\nband_halfwidth = 40\n"
+    reads, runs = [], []
+    drive = pulse_design.DesignResult.drive
+
+    def read_once(design):
+        reads.append(1)
+        return drive.fget(design)
+
+    def alive():
+        return [ref for ref in runs if ref() is not None]
+
+    def tracked(solver):
+        def run(*args):
+            assert not alive(), "a trajectory outlived its outputs"
+            result = solver(*args)
+            if isinstance(result, dynamics.Trajectory):
+                runs.append(weakref.ref(result))
+            return result
+
+        return run
+
+    monkeypatch.setattr(pulse_design.DesignResult, "drive", property(read_once))
+    for name in ("simulate_nonmarkovian", "simulate_discrete_bath"):
+        monkeypatch.setattr(dynamics, name, tracked(getattr(dynamics, name)))
+    assert run_cli([mode, "--out", str(tmp_path / "o")], tmp_path, text) == 0
+    assert len(reads) == 1 and len(runs) == (2 if mode == "simulate" else 1)
+
+
 def test_cli_preset_flag_matches_config_line(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run_cli(["design", "--preset", "fig5", "--out", str(out1)], tmp_path, "") == 0
@@ -1069,11 +1104,10 @@ def test_cli_oracle_above_the_mode_byte_ceiling_exits_2_at_once(
     assert len(err) == 1 and err[0].startswith("error[2]: ")
     assert "n_modes = 100000000" in err[0] and "GiB of mode vectors" in err[0]
     assert not any(out.iterdir())
-    # the default comb on the preset grid, the benchmark's and criterion
-    # 10's combs stay below the ceiling
-    for n_modes, dt in [(2000, 1e-4), (4000, 5e-4), (4000, 1e-4)]:
-        steps = TimeGrid.from_span(PI, dt).n_steps
-        assert dynamics.comb_bytes(n_modes, steps) <= runner.MAX_MODE_BYTES
+    # the default comb, the benchmark's and criterion 10's combs stay
+    # below the ceiling, on any grid
+    for n_modes in [2000, 4000]:
+        assert dynamics.comb_bytes(n_modes) <= runner.MAX_MODE_BYTES
 
 
 @pytest.mark.parametrize("w", ["1e-200", "1e-160"])

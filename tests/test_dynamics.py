@@ -495,6 +495,41 @@ def test_initial_modes_match_direct_fourier_sum(
     assert err <= 1e-13 * np.max(np.abs(direct))
 
 
+@pytest.mark.parametrize(
+    "n_modes,half_band,dt",
+    [(4000, 160.0, 5e-4), (777, 40.0, 1e-4), (183, 40.0, 1e-4)],
+    ids=["large_comb", "short_last_block", "one_row_past_a_block"],
+)
+def test_initial_modes_match_one_phase_block_bitwise(
+    pulse, make_params, one_block_projection, n_modes, half_band, dt
+):
+    # blocks of 203 modes at dt = 5e-4 and of 91 at dt = 1e-4: the combs
+    # leave a last block of 143 and of 49 modes, and one mode past two
+    # blocks, which joins the second
+    grid = ps.TimeGrid.from_span(PI, dt)
+    inner, _ = dynamics._projection_blocks(grid.n_steps + 1)
+    assert n_modes > dynamics._PHASE_BYTES // (16 * inner)
+    bath = ps.discretize_bath(make_params(2.0, 0.002), n_modes, half_band)
+    modes, capture = ps.initial_modes(pulse, bath, grid)
+    ref_modes, ref_capture = one_block_projection(pulse, bath, grid)
+    assert capture == ref_capture
+    np.testing.assert_array_equal(modes, ref_modes)
+
+
+def test_initial_modes_peak_does_not_grow_with_the_comb(pulse, make_params):
+    # the whole comb's phase blocks took a traced 35.3 MB here; a block
+    # of modes at a time holds three phase blocks of 256 KiB at most
+    grid = ps.TimeGrid.from_span(PI, 1e-4)
+    bath = ps.discretize_bath(make_params(2.0, 0.002), 4000, 160.0)
+    tracemalloc.start()
+    try:
+        ps.initial_modes(pulse, bath, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4_000_000
+
+
 def explicit_comb_rhs(drive, params, bath, grid):
     """Right-hand side of the whole (3 + N)-dimensional oracle system."""
     th = grid.half_times
@@ -661,7 +696,8 @@ def test_oracle_matches_reduced_solver(pulse, design_for, grid):
 def test_comb_bytes_bounds_what_a_mode_costs(pulse, make_params):
     # the runner's mode ceiling rests on comb_bytes: it must bound the
     # traced peak each extra mode adds to discretize_bath and the run,
-    # and not by a wide margin
+    # and not by a wide margin.  Below about 1000 modes the projection's
+    # fixed phase blocks set the peak; from 2000 on the mode vectors do
     grid = ps.TimeGrid.from_span(PI, 2e-3)
     params = make_params(2.0, 0.002)
     des = ps.design_drive(pulse, params, grid)
@@ -676,8 +712,8 @@ def test_comb_bytes_bounds_what_a_mode_costs(pulse, make_params):
         finally:
             tracemalloc.stop()
 
-    per_mode = (peak(1000) - peak(500)) / 500
-    estimate = dynamics.comb_bytes(1, grid.n_steps)
+    per_mode = (peak(4000) - peak(2000)) / 2000
+    estimate = (dynamics.comb_bytes(4000) - dynamics.comb_bytes(2000)) / 2000
     assert 0.8 * estimate <= per_mode <= estimate
 
 
