@@ -36,7 +36,6 @@ _KEY_TYPES: dict[str, type] = {
     "mode": str,
     "preset": str,
     "pulse": str,
-    "output": str,
 }
 KNOWN_KEYS = tuple(_KEY_TYPES)
 
@@ -131,7 +130,6 @@ class ScenarioConfig:
     pulse_duration: float = math.pi
     grid_dt: float = 1e-4
     grid_span: Optional[float] = None
-    output: Optional[str] = None
     n_modes: int = 2000
     band_halfwidth: float = 80.0
     workers: int = 1

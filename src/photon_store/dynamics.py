@@ -36,7 +36,7 @@ from itertools import islice
 
 import numpy as np
 
-from ._integrate import half_lattice, half_lattice_block
+from ._integrate import half_lattice_block
 from .errors import BandTooNarrow, GridMismatch, NonFiniteState
 from .grid import TimeGrid
 from .model import InputPulse, PhysicalParams, future_drive
@@ -108,12 +108,6 @@ def _grid_drive(drive: np.ndarray, grid: TimeGrid) -> np.ndarray:
             f"drive has {drive.shape[0]} samples, grid wants {grid.n_steps + 1}"
         )
     return drive
-
-
-def _drive_half(drive: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """The whole drive on the half lattice, as the blocks of
-    :func:`_couplings` see it piece by piece."""
-    return half_lattice(_grid_drive(drive, grid))
 
 
 def _couplings(drive: np.ndarray, params: PhysicalParams, grid: TimeGrid):

@@ -1,4 +1,4 @@
-"""Scenario orchestration: materialize a config, run, write files.
+"""Scenario orchestration: turn a config into model objects, run, write files.
 
 All output is deterministic: floats are rendered with 12 significant
 digits, summation orders are fixed, and nothing time- or
@@ -22,7 +22,7 @@ import sys
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -33,8 +33,6 @@ from .config import ScenarioConfig, with_point
 from .errors import ConfigError, PhotonStoreError
 from .grid import TimeGrid
 from .model import InputPulse, PhysicalParams, builtin_packet, sampled_packet
-
-OUTPUT_ENV_VAR = "PHOTON_STORE_OUT"
 
 EXIT_OK = 0
 
@@ -129,15 +127,6 @@ def write_summary(path: Path, entries: dict[str, object]) -> None:
     _stream(path, [f"{key} = {_fmt(value)}\n" for key, value in entries.items()])
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """A config materialized into concrete model objects."""
-
-    pulse: InputPulse
-    params: PhysicalParams
-    grid: TimeGrid
-
-
 def load_pulse(cfg: ScenarioConfig) -> InputPulse:
     """The configured input pulse; a pulse file that cannot be read or
     does not describe a valid envelope, or a built-in packet too short
@@ -217,27 +206,78 @@ def _pulse_and_grid(cfg: ScenarioConfig) -> tuple[InputPulse, TimeGrid]:
     return pulse, grid
 
 
-def _physical_params(cfg: ScenarioConfig, big_gamma: float) -> PhysicalParams:
-    return PhysicalParams(
-        g_cav=cfg.g_cav,
-        gamma_L=cfg.gamma_L,
-        delta1=cfg.delta1,
-        delta2=cfg.delta2,
-        big_gamma=big_gamma,
-        bandwidth_w=cfg.bandwidth_w,
-        rho_offset=cfg.rho_offset,
-    )
+class RunState:
+    """A config turned into model objects, once per process.
 
+    The pulse and the grid are loaded up front; :meth:`params` gives the
+    physical parameters of the config or of one of its sweep points.  A
+    single run designs its own drive, so the state holds no design
+    samples or chain while a forward solver runs.  Only sweep points
+    (:meth:`point`) take the pulse's design samples, when one first
+    needs them, and keep the parameters and detuning-free chain of the
+    last W, so the points of a Δ₂ sweep, which share W, share both.  The
+    entry is stored only once the chain succeeded, so a failed point
+    cannot poison the points after it.
+    """
 
-def materialize(cfg: ScenarioConfig) -> Scenario:
-    """Concrete model objects of a config."""
-    pulse, grid = _pulse_and_grid(cfg)
-    big_gamma = (
-        pulse_design.coupling_from_bandwidth(pulse, cfg.bandwidth_w)
-        if cfg.big_gamma is None
-        else cfg.big_gamma
-    )
-    return Scenario(pulse=pulse, params=_physical_params(cfg, big_gamma), grid=grid)
+    def __init__(self, cfg: ScenarioConfig):
+        self.cfg = cfg
+        self.pulse, self.grid = _pulse_and_grid(cfg)
+        self._last: tuple[PhysicalParams, pulse_design.DesignChain] | None = None
+
+    def params(self, cfg: ScenarioConfig) -> PhysicalParams:
+        """The physical parameters of a single-valued ``cfg`` of this
+        state's pulse; Γ is derived from W and the pulse unless the
+        config gives it."""
+        big_gamma = cfg.big_gamma
+        if big_gamma is None:
+            big_gamma = pulse_design.coupling_from_bandwidth(self.pulse, cfg.bandwidth_w)
+        return PhysicalParams(
+            g_cav=cfg.g_cav,
+            gamma_L=cfg.gamma_L,
+            delta1=cfg.delta1,
+            delta2=cfg.delta2,
+            big_gamma=big_gamma,
+            bandwidth_w=cfg.bandwidth_w,
+            rho_offset=cfg.rho_offset,
+        )
+
+    @functools.cached_property
+    def design_samples(self) -> pulse_design.DesignSamples:
+        return pulse_design.sample_design_pulse(self.pulse, self.grid)
+
+    def chain(
+        self, cfg: ScenarioConfig
+    ) -> tuple[PhysicalParams, pulse_design.DesignChain]:
+        """A point's parameters and the detuning-free chain at its W."""
+        if self._last is None or self._last[0].bandwidth_w != cfg.bandwidth_w:
+            resonant = self.params(replace(cfg, delta1=0.0, delta2=0.0))
+            self._last = resonant, pulse_design.memory_chain(self.design_samples, resonant)
+        resonant, chain = self._last
+        return replace(resonant, delta1=cfg.delta1, delta2=cfg.delta2), chain
+
+    def point(self, value: float) -> tuple[int, dict[str, object]]:
+        """Exit code and metrics of one sweep point (empty when it
+        fails).  Only a Δ₂ sweep returns the phase and ρ_ee its summary
+        compares, and only a W sweep on resonance the Markovian gap of
+        its aggregate."""
+        try:
+            params, chain = self.chain(with_point(self.cfg, value))
+            design = pulse_design.rotate_drive(chain, params)
+            out: dict[str, object] = {
+                "big_gamma": params.big_gamma,
+                "max_abs_omega": float(np.max(design.omega_modulus)),
+                "backflow_detected": _backflow(chain.rho_ee),
+            }
+            if self.cfg.sweep_param == "delta2":
+                out["theta"] = design.omega_phase
+                out["rho_ee"] = chain.rho_ee
+            elif params.is_resonant:
+                flat = pulse_design.markovian_population(self.design_samples, params)
+                out["sup_diff_rho"] = float(np.max(np.abs(chain.rho_ee - flat)))
+        except PhotonStoreError as exc:
+            return exc.exit_code, {}
+        return EXIT_OK, out
 
 
 def _summary_header(cfg: ScenarioConfig) -> dict[str, object]:
@@ -248,22 +288,22 @@ def _summary_header(cfg: ScenarioConfig) -> dict[str, object]:
     }
 
 
-def _echo_params(cfg: ScenarioConfig, sc: Scenario) -> dict[str, object]:
+def _echo_params(state: RunState, params: PhysicalParams) -> dict[str, object]:
     return {
-        **_summary_header(cfg),
-        "pulse": cfg.pulse,
-        "pulse_duration": sc.pulse.duration,
-        "g_cav": sc.params.g_cav,
-        "gamma_L": sc.params.gamma_L,
-        "delta1": sc.params.delta1,
-        "delta2": sc.params.delta2,
-        "big_gamma": sc.params.big_gamma,
-        "big_gamma_derived": cfg.big_gamma is None,
-        "bandwidth_w": sc.params.bandwidth_w,
-        "rho_offset": sc.params.rho_offset,
-        "grid_dt": sc.grid.dt,
-        "grid_span": sc.grid.span,
-        "n_steps": sc.grid.n_steps,
+        **_summary_header(state.cfg),
+        "pulse": state.cfg.pulse,
+        "pulse_duration": state.pulse.duration,
+        "g_cav": params.g_cav,
+        "gamma_L": params.gamma_L,
+        "delta1": params.delta1,
+        "delta2": params.delta2,
+        "big_gamma": params.big_gamma,
+        "big_gamma_derived": state.cfg.big_gamma is None,
+        "bandwidth_w": params.bandwidth_w,
+        "rho_offset": params.rho_offset,
+        "grid_dt": state.grid.dt,
+        "grid_span": state.grid.span,
+        "n_steps": state.grid.n_steps,
     }
 
 
@@ -298,11 +338,12 @@ def _design_series(design, phi_in: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
-def run_design(cfg: ScenarioConfig, sc: Scenario) -> _Outputs:
-    design = pulse_design.design_drive(sc.pulse, sc.params, sc.grid)
+def run_design(state: RunState, params: PhysicalParams) -> _Outputs:
+    design = pulse_design.design_drive(state.pulse, params, state.grid)
     alpha = design.alpha
     crossings = int(np.sum(np.sign(alpha[1:]) * np.sign(alpha[:-1]) < 0))
-    files = {"design_series.csv": _design_series(design, sc.pulse.value(sc.grid.times))}
+    phi_in = state.pulse.value(state.grid.times)
+    files = {"design_series.csv": _design_series(design, phi_in)}
     return files, {
         "equilibrium_residual": _equilibrium_residual(design),
         "rho_min": float(np.min(design.rho_ee)),
@@ -313,13 +354,6 @@ def run_design(cfg: ScenarioConfig, sc: Scenario) -> _Outputs:
     }
 
 
-def _forward(sc: Scenario, drive: np.ndarray, init: dynamics.InitialState):
-    """phi_in, phi_out and the storage metrics of one memory-kernel run;
-    the rest of its trajectory is freed here."""
-    traj = dynamics.simulate_nonmarkovian(sc.pulse, drive, sc.params, init, sc.grid)
-    return traj.phi_in, traj.phi_out, dynamics.storage_metrics(traj)
-
-
 def _output_columns(phi_out: np.ndarray) -> dict[str, np.ndarray]:
     return {
         "re_phi_out": phi_out.real,
@@ -328,20 +362,25 @@ def _output_columns(phi_out: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
-def run_simulate(cfg: ScenarioConfig, sc: Scenario) -> _Outputs:
-    design = pulse_design.design_drive(sc.pulse, sc.params, sc.grid)
+def run_simulate(state: RunState, params: PhysicalParams) -> _Outputs:
+    design = pulse_design.design_drive(state.pulse, params, state.grid)
     drive = design.drive
-    phi_in, phi_out, m_matched = _forward(
-        sc, drive, dynamics.InitialState.matched(sc.params.rho_offset)
-    )
-    mis_in, mis_out, m_mis = _forward(sc, drive, dynamics.InitialState.vacuum())
+
+    def forward(init: dynamics.InitialState):
+        """phi_in, phi_out and the storage metrics of one memory-kernel
+        run; the rest of its trajectory is freed here."""
+        traj = dynamics.simulate_nonmarkovian(state.pulse, drive, params, init, state.grid)
+        return traj.phi_in, traj.phi_out, dynamics.storage_metrics(traj)
+
+    phi_in, phi_out, m_matched = forward(dynamics.InitialState.matched(params.rho_offset))
+    mis_in, mis_out, m_mis = forward(dynamics.InitialState.vacuum())
 
     series = _design_series(design, phi_in)
     series.update(_output_columns(phi_out))
     files = {
         "simulate_series.csv": series,
         "simulate_series_mismatched.csv": {
-            "t": sc.grid.times,
+            "t": state.grid.times,
             "phi_in": mis_in,
             **_output_columns(mis_out),
         },
@@ -358,44 +397,47 @@ def run_simulate(cfg: ScenarioConfig, sc: Scenario) -> _Outputs:
     }
 
 
-def run_markovian(cfg: ScenarioConfig, sc: Scenario) -> _Outputs:
-    # both designs take the same envelope samples
-    samples = pulse_design.sample_design_pulse(sc.pulse, sc.grid)
-    design = pulse_design.rotate_drive(
-        pulse_design.memory_chain(samples, sc.params), sc.params
-    )
+def run_markovian(state: RunState, params: PhysicalParams) -> _Outputs:
+    # both designs take the same envelope samples; the outputs read two
+    # series of the Markovian design, which is dropped before the other
+    samples = pulse_design.sample_design_pulse(state.pulse, state.grid)
     flat = pulse_design.rotate_drive(
-        pulse_design.markovian_chain(samples, sc.params), sc.params
+        pulse_design.markovian_chain(samples, params), params
+    )
+    rho_f, omega_f = flat.rho_ee, flat.omega_modulus
+    del flat
+    design = pulse_design.rotate_drive(
+        pulse_design.memory_chain(samples, params), params
     )
     series = _design_series(design, samples.phi_half[::2])
-    series["rho_fee"] = flat.rho_ee
-    series["abs_omega_f"] = flat.omega_modulus
+    series["rho_fee"] = rho_f
+    series["abs_omega_f"] = omega_f
     return {"markovian_series.csv": series}, {
         "equilibrium_residual": _equilibrium_residual(design),
-        "sup_diff_rho": float(np.max(np.abs(design.rho_ee - flat.rho_ee))),
+        "sup_diff_rho": float(np.max(np.abs(design.rho_ee - rho_f))),
         "backflow_detected": _backflow(design.rho_ee),
         "max_abs_omega": float(np.max(design.omega_modulus)),
-        "max_abs_omega_f": float(np.max(flat.omega_modulus)),
+        "max_abs_omega_f": float(np.max(omega_f)),
     }
 
 
-def run_oracle(cfg: ScenarioConfig, sc: Scenario) -> _Outputs:
+def run_oracle(state: RunState, params: PhysicalParams) -> _Outputs:
     # the oracle needs only the design's drive
-    drive = pulse_design.design_drive(sc.pulse, sc.params, sc.grid).drive
-    init = dynamics.InitialState.matched(sc.params.rho_offset)
-    reduced = dynamics.simulate_nonmarkovian(sc.pulse, drive, sc.params, init, sc.grid)
+    drive = pulse_design.design_drive(state.pulse, params, state.grid).drive
+    init = dynamics.InitialState.matched(params.rho_offset)
+    reduced = dynamics.simulate_nonmarkovian(state.pulse, drive, params, init, state.grid)
     # what the outputs read of the reduced run, taken before the comb steps
     phi_in, g_reduced = reduced.phi_in, reduced.g
     reflected_reduced = dynamics.storage_metrics(reduced).reflected
     del reduced
-    bath = dynamics.discretize_bath(sc.params, cfg.n_modes, cfg.band_halfwidth)
+    bath = dynamics.discretize_bath(params, state.cfg.n_modes, state.cfg.band_halfwidth)
     oracle = dynamics.simulate_discrete_bath(
-        sc.pulse, drive, sc.params, init, bath, sc.grid
+        state.pulse, drive, params, init, bath, state.grid
     )
     diff = np.abs(g_reduced - oracle.g)
     files = {
         "oracle_series.csv": {
-            "t": sc.grid.times,
+            "t": state.grid.times,
             "phi_in": phi_in,
             "re_g_reduced": g_reduced.real,
             "im_g_reduced": g_reduced.imag,
@@ -416,19 +458,19 @@ def run_oracle(cfg: ScenarioConfig, sc: Scenario) -> _Outputs:
     }
 
 
-def run_dark(cfg: ScenarioConfig, sc: Scenario) -> _Outputs:
-    dark = dark_state.adiabatic_design(sc.pulse, sc.params, sc.grid)
-    run = dark_state.adiabatic_simulate(sc.pulse, dark)
+def run_dark(state: RunState, params: PhysicalParams) -> _Outputs:
+    dark = dark_state.adiabatic_design(state.pulse, params, state.grid)
+    run = dark_state.adiabatic_simulate(state.pulse, dark)
     comparison = dark_state.compare_dark(dark)
 
     gap = np.abs(dark.omega_adiabatic - dark.design.alpha)
     finite = np.isfinite(gap)
-    t_gap = float(sc.grid.times[finite][np.argmax(gap[finite])])
+    t_gap = float(state.grid.times[finite][np.argmax(gap[finite])])
 
     files = {
         "dark_series.csv": {
-            "t": sc.grid.times,
-            "phi_in": sc.pulse.value(sc.grid.times),
+            "t": state.grid.times,
+            "phi_in": state.pulse.value(state.grid.times),
             "d1_sq": comparison.d1_sq,
             "d_dark_sq": comparison.d_dark_sq,
             "abs_omega": dark.design.omega_modulus,
@@ -438,84 +480,25 @@ def run_dark(cfg: ScenarioConfig, sc: Scenario) -> _Outputs:
     return files, {
         "sup_diff_pop": comparison.sup_diff,
         "conservation_drift": dark_state.conservation_drift(run),
-        "adiabaticity_margin": dark_state.adiabaticity_margin(sc.params),
+        "adiabaticity_margin": dark_state.adiabaticity_margin(params),
         "reflected_adiabatic": float(
-            np.trapezoid(np.abs(run.phi_out) ** 2, dx=sc.grid.dt)
+            np.trapezoid(np.abs(run.phi_out) ** 2, dx=state.grid.dt)
         ),
         "d1_final_sq": float(run.d1[-1] ** 2),
         "max_drive_gap_time": t_gap,
     }
 
 
-class SweepState:
-    """What the points of a sweep share, built once per process.
-
-    The pulse and the grid are loaded up front, the pulse's samples on
-    the design half lattice when a point first needs them.  Γ and the
-    detuning-free design chain are kept for the last W, so the points of
-    a Δ₂ sweep, which share W, share both.  The entry is stored only
-    once the chain succeeded, so a failed point cannot poison the points
-    after it.
-    """
-
-    def __init__(self, cfg: ScenarioConfig):
-        self.cfg = cfg
-        self.pulse, self.grid = _pulse_and_grid(cfg)
-        self._last: tuple[float, float, pulse_design.DesignChain] | None = None
-
-    @functools.cached_property
-    def design_samples(self) -> pulse_design.DesignSamples:
-        return pulse_design.sample_design_pulse(self.pulse, self.grid)
-
-    def chain(self, cfg: ScenarioConfig) -> tuple[float, pulse_design.DesignChain]:
-        """Γ and the detuning-free chain at the W of a point's config."""
-        w = cfg.bandwidth_w
-        if self._last is None or self._last[0] != w:
-            big_gamma = cfg.big_gamma
-            if big_gamma is None:
-                big_gamma = pulse_design.coupling_from_bandwidth(self.pulse, w)
-            resonant = replace(cfg, delta1=0.0, delta2=0.0)
-            params = _physical_params(resonant, big_gamma)
-            chain = pulse_design.memory_chain(self.design_samples, params)
-            self._last = (w, big_gamma, chain)
-        return self._last[1:]
-
-    def point(self, value: float) -> tuple[int, dict[str, object]]:
-        """Exit code and metrics of one sweep point (empty when it
-        fails); it may run in a worker process, so it silences
-        floating-point warnings itself.  Only a Δ₂ sweep returns the
-        phase and ρ_ee its summary compares, and only a W sweep on
-        resonance the Markovian gap of its aggregate."""
-        cfg = with_point(self.cfg, value)
-        try:
-            with np.errstate(all="ignore"):
-                big_gamma, chain = self.chain(cfg)
-                params = _physical_params(cfg, big_gamma)
-                design = pulse_design.rotate_drive(chain, params)
-                out: dict[str, object] = {
-                    "big_gamma": big_gamma,
-                    "max_abs_omega": float(np.max(design.omega_modulus)),
-                    "backflow_detected": _backflow(chain.rho_ee),
-                }
-                if self.cfg.sweep_param == "delta2":
-                    out["theta"] = design.omega_phase
-                    out["rho_ee"] = chain.rho_ee
-                elif params.is_resonant:
-                    flat = pulse_design.markovian_population(self.design_samples, params)
-                    out["sup_diff_rho"] = float(np.max(np.abs(chain.rho_ee - flat)))
-        except PhotonStoreError as exc:
-            return exc.exit_code, {}
-        return EXIT_OK, out
-
-
 # a pool worker's sweep state, built by its initializer
-_worker_state: SweepState | None = None
+_worker_state: RunState | None = None
 
 
 def _init_worker(cfg: ScenarioConfig) -> None:
+    # a worker process runs nothing but sweep points: one switch
+    # silences floating-point warnings for all of them
     global _worker_state
-    with np.errstate(all="ignore"):
-        _worker_state = SweepState(cfg)
+    np.seterr(all="ignore")
+    _worker_state = RunState(cfg)
 
 
 def _worker_point(value: float) -> tuple[int, dict[str, object]]:
@@ -527,7 +510,7 @@ def run_sweep(cfg: ScenarioConfig, outdir: Path) -> None:
     # every point shares the pulse and the grid, so a config error in
     # either fails the sweep as a whole (exit 2) before any point is
     # dispatched
-    state = SweepState(cfg)
+    state = RunState(cfg)
 
     # a fork-started pool launches all its workers at the first submit,
     # so it gets no more of them than there are points, and a CPU-bound
@@ -602,12 +585,7 @@ def run_scenario(cfg: ScenarioConfig, outdir: str | Path | None = None) -> int:
     ends in one error line with its exit code, not in warnings on
     stderr.  An output location that cannot be created or written ends
     in one error line naming the path, with exit code 2."""
-    target = Path(
-        outdir
-        or cfg.output
-        or os.environ.get(OUTPUT_ENV_VAR)
-        or "out"
-    )
+    target = Path(outdir or "out")
     started = time.perf_counter()
     try:
         target.mkdir(parents=True, exist_ok=True)
@@ -615,12 +593,13 @@ def run_scenario(cfg: ScenarioConfig, outdir: str | Path | None = None) -> int:
             if cfg.mode == "sweep":
                 run_sweep(cfg, target)
             elif cfg.mode in _MODE_RUNNERS:
-                sc = materialize(cfg)
-                files, metrics = _MODE_RUNNERS[cfg.mode](cfg, sc)
+                state = RunState(cfg)
+                params = state.params(cfg)
+                files, metrics = _MODE_RUNNERS[cfg.mode](state, params)
                 with _staged(target) as stage:
                     for name, columns in files.items():
                         write_csv(stage(name), columns)
-                    write_summary(stage("summary"), {**_echo_params(cfg, sc), **metrics})
+                    write_summary(stage("summary"), _echo_params(state, params) | metrics)
             else:
                 raise ConfigError.single("value", 0, f"unsupported mode {cfg.mode!r}")
     except PhotonStoreError as exc:

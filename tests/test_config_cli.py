@@ -635,19 +635,37 @@ def test_a_run_forms_the_drive_once_and_frees_each_trajectory(
     assert len(reads) == 1 and len(runs) == (2 if mode == "simulate" else 1)
 
 
-def test_cli_preset_flag_matches_config_line(tmp_path):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert run_cli(["design", "--preset", "fig5", "--out", str(out1)], tmp_path, "") == 0
-    assert run_cli(["design", "--out", str(out2)], tmp_path, "preset = fig5\n") == 0
-    assert read_dir(out1) == read_dir(out2)
+@pytest.mark.parametrize(
+    "args,extra",
+    [
+        ([], "output = elsewhere\n"),
+        (["--preset", "fig5"], ""),
+        (["--workers", "2"], ""),
+        (["--ou", "elsewhere"], ""),
+    ],
+    ids=["output_key", "preset_flag", "workers_flag", "abbreviated_out"],
+)
+def test_removed_settings_exit_2_with_one_line(
+    tmp_path, monkeypatch, capsys, args, extra
+):
+    # each setting has one spelling: the config keys preset and workers,
+    # and --out in full; another spelling fails instead of writing elsewhere
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = run_cli(["design", *args], tmp_path, GOOD_DESIGN + extra)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert os.listdir(tmp_path) == ["scenario.cfg"]
 
 
-def test_cli_output_env_var(tmp_path, monkeypatch):
-    target = tmp_path / "env_out"
-    monkeypatch.setenv("PHOTON_STORE_OUT", str(target))
-    code = run_cli(["design"], tmp_path, GOOD_DESIGN)
-    assert code == 0
-    assert (target / "summary").exists()
+def test_cli_undecodable_config_exits_2_with_one_line(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"g_cav = 30pi\n\xff\n")
+    assert cli.main(["design", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config: cannot read {str(path)!r}: ")
 
 
 def test_cli_explicit_out_beats_env_var(tmp_path, monkeypatch):
@@ -774,8 +792,8 @@ def test_cli_pooled_sweep_reports_a_blown_up_point(tmp_path):
     outs = {}
     for workers in ("1", "2"):
         out = tmp_path / f"w{workers}"
-        code = run_cli(["sweep", "--workers", workers, "--out", str(out)], tmp_path, text)
-        assert code == 0
+        pooled = text + f"workers = {workers}\n"
+        assert run_cli(["sweep", "--out", str(out)], tmp_path, pooled) == 0
         outs[workers] = read_dir(out)
     rows = outs["2"]["sweep_aggregate.csv"].decode().splitlines()
     assert [r.split(",")[1] for r in rows[1:]] == ["0", "4"]
@@ -803,9 +821,7 @@ def test_cli_sweep_workers_do_not_change_results(tmp_path):
     )
     out1, out2 = tmp_path / "w1", tmp_path / "w2"
     assert run_cli(["sweep", "--out", str(out1)], tmp_path, base) == 0
-    assert (
-        run_cli(["sweep", "--workers", "2", "--out", str(out2)], tmp_path, base) == 0
-    )
+    assert run_cli(["sweep", "--out", str(out2)], tmp_path, base + "workers = 2\n") == 0
     d1, d2 = read_dir(out1), read_dir(out2)
     # worker count is echoed in the summary; everything else must match
     assert d1["sweep_aggregate.csv"] == d2["sweep_aggregate.csv"]
@@ -846,7 +862,8 @@ def summary_of(out):
 def test_sweep_rows_equal_independent_designs(tmp_path, workers, param):
     text = SWEEP_BASE + SWEEPS[param]
     out = tmp_path / "sweep"
-    assert run_cli(["sweep", "--workers", workers, "--out", str(out)], tmp_path, text) == 0
+    pooled = text + f"workers = {workers}\n"
+    assert run_cli(["sweep", "--out", str(out)], tmp_path, pooled) == 0
     cfg = config.parse_config(text)
     rows = aggregate_rows(out)
     values = sorted(cfg.sweep_values)
@@ -875,7 +892,8 @@ def test_a_failed_bandwidth_point_leaves_the_next_one_alone(tmp_path):
     outs = {}
     for workers in ("1", "2"):
         out = tmp_path / f"w{workers}"
-        assert run_cli(["sweep", "--workers", workers, "--out", str(out)], tmp_path, text) == 0
+        pooled = text + f"workers = {workers}\n"
+        assert run_cli(["sweep", "--out", str(out)], tmp_path, pooled) == 0
         assert [r["status"] for r in aggregate_rows(out)] == ["0", "3", "0"]
         outs[workers] = read_dir(out)
     assert outs["1"] == outs["2"]
@@ -883,7 +901,7 @@ def test_a_failed_bandwidth_point_leaves_the_next_one_alone(tmp_path):
 
 def test_a_failed_chain_is_not_kept_for_the_next_point(monkeypatch):
     cfg = config.parse_config(SWEEP_BASE + SWEEPS["delta2"])
-    state = runner.SweepState(cfg)
+    state = runner.RunState(cfg)
     real = pulse_design.memory_chain
     failures = [errors.InfeasibleDesign("first call fails")]
 
@@ -935,7 +953,9 @@ def _pool_sizes(tmp_path, monkeypatch, cores):
     class FakePool:
         def __init__(self, max_workers, initializer, initargs):
             sizes.append(max_workers)
-            initializer(*initargs)
+            # the worker's error state must not outlive the test
+            with np.errstate():
+                initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -968,13 +988,15 @@ def test_pooled_sweep_under_spawn_matches_serial(tmp_path):
     # reaches a worker: it must be the config alone, never a pulse
     text = SWEEP_BASE + SWEEPS["bandwidth_w"]
     assert run_cli(["sweep", "--out", str(tmp_path / "serial")], tmp_path, text) == 0
+    pooled = tmp_path / "pooled.cfg"
+    pooled.write_text(text + "workers = 2\n")
     script = (
         "import multiprocessing, sys\n"
         "multiprocessing.set_start_method('spawn')\n"
         "from photon_store import cli\n"
         "sys.exit(cli.main(sys.argv[1:]))\n"
     )
-    argv = ["sweep", "--workers", "2", "--config", str(tmp_path / "scenario.cfg")]
+    argv = ["sweep", "--config", str(pooled)]
     run = subprocess.run(
         [sys.executable, "-c", script, *argv, "--out", str(tmp_path / "spawn")],
         env=fresh_env(),

@@ -215,7 +215,7 @@ def explicit_reduced_rhs(pulse, drive, params, grid, memory):
     rounds twice, so only the stepping is compared bit for bit.
     """
     th = grid.half_times
-    om_h = dynamics._drive_half(drive, grid)
+    om_h = half_lattice(drive)
     e2m = np.exp(-1j * params.delta2 * th)
     e1m = np.exp(-1j * params.delta1 * th)
     w, big_gamma = params.bandwidth_w, params.big_gamma
@@ -533,7 +533,7 @@ def test_initial_modes_peak_does_not_grow_with_the_comb(pulse, make_params):
 def explicit_comb_rhs(drive, params, bath, grid):
     """Right-hand side of the whole (3 + N)-dimensional oracle system."""
     th = grid.half_times
-    om_h = dynamics._drive_half(drive, grid)
+    om_h = half_lattice(drive)
     e2m = np.exp(-1j * params.delta2 * th)
     e1m = np.exp(-1j * params.delta1 * th)
     g_cav, gamma_l = params.g_cav, params.gamma_L
