@@ -212,18 +212,18 @@ class RunState:
     The pulse and the grid are loaded up front; :meth:`params` gives the
     physical parameters of the config or of one of its sweep points.  A
     single run designs its own drive, so the state holds no design
-    samples or chain while a forward solver runs.  Only sweep points
-    (:meth:`point`) take the pulse's design samples, when one first
-    needs them, and keep the parameters and detuning-free chain of the
-    last W, so the points of a Δ₂ sweep, which share W, share both.  The
-    entry is stored only once the chain succeeded, so a failed point
-    cannot poison the points after it.
+    samples or chain while a forward solver runs.  Only sweep tasks
+    (:meth:`task`) take the pulse's design samples, when one first
+    needs them, and keep the parameters, detuning-free chain and
+    backflow flag of the last W, so the points of a Δ₂ sweep, which
+    share W, share all three.  The entry is stored only once the chain
+    succeeded, so a failed point cannot poison the points after it.
     """
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
         self.pulse, self.grid = _pulse_and_grid(cfg)
-        self._last: tuple[PhysicalParams, pulse_design.DesignChain] | None = None
+        self._last: tuple[PhysicalParams, pulse_design.DesignChain, bool] | None = None
 
     def params(self, cfg: ScenarioConfig) -> PhysicalParams:
         """The physical parameters of a single-valued ``cfg`` of this
@@ -248,36 +248,66 @@ class RunState:
 
     def chain(
         self, cfg: ScenarioConfig
-    ) -> tuple[PhysicalParams, pulse_design.DesignChain]:
-        """A point's parameters and the detuning-free chain at its W."""
+    ) -> tuple[PhysicalParams, pulse_design.DesignChain, bool]:
+        """A point's parameters, the detuning-free chain at its W and
+        whether that chain's ρ_ee flows back."""
         if self._last is None or self._last[0].bandwidth_w != cfg.bandwidth_w:
             resonant = self.params(replace(cfg, delta1=0.0, delta2=0.0))
-            self._last = resonant, pulse_design.memory_chain(self.design_samples, resonant)
-        resonant, chain = self._last
-        return replace(resonant, delta1=cfg.delta1, delta2=cfg.delta2), chain
+            chain = pulse_design.memory_chain(self.design_samples, resonant)
+            self._last = resonant, chain, _backflow(chain.rho_ee)
+        resonant, chain, backflow = self._last
+        return replace(resonant, delta1=cfg.delta1, delta2=cfg.delta2), chain, backflow
 
-    def point(self, value: float) -> tuple[int, dict[str, object]]:
-        """Exit code and metrics of one sweep point (empty when it
-        fails).  Only a Δ₂ sweep returns the phase and ρ_ee its summary
-        compares, and only a W sweep on resonance the Markovian gap of
-        its aggregate."""
+    def point(self, value: float) -> tuple[int, dict[str, object], np.ndarray | None]:
+        """Exit code, scalar metrics and drive phase θ of one sweep
+        point.  A failed point has no metrics; only a Δ₂ point off
+        resonance returns its θ, and only a W point on resonance the
+        Markovian gap of its aggregate.  On resonance the rotation is
+        the identity, α = p and β = ±0, so max|Ω| is max|p| of the
+        chain, bit for bit what ``hypot(α, β)`` would give."""
         try:
-            params, chain = self.chain(with_point(self.cfg, value))
-            design = pulse_design.rotate_drive(chain, params)
-            out: dict[str, object] = {
+            params, chain, backflow = self.chain(with_point(self.cfg, value))
+            metrics: dict[str, object] = {
                 "big_gamma": params.big_gamma,
-                "max_abs_omega": float(np.max(design.omega_modulus)),
-                "backflow_detected": _backflow(chain.rho_ee),
+                "backflow_detected": backflow,
             }
-            if self.cfg.sweep_param == "delta2":
-                out["theta"] = design.omega_phase
-                out["rho_ee"] = chain.rho_ee
-            elif params.is_resonant:
-                flat = pulse_design.markovian_population(self.design_samples, params)
-                out["sup_diff_rho"] = float(np.max(np.abs(chain.rho_ee - flat)))
+            theta = None
+            if params.is_resonant:
+                metrics["max_abs_omega"] = float(np.max(np.abs(chain.p)))
+                if self.cfg.sweep_param == "bandwidth_w":
+                    flat = pulse_design.markovian_population(self.design_samples, params)
+                    metrics["sup_diff_rho"] = float(np.max(np.abs(chain.rho_ee - flat)))
+            else:
+                design = pulse_design.rotate_drive(chain, params)
+                metrics["max_abs_omega"] = float(np.max(design.omega_modulus))
+                if self.cfg.sweep_param == "delta2":
+                    theta = design.omega_phase
         except PhotonStoreError as exc:
-            return exc.exit_code, {}
-        return EXIT_OK, out
+            return exc.exit_code, {}, None
+        return EXIT_OK, metrics, theta
+
+    def task(
+        self, values: tuple[float, ...]
+    ) -> tuple[list[tuple[int, dict[str, object]]], float]:
+        """Exit codes and scalar metrics of one unit of sweep work, and
+        its phase residual.
+
+        A task is one value or, in a Δ₂ sweep, a mirror pair (v, −v);
+        the residual is max|θ_v + θ_{−v}| of a pair whose points both
+        succeed, else 0.  No series outlives the task, so the series a
+        sweep holds do not grow with its point count, and only scalars
+        cross a pool.
+        """
+        outcomes, phases = [], []
+        for value in values:
+            code, metrics, theta = self.point(value)
+            outcomes.append((code, metrics))
+            if theta is not None:
+                phases.append(theta)
+        residual = 0.0
+        if len(phases) == 2:
+            residual = float(np.max(np.abs(phases[0] + phases[1])))
+        return outcomes, residual
 
 
 def _summary_header(cfg: ScenarioConfig) -> dict[str, object]:
@@ -501,8 +531,25 @@ def _init_worker(cfg: ScenarioConfig) -> None:
     _worker_state = RunState(cfg)
 
 
-def _worker_point(value: float) -> tuple[int, dict[str, object]]:
-    return _worker_state.point(value)
+def _worker_task(
+    values: tuple[float, ...],
+) -> tuple[list[tuple[int, dict[str, object]]], float]:
+    return _worker_state.task(values)
+
+
+def _sweep_tasks(values: list[float]) -> list[tuple[float, ...]]:
+    """The sweep's units of work, in the order of their values: a
+    mirror pair (v, −v), which only Δ₂ can form since W is positive,
+    else one value.  A repeated value is evaluated once."""
+    distinct = list(dict.fromkeys(values))
+    present = set(distinct)
+    tasks = []
+    for v in distinct:
+        if v > 0.0 and -v in present:
+            tasks.append((v, -v))
+        elif not (v < 0.0 and -v in present):
+            tasks.append((v,))
+    return tasks
 
 
 def run_sweep(cfg: ScenarioConfig, outdir: Path) -> None:
@@ -511,20 +558,26 @@ def run_sweep(cfg: ScenarioConfig, outdir: Path) -> None:
     # either fails the sweep as a whole (exit 2) before any point is
     # dispatched
     state = RunState(cfg)
+    tasks = _sweep_tasks(values)
 
     # a fork-started pool launches all its workers at the first submit,
-    # so it gets no more of them than there are points, and a CPU-bound
+    # so it gets no more of them than there are tasks, and a CPU-bound
     # pool gains nothing past the cores
-    workers = min(cfg.workers, len(values), os.cpu_count() or 1)
+    workers = min(cfg.workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         # only the config crosses to the workers: each builds its own
         # state, since a built-in packet's closures do not pickle
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(cfg,)
         ) as pool:
-            outcomes = list(pool.map(_worker_point, values))
+            done = list(pool.map(_worker_task, tasks))
     else:
-        outcomes = list(map(state.point, values))
+        done = list(map(state.task, tasks))
+    outcomes: dict[float, tuple[int, dict[str, object]]] = {}
+    residual = 0.0
+    for task, (task_outcomes, task_residual) in zip(tasks, done):
+        outcomes.update(zip(task, task_outcomes))
+        residual = max(residual, task_residual)
 
     names = [cfg.sweep_param, "status"]
     names += ["big_gamma", "max_abs_omega", "backflow_detected"]
@@ -533,7 +586,8 @@ def run_sweep(cfg: ScenarioConfig, outdir: Path) -> None:
     # a failed point has no metrics, and a detuned point no Markovian
     # gap: their cells stay blank
     rows = []
-    for value, (code, res) in zip(values, outcomes):
+    for value in values:
+        code, res = outcomes[value]
         row = {cfg.sweep_param: value, "status": code, **res}
         rows.append(",".join(_fmt(row[n]) if n in row else "" for n in names) + "\n")
     summary: dict[str, object] = {
@@ -541,27 +595,15 @@ def run_sweep(cfg: ScenarioConfig, outdir: Path) -> None:
         "sweep_param": cfg.sweep_param,
         "sweep_values": ",".join(_fmt(v) for v in values),
         "failed_points": ",".join(
-            _fmt(v) for v, (c, _) in zip(values, outcomes) if c != EXIT_OK
+            _fmt(v) for v in values if outcomes[v][0] != EXIT_OK
         )
         or "none",
     }
-    ok = {v: r for v, (c, r) in zip(values, outcomes) if c == EXIT_OK}
     if cfg.sweep_param == "delta2":
-        residual = 0.0
-        spread = 0.0
-        for v, res in ok.items():
-            mirror = ok.get(-v)
-            if v > 0.0 and mirror is not None:
-                residual = max(
-                    residual, float(np.max(np.abs(res["theta"] + mirror["theta"])))
-                )
-            base = ok.get(0.0)
-            if base is not None:
-                spread = max(
-                    spread, float(np.max(np.abs(res["rho_ee"] - base["rho_ee"])))
-                )
         summary["theta_odd_residual"] = residual
-        summary["rho_detuning_spread"] = spread
+        # every point rotates the one chain of the sweep's W, so the
+        # largest |ρ_ee − ρ_ee(Δ₂ = 0)| is 0 by construction
+        summary["rho_detuning_spread"] = 0.0
     with _staged(outdir) as stage:
         _stream(stage("sweep_aggregate.csv"), [",".join(names) + "\n", *rows])
         write_summary(stage("summary"), summary)

@@ -2,7 +2,8 @@
 generic RK4 that the package's unrolled stepping loops are checked
 against, the scalar RK4 loops of the two bath terms that the package
 now solves as array recurrences, and the direct reference formulas
-(kernels, convolutions, rotations) that only the tests use.
+(kernels, convolutions, rotations) that only the tests use, and the
+traced memory peak of a call.
 
 The expensive pieces (equilibrium couplings, full drive designs) are
 memoized per session so the suite stays fast even though many tests
@@ -12,6 +13,7 @@ revisit the same scenarios.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +109,22 @@ def _rk4(y0, rhs, dt: float, n_steps: int) -> np.ndarray:
             raise NonFiniteState((k + 1) * dt, f"y[{int(np.argmin(finite))}]")
         path[k + 1] = y
     return path
+
+
+def _traced_peak(fn):
+    """``(peak, result)`` of ``fn()``: the largest memory traced while
+    it ran, in bytes, and what it returned."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    return _traced_peak
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,6 @@ import re
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -402,7 +401,7 @@ def test_write_csv_matches_python_at_block_edges(tmp_path, cols, rows):
     assert_writes_python_bytes(tmp_path / "edge.csv", values)
 
 
-def test_write_csv_peak_memory_stays_below_the_string_writer(tmp_path):
+def test_write_csv_peak_memory_stays_below_the_string_writer(tmp_path, traced_peak):
     # a fig2c-sized table (31 417 rows of 12 columns); the string writer
     # before the kernel peaked at 4 406 638 B traced on this table,
     # 3 016 032 B of it the stacked table itself, and the kernel at
@@ -416,16 +415,11 @@ def test_write_csv_peak_memory_stays_below_the_string_writer(tmp_path):
         columns[f"c{j}"] = col
     path = tmp_path / "fig2c.csv"
     runner.write_csv(path, {"t": np.arange(3.0)})  # lookup tables built once
-    tracemalloc.start()
-    try:
-        runner.write_csv(path, columns)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(lambda: runner.write_csv(path, columns))
     assert peak <= 4_406_638
 
 
-def test_write_csv_stacks_one_block_of_rows_at_a_time(tmp_path):
+def test_write_csv_stacks_one_block_of_rows_at_a_time(tmp_path, traced_peak):
     # the fig2c-sized table above: stacking all of it cost 3 016 032 B
     # of a 4 265 012 B traced peak; one block at a time peaks at
     # 1 298 329 B (Python 3.11, numpy 2.4), so the table is never whole
@@ -434,12 +428,7 @@ def test_write_csv_stacks_one_block_of_rows_at_a_time(tmp_path):
     columns = {f"c{j}": rng.standard_normal(n) for j in range(12)}
     path = tmp_path / "fig2c.csv"
     runner.write_csv(path, {"t": np.arange(3.0)})  # lookup tables built once
-    tracemalloc.start()
-    try:
-        runner.write_csv(path, columns)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(lambda: runner.write_csv(path, columns))
     assert peak < 2_000_000
 
 
@@ -822,12 +811,7 @@ def test_cli_sweep_workers_do_not_change_results(tmp_path):
     out1, out2 = tmp_path / "w1", tmp_path / "w2"
     assert run_cli(["sweep", "--out", str(out1)], tmp_path, base) == 0
     assert run_cli(["sweep", "--out", str(out2)], tmp_path, base + "workers = 2\n") == 0
-    d1, d2 = read_dir(out1), read_dir(out2)
-    # worker count is echoed in the summary; everything else must match
-    assert d1["sweep_aggregate.csv"] == d2["sweep_aggregate.csv"]
-    s1 = [l for l in d1["summary"].decode().splitlines() if not l.startswith("workers")]
-    s2 = [l for l in d2["summary"].decode().splitlines() if not l.startswith("workers")]
-    assert s1 == s2
+    assert read_dir(out1) == read_dir(out2)
 
 
 def test_cli_design_blow_up_names_the_amplitude(tmp_path, capsys):
@@ -911,8 +895,8 @@ def test_a_failed_chain_is_not_kept_for_the_next_point(monkeypatch):
         return real(samples, params)
 
     monkeypatch.setattr(pulse_design, "memory_chain", flaky)
-    assert state.point(-7.0) == (3, {})
-    code, metrics = state.point(0.0)
+    assert state.point(-7.0) == (3, {}, None)
+    code, metrics, _ = state.point(0.0)
     assert code == 0 and metrics["max_abs_omega"] > 0.0
 
 
@@ -943,12 +927,13 @@ def test_serial_delta2_sweep_samples_and_solves_once(tmp_path, monkeypatch):
     }
 
 
-def _pool_sizes(tmp_path, monkeypatch, cores):
-    """Pool sizes a 3-point sweep asks for with unbounded ``workers`` on
-    a machine of ``cores`` cores.  A fork-started pool launches all
-    max_workers processes at the first submit; the fake pool records
-    the size and starts none."""
-    sizes = []
+def _fake_pool(monkeypatch, cores):
+    """Replace the sweep's process pool by one that runs each task in
+    this process on a machine of ``cores`` cores.  A fork-started pool
+    launches all max_workers processes at the first submit; the fake
+    pool records the size and starts none, and keeps what each task
+    returned.  Returns ``(sizes, results)``."""
+    sizes, results = [], []
 
     class FakePool:
         def __init__(self, max_workers, initializer, initargs):
@@ -963,12 +948,21 @@ def _pool_sizes(tmp_path, monkeypatch, cores):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, values):
-            return map(fn, values)
+        def map(self, fn, tasks):
+            for task in tasks:
+                results.append(fn(task))
+                yield results[-1]
 
     monkeypatch.setattr(runner, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(runner, "_worker_state", None)
     monkeypatch.setattr(runner.os, "cpu_count", lambda: cores)
+    return sizes, results
+
+
+def _pool_sizes(tmp_path, monkeypatch, cores):
+    """Pool sizes a 3-point sweep asks for with unbounded ``workers`` on
+    a machine of ``cores`` cores."""
+    sizes, _ = _fake_pool(monkeypatch, cores)
     text = SWEEP_BASE + SWEEPS["bandwidth_w"] + f"workers = {10**6}\n"
     assert run_cli(["sweep", "--out", str(tmp_path / "o")], tmp_path, text) == 0
     assert [row["status"] for row in aggregate_rows(tmp_path / "o")] == ["0"] * 3
@@ -981,6 +975,67 @@ def test_sweep_pool_has_no_more_workers_than_points(tmp_path, monkeypatch):
 
 def test_sweep_pool_has_no_more_workers_than_cores(tmp_path, monkeypatch):
     assert _pool_sizes(tmp_path, monkeypatch, cores=2) == [2]
+
+
+def test_pooled_delta2_sweep_returns_only_python_scalars(tmp_path, monkeypatch):
+    # a point's θ and ρ_ee series stay in the worker: what crosses the
+    # pool pickles without numpy
+    _, results = _fake_pool(monkeypatch, cores=2)
+    text = SWEEP_BASE + "bandwidth_w = 0.5\ndelta2 = -3.5, 0, 3.5\nrho_offset = 0.003\n"
+    assert run_cli(["sweep", "--out", str(tmp_path / "o")], tmp_path, text + "workers = 2\n") == 0
+    assert [row["status"] for row in aggregate_rows(tmp_path / "o")] == ["0"] * 3
+    assert results and b"numpy" not in pickle.dumps(results)
+
+
+def test_serial_delta2_sweep_memory_does_not_grow_with_its_points(tmp_path, traced_peak):
+    # each task's phases die with it, so 41 points peak where 5 do:
+    # keeping every point's θ to the end held 36 series more
+    def peak(n_pairs):
+        mags = [0.25 + 0.5 * k for k in range(n_pairs)]
+        values = ", ".join(repr(v) for v in [0.0, *mags, *(-m for m in mags)])
+        cfg = config.parse_config(
+            SWEEP_BASE.replace("grid.dt = 1e-2", "grid.dt = 1e-3")
+            + f"bandwidth_w = 0.5\ndelta2 = {values}\nrho_offset = 0.003\n"
+        )
+        grid = runner.RunState(cfg).grid
+        peak, code = traced_peak(lambda: runner.run_scenario(cfg, tmp_path / "o"))
+        assert code == 0
+        return peak, grid
+
+    peak(2)  # modules and caches loaded once
+    few, grid = peak(2)
+    many, _ = peak(20)
+    assert abs(many - few) < 2 * 8 * (grid.n_steps + 1)
+
+
+def test_delta2_sweep_pairs_mirrors_alike_in_any_pool(tmp_path):
+    # mirror pairs, a lone value, a duplicate and a nonzero Δ₁
+    text = SWEEP_BASE + (
+        "bandwidth_w = 0.5\ndelta1 = 2\ndelta2 = -7, -3, 0, 3, 3, 7, 11\n"
+        "rho_offset = 0.003\n"
+    )
+    outs = {}
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        pooled = text + f"workers = {workers}\n"
+        assert run_cli(["sweep", "--out", str(out)], tmp_path, pooled) == 0
+        outs[workers] = read_dir(out)
+    assert outs["1"] == outs["2"]
+    rows = aggregate_rows(tmp_path / "w1")
+    assert [r["delta2"] for r in rows] == ["-7", "-3", "0", "3", "3", "7", "11"]
+    assert [r["status"] for r in rows] == ["0"] * 7
+    assert rows[3] == rows[4]
+
+    # each phase from a design run of its own, sharing nothing with the sweep
+    cfg = config.parse_config(text)
+    state = runner.RunState(cfg)
+
+    def theta(value):
+        params = state.params(config.with_point(cfg, value))
+        return pulse_design.design_drive(state.pulse, params, state.grid).omega_phase
+
+    residual = max(float(np.max(np.abs(theta(v) + theta(-v)))) for v in (3.0, 7.0))
+    assert summary_of(tmp_path / "w1")["theta_odd_residual"] == f"{residual:.12g}"
 
 
 def test_pooled_sweep_under_spawn_matches_serial(tmp_path):

@@ -7,7 +7,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -384,7 +383,7 @@ def test_among_names_the_largest_of_moduli_past_the_float_maximum(largest):
 
 
 def test_forward_run_memory_beyond_its_output_does_not_grow_with_the_grid(
-    pulse, make_params, monkeypatch
+    pulse, make_params, monkeypatch, traced_peak
 ):
     # the loop's inputs reach it one block at a time.  Tracing costs
     # about 0.5 ms a step of the loop, so short grids of 64-step blocks
@@ -396,12 +395,9 @@ def test_forward_run_memory_beyond_its_output_does_not_grow_with_the_grid(
         grid = ps.TimeGrid(dt=PI / n_steps, n_steps=n_steps)
         drive = ps.design_drive(pulse, params, grid).drive
         seed = ps.InitialState.matched(params.rho_offset)
-        tracemalloc.start()
-        try:
-            traj = ps.simulate_nonmarkovian(pulse, drive, params, seed, grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, traj = traced_peak(
+            lambda: ps.simulate_nonmarkovian(pulse, drive, params, seed, grid)
+        )
         series = (traj.g, traj.e, traj.x, traj.z_mem, traj.y_out, traj.phi_in, traj.phi_out)
         return peak - sum(a.nbytes for a in series)
 
@@ -516,17 +512,12 @@ def test_initial_modes_match_one_phase_block_bitwise(
     np.testing.assert_array_equal(modes, ref_modes)
 
 
-def test_initial_modes_peak_does_not_grow_with_the_comb(pulse, make_params):
+def test_initial_modes_peak_does_not_grow_with_the_comb(pulse, make_params, traced_peak):
     # the whole comb's phase blocks took a traced 35.3 MB here; a block
     # of modes at a time holds three phase blocks of 256 KiB at most
     grid = ps.TimeGrid.from_span(PI, 1e-4)
     bath = ps.discretize_bath(make_params(2.0, 0.002), 4000, 160.0)
-    tracemalloc.start()
-    try:
-        ps.initial_modes(pulse, bath, grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(lambda: ps.initial_modes(pulse, bath, grid))
     assert peak <= 4_000_000
 
 
@@ -693,7 +684,7 @@ def test_oracle_matches_reduced_solver(pulse, design_for, grid):
     assert np.max(np.abs(run.g - reduced.g)) < 1e-4
 
 
-def test_comb_bytes_bounds_what_a_mode_costs(pulse, make_params):
+def test_comb_bytes_bounds_what_a_mode_costs(pulse, make_params, traced_peak):
     # the runner's mode ceiling rests on comb_bytes: it must bound the
     # traced peak each extra mode adds to discretize_bath and the run,
     # and not by a wide margin.  Below about 1000 modes the projection's
@@ -703,14 +694,12 @@ def test_comb_bytes_bounds_what_a_mode_costs(pulse, make_params):
     des = ps.design_drive(pulse, params, grid)
     seed = ps.InitialState.matched(params.rho_offset)
 
+    def run(n_modes):
+        bath = ps.discretize_bath(params, n_modes=n_modes, band_halfwidth=40.0)
+        ps.simulate_discrete_bath(pulse, des.drive, params, seed, bath, grid)
+
     def peak(n_modes):
-        tracemalloc.start()
-        try:
-            bath = ps.discretize_bath(params, n_modes=n_modes, band_halfwidth=40.0)
-            ps.simulate_discrete_bath(pulse, des.drive, params, seed, bath, grid)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(lambda: run(n_modes))[0]
 
     per_mode = (peak(4000) - peak(2000)) / 2000
     estimate = (dynamics.comb_bytes(4000) - dynamics.comb_bytes(2000)) / 2000
