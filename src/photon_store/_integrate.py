@@ -14,10 +14,11 @@ holds a whole half lattice.
 The two bath terms of the drive design (the anticipated input N and the
 memory Z) each obey one scalar equation y' = lam y + f, because a
 Lorentzian bath acts as one damped pseudomode.  RK4 applied to it is
-exactly an affine recurrence, which :func:`_rk4_linear` solves in
-blocks instead of stepping it in Python.  Only a path the blocks cannot
-settle (not finite, or near enough to overflow for an RK4 stage to) is
-stepped by that scalar loop, whose first non-finite y raises.
+exactly an affine recurrence, which :func:`_rk4_linear` solves as a
+blocked running sum instead of stepping it in Python: O(n) work and no
+BLAS call.  Only a path the blocks cannot settle (not finite, or near
+enough to overflow for an RK4 stage to) is stepped by that scalar loop,
+whose first non-finite y raises.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NonFiniteState
 
-# cap on width * log(r): r^width <= exp(700) ~ 1e304 stays finite
+# cap on width * |log r|: r^(+-width) <= exp(700) ~ 1e304 stays finite
 _EXP_ROOM = 700.0
 _FLOAT_MAX = float(np.finfo(float).max)
 
@@ -103,13 +103,17 @@ def _rk4_linear(
         b_k = dt/6 [f_k (1 + z + z^2/2 + z^3/4)
                     + f_{k+1/2} (4 + 2z + z^2/2) + f_{k+1}],
 
-    the r of the forward solvers' RK4 steps (not exp(z)).  The recurrence is
-    solved in blocks of L = isqrt(n) steps: one product with the
-    lower-triangular Toeplitz matrix r^(i-j) gives every block's path
-    from rest, and a scalar carry over the ~sqrt(n) blocks adds the
-    start of each block.  Every power is ``exp(k log1p(r - 1))``, with
-    r - 1 formed without the leading 1: ``r**k`` loses the digits of r
-    near 1 and puts N(0) ~1e-13 off G'(0) at small W.
+    the r of the forward solvers' RK4 steps (not exp(z)).  A first-order
+    linear recurrence is a scan, solved here in blocks of at most
+    L = isqrt(n) steps with no matrix product: each block's path from
+    rest is y_j = r^j sum_{i <= j} r^(-i) b_i (one scale, one running
+    sum, one scale), and a scalar carry over the ~sqrt(n) blocks adds
+    the start of each block.  The work is O(n) and calls no BLAS, so
+    the bytes do not depend on a thread count.  Every power is
+    ``exp(+-k log1p(r - 1))``, with r - 1 formed without the leading 1:
+    ``r**k`` loses the digits of r near 1 and puts N(0) ~1e-13 off G'(0)
+    at small W.  L is capped so that r^(+-L) and, on a path below the
+    stage bound, every scaled sample and running sum stay finite.
 
     With ``backward=True`` the recurrence runs from the last sample to
     t = 0 and ``lam``, ``f_half`` describe the equation in reversed
@@ -120,7 +124,8 @@ def _rk4_linear(
     the scalar RK4 loop the recurrence stands for.  That loop's raise is
     the contract: :class:`NonFiniteState`, naming ``amplitude``, at the
     first step whose y is not finite.  If the loop gets through, the
-    block path is returned.
+    block path is returned, or the loop's own where the blocks overflowed
+    and the loop did not; no call returns a non-finite path.
     """
     n = (f_half.shape[0] - 1) // 2
     if backward:
@@ -134,42 +139,50 @@ def _rk4_linear(
         + f_half[2::2]
     )
 
+    # below this size no RK4 stage of the next step can overflow
+    size = abs(z)
+    grow = 1.0 + size
+    limit = _FLOAT_MAX / (6.0 * (grow + size / dt) * grow * grow * grow)
     width = max(1, math.isqrt(n))
-    if log_r > 0.0:
-        # a growing solution: keep r^width finite so that the block
-        # product overflows only where the path itself does
-        width = max(1, min(width, int(_EXP_ROOM / log_r)))
+    # while |y| < limit, |b_i| < (1 + r) limit and a block's path from
+    # rest stays below (1 + r^width) limit, so no scaled sample, running
+    # sum or block path passes 2 limit r^(+-width) <= _FLOAT_MAX / 2;
+    # room is log(_FLOAT_MAX / (4 limit))
+    room = min(_EXP_ROOM, math.log(1.5 * (grow + size / dt) * grow**3))
+    if room < width * abs(log_r):
+        width = max(1, int(room / abs(log_r)))
     blocks = -(-n // width)
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = np.exp(np.arange(width + 1) * log_r)
-        # toeplitz[j, m] = r^(m - j) for m >= j, else 0
-        strip = np.concatenate((np.zeros(width - 1), powers[:width]))
-        toeplitz = np.ascontiguousarray(sliding_window_view(strip, width)[::-1])
-        padded = np.zeros(blocks * width)
-        padded[:n] = b
-        local = padded.reshape(blocks, width) @ toeplitz
-        carry = np.empty((blocks, 1))
+        # each block's path from rest, y_j = r^j sum_{i <= j} r^(-i) b_i
+        steps = np.arange(width + 1) * log_r
+        powers = np.exp(steps)
+        local = np.zeros((blocks, width))
+        local.reshape(-1)[:n] = b
+        local *= np.exp(-steps[:width])
+        np.cumsum(local, axis=1, out=local)
+        local *= powers[:width]
+        carry = np.full((blocks, 1), np.nan)
         c = 0.0
         r_width = float(powers[width])
         for i, last in enumerate(local[:, -1].tolist()):
             carry[i, 0] = c
             c = r_width * c + last
+            if c - c != 0.0:
+                # no later block is finite either: they stay NaN
+                break
         local += carry * powers[1:]
 
     path = np.empty(n + 1)
     stepped = path[::-1] if backward else path
     stepped[0] = 0.0
     stepped[1:] = local.reshape(-1)[:n]
-    # below this size no RK4 stage of the next step can overflow
-    size = abs(z)
-    grow = 1.0 + size
-    limit = _FLOAT_MAX / (6.0 * (grow + size / dt) * grow * grow * grow)
     if not np.max(np.abs(path)) < limit:
         # step the loop the blocks stand for, which stops where it blows up
         lam = z / dt
         h = dt / 2.0
         f = f_half.tolist()
         y = 0.0
+        ys = []
         for k in range(n):
             j = 2 * k
             k1 = lam * y + f[j]
@@ -179,4 +192,8 @@ def _rk4_linear(
             y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not math.isfinite(y):
                 raise NonFiniteState((n - k - 1 if backward else k + 1) * dt, amplitude)
+            ys.append(y)
+        if not np.isfinite(path).all():
+            # the blocks overflowed where the loop did not: its path stands
+            stepped[1:] = ys
     return path

@@ -318,9 +318,9 @@ def future_drive(
     d tau``: the part of the photon still to arrive, weighted by the
     bath response.  The RK4 path is solved as the exact recurrence of
     :func:`photon_store._integrate._rk4_linear` on the reversed half
-    lattice.  ``phi_half`` may pass ``pulse.value(grid.half_times)``
-    when the caller already has it.  The grid must cover the pulse
-    support.
+    lattice, a blocked running sum with no BLAS call.  ``phi_half`` may
+    pass ``pulse.value(grid.half_times)`` when the caller already has it.
+    The grid must cover the pulse support.
     """
     grid.require_cover(pulse.duration)
     w = params.bandwidth_w

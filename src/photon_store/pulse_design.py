@@ -233,7 +233,8 @@ def memory_chain(samples: DesignSamples, params: PhysicalParams) -> DesignChain:
     memory ``integral_0^t f(t - tau) G(tau) d tau``.  The exponential
     kernel makes Z the solution of ``Z' = -W Z + (W big_gamma / 2) G``
     from Z(0) = 0, whose RK4 path is solved as the exact recurrence of
-    :func:`photon_store._integrate._rk4_linear`.
+    :func:`photon_store._integrate._rk4_linear`, a blocked running sum
+    with no BLAS call.
     """
     grid = samples.grid
     w = params.bandwidth_w

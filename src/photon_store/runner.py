@@ -258,13 +258,16 @@ class RunState:
         resonant, chain, backflow = self._last
         return replace(resonant, delta1=cfg.delta1, delta2=cfg.delta2), chain, backflow
 
-    def point(self, value: float) -> tuple[int, dict[str, object], np.ndarray | None]:
+    def point(
+        self, value: float, phase: bool = False
+    ) -> tuple[int, dict[str, object], np.ndarray | None]:
         """Exit code, scalar metrics and drive phase θ of one sweep
-        point.  A failed point has no metrics; only a Δ₂ point off
-        resonance returns its θ, and only a W point on resonance the
-        Markovian gap of its aggregate.  On resonance the rotation is
-        the identity, α = p and β = ±0, so max|Ω| is max|p| of the
-        chain, bit for bit what ``hypot(α, β)`` would give."""
+        point.  A failed point has no metrics; a point off resonance
+        forms its θ only when ``phase`` asks for it, and only a W point
+        on resonance gives the Markovian gap of its aggregate.  On
+        resonance the rotation is the identity, α = p and β = ±0, so
+        max|Ω| is max|p| of the chain, bit for bit what ``hypot(α, β)``
+        would give."""
         try:
             params, chain, backflow = self.chain(with_point(self.cfg, value))
             metrics: dict[str, object] = {
@@ -280,7 +283,7 @@ class RunState:
             else:
                 design = pulse_design.rotate_drive(chain, params)
                 metrics["max_abs_omega"] = float(np.max(design.omega_modulus))
-                if self.cfg.sweep_param == "delta2":
+                if phase:
                     theta = design.omega_phase
         except PhotonStoreError as exc:
             return exc.exit_code, {}, None
@@ -294,13 +297,13 @@ class RunState:
 
         A task is one value or, in a Δ₂ sweep, a mirror pair (v, −v);
         the residual is max|θ_v + θ_{−v}| of a pair whose points both
-        succeed, else 0.  No series outlives the task, so the series a
-        sweep holds do not grow with its point count, and only scalars
-        cross a pool.
+        succeed, else 0, so only a pair's points form θ.  No series
+        outlives the task, so the series a sweep holds do not grow with
+        its point count, and only scalars cross a pool.
         """
         outcomes, phases = [], []
         for value in values:
-            code, metrics, theta = self.point(value)
+            code, metrics, theta = self.point(value, phase=len(values) == 2)
             outcomes.append((code, metrics))
             if theta is not None:
                 phases.append(theta)

@@ -1008,12 +1008,15 @@ def test_serial_delta2_sweep_memory_does_not_grow_with_its_points(tmp_path, trac
     assert abs(many - few) < 2 * 8 * (grid.n_steps + 1)
 
 
+# mirror pairs, lone values, a duplicate and a nonzero Δ₁
+DELTA2_EDGES = SWEEP_BASE + (
+    "bandwidth_w = 0.5\ndelta1 = 2\ndelta2 = -7, -3, 0, 3, 3, 7, 11\n"
+    "rho_offset = 0.003\n"
+)
+
+
 def test_delta2_sweep_pairs_mirrors_alike_in_any_pool(tmp_path):
-    # mirror pairs, a lone value, a duplicate and a nonzero Δ₁
-    text = SWEEP_BASE + (
-        "bandwidth_w = 0.5\ndelta1 = 2\ndelta2 = -7, -3, 0, 3, 3, 7, 11\n"
-        "rho_offset = 0.003\n"
-    )
+    text = DELTA2_EDGES
     outs = {}
     for workers in ("1", "2"):
         out = tmp_path / f"w{workers}"
@@ -1036,6 +1039,21 @@ def test_delta2_sweep_pairs_mirrors_alike_in_any_pool(tmp_path):
 
     residual = max(float(np.max(np.abs(theta(v) + theta(-v)))) for v in (3.0, 7.0))
     assert summary_of(tmp_path / "w1")["theta_odd_residual"] == f"{residual:.12g}"
+
+
+def test_delta2_sweep_forms_phases_only_for_mirror_pairs(tmp_path, monkeypatch):
+    # (3, -3) and (7, -7) form a residual; 0 (detuned by Δ₁ = 2) and 11
+    # are lone points, whose θ nothing reads
+    formed = []
+    unwrap = np.unwrap
+
+    def counted(phase, *args, **kwargs):
+        formed.append(phase.size)
+        return unwrap(phase, *args, **kwargs)
+
+    monkeypatch.setattr(pulse_design.np, "unwrap", counted)
+    assert run_cli(["sweep", "--out", str(tmp_path / "o")], tmp_path, DELTA2_EDGES) == 0
+    assert len(formed) == 4
 
 
 def test_pooled_sweep_under_spawn_matches_serial(tmp_path):
@@ -1296,6 +1314,40 @@ def run_fresh(mode, tmp_path, text):
     return subprocess.run(
         [*argv, "--out", str(tmp_path / "o")], env=env, capture_output=True, text=True
     )
+
+
+def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """A preset's design and a pooled 12-point W sweep write the same
+    bytes with ``OPENBLAS_NUM_THREADS`` unset and set to 1: the design
+    chain calls no BLAS.  The oracle is left out, since its comb
+    projection is a BLAS product whose last bits depend on the thread
+    count.  On a one-core host both runs have one thread, and the test
+    passes trivially."""
+    widths = ", ".join(f"{w:.6g}" for w in np.geomspace(0.5, 25.0, 12))
+    configs = {
+        "design": "preset = fig2a\n",
+        "sweep": "g_cav = 30pi\ngamma_L = 6pi\nrho_offset = 0.0075\n"
+        f"bandwidth_w = {widths}\nworkers = 2\n",
+    }
+    outs = {}
+    for threads in (None, "1"):
+        env = fresh_env()
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            env.pop(name, None)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        for mode, text in configs.items():
+            cfg = tmp_path / f"{mode}.cfg"
+            cfg.write_text(text)
+            out = tmp_path / f"{mode}_{threads}"
+            argv = [sys.executable, "-m", "photon_store.cli", mode, "--config", str(cfg)]
+            run = subprocess.run(
+                [*argv, "--out", str(out)], env=env, capture_output=True, text=True
+            )
+            assert run.returncode == 0, run.stderr
+            outs[mode, threads] = read_dir(out)
+    for mode in configs:
+        assert outs[mode, None] == outs[mode, "1"]
 
 
 @pytest.mark.parametrize("mode,extra", [("design", ""), ("sweep", "workers = 2\n")])

@@ -374,6 +374,45 @@ def test_linear_rk4_raises_where_only_a_stage_overflows(rk4):
     assert got.value.amplitude == "y"
 
 
+@pytest.mark.parametrize("backward", [False, True])
+@pytest.mark.parametrize(
+    "z,n,scale",
+    [(-2.5, 4000, 2.0**1000), (0.0, 4000, 1.0), (0.5, 400, 2.0**731)],
+    ids=["decaying_huge_samples", "r_equals_one", "growing_at_the_width_cap"],
+)
+def test_linear_rk4_edges_equal_a_stepping_loop(rk4, z, n, scale, backward):
+    # decaying: the path stays ~2^16 below the stage bound, yet
+    # r^(-62) max|b| overflows a running sum scaled over isqrt(n) = 63
+    # steps.  r = 1: every power is exactly 1.  growing: the stage bound
+    # caps the block width at 15 of isqrt(n) = 20 steps, and the path
+    # ends within a factor of 6 of that bound
+    dt = 1e-3
+    f = scale * np.sin(0.37 * np.arange(2 * n + 1))
+    f_step = f[::-1] if backward else f
+    ref = rk4([0.0], lambda j, y: (z / dt) * y + f_step[j], dt, n)[:, 0].real
+    if backward:
+        ref = ref[::-1]
+    got = _rk4_linear(z, dt, f, backward=backward, amplitude="y")
+    assert np.isfinite(got).all()
+    assert _rel(got, ref) <= 1e-12
+    # the blocks settled it, not the scalar loop: their path scales by a
+    # power of two exactly, from that of f / scale
+    unit = _rk4_linear(z, dt, f / scale, backward=backward, amplitude="y")
+    assert np.array_equal(got, scale * unit)
+
+
+def test_linear_rk4_returns_the_loop_path_where_only_the_blocks_overflow(rk4):
+    # the path settles near 5.6e307, above the stage bound, so the scalar
+    # loop steps it and gets through; the blocks' running sums, scaled by
+    # up to r^(-3) ~ 4.5, overflow there, and the loop's path is returned
+    z, dt, n = -0.5, 1.0, 400
+    f = np.full(2 * n + 1, 1.25 * 2.0**1021)
+    ref = rk4([0.0], lambda j, y: (z / dt) * y + f[j], dt, n)[:, 0].real
+    got = _rk4_linear(z, dt, f, amplitude="y")
+    assert np.isfinite(got).all()
+    assert _rel(got, ref) <= 1e-12
+
+
 # -------------------------------------------------------- excited population
 
 
