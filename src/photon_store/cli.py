@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .config import MODES, parse_config
 from .errors import ConfigError
-from .runner import run_scenario
+
+# the oracle's BLAS products round differently on each thread count, so
+# a run defaults each of these to one thread
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,6 +50,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for violation in exc.violations:
             print(f"config: {violation}", file=sys.stderr)
         return exc.exit_code
+    # BLAS reads its thread count when numpy loads; an in-process caller
+    # that loaded numpy keeps its own, and a user's setting always wins
+    if "numpy" not in sys.modules:
+        for name in BLAS_THREAD_VARS:
+            os.environ.setdefault(name, "1")
+    # numpy and the solvers load only for a config that parsed
+    from .runner import run_scenario
+
     return run_scenario(cfg, outdir=args.out)
 
 

@@ -100,7 +100,9 @@ def excited_population(
     x_tilde G - 2 gamma_L x_tilde^2) d tau``.  Raises
     :class:`InfeasibleDesign` if the population falls below the
     positivity floor anywhere on the grid, since the drive divides by
-    ``sqrt(rho_ee)``.  A NaN population counts as below the floor.
+    ``sqrt(rho_ee)``, and names the least seed that would keep it above:
+    ``rho_ee - rho_offset`` does not depend on ``rho_offset``.  A NaN
+    population counts as below the floor, and no seed lifts it.
     """
     flow = 2.0 * params.g_cav * x_tilde * g_series - 2.0 * params.gamma_L * x_tilde ** 2
     acc = cumulative_trapezoid(flow, grid.dt)
@@ -108,11 +110,30 @@ def excited_population(
     below = ~(rho >= _RHO_FLOOR)
     if below.any():
         k = int(np.argmax(below))
+        least = float(_RHO_FLOOR - np.min(acc - x_tilde ** 2))
+        if not math.isfinite(least):
+            fix = "the population is not finite"
+        elif (seed := _round_up(least)) < 1.0:
+            fix = f"the least rho_offset that stores this pulse is {seed:.3g}"
+        else:
+            fix = (
+                f"no rho_offset < 1 stores this pulse at big_gamma = {params.big_gamma:.6g}; "
+                "big_gamma can be set explicitly"
+            )
         raise InfeasibleDesign(
-            f"rho_ee reaches {rho[k]:.3e} at t = {grid.times[k]:.6g} us; "
-            "increase rho_offset"
+            f"rho_ee reaches {rho[k]:.3e} at t = {grid.times[k]:.6g} us; {fix}"
         )
     return rho
+
+
+def _round_up(value: float) -> float:
+    """``value > 0`` rounded up to three significant digits, so that the
+    printed seed is never below the least one."""
+    shown = float(f"{value:.3g}")
+    if shown < value:
+        # add one in the third digit, then round to the nearest
+        shown = float(f"{value + 10.0 ** (math.floor(math.log10(value)) - 2):.3g}")
+    return shown
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,7 +21,6 @@ import os
 import sys
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -568,6 +567,9 @@ def run_sweep(cfg: ScenarioConfig, outdir: Path) -> None:
     # pool gains nothing past the cores
     workers = min(cfg.workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # imported here, so that no other run pays for multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # only the config crosses to the workers: each builds its own
         # state, since a built-in packet's closures do not pickle
         with ProcessPoolExecutor(

@@ -4,6 +4,7 @@ command-line entry point."""
 from __future__ import annotations
 
 import collections
+import concurrent.futures
 import contextlib
 import dataclasses
 import io
@@ -953,7 +954,8 @@ def _fake_pool(monkeypatch, cores):
                 results.append(fn(task))
                 yield results[-1]
 
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", FakePool)
+    # run_sweep imports the pool class from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(runner, "_worker_state", None)
     monkeypatch.setattr(runner.os, "cpu_count", lambda: cores)
     return sizes, results
@@ -1269,7 +1271,49 @@ def test_cli_nan_population_exits_3(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error[3]: rho_ee reaches")
+    # no seed lifts a NaN, and big_gamma is not its cause
+    assert err[0].endswith("; the population is not finite")
     assert not any(out.iterdir())
+
+
+def shape_file(tmp_path, name, phi):
+    """A pulse file of 2001 samples of ``phi`` on [0, pi]."""
+    path = tmp_path / f"{name}.txt"
+    t = np.linspace(0.0, PI, 2001)
+    np.savetxt(path, np.column_stack([t, phi(t)]))
+    return path
+
+
+def test_cli_infeasible_design_names_the_least_seed(tmp_path, capsys):
+    # sin^2 e^(2t/T) at W = 0.5 needs a seed of about 0.50 (measured
+    # 0.499 at the default dt); rho_ee - rho_offset does not depend on
+    # rho_offset, and the named seed is rounded up, so it stores the
+    # pulse as printed
+    path = shape_file(tmp_path, "rising", lambda t: np.sin(t) ** 2 * np.exp(2.0 * t / PI))
+    text = f"g_cav = 30pi\ngamma_L = 6pi\nbandwidth_w = 0.5\npulse = {path}\n"
+    out = tmp_path / "o"
+    assert run_cli(["design", "--out", str(out)], tmp_path, text + "rho_offset = 0.002\n") == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error[3]: rho_ee reaches")
+    least = float(re.fullmatch(r".*the least rho_offset that stores this pulse is (\S+)", err[0])[1])
+    assert 0.49 <= least <= 0.51
+    assert not any(out.iterdir())
+    for seed in (least, 1.1 * least):
+        rerun = text + f"rho_offset = {seed!r}\n"
+        assert run_cli(["design", "--out", str(tmp_path / f"o{seed}")], tmp_path, rerun) == 0
+
+
+def test_cli_design_that_no_seed_stores_says_so(tmp_path, capsys):
+    # phi''(0) of sin^3 is about 0, so big_gamma collapses (9.2e-7) and
+    # the least seed is about 9e6
+    path = shape_file(tmp_path, "cubed", lambda t: np.sin(t) ** 3)
+    text = f"g_cav = 30pi\ngamma_L = 6pi\nbandwidth_w = 0.5\nrho_offset = 0.002\npulse = {path}\n"
+    assert run_cli(["design", "--out", str(tmp_path / "o")], tmp_path, text) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error[3]: rho_ee reaches")
+    tail = r".*; no rho_offset < 1 stores this pulse at big_gamma = (\S+); "
+    match = re.fullmatch(tail + "big_gamma can be set explicitly", err[0])
+    assert match and 5e-7 < float(match[1]) < 2e-6
 
 
 @pytest.fixture()
@@ -1318,36 +1362,143 @@ def run_fresh(mode, tmp_path, text):
 
 def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     """A preset's design and a pooled 12-point W sweep write the same
-    bytes with ``OPENBLAS_NUM_THREADS`` unset and set to 1: the design
-    chain calls no BLAS.  The oracle is left out, since its comb
-    projection is a BLAS product whose last bits depend on the thread
-    count.  On a one-core host both runs have one thread, and the test
-    passes trivially."""
+    bytes on two BLAS threads as on one: the design chain calls no BLAS,
+    and a user's thread count wins over the CLI's default.  Criterion
+    10's oracle (4000 modes over +-160 MHz, W = 1.7, the default dt)
+    writes the same bytes with ``OPENBLAS_NUM_THREADS`` unset and set to
+    1: its comb projection and stepping call BLAS, whose last bits depend
+    on the thread count, so the CLI runs BLAS on one thread unless told
+    otherwise.  On a one-core host the oracle's two runs both have one
+    thread, and that part passes trivially."""
     widths = ", ".join(f"{w:.6g}" for w in np.geomspace(0.5, 25.0, 12))
     configs = {
-        "design": "preset = fig2a\n",
-        "sweep": "g_cav = 30pi\ngamma_L = 6pi\nrho_offset = 0.0075\n"
-        f"bandwidth_w = {widths}\nworkers = 2\n",
+        "design": ("preset = fig2a\n", "2"),
+        "sweep": (
+            "g_cav = 30pi\ngamma_L = 6pi\nrho_offset = 0.0075\n"
+            f"bandwidth_w = {widths}\nworkers = 2\n",
+            "2",
+        ),
+        "oracle": (
+            "g_cav = 30pi\ngamma_L = 6pi\nbandwidth_w = 1.7\nrho_offset = 0.002\n"
+            "n_modes = 4000\nband_halfwidth = 160\n",
+            None,
+        ),
     }
-    outs = {}
-    for threads in (None, "1"):
-        env = fresh_env()
-        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-            env.pop(name, None)
-        if threads is not None:
-            env["OPENBLAS_NUM_THREADS"] = threads
-        for mode, text in configs.items():
-            cfg = tmp_path / f"{mode}.cfg"
-            cfg.write_text(text)
+    for mode, (text, other) in configs.items():
+        cfg = tmp_path / f"{mode}.cfg"
+        cfg.write_text(text)
+        outs = []
+        for threads in (other, "1"):
+            env = fresh_env()
+            for name in cli.BLAS_THREAD_VARS:
+                env.pop(name, None)
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
             out = tmp_path / f"{mode}_{threads}"
             argv = [sys.executable, "-m", "photon_store.cli", mode, "--config", str(cfg)]
             run = subprocess.run(
                 [*argv, "--out", str(out)], env=env, capture_output=True, text=True
             )
             assert run.returncode == 0, run.stderr
-            outs[mode, threads] = read_dir(out)
-    for mode in configs:
-        assert outs[mode, None] == outs[mode, "1"]
+            outs.append(read_dir(out))
+        assert outs[0] == outs[1], mode
+
+
+def run_python(code, *argv, env=None):
+    """stdout of ``code`` in a fresh interpreter that imports this package."""
+    run = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env=env or fresh_env(), capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout.strip()
+
+
+BLAS_PROBE = """
+import os, sys
+{before}
+from photon_store import cli
+assert cli.main(sys.argv[1:]) == 0
+print(",".join(os.environ.get(name, "-") for name in cli.BLAS_THREAD_VARS))
+"""
+
+
+@pytest.mark.parametrize(
+    "before,explicit,seen",
+    [
+        ("", None, "1,1,1"),
+        # a user's own setting wins
+        ("", "2", "2,1,1"),
+        # an in-process caller that loaded numpy keeps its environment
+        ("import numpy", None, "-,-,-"),
+    ],
+)
+def test_cli_defaults_blas_to_one_thread(tmp_path, before, explicit, seen):
+    env = fresh_env()
+    for name in cli.BLAS_THREAD_VARS:
+        env.pop(name, None)
+    if explicit is not None:
+        env["OPENBLAS_NUM_THREADS"] = explicit
+    (tmp_path / "c.cfg").write_text(CHEAP_W)
+    argv = ["design", "--config", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "o")]
+    assert run_python(BLAS_PROBE.format(before=before), *argv, env=env) == seen
+
+
+# what only a run needs: numpy, the solvers, and the sweep's process pool
+HEAVY = ("numpy", "photon_store.runner", "concurrent.futures.process")
+
+
+def test_import_parse_help_and_rejections_load_no_numpy(tmp_path):
+    (tmp_path / "bad.cfg").write_text(CHEAP_W + "no_such_key = 1\n")
+    code = f"""
+import sys
+import photon_store
+from photon_store import config
+for tag in config.PRESETS:
+    config.parse_config(f"preset = {{tag}}\\n")
+from photon_store import cli
+try:
+    cli.main(["--help"])
+except SystemExit as exc:
+    assert exc.code == 0
+assert cli.main(["design", "--config", sys.argv[1]]) == 2
+try:
+    cli.main(["design", "--config", sys.argv[1], "--no-such-flag"])
+except SystemExit as exc:
+    assert exc.code == 2
+print([name for name in {HEAVY!r} if name in sys.modules])
+"""
+    # the last line: --help prints its usage first
+    assert run_python(code, str(tmp_path / "bad.cfg")).splitlines()[-1] == "[]"
+
+
+def test_every_export_resolves_from_a_bare_import():
+    code = """
+import photon_store as ps
+assert len(ps.__all__) == 42 and not set(ps.__all__) - set(dir(ps))
+star = {}
+exec("from photon_store import *", star)
+assert all(star[name] is getattr(ps, name) for name in ps.__all__)
+print(ps.__version__, ps.InfeasibleDesign.__module__, ps.design_drive.__module__)
+"""
+    assert run_python(code) == "0.1.0 photon_store.errors photon_store.pulse_design"
+
+
+def test_submodules_resolve_from_a_bare_import():
+    code = """
+import sys
+import photon_store
+assert "photon_store.dynamics" not in sys.modules
+print(photon_store.dynamics.__name__)
+"""
+    assert run_python(code) == "photon_store.dynamics"
+
+
+def test_an_unknown_export_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ps.no_such_name
+    with pytest.raises(ImportError, match="no_such_name"):
+        from photon_store import no_such_name  # noqa: F401
 
 
 @pytest.mark.parametrize("mode,extra", [("design", ""), ("sweep", "workers = 2\n")])

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import photon_store as ps
@@ -518,8 +518,17 @@ def test_nan_population_is_infeasible(grid):
     )
     x_tilde = np.zeros(grid.n_steps + 1)
     x_tilde[-3:] = [np.inf, np.nan, 0.0]
-    with np.errstate(invalid="ignore"), pytest.raises(InfeasibleDesign):
+    with np.errstate(invalid="ignore"), pytest.raises(InfeasibleDesign, match="not finite$"):
         ps.excited_population(x_tilde, np.zeros_like(x_tilde), params, grid)
+
+
+@given(st.floats(1e-12, 1.0))
+@example(0.4994)
+@example(math.nextafter(0.499, 1.0))
+def test_named_seed_is_rounded_up(value):
+    # the printed seed must store the pulse when entered as printed
+    printed = float(f"{pulse_design._round_up(value):.3g}")
+    assert value <= printed <= value * 1.01
 
 
 # ------------------------------------------------------------- drive design
