@@ -20,8 +20,10 @@ comb is linear with a constant diagonal generator, so
 :func:`simulate_discrete_bath` writes its RK4 step out exactly instead
 of evaluating four vector stages.
 
-The system amplitudes step as Python scalars.  :func:`_feed` hands each
-loop its half-lattice couplings and sources one block of
+The system amplitudes step as Python scalars: complex numbers, or
+floats where the reduced equations are real (:func:`_real_field`, on
+resonance), bit for bit and at about half the cost.  :func:`_feed`
+hands each loop its half-lattice couplings and sources one block of
 :data:`_BLOCK` steps at a time, so a loop holds no whole-grid list and
 its memory beyond the output arrays does not grow with the grid.  The
 oracle's Fourier projection likewise takes one block of modes at a time.
@@ -110,13 +112,35 @@ def _grid_drive(drive: np.ndarray, grid: TimeGrid) -> np.ndarray:
     return drive
 
 
-def _couplings(drive: np.ndarray, params: PhysicalParams, grid: TimeGrid):
+def _real_field(drive: np.ndarray, params: PhysicalParams, init: InitialState) -> bool:
+    """Whether the reduced equations are real in g, e, y = Im x and Z.
+
+    On resonance with a real drive the four atom couplings are imaginary,
+    so a start with real g and e and imaginary x (both the matched and
+    the vacuum start) keeps that structure.  The parts that stay zero
+    must start at +0, as the real field writes them: from +0 the complex
+    loop keeps them +0, where a -0 part may stay -0.
+    """
+    g, e, x = complex(init.g_amp), complex(init.e_amp), complex(init.x_amp)
+    zero_parts = (g.imag, e.imag, x.real)
+    return (
+        params.is_resonant
+        and all(v == 0.0 and math.copysign(1.0, v) > 0.0 for v in zero_parts)
+        and not drive.imag.any()
+    )
+
+
+def _couplings(drive: np.ndarray, params: PhysicalParams, grid: TimeGrid, real=False):
     """Half-lattice couplings of the scalar stepping loops, by block.
 
     Checks the drive against the grid at once and returns a function of
     a step block ``k0, k1`` that gives the four couplings on the half
     lattice ``2 k0 .. 2 k1`` as arrays.  The loops' arithmetic matches
-    the vector form operation for operation.
+    the vector form operation for operation.  With ``real`` (see
+    :func:`_real_field`) they are the real couplings of g, e, y = Im x
+    and Z: -Im cav, -Im sto, Im rev and Im bck, taken from the complex
+    ones so that a product with y rounds as the complex product's
+    nonzero part does.
     """
     drive = _grid_drive(drive, grid)
 
@@ -125,12 +149,13 @@ def _couplings(drive: np.ndarray, params: PhysicalParams, grid: TimeGrid):
         om_h = half_lattice_block(drive, k0, k1)
         e2m = np.exp(-1j * params.delta2 * th)
         e1m = np.exp(-1j * params.delta1 * th)
-        return (
-            -1j * params.g_cav * e2m,           # G <- X coupling
-            -1j * np.conj(om_h) * e1m,          # E <- X coupling
-            -1j * om_h * np.conj(e1m),          # X <- E coupling
-            -1j * params.g_cav * np.conj(e2m),  # X <- G coupling
-        )
+        cav = -1j * params.g_cav * e2m           # G <- X coupling
+        sto = -1j * np.conj(om_h) * e1m          # E <- X coupling
+        rev = -1j * om_h * np.conj(e1m)          # X <- E coupling
+        bck = -1j * params.g_cav * np.conj(e2m)  # X <- G coupling
+        if real:
+            return -cav.imag, -sto.imag, rev.imag, bck.imag
+        return cav, sto, rev, bck
 
     return block
 
@@ -169,7 +194,7 @@ def _trajectory(grid, phi_in, g, e, x, z_mem, y_out) -> Trajectory:
     )
 
 
-def _reduced_loop(couplings, src, rate, w, mem, params, init, grid):
+def _reduced_loop(couplings, src, rate, w, mem, params, init, grid, real=False):
     """Step g, e, x and the pseudomode Z of the reduced equations
 
         G' = cav X + src - Z - rate G,   Z' = -w Z + mem G,
@@ -177,6 +202,14 @@ def _reduced_loop(couplings, src, rate, w, mem, params, init, grid):
     with the atom block of :func:`_couplings`; ``src(k0, k1)`` gives the
     source on the half lattice ``2 k0 .. 2 k1``.  Returns the four
     amplitudes on the grid.
+
+    With ``real`` the same body steps floats: g, e and Z are the real
+    parts and y = Im x stands in x's place, with the real couplings and
+    a real source (N and sqrt(big_gamma) phi_in are).
+    Every complex product then has one exactly zero term, so each
+    nonzero part takes the complex loop's operations in its order and
+    its bits, and the zero parts, +0 at every step of the complex loop,
+    are written as +0.  A float step costs about half a complex one.
     """
     gamma_l = params.gamma_L
     n = grid.n_steps
@@ -185,11 +218,15 @@ def _reduced_loop(couplings, src, rate, w, mem, params, init, grid):
     sixth = dt / 6.0
     pg = np.empty(n + 1, dtype=complex)
     pe = np.empty(n + 1, dtype=complex)
-    px = np.empty(n + 1, dtype=complex)
+    px = np.zeros(n + 1, dtype=complex)
     pz = np.empty(n + 1, dtype=complex)
     g, e, x = complex(init.g_amp), complex(init.e_amp), complex(init.x_amp)
     z = 0.0 + 0.0j
     pg[0], pe[0], px[0], pz[0] = g, e, x, z
+    xs = px
+    if real:
+        # y = Im x fills x's imaginary part; its real part stays +0
+        g, e, x, z, xs = g.real, e.real, x.imag, 0.0, px.imag
 
     def inputs(k0, k1):
         return (*couplings(k0, k1), src(k0, k1))
@@ -240,7 +277,7 @@ def _reduced_loop(couplings, src, rate, w, mem, params, init, grid):
             ox.append(x)
             oz.append(z)
         pg[k0 + 1 : k1 + 1], pe[k0 + 1 : k1 + 1] = og, oe
-        px[k0 + 1 : k1 + 1], pz[k0 + 1 : k1 + 1] = ox, oz
+        xs[k0 + 1 : k1 + 1], pz[k0 + 1 : k1 + 1] = ox, oz
     return pg, pe, px, pz
 
 
@@ -264,11 +301,15 @@ def simulate_nonmarkovian(
     """
     grid.require_cover(pulse.duration)
     w = params.bandwidth_w
-    couplings = _couplings(drive, params, grid)
+    drive = _grid_drive(drive, grid)
+    real = _real_field(drive, params, init)
+    couplings = _couplings(drive, params, grid, real)
     phi_in = pulse.value(grid.times)
     src = partial(half_lattice_block, future_drive(pulse, params, grid))
     mem = 0.5 * w * params.big_gamma
-    pg, pe, px, pz = _reduced_loop(couplings, src, 0.0, w, mem, params, init, grid)
+    pg, pe, px, pz = _reduced_loop(
+        couplings, src, 0.0, w, mem, params, init, grid, real
+    )
     del src
     # h = (2 / sqrt(big_gamma)) f, so y = integral h G is that multiple of Z
     py = (2.0 / math.sqrt(params.big_gamma)) * pz
@@ -292,14 +333,18 @@ def simulate_markovian(
     """
     grid.require_cover(pulse.duration)
     root_gamma = math.sqrt(params.big_gamma)
-    couplings = _couplings(drive, params, grid)
+    drive = _grid_drive(drive, grid)
+    real = _real_field(drive, params, init)
+    couplings = _couplings(drive, params, grid, real)
 
     def src(k0, k1):
         return root_gamma * pulse.value(grid.half_times_block(k0, k1))
 
     phi_in = pulse.value(grid.times)
     rate = 0.5 * params.big_gamma
-    pg, pe, px, pz = _reduced_loop(couplings, src, rate, 0.0, 0.0, params, init, grid)
+    pg, pe, px, pz = _reduced_loop(
+        couplings, src, rate, 0.0, 0.0, params, init, grid, real
+    )
     return _trajectory(grid, phi_in, pg, pe, px, pz, root_gamma * pg)
 
 

@@ -51,12 +51,13 @@ class NonFiniteState(PhotonStoreError):
         return type(self), (self.t, self.amplitude)
 
     @classmethod
-    def among(cls, t: float, **amplitudes: complex) -> "NonFiniteState":
+    def among(cls, t: float, **amplitudes: complex | float) -> "NonFiniteState":
         """The error naming the first of ``amplitudes`` that is not
         finite, or the largest one when only their sum overflowed.
 
-        Sizes are half moduli, which stay finite for finite parts where
-        ``abs`` of a complex would raise OverflowError."""
+        Amplitudes are complex, or floats where a loop steps a real
+        field.  Sizes are half moduli, which stay finite for finite parts
+        where ``abs`` of a complex would raise OverflowError."""
         sizes = {
             name: math.hypot(0.5 * value.real, 0.5 * value.imag)
             for name, value in amplitudes.items()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -380,6 +381,177 @@ def test_among_names_the_largest_of_moduli_past_the_float_maximum(largest):
     err = NonFiniteState.among(1.0, x=0.0, **amplitudes)
     assert err.amplitude == largest
     assert NonFiniteState.among(1.0, g=1e308j, e=complex(math.inf, 0.0)).amplitude == "e"
+
+
+# ------------------------------------------------ the real field on resonance
+
+SOLVERS = {"nonmarkovian": ps.simulate_nonmarkovian, "markovian": ps.simulate_markovian}
+REAL_STARTS = {
+    "matched": ps.InitialState.matched(0.002),
+    "vacuum": ps.InitialState.vacuum(),
+    "imaginary_x": ps.InitialState(g_amp=0.1, e_amp=0.2, x_amp=0.05j),
+}
+
+
+def bits(a):
+    """The bit patterns of a complex array, the sign of each zero included."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.fixture(scope="module")
+def resonant_blocks(pulse, make_params):
+    """Resonant runs on :func:`block_grid` of the built-in pulse and of a
+    spline through its samples, each with its designed drive, that drive
+    conjugated (the sign of every zero imaginary part flipped) and a real
+    drive that is exactly zero on a third of the grid."""
+    params = make_params(2.0, 0.002)
+    grid = block_grid()
+    knots = np.linspace(0.0, PI, 201)
+    pulses = {"builtin": pulse, "sampled": ps.sampled_packet(knots, pulse.value(knots))}
+    drives = {}
+    for kind, shape in pulses.items():
+        designed = ps.design_drive(shape, params, grid).drive
+        drives[kind, "designed"] = designed
+        drives[kind, "conjugate"] = np.conj(designed)
+        drives[kind, "zero_samples"] = 40.0 * np.maximum(np.sin(3.0 * grid.times), 0.0)
+    return params, grid, pulses, drives
+
+
+def complex_field(monkeypatch):
+    """Make every reduced run step complex amplitudes: the reference the
+    real field must match."""
+    monkeypatch.setattr(dynamics, "_real_field", lambda *args: False)
+
+
+@pytest.mark.parametrize("drive_kind", ["designed", "conjugate", "zero_samples"])
+@pytest.mark.parametrize("pulse_kind", ["builtin", "sampled"])
+@pytest.mark.parametrize("start", REAL_STARTS)
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_resonant_real_field_is_the_complex_loop_bit_for_bit(
+    resonant_blocks, monkeypatch, solver, start, pulse_kind, drive_kind
+):
+    params, grid, pulses, drives = resonant_blocks
+    drive, init = drives[pulse_kind, drive_kind], REAL_STARTS[start]
+    assert dynamics._real_field(np.asarray(drive, complex), params, init)
+    args = (pulses[pulse_kind], drive, params, init, grid)
+    real = SOLVERS[solver](*args)
+    with monkeypatch.context() as m:
+        complex_field(m)
+        full = SOLVERS[solver](*args)
+    for name in ("g", "e", "x", "z_mem", "y_out", "phi_out"):
+        assert np.array_equal(bits(getattr(real, name)), bits(getattr(full, name))), name
+
+
+@pytest.mark.parametrize("pulse_kind", ["builtin", "sampled"])
+@pytest.mark.parametrize("start", REAL_STARTS)
+@pytest.mark.parametrize("memory", [True, False], ids=["nonmarkovian", "markovian"])
+def test_resonant_real_field_is_rk4_bit_for_bit(
+    resonant_blocks, rk4, memory, start, pulse_kind
+):
+    params, grid, pulses, drives = resonant_blocks
+    pulse = pulses[pulse_kind]
+    drive, init = drives[pulse_kind, "zero_samples"], REAL_STARTS[start]
+    solve = ps.simulate_nonmarkovian if memory else ps.simulate_markovian
+    traj = solve(pulse, drive, params, init, grid)
+    y0 = [init.g_amp, init.e_amp, init.x_amp] + ([0.0] if memory else [])
+    rhs = explicit_reduced_rhs(pulse, np.asarray(drive, complex), params, grid, memory)
+    path = rk4(y0, rhs, grid.dt, grid.n_steps)
+    for col, amp in enumerate((traj.g, traj.e, traj.x, traj.z_mem)[: len(y0)]):
+        assert np.array_equal(bits(amp), bits(path[:, col]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("cause", ["nan_sample", "huge_drive", "unstable_drive"])
+@pytest.mark.parametrize("start", REAL_STARTS)
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_resonant_real_field_blows_up_as_the_complex_loop(
+    pulse, resonant_blocks, monkeypatch, solver, start, cause
+):
+    # a NaN sample in the third block; a drive whose first stages
+    # overflow; and one past RK4's stability bound (|dt * 1e4| = 4.7),
+    # which grows about 16-fold a step until it overflows
+    params, grid, _, drives = resonant_blocks
+    drive = drives["builtin", "designed"].copy()
+    if cause == "nan_sample":
+        drive[2 * dynamics._BLOCK + 300] = np.nan
+    else:
+        drive[:] = 1e200 if cause == "huge_drive" else 1e4
+    init = REAL_STARTS[start]
+    assert dynamics._real_field(drive, params, init)
+    args = (pulse, drive, params, init, grid)
+    with pytest.raises(NonFiniteState) as real_err:
+        SOLVERS[solver](*args)
+    with monkeypatch.context() as m:
+        complex_field(m)
+        with pytest.raises(NonFiniteState) as full_err:
+            SOLVERS[solver](*args)
+    real, full = real_err.value, full_err.value
+    assert (real.t, real.amplitude, str(real)) == (full.t, full.amplitude, str(full))
+    assert real.t < grid.span
+
+
+def stepped_types(monkeypatch):
+    """The types of the numbers the scalar loops step through, collected
+    from the first step of each block as the loops run."""
+    seen = set()
+    feed = dynamics._feed
+
+    def spy(n, series):
+        for k0, k1, steps in feed(n, series):
+            first = next(steps)
+            seen.update(type(v) for v in first)
+            yield k0, k1, itertools.chain([first], steps)
+
+    monkeypatch.setattr(dynamics, "_feed", spy)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "resonant", "delta1", "delta2", "complex_drive",
+        "imaginary_g", "real_x", "x_real_part_minus_zero",
+    ],
+)
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_only_resonant_real_runs_step_floats(
+    pulse, resonant_blocks, make_params, monkeypatch, solver, case
+):
+    # the couplings are complex in every run but the first; the sources
+    # N and sqrt(big_gamma) phi_in are real in all of them
+    params, grid, _, drives = resonant_blocks
+    drive, init = drives["builtin", "designed"], REAL_STARTS["matched"]
+    if case in ("delta1", "delta2"):
+        params = make_params(2.0, 0.002, **{case: 0.7})
+    elif case == "complex_drive":
+        drive = drive.copy()
+        drive[100] += 1e-12j
+    elif case == "imaginary_g":
+        init = ps.InitialState(g_amp=0.1j)
+    elif case == "real_x":
+        init = ps.InitialState(x_amp=0.05)
+    elif case == "x_real_part_minus_zero":
+        init = ps.InitialState(x_amp=-0.05j)
+    seen = stepped_types(monkeypatch)
+    SOLVERS[solver](pulse, drive, params, init, grid)
+    assert seen == ({float} if case == "resonant" else {complex, float})
+
+
+def test_a_start_whose_minus_zero_part_persists_steps_complex(
+    pulse, make_params, monkeypatch
+):
+    # without loss, under a constant drive, Im e = -0 at a start with
+    # x = 0 - 0j stays -0 for the first steps of the complex loop; a real
+    # field writes +0 there
+    params = make_params(2.0, 0.002, gamma_L=0.0)
+    grid = ps.TimeGrid.from_span(PI, PI / 400)
+    drive = np.full(grid.n_steps + 1, 40.0)
+    init = ps.InitialState(e_amp=complex(0.2, -0.0), x_amp=complex(0.0, -0.0))
+    seen = stepped_types(monkeypatch)
+    traj = ps.simulate_nonmarkovian(pulse, drive, params, init, grid)
+    assert complex in seen
+    later = traj.e.imag[1:]
+    assert np.any(np.signbit(later) & (later == 0.0))
 
 
 def test_forward_run_memory_beyond_its_output_does_not_grow_with_the_grid(
