@@ -22,7 +22,9 @@ of evaluating four vector stages.
 
 The system amplitudes step as Python scalars: complex numbers, or
 floats where the reduced equations are real (:func:`_real_field`, on
-resonance), bit for bit and at about half the cost.  :func:`_feed`
+resonance), bit for bit and at about half the cost.  On resonance the
+oracle likewise steps only the positive half of its mirrored comb, as
+floats, with the other half its conjugate.  :func:`_feed`
 hands each loop its half-lattice couplings and sources one block of
 :data:`_BLOCK` steps at a time, so a loop holds no whole-grid list and
 its memory beyond the output arrays does not grow with the grid.  The
@@ -45,9 +47,10 @@ from .model import InputPulse, PhysicalParams, future_drive
 
 # least fraction of the photon the comb must capture before renormalizing
 _CAPTURE_FLOOR = 0.999
-# complex vectors per mode that the oracle holds: frequencies and
-# weights; the step's z, gain, mode vector and update; and its lift and
-# project rows (four each)
+# complex vectors per mode that the oracle holds on the full complex
+# comb: frequencies and weights; the step's z, gain, mode vector and
+# update; and its lift and project rows (four each).  The real
+# half-comb holds these for half the modes, so the count bounds both
 _MODE_VECTORS = 14
 # bytes of one phase block of the comb's Fourier projection, and how
 # many such blocks it holds at once (see initial_modes)
@@ -382,11 +385,16 @@ def discretize_bath(
 ) -> BathDiscretization:
     """Midpoint sampling of the Lorentzian coupling
     ``kappa(omega) = sqrt(big_gamma / 2 pi) * W / (W - i omega)`` over
-    [-B, B]."""
+    [-B, B].
+
+    The comb is mirrored bit for bit (:func:`_mirrored`): the frequencies
+    ``(j - (n - 1) / 2) * spacing`` are exact negatives of each other in
+    reverse, and as ``kappa(-omega) = conj(kappa(omega))``, so are the
+    weights conjugates."""
     if n_modes < 2 or not band_halfwidth > 0.0:
         raise ValueError("need n_modes >= 2 and a positive band")
     spacing = 2.0 * band_halfwidth / n_modes
-    freqs = -band_halfwidth + (np.arange(n_modes) + 0.5) * spacing
+    freqs = (np.arange(n_modes) - 0.5 * (n_modes - 1)) * spacing
     w = params.bandwidth_w
     kappa = math.sqrt(params.big_gamma / (2.0 * math.pi)) * w / (w - 1j * freqs)
     weights = kappa * math.sqrt(spacing)
@@ -395,6 +403,23 @@ def discretize_bath(
         frequencies=freqs,
         weights=weights,
         band_halfwidth=band_halfwidth,
+    )
+
+
+def _conjugate_halves(v: np.ndarray) -> bool:
+    """Whether ``v`` reversed equals its conjugate, zero signs aside."""
+    return np.array_equal(v[::-1], np.conj(v))
+
+
+def _mirrored(bath: BathDiscretization) -> bool:
+    """Whether the comb pairs each mode with its mirror image bit for
+    bit: an even number of modes, ``omega_{-j} = -omega_j`` and
+    ``k_{-j} = conj(k_j)``.  :func:`discretize_bath` builds such combs."""
+    f = bath.frequencies
+    return (
+        f.size % 2 == 0
+        and np.array_equal(f[::-1], -f)
+        and _conjugate_halves(bath.weights)
     )
 
 
@@ -407,7 +432,8 @@ def _projection_blocks(n_samples: int) -> tuple[int, int]:
 
 def comb_bytes(n_modes: int) -> int:
     """Bytes of the mode vectors an oracle run of ``n_modes`` holds, at
-    most: :data:`_MODE_VECTORS` complex vectors per mode, and the
+    most, on either path: :data:`_MODE_VECTORS` complex vectors per mode
+    of the full complex comb (the real half-comb holds about half), and the
     :data:`_PHASE_BLOCKS` phase blocks of :data:`_PHASE_BYTES` that
     :func:`initial_modes` holds at once, whatever the comb, on any grid
     of up to 2**26 samples."""
@@ -449,6 +475,10 @@ def initial_modes(
     projection holds :data:`_PHASE_BLOCKS` such blocks at most, whatever
     the comb.  With a single-threaded BLAS, every amplitude is bit for
     bit the one a single block of all the modes gives.
+
+    A real envelope projects onto mirrored modes as conjugates,
+    ``c(-omega) = conj(c(omega))``, so on a :func:`_mirrored` comb only
+    the positive half is projected and the other half is its conjugate.
     """
     least = least_comb_modes(bath.band_halfwidth, grid.span)
     if bath.n_modes < least:
@@ -470,15 +500,18 @@ def initial_modes(
     # L >= B, so a fine phase block is the largest; a block leaves room
     # for one more row
     rows = max(1, _PHASE_BYTES // (16 * inner) - 1)
+    n = bath.n_modes
+    lo = n // 2 if np.isrealobj(phi) and _mirrored(bath) else 0
     # a last block of one row joins the one before it: numpy takes a
     # one-row product through gemv, which sums in another order
-    edges = [0, *range(rows, bath.n_modes - 1, rows), bath.n_modes]
-    ft = np.empty(bath.n_modes, dtype=complex)
+    edges = [lo, *range(lo + rows, n - 1, rows), n]
+    ft = np.empty(n, dtype=complex)
     for i0, i1 in zip(edges, edges[1:]):
         om = bath.frequencies[i0:i1, None]
         block = np.exp(1j * (om * fine_t)) @ samples
         block *= np.exp(1j * (om * coarse_t))
         ft[i0:i1] = np.sum(block, axis=1)
+    ft[:lo] = np.conj(ft[n - lo :][::-1])
     c0 = -math.sqrt(bath.mode_spacing / (2.0 * math.pi)) * ft
     capture = float(np.sum(np.abs(c0) ** 2))
     if capture < _CAPTURE_FLOOR:
@@ -532,32 +565,63 @@ def simulate_discrete_bath(
     (4 x N) product for the moments, one elementwise gain and one
     rank-4 update, and the system amplitudes are stepped as scalars
     like :func:`simulate_nonmarkovian`.
+
+    On resonance with a real drive and a real-structured start
+    (:func:`_real_field`), a :func:`_mirrored` comb from a mirrored start
+    stays mirrored: ``kappa(-omega) = conj(kappa(omega))``, so G is real
+    and ``c_{-j} = conj(c_j)`` at every step.  The same loop body then
+    steps g, e and y = Im x as floats and only the positive half of the
+    modes, through float views in its three vector lines; each moment is
+    2 Re of the half's, so the rows of ``project`` fold to ``2 [Re, -Im]``.
+    That halves the vector work and the mode vectors held, and G carries
+    no rounding noise in an imaginary part.  Detuned or complex drives,
+    complex-structured starts, odd combs (whose omega = 0 mode is its own
+    image) and unmirrored combs or starts step the full complex comb.
+    ``final_modes`` is the full comb on either path.
     """
     grid.require_cover(pulse.duration)
     gamma_l = params.gamma_L
-    couplings = _couplings(drive, params, grid)
+    drive = _grid_drive(drive, grid)
 
     c, capture = initial_modes(pulse, bath, grid)
+    real = _real_field(drive, params, init) and _mirrored(bath) and _conjugate_halves(c)
+    couplings = _couplings(drive, params, grid, real)
+    freqs, weights = bath.frequencies, bath.weights
+    if real:
+        half = bath.n_modes // 2
+        freqs, weights, c = freqs[half:], weights[half:], c[half:].copy()
 
     n = grid.n_steps
     dt = grid.dt
     h = dt / 2.0
     sixth = dt / 6.0
     # powers of the scaled generator dt*D keep the moments O(|c|)
-    z = -1j * dt * bath.frequencies
+    z = -1j * dt * freqs
     project = np.stack([np.ones_like(z), z, z * z, z * z * z])
-    lift = project * bath.weights              # rows (dt D)^m k
-    project *= np.conj(bath.weights)           # rows conj(k) (dt D)^m
+    lift = project * weights              # rows (dt D)^m k
+    project *= np.conj(weights)           # rows conj(k) (dt D)^m
     gain = 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
+    cv = c
+    if real:
+        # a mirrored pair's update and moments are conjugates, so the
+        # half steps as float views and each moment is 2 Re of the half's:
+        # project's rows fold to 2 [Re, -Im]
+        cv, lift = c.view(float), lift.view(float)
+        project = np.conjugate(project, out=project).view(float)
+        project *= 2.0
     nu0, nu1, nu2 = (lift[:3] @ project[0]).tolist()
 
     pg = np.empty(n + 1, dtype=complex)
     pe = np.empty(n + 1, dtype=complex)
-    px = np.empty(n + 1, dtype=complex)
+    px = np.zeros(n + 1, dtype=complex)
     g, e, x = complex(init.g_amp), complex(init.e_amp), complex(init.x_amp)
     pg[0], pe[0], px[0] = g, e, x
-    mu0, mu1, mu2, mu3 = np.dot(project, c).tolist()
-    beta = np.empty(4, dtype=complex)
+    xs = px
+    if real:
+        # y = Im x fills x's imaginary part; its real part stays +0
+        g, e, x, xs = g.real, e.real, x.imag, px.imag
+    mu0, mu1, mu2, mu3 = np.dot(project, cv).tolist()
+    beta = np.empty(4, dtype=float if real else complex)
 
     for k0, k1, steps in _feed(n, couplings):
         og, oe, ox = [], [], []
@@ -597,8 +661,8 @@ def simulate_discrete_bath(
             beta[2] = 0.5 * sixth * (g1 + g2)
             beta[3] = 0.25 * sixth * g1
             c *= gain
-            c += np.dot(beta, lift)
-            mu0, mu1, mu2, mu3 = np.dot(project, c).tolist()
+            cv += np.dot(beta, lift)
+            mu0, mu1, mu2, mu3 = np.dot(project, cv).tolist()
 
             # a non-finite mode makes mu0 non-finite; a modulus past the
             # float maximum counts as an overflowed sum
@@ -616,8 +680,10 @@ def simulate_discrete_bath(
             og.append(g)
             oe.append(e)
             ox.append(x)
-        pg[k0 + 1 : k1 + 1], pe[k0 + 1 : k1 + 1], px[k0 + 1 : k1 + 1] = og, oe, ox
+        pg[k0 + 1 : k1 + 1], pe[k0 + 1 : k1 + 1], xs[k0 + 1 : k1 + 1] = og, oe, ox
 
+    if real:
+        c = np.concatenate([np.conj(c[::-1]), c])
     return DiscreteBathRun(g=pg, e=pe, x=px, final_modes=c, capture=capture)
 
 

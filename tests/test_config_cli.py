@@ -574,6 +574,11 @@ def test_cli_oracle_writes_its_series_and_passes_its_gate(tmp_path, monkeypatch)
     assert header == (
         "t,phi_in,re_g_reduced,im_g_reduced,re_g_oracle,im_g_oracle,abs_g_diff"
     )
+    # on resonance with a real drive the oracle steps the real half of
+    # its mirrored comb, where G is real: no rounding noise in Im G
+    rows = files["oracle_series.csv"].decode().splitlines()[1:]
+    assert len(rows) == 6284
+    assert {row.split(",")[5] for row in rows} == {"0"}
     summary = dict(
         line.split(" = ", 1) for line in files["summary"].decode().splitlines()
     )

@@ -599,6 +599,32 @@ def test_bath_comb_geometry(make_params, coupling):
     assert bath.density_capture() == pytest.approx(1.0, rel=1e-6)
 
 
+@pytest.mark.parametrize("n_modes", [6, 7, 500, 501, 4000])
+def test_bath_comb_is_mirrored_bit_for_bit(make_params, n_modes):
+    # omega_{-j} = -omega_j and k_{-j} = conj(k_j) in every bit; an odd
+    # comb's middle mode sits at omega = 0 with a real weight
+    bath = ps.discretize_bath(make_params(2.0, 0.002), n_modes, 160.0)
+    f, k = bath.frequencies, bath.weights
+    mid = n_modes // 2
+    np.testing.assert_array_equal(bits(f[::-1][:mid]), bits(-f[:mid]))
+    np.testing.assert_array_equal(bits(k[::-1][:mid]), bits(np.conj(k[:mid])))
+    if n_modes % 2:
+        assert f[mid] == 0.0 and k[mid].imag == 0.0
+    assert dynamics._mirrored(bath) == (n_modes % 2 == 0)
+
+
+@pytest.mark.parametrize("n_modes,half_band", [(500, 40.0), (4000, 160.0)])
+def test_initial_modes_of_a_mirrored_comb_are_conjugate_halves(
+    pulse, make_params, n_modes, half_band
+):
+    # equal in value; a zero part may differ in sign, as at omega = +-2
+    # on this grid, where the projection's imaginary part is exactly 0
+    grid = ps.TimeGrid.from_span(PI, 5e-4)
+    bath = ps.discretize_bath(make_params(2.0, 0.002), n_modes, half_band)
+    modes, _ = ps.initial_modes(pulse, bath, grid)
+    np.testing.assert_array_equal(modes[::-1], np.conj(modes))
+
+
 def test_narrow_band_is_rejected(pulse, make_params, grid):
     params = make_params(2.0, 0.002)
     bath = ps.discretize_bath(params, n_modes=100, band_halfwidth=1.0)
@@ -714,48 +740,81 @@ def explicit_comb_rhs(drive, params, bath, grid):
     return rhs
 
 
-@pytest.fixture
-def tiny_comb(make_params, coupling, monkeypatch):
-    """A 6-mode comb on a 200-step grid with a detuned, arbitrary drive.
+def mirrored_modes(amps):
+    """Mode amplitudes with ``c(-omega) = conj(c(omega))`` exactly."""
+    return 0.5 * (amps + np.conj(amps[::-1]))
+
+
+@pytest.fixture(params=["detuned", "mirrored"])
+def tiny_comb(request, make_params, coupling, monkeypatch):
+    """A 6-mode comb on a 200-step grid, and a start to step it from.
 
     Six modes cannot hold the photon, so the projection is replaced by
-    fixed mode amplitudes: the test is about the stepping.  The comb is
+    fixed mode amplitudes: the test is about the stepping.  The
+    ``detuned`` comb has an arbitrary complex drive and start and is
     shifted off resonance, because on a symmetric comb the odd moments
-    sum |k_j|^2 omega_j^m vanish and would hide errors in their terms,
-    and its dt * omega reaches 0.6, where every power of the comb
-    generator in the step matters.
+    sum |k_j|^2 omega_j^m vanish and would hide errors in their terms;
+    its dt * omega reaches 0.6, where every power of the comb generator
+    in the step matters.  The ``mirrored`` comb is resonant, with a real
+    drive, a real-structured start and mirrored modes, so it steps the
+    real half-comb; its band of +-46 MHz takes dt * omega to 0.6 as well.
     """
-    params = make_params(2.0, 0.002, delta1=0.7, delta2=-1.3)
-    comb = ps.discretize_bath(params, n_modes=6, band_halfwidth=40.0)
-    freqs = comb.frequencies + 5.0
-    bath = ps.BathDiscretization(
-        params=params,
-        frequencies=freqs,
-        weights=coupling(params, freqs) * math.sqrt(comb.mode_spacing),
-        band_halfwidth=comb.band_halfwidth,
-    )
     grid = ps.TimeGrid.from_span(PI, PI / 200)
-    c0 = np.exp(1j * np.arange(6)) * np.linspace(0.2, 0.5, 6)
-    monkeypatch.setattr(dynamics, "initial_modes", lambda *args: (c0.copy(), 1.0))
     t = grid.times
-    drive = 40.0 * np.sin(t) * np.exp(0.3j * t)
-    return params, bath, grid, c0, drive
+    if request.param == "mirrored":
+        params = make_params(2.0, 0.002)
+        bath = ps.discretize_bath(params, n_modes=6, band_halfwidth=46.0)
+        c0 = mirrored_modes(np.exp(1j * np.arange(6)) * np.linspace(0.2, 0.5, 6))
+        drive = 40.0 * np.sin(t)
+        init = ps.InitialState(g_amp=0.1, e_amp=0.2, x_amp=0.05j)
+    else:
+        params = make_params(2.0, 0.002, delta1=0.7, delta2=-1.3)
+        comb = ps.discretize_bath(params, n_modes=6, band_halfwidth=40.0)
+        freqs = comb.frequencies + 5.0
+        bath = ps.BathDiscretization(
+            params=params,
+            frequencies=freqs,
+            weights=coupling(params, freqs) * math.sqrt(comb.mode_spacing),
+            band_halfwidth=comb.band_halfwidth,
+        )
+        c0 = np.exp(1j * np.arange(6)) * np.linspace(0.2, 0.5, 6)
+        drive = 40.0 * np.sin(t) * np.exp(0.3j * t)
+        init = ps.InitialState(g_amp=0.1j, e_amp=0.2, x_amp=-0.05)
+    monkeypatch.setattr(dynamics, "initial_modes", lambda *args: (c0.copy(), 1.0))
+    return params, bath, grid, c0, drive, init
 
 
-def test_comb_step_is_rk4_of_the_full_system(pulse, tiny_comb, rk4):
-    params, bath, grid, c0, drive = tiny_comb
-    init = ps.InitialState(g_amp=0.1j, e_amp=0.2, x_amp=-0.05)
+def comb_run_against_rk4(pulse, rk4, params, bath, grid, c0, drive, init):
+    """The oracle run and the explicit full-system RK4 path from one start."""
     run = ps.simulate_discrete_bath(pulse, drive, params, init, bath, grid)
     y0 = np.concatenate([[init.g_amp, init.e_amp, init.x_amp], c0])
     path = rk4(y0, explicit_comb_rhs(drive, params, bath, grid), grid.dt, grid.n_steps)
+    return run, path
+
+
+def assert_real_half_comb(run):
+    """The marks of the real half-comb path: a mirrored final comb, and
+    the parts of g, e and x that stay zero written as +0."""
+    np.testing.assert_array_equal(run.final_modes[::-1], np.conj(run.final_modes))
+    for part in (run.g.imag, run.e.imag, run.x.real):
+        assert not part.any() and not np.signbit(part).any()
+
+
+def test_comb_step_is_rk4_of_the_full_system(pulse, tiny_comb, rk4, monkeypatch):
+    seen = stepped_types(monkeypatch)
+    run, path = comb_run_against_rk4(pulse, rk4, *tiny_comb)
     for col, amp in enumerate((run.g, run.e, run.x)):
         assert np.max(np.abs(amp - path[:, col])) <= 1e-13
     assert np.max(np.abs(run.final_modes - path[-1, 3:])) <= 1e-13
+    resonant = tiny_comb[0].is_resonant
+    assert seen == ({float} if resonant else {complex})
+    if resonant:
+        assert_real_half_comb(run)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_comb_step_and_rk4_fail_at_the_same_time(pulse, tiny_comb, rk4):
-    params, bath, grid, c0, drive = tiny_comb
+    params, bath, grid, c0, drive, _ = tiny_comb
     drive = drive.copy()
     drive[120] = np.nan
     init = ps.InitialState.matched(params.rho_offset)
@@ -770,26 +829,24 @@ def test_comb_step_and_rk4_fail_at_the_same_time(pulse, tiny_comb, rk4):
 @pytest.fixture
 def block_comb(tiny_comb):
     """``tiny_comb`` on :func:`block_grid`."""
-    params, bath, _, c0, _ = tiny_comb
-    grid = block_grid()
-    t = grid.times
-    return params, bath, grid, c0, 40.0 * np.sin(t) * np.exp(0.3j * t)
+    params, bath, grid, c0, drive, init = tiny_comb
+    t = block_grid().times
+    drive = 40.0 * np.sin(t) * (np.exp(0.3j * t) if np.iscomplexobj(drive) else 1.0)
+    return params, bath, block_grid(), c0, drive, init
 
 
 def test_comb_step_is_rk4_of_the_full_system_across_blocks(pulse, block_comb, rk4):
-    params, bath, grid, c0, drive = block_comb
-    init = ps.InitialState(g_amp=0.1j, e_amp=0.2, x_amp=-0.05)
-    run = ps.simulate_discrete_bath(pulse, drive, params, init, bath, grid)
-    y0 = np.concatenate([[init.g_amp, init.e_amp, init.x_amp], c0])
-    path = rk4(y0, explicit_comb_rhs(drive, params, bath, grid), grid.dt, grid.n_steps)
+    run, path = comb_run_against_rk4(pulse, rk4, *block_comb)
     for col, amp in enumerate((run.g, run.e, run.x)):
         assert np.max(np.abs(amp - path[:, col])) <= 1e-13
     assert np.max(np.abs(run.final_modes - path[-1, 3:])) <= 1e-13
+    if block_comb[0].is_resonant:
+        assert_real_half_comb(run)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_comb_step_and_rk4_fail_alike_in_a_later_block(pulse, block_comb, rk4):
-    params, bath, grid, c0, drive = block_comb
+    params, bath, grid, c0, drive, _ = block_comb
     drive = drive.copy()
     drive[3 * dynamics._BLOCK + 100] = np.nan
     init = ps.InitialState.matched(params.rho_offset)
@@ -802,6 +859,52 @@ def test_comb_step_and_rk4_fail_alike_in_a_later_block(pulse, block_comb, rk4):
     assert 3 * dynamics._BLOCK * grid.dt < oracle_err.value.t < grid.span
     names = ("g", "e", "x", "modes")
     assert oracle_err.value.amplitude == named_as_the_loop_names(rk4_err.value, names)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["mirrored", "odd", "shifted", "unmirrored_start", "complex_start", "detuned"],
+)
+def test_only_resonant_mirrored_combs_step_the_real_half(
+    pulse, make_params, monkeypatch, case
+):
+    # an odd comb's omega = 0 mode is its own mirror image, which the
+    # half-comb does not hold: it steps the full comb as complex numbers
+    params = make_params(2.0, 0.002, delta2=0.7 if case == "detuned" else 0.0)
+    bath = ps.discretize_bath(params, 7 if case == "odd" else 6, 46.0)
+    if case == "shifted":
+        bath = dataclasses.replace(bath, frequencies=bath.frequencies + 5.0)
+    c0 = mirrored_modes(np.exp(1j * np.arange(bath.n_modes)) * 0.3)
+    if case == "unmirrored_start":
+        c0[0] += 1e-12
+    monkeypatch.setattr(dynamics, "initial_modes", lambda *args: (c0.copy(), 1.0))
+    grid = ps.TimeGrid.from_span(PI, PI / 200)
+    drive = 40.0 * np.sin(grid.times)
+    init = ps.InitialState(g_amp=0.1j if case == "complex_start" else 0.0, e_amp=0.2)
+    seen = stepped_types(monkeypatch)
+    run = ps.simulate_discrete_bath(pulse, drive, params, init, bath, grid)
+    assert seen == ({float} if case == "mirrored" else {complex})
+    assert run.final_modes.shape == (bath.n_modes,)
+
+
+def test_real_half_comb_tracks_the_complex_full_comb(pulse, make_params, monkeypatch):
+    # the same resonant run, its full comb forced through the complex
+    # path: the two differed by 6.3e-16 at most over four blocks
+    params = make_params(2.0, 0.002)
+    bath = ps.discretize_bath(params, n_modes=6, band_halfwidth=40.0)
+    c0 = mirrored_modes(np.exp(1j * np.arange(6)) * np.linspace(0.2, 0.5, 6))
+    monkeypatch.setattr(dynamics, "initial_modes", lambda *args: (c0.copy(), 1.0))
+    grid = block_grid()
+    drive = 40.0 * np.sin(grid.times)
+    init = ps.InitialState(g_amp=0.1, e_amp=0.2, x_amp=0.05j)
+    real = ps.simulate_discrete_bath(pulse, drive, params, init, bath, grid)
+    monkeypatch.setattr(dynamics, "_mirrored", lambda bath: False)
+    full = ps.simulate_discrete_bath(pulse, drive, params, init, bath, grid)
+    assert_real_half_comb(real)
+    assert not np.all(full.g.imag == 0.0)
+    for a, b in [(real.g, full.g), (real.e, full.e), (real.x, full.x)]:
+        assert np.max(np.abs(a - b)) <= 1e-14
+    assert np.max(np.abs(real.final_modes - full.final_modes)) <= 1e-14
 
 
 def test_package_exports_resolve():
@@ -856,13 +959,16 @@ def test_oracle_matches_reduced_solver(pulse, design_for, grid):
     assert np.max(np.abs(run.g - reduced.g)) < 1e-4
 
 
-def test_comb_bytes_bounds_what_a_mode_costs(pulse, make_params, traced_peak):
-    # the runner's mode ceiling rests on comb_bytes: it must bound the
-    # traced peak each extra mode adds to discretize_bath and the run,
-    # and not by a wide margin.  Below about 1000 modes the projection's
-    # fixed phase blocks set the peak; from 2000 on the mode vectors do
+@pytest.mark.parametrize("path", ["complex", "real"])
+def test_comb_bytes_bounds_what_a_mode_costs(pulse, make_params, traced_peak, path):
+    # the runner's mode ceiling rests on comb_bytes, checked before the
+    # path is known: it must bound the traced peak each extra mode adds
+    # to discretize_bath and the run on either path, and the full
+    # complex comb's not by a wide margin.  Below about 1000 modes the
+    # projection's fixed phase blocks set the peak; from 2000 on the
+    # mode vectors do.  The real half-comb measured 0.52 of the estimate
     grid = ps.TimeGrid.from_span(PI, 2e-3)
-    params = make_params(2.0, 0.002)
+    params = make_params(2.0, 0.002, delta1=0.7 if path == "complex" else 0.0)
     des = ps.design_drive(pulse, params, grid)
     seed = ps.InitialState.matched(params.rho_offset)
 
@@ -875,7 +981,10 @@ def test_comb_bytes_bounds_what_a_mode_costs(pulse, make_params, traced_peak):
 
     per_mode = (peak(4000) - peak(2000)) / 2000
     estimate = (dynamics.comb_bytes(4000) - dynamics.comb_bytes(2000)) / 2000
-    assert 0.8 * estimate <= per_mode <= estimate
+    if path == "complex":
+        assert 0.8 * estimate <= per_mode <= estimate
+    else:
+        assert per_mode <= 0.6 * estimate
 
 
 @pytest.mark.parametrize(
