@@ -19,11 +19,18 @@ blocked running sum instead of stepping it in Python: O(n) work and no
 BLAS call.  Only a path the blocks cannot settle (not finite, or near
 enough to overflow for an RK4 stage to) is stepped by that scalar loop,
 whose first non-finite y raises.
+
+The forward routes are small linear systems s' = A(t) s + f(t), and an
+RK4 step of one is likewise an affine map s -> M_k s + c_k.
+:func:`rk4_affine_maps` builds a block of those maps elementwise, and
+:func:`affine_scan` solves their recurrence by a sqrt(B) sub-block scan;
+neither calls BLAS.
 """
 
 from __future__ import annotations
 
 import math
+from operator import mul
 
 import numpy as np
 
@@ -197,3 +204,88 @@ def _rk4_linear(
             # the blocks overflowed where the loop did not: its path stands
             stepped[1:] = ys
     return path
+
+
+def rk4_affine_maps(stage, couplings, sources, n_state: int, dt: float) -> np.ndarray:
+    """The RK4 steps of one block of the linear system s' = A(t) s + f(t)
+    as affine maps ``s_{k+1} = M_k s_k + c_k``.
+
+    ``couplings`` and ``sources`` hold the block's B steps of half-lattice
+    series (2B + 1 samples each), and ``stage(*couplings, *sources, *s)``
+    is the system's right-hand side at one lattice position, written as
+    the scalar loop writes it; it returns new arrays.  The four stages are applied at once to
+    the identity and to the source: component i of the state is row i of
+    [I | 0], and each source is lifted into the last column, the affine
+    part, so every stage is elementwise over the steps.  Returns
+    [M_k | c_k] as an array of shape (n, n + 1, B), of floats where the
+    inputs are.
+    """
+    b = (couplings[0].shape[0] - 1) // 2
+    at = [(a[0:-1:2], a[1::2], a[2::2]) for a in couplings]
+
+    def slopes(pos, state):
+        lifted = []
+        for f in sources:
+            lift = np.zeros((n_state + 1, b), dtype=f.dtype)
+            lift[n_state] = f[pos : pos + 2 * b : 2]
+            lifted.append(lift)
+        return stage(*[a[pos] for a in at], *lifted, *state)
+
+    # maps accumulates k1 + 2 k2 + 2 k3 + k4; each stage takes the
+    # slopes at its lattice position of the stage state I + scale k,
+    # formed in place of the slopes before
+    maps = np.empty((n_state, n_state + 1, b), dtype=np.result_type(*couplings, *sources))
+    k = slopes(0, np.eye(n_state + 1)[:n_state, :, None])
+    for mi, ki in zip(maps, k):
+        mi[...] = ki
+    for pos, scale, weight in ((1, dt / 2.0, 2), (1, dt / 2.0, 2), (2, dt, 1)):
+        for i, ki in enumerate(k):
+            ki *= scale
+            ki[i] += 1.0
+        k = slopes(pos, k)
+        for mi, ki in zip(maps, k):
+            for _ in range(weight):
+                mi += ki
+    maps *= dt / 6.0
+    for i in range(n_state):
+        maps[i, i] += 1.0
+    return maps
+
+
+def affine_scan(maps: np.ndarray, start) -> np.ndarray:
+    """States s_1 .. s_B of ``s_{k+1} = M_k s_k + c_k`` from ``start``.
+
+    ``maps`` holds [M_k | c_k] as :func:`rk4_affine_maps` gives them.
+    The B steps split into sub-blocks of L = ceil(sqrt(B)) steps: L - 1
+    products, each over all sub-blocks at once, give every step's map
+    from the start of its sub-block; a scalar carry over the ~sqrt(B)
+    sub-blocks gives their starts, and one product applies each map to
+    its start.  The maps compose as (n + 1) x (n + 1) matrices with the
+    last row (0, ..., 0, 1).  Returns the states as an (n, B) array;
+    a map that is not finite leaves a path that is not finite either.
+    """
+    n, m, b = maps.shape
+    dtype = maps.dtype
+    width = math.isqrt(b - 1) + 1
+    rows = -(-b // width)
+    full = b // width
+    # step j of sub-block i at [j, :, :, i]: one step of every sub-block
+    # is contiguous; steps past the block are zero maps, which no state
+    # reads
+    lay = np.zeros((width, m, m, rows), dtype=dtype)
+    lay[:, n, n] = 1.0
+    lay[:, :n, :, :full] = maps[:, :, : full * width].reshape(n, m, full, width).transpose(3, 0, 1, 2)
+    lay[: b - full * width, :n, :, full:] = maps[:, :, full * width :, None].transpose(2, 0, 1, 3)
+    del maps
+    step = np.empty_like(lay[0])
+    for j in range(1, width):
+        np.einsum("ims,mks->iks", lay[j], lay[j - 1], out=step)
+        lay[j] = step
+    starts = []
+    s = list(start)
+    for whole in lay[-1, :n].transpose(2, 0, 1).tolist():
+        s.append(1.0)
+        starts.append(s)
+        s = [sum(map(mul, row, s)) for row in whole]
+    path = np.einsum("jiks,ks->jis", lay[:, :n], np.array(starts).T)
+    return path.transpose(1, 2, 0).reshape(n, rows * width)[:, :b]

@@ -9,21 +9,23 @@ input, which both simplifies the physics and provides an independent
 cross-check of the exact design: the two population series should
 agree wherever g_cav^2 >> gamma_L * big_gamma.
 
-:func:`adiabatic_simulate` steps the two real amplitudes d1 and the
-memory Q with classical RK4 written out on Python floats, fed block by
-block like the forward solvers in ``dynamics``, so the dark-state route
-costs about as much as one scalar forward run.
+:func:`adiabatic_simulate` takes classical RK4 steps of the two real
+amplitudes d1 and the memory Q.  Like the forward solvers in
+``dynamics``, it solves them block by block as affine recurrences in
+floats, and keeps the scalar loop (:func:`_dark_loop`) as the reference
+and as the path for a block the recurrences cannot settle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ._integrate import cumulative_trapezoid, half_lattice_block
-from .dynamics import _feed
+from .dynamics import _affine_run, _feed
 from .errors import (
     AngleDomain,
     NegativeAccumulator,
@@ -48,8 +50,9 @@ class DarkDesign:
     def grid(self) -> TimeGrid:
         return self.design.grid
 
-    @property
+    @cached_property
     def cos_mixing(self) -> np.ndarray:
+        """cos(phi), evaluated once per design."""
         return np.cos(self.mixing_angle)
 
 
@@ -119,35 +122,15 @@ class AdiabaticRun:
     flux_cumulative: np.ndarray
 
 
-def adiabatic_simulate(pulse: InputPulse, dark: DarkDesign) -> AdiabaticRun:
-    """Integrate the dark amplitude under the designed mixing angle.
+def _dark_loop(inputs, w: float, mem: float, grid: TimeGrid):
+    """d1 and Q on the grid by scalar RK4, fed ``inputs(k0, k1)``, the
+    half-lattice cos(phi) and N of steps ``k0 .. k1 - 1``.
 
-    The effective cavity amplitude is ``u = cos(phi) d1``; it feeds the
-    same memory Q as the full model, and the emission accumulator is
-    ``(2 / sqrt(big_gamma)) Q``, so the reflected output of a perfect
-    adiabatic run vanishes the same way.  ``flux_cumulative`` tracks the
-    probability bookkeeping ``integral 2 u (N - Q)``, which the exact
-    dynamics would deposit in d1^2.  The run uses the parameters and grid
-    of the design.
+    Scalar RK4 in the layout of the forward solvers in ``dynamics``: the
+    two real amplitudes step as Python floats, with each stage's
+    arithmetic in the order of the vector right-hand side that
+    tests/test_dark_state.py checks this loop against bit for bit.
     """
-    params = dark.design.params
-    grid = dark.grid
-    # scalar RK4 in the layout of the forward solvers in ``dynamics``:
-    # the two real amplitudes step as Python floats, with each stage's
-    # arithmetic in the order of the vector right-hand side that
-    # tests/test_dark_state.py checks this loop against bit for bit;
-    # cos(phi) and N reach it one block of half-lattice samples at a time
-    w = params.bandwidth_w
-    mem = 0.5 * w * params.big_gamma
-    cos_mixing = dark.cos_mixing
-    n_drive = dark.design.n_drive
-
-    def inputs(k0, k1):
-        return (
-            half_lattice_block(cos_mixing, k0, k1),
-            half_lattice_block(n_drive, k0, k1),
-        )
-
     n = grid.n_steps
     dt = grid.dt
     h = dt / 2.0
@@ -188,11 +171,60 @@ def adiabatic_simulate(pulse: InputPulse, dark: DarkDesign) -> AdiabaticRun:
             od.append(d)
             oq.append(q)
         pd[k0 + 1 : k1 + 1], pq[k0 + 1 : k1 + 1] = od, oq
+    return pd, pq
+
+
+def adiabatic_simulate(pulse: InputPulse, dark: DarkDesign) -> AdiabaticRun:
+    """Integrate the dark amplitude under the designed mixing angle.
+
+    The effective cavity amplitude is ``u = cos(phi) d1``; it feeds the
+    same memory Q as the full model, and the emission accumulator is
+    ``(2 / sqrt(big_gamma)) Q``, so the reflected output of a perfect
+    adiabatic run vanishes the same way.  ``flux_cumulative`` tracks the
+    probability bookkeeping ``integral 2 u (N - Q)``, which the exact
+    dynamics would deposit in d1^2.  The run uses the parameters and grid
+    of the design.
+
+    d1 and Q are the RK4 path of :func:`_dark_loop`, solved block by
+    block as affine recurrences (``dynamics._affine_run``) from the same
+    half-lattice cos(phi) and N; a path the blocks cannot settle is
+    stepped by that loop, whose raise is the contract.
+    """
+    params = dark.design.params
+    grid = dark.grid
+    w = params.bandwidth_w
+    mem = 0.5 * w * params.big_gamma
+    cos_mixing = dark.cos_mixing
+    n_drive = dark.design.n_drive
+
+    def inputs(k0, k1):
+        return (
+            half_lattice_block(cos_mixing, k0, k1),
+            half_lattice_block(n_drive, k0, k1),
+        )
+
+    def series(k0, k1):
+        c, nd = inputs(k0, k1)
+        return (c,), (nd,)
+
+    def stage(c, nd, d, q):
+        u = c * d
+        return c * (nd - q), -w * q + mem * u
+
+    def rates(c, nd):
+        return c + abs(w) + abs(mem) * c, c * nd
+
+    n = grid.n_steps
+    pd = np.empty(n + 1)
+    pq = np.empty(n + 1)
+    pd[0], pq[0] = 0.0, 0.0
+    if not _affine_run(stage, series, rates, [0.0, 0.0], [pd, pq], grid.dt):
+        pd, pq = _dark_loop(inputs, w, mem, grid)
 
     # h = (2 / sqrt(big_gamma)) f, so y = integral h u is that multiple of Q
     py = (2.0 / math.sqrt(params.big_gamma)) * pq
-    u = dark.cos_mixing * pd
-    flux = 2.0 * u * (dark.design.n_drive - pq)
+    u = cos_mixing * pd
+    flux = 2.0 * u * (n_drive - pq)
     flux_cum = cumulative_trapezoid(flux, grid.dt)
     return AdiabaticRun(
         d1=pd,

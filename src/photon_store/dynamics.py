@@ -40,7 +40,7 @@ from itertools import islice
 
 import numpy as np
 
-from ._integrate import half_lattice_block
+from ._integrate import _FLOAT_MAX, affine_scan, half_lattice_block, rk4_affine_maps
 from .errors import BandTooNarrow, GridMismatch, NonFiniteState
 from .grid import TimeGrid
 from .model import InputPulse, PhysicalParams, future_drive
@@ -56,7 +56,8 @@ _MODE_VECTORS = 14
 # many such blocks it holds at once (see initial_modes)
 _PHASE_BYTES = 2**18
 _PHASE_BLOCKS = 3
-# steps per block of the scalar loops' half-lattice feed
+# steps per block of the forward routes: a block of affine maps, or of
+# the scalar loops' half-lattice feed
 _BLOCK = 2048
 
 
@@ -133,6 +134,15 @@ def _real_field(drive: np.ndarray, params: PhysicalParams, init: InitialState) -
     )
 
 
+def _phase(delta: float, th: np.ndarray) -> np.ndarray:
+    """``exp(-1j * delta * th)`` at the half-lattice times ``th``, bit for
+    bit.  At zero detuning of either sign every sample is the same number
+    (the times are finite and not below +0), so one evaluation fills them."""
+    if delta == 0.0:
+        return np.full(th.shape, np.exp(-1j * delta * th[:1])[0])
+    return np.exp(-1j * delta * th)
+
+
 def _couplings(drive: np.ndarray, params: PhysicalParams, grid: TimeGrid, real=False):
     """Half-lattice couplings of the scalar stepping loops, by block.
 
@@ -150,14 +160,15 @@ def _couplings(drive: np.ndarray, params: PhysicalParams, grid: TimeGrid, real=F
     def block(k0: int, k1: int):
         th = grid.half_times_block(k0, k1)
         om_h = half_lattice_block(drive, k0, k1)
-        e2m = np.exp(-1j * params.delta2 * th)
-        e1m = np.exp(-1j * params.delta1 * th)
+        e2m = _phase(params.delta2, th)
+        e1m = _phase(params.delta1, th)
         cav = -1j * params.g_cav * e2m           # G <- X coupling
         sto = -1j * np.conj(om_h) * e1m          # E <- X coupling
         rev = -1j * om_h * np.conj(e1m)          # X <- E coupling
         bck = -1j * params.g_cav * np.conj(e2m)  # X <- G coupling
         if real:
-            return -cav.imag, -sto.imag, rev.imag, bck.imag
+            # copies, so that no complex array outlives the block
+            return -cav.imag, -sto.imag, rev.imag.copy(), bck.imag.copy()
         return cav, sto, rev, bck
 
     return block
@@ -183,8 +194,51 @@ def _feed(n: int, series):
         yield k0, k1, zip(*cols)
 
 
+def _affine_run(stage, series, rates, start, dest, dt: float) -> bool:
+    """Step an RK4 route of s' = A(t) s + f(t) block by block as affine
+    recurrences (:func:`rk4_affine_maps`, :func:`affine_scan`), each
+    block from the end state of the one before.
+
+    ``series(k0, k1)`` gives the couplings and the sources of steps
+    ``k0 .. k1 - 1`` on the half lattice and ``stage`` the right-hand
+    side, as for :func:`rk4_affine_maps`; ``rates`` maps the block's
+    largest input moduli to bounds (a, f) on the coefficient moduli of
+    any one component's slope and on the source.  Writes the states after each
+    step into ``dest[i][1:]``, one array per component.  Returns False
+    at the first block it cannot settle: one whose path is not finite,
+    or comes near enough to overflow for a stage of the scalar loop it
+    stands for to.  With |s| <= sigma (the sum of the moduli), every
+    stage state of a step stays below grow^3 (sigma + dt f) and every
+    slope term below a grow^3 (sigma + dt f) + f, with grow = 1 + dt a.
+    """
+    n = dest[0].shape[0] - 1
+    state = list(start)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0 in range(0, n, _BLOCK):
+            k1 = min(k0 + _BLOCK, n)
+            couplings, sources = series(k0, k1)
+            path = affine_scan(rk4_affine_maps(stage, couplings, sources, len(state), dt), state)
+            inputs = (*couplings, *sources)
+            a, f = rates(*(float(np.max(np.abs(v))) for v in inputs))
+            sigma = max(sum(map(abs, state)), float(np.max(np.sum(np.abs(path), axis=0))))
+            grow = 1.0 + dt * a
+            if not (6.0 * a + 1.0) * grow * grow * grow * (sigma + dt * f) + 6.0 * f < _FLOAT_MAX / 4.0:
+                return False
+            for out, p in zip(dest, path):
+                out[k0 + 1 : k1 + 1] = p
+            state = path[:, -1].tolist()
+    return True
+
+
 def _trajectory(grid, phi_in, g, e, x, z_mem, y_out) -> Trajectory:
-    """The input-output relation ``phi_out = y_out - phi_in`` on the grid."""
+    """The input-output relation ``phi_out = y_out - phi_in`` on the grid.
+
+    phi_in is real, so phi_out is y_out with phi_in taken off its real
+    part, bit for bit the complex difference, and without the complex
+    copy of phi_in that the mixed-type subtraction would buffer.
+    """
+    phi_out = y_out.copy()
+    phi_out.real -= phi_in
     return Trajectory(
         grid=grid,
         g=g,
@@ -193,7 +247,7 @@ def _trajectory(grid, phi_in, g, e, x, z_mem, y_out) -> Trajectory:
         z_mem=z_mem,
         y_out=y_out,
         phi_in=phi_in,
-        phi_out=y_out - phi_in,
+        phi_out=phi_out,
     )
 
 
@@ -284,6 +338,44 @@ def _reduced_loop(couplings, src, rate, w, mem, params, init, grid, real=False):
     return pg, pe, px, pz
 
 
+def _reduced_run(couplings, src, rate, w, mem, params, init, grid, real=False):
+    """The path of :func:`_reduced_loop`, solved block by block as affine
+    recurrences (:func:`_affine_run`) on the same couplings and sources,
+    in floats with ``real``.  A path the blocks cannot settle is stepped
+    by that loop, whose raise is the contract."""
+    gamma_l = params.gamma_L
+
+    def stage(cav, sto, rev, bck, src, g, e, x, z):
+        return (
+            cav * x + src - z - rate * g,
+            sto * x,
+            rev * e + bck * g - gamma_l * x,
+            -w * z + mem * g,
+        )
+
+    def rates(cav, sto, rev, bck, src):
+        return cav + sto + rev + bck + abs(rate) + abs(gamma_l) + abs(w) + abs(mem) + 1.0, src
+
+    def inputs(k0, k1):
+        return couplings(k0, k1), (src(k0, k1),)
+
+    n = grid.n_steps
+    pg = np.empty(n + 1, dtype=complex)
+    pe = np.empty(n + 1, dtype=complex)
+    px = np.zeros(n + 1, dtype=complex)
+    pz = np.empty(n + 1, dtype=complex)
+    start = [complex(init.g_amp), complex(init.e_amp), complex(init.x_amp), 0.0 + 0.0j]
+    pg[0], pe[0], px[0], pz[0] = start
+    dest = [pg, pe, px, pz]
+    if real:
+        # y = Im x fills x's imaginary part; its real part stays +0
+        start = [start[0].real, start[1].real, start[2].imag, 0.0]
+        dest[2] = px.imag
+    if _affine_run(stage, inputs, rates, start, dest, grid.dt):
+        return pg, pe, px, pz
+    return _reduced_loop(couplings, src, rate, w, mem, params, init, grid, real)
+
+
 def simulate_nonmarkovian(
     pulse: InputPulse,
     drive: np.ndarray,
@@ -310,7 +402,7 @@ def simulate_nonmarkovian(
     phi_in = pulse.value(grid.times)
     src = partial(half_lattice_block, future_drive(pulse, params, grid))
     mem = 0.5 * w * params.big_gamma
-    pg, pe, px, pz = _reduced_loop(
+    pg, pe, px, pz = _reduced_run(
         couplings, src, 0.0, w, mem, params, init, grid, real
     )
     del src
@@ -345,7 +437,7 @@ def simulate_markovian(
 
     phi_in = pulse.value(grid.times)
     rate = 0.5 * params.big_gamma
-    pg, pe, px, pz = _reduced_loop(
+    pg, pe, px, pz = _reduced_run(
         couplings, src, rate, 0.0, 0.0, params, init, grid, real
     )
     return _trajectory(grid, phi_in, pg, pe, px, pz, root_gamma * pg)

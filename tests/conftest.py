@@ -1,6 +1,6 @@
 """Shared fixtures: one pulse, one lab grid, cached designs, the
 generic RK4 that the package's unrolled stepping loops are checked
-against, the scalar RK4 loops of the two bath terms that the package
+against, a switch that makes the forward routes step those loops, the scalar RK4 loops of the two bath terms that the package
 now solves as array recurrences, and the direct reference formulas
 (kernels, convolutions, rotations) that only the tests use, and the
 traced memory peak of a call.
@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import photon_store as ps
+from photon_store import dark_state, dynamics
 from photon_store.errors import NonFiniteState
 
 PI = math.pi
@@ -125,6 +126,31 @@ def _traced_peak(fn):
 @pytest.fixture(scope="session")
 def traced_peak():
     return _traced_peak
+
+
+def _loops_only(patch):
+    """Make the reduced and dark-state routes step their scalar RK4
+    loops, the reference their block recurrences stand for: every run
+    takes the path of a block the recurrences cannot settle."""
+    for module in (dynamics, dark_state):
+        patch.setattr(module, "_affine_run", lambda *args: False)
+
+
+def _loop_run(fn, *args):
+    """``fn(*args)`` with the forward routes stepped by their scalar loops."""
+    with pytest.MonkeyPatch.context() as patch:
+        _loops_only(patch)
+        return fn(*args)
+
+
+@pytest.fixture
+def scalar_loops(monkeypatch):
+    _loops_only(monkeypatch)
+
+
+@pytest.fixture(scope="session")
+def loop_run():
+    return _loop_run
 
 
 @pytest.fixture(scope="session")

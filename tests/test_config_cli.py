@@ -1366,9 +1366,11 @@ def run_fresh(mode, tmp_path, text):
 
 
 def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    """A preset's design and a pooled 12-point W sweep write the same
-    bytes on two BLAS threads as on one: the design chain calls no BLAS,
-    and a user's thread count wins over the CLI's default.  Criterion
+    """A preset's design, fig2c's forward runs, fig7a's dark-state run
+    and a pooled 12-point W sweep write the same bytes on two BLAS
+    threads as on one: the design chain and the block recurrences of the
+    forward routes call no BLAS, and a user's thread count wins over the
+    CLI's default.  Criterion
     10's oracle (4000 modes over +-160 MHz, W = 1.7, the default dt)
     writes the same bytes with ``OPENBLAS_NUM_THREADS`` unset and set to
     1: its comb projection and stepping call BLAS, whose last bits depend
@@ -1378,6 +1380,8 @@ def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     widths = ", ".join(f"{w:.6g}" for w in np.geomspace(0.5, 25.0, 12))
     configs = {
         "design": ("preset = fig2a\n", "2"),
+        "simulate": ("preset = fig2c\n", "2"),
+        "dark": ("preset = fig7a\n", "2"),
         "sweep": (
             "g_cav = 30pi\ngamma_L = 6pi\nrho_offset = 0.0075\n"
             f"bandwidth_w = {widths}\nworkers = 2\n",

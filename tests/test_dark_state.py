@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import photon_store as ps
-from photon_store import dynamics
+from photon_store import dark_state, dynamics
 from photon_store._integrate import half_lattice
 from photon_store.errors import (
     AngleDomain,
@@ -142,7 +142,7 @@ def adiabatic_rhs(dark, params):
     return rhs
 
 
-def test_adiabatic_run_is_rk4_bit_for_bit(pulse, dark_case, grid, rk4):
+def test_adiabatic_run_is_rk4_bit_for_bit(pulse, dark_case, grid, rk4, scalar_loops):
     params, dark = dark_case(30.0, 0.5)
     run = ps.adiabatic_simulate(pulse, dark)
     path = rk4(np.zeros(2), adiabatic_rhs(dark, params), grid.dt, grid.n_steps).real
@@ -181,7 +181,7 @@ def block_dark(pulse, make_params):
     return params, grid, ps.adiabatic_design(pulse, params, grid)
 
 
-def test_adiabatic_run_is_rk4_bit_for_bit_across_blocks(pulse, block_dark, rk4):
+def test_adiabatic_run_is_rk4_bit_for_bit_across_blocks(pulse, block_dark, rk4, scalar_loops):
     params, grid, dark = block_dark
     assert grid.n_steps > 3 * dynamics._BLOCK and grid.n_steps % dynamics._BLOCK
     run = ps.adiabatic_simulate(pulse, dark)
@@ -212,6 +212,121 @@ def test_adiabatic_run_and_rk4_fail_alike_in_a_later_block(
     assert run_err.value.t == rk4_err.value.t
     assert 2 * dynamics._BLOCK * grid.dt < run_err.value.t < grid.span
     assert run_err.value.amplitude == "dq"[int(rk4_err.value.amplitude[2:-1])]
+
+
+def test_cos_mixing_is_evaluated_once_per_design(dark_case):
+    _, dark = dark_case(30.0, 0.5)
+    assert dark.cos_mixing is dark.cos_mixing
+    assert np.array_equal(dark.cos_mixing, np.cos(dark.mixing_angle))
+    turned = replace(dark, mixing_angle=dark.mixing_angle[::-1].copy())
+    assert np.array_equal(turned.cos_mixing, np.cos(dark.mixing_angle[::-1]))
+
+
+# the largest gap of the block recurrences from the loop, relative to a
+# series' largest modulus, over the dark presets' parameters and the
+# resonant random draws at dt = 1e-4 and 1e-3: 3.3e-14
+DARK_REL = 1e-12
+
+
+@pytest.mark.parametrize("g_over_pi,w", [(30.0, 0.5), (30.0, 25.0), (14.0, 25.0)])
+def test_adiabatic_run_tracks_the_scalar_loop(pulse, dark_case, loop_run, g_over_pi, w):
+    _, dark = dark_case(g_over_pi, w)
+    run = ps.adiabatic_simulate(pulse, dark)
+    ref = loop_run(ps.adiabatic_simulate, pulse, dark)
+    for name in ("d1", "q_mem", "flux_cumulative"):
+        got, want = getattr(run, name), getattr(ref, name)
+        assert np.max(np.abs(got - want)) <= DARK_REL * np.max(np.abs(want)), name
+    assert np.max(np.abs(run.phi_out - ref.phi_out)) <= DARK_REL
+
+
+def test_adiabatic_run_tracks_the_scalar_loop_across_blocks(pulse, block_dark, loop_run):
+    _, _, dark = block_dark
+    run = ps.adiabatic_simulate(pulse, dark)
+    ref = loop_run(ps.adiabatic_simulate, pulse, dark)
+    for name in ("d1", "q_mem"):
+        got, want = getattr(run, name), getattr(ref, name)
+        assert np.max(np.abs(got - want)) <= DARK_REL * np.max(np.abs(want)), name
+
+
+def built_map_types(monkeypatch):
+    seen = set()
+    build = dynamics.rk4_affine_maps
+
+    def spy(*args):
+        maps = build(*args)
+        seen.add(maps.dtype)
+        return maps
+
+    monkeypatch.setattr(dynamics, "rk4_affine_maps", spy)
+    return seen
+
+
+def test_adiabatic_run_builds_float_maps(pulse, dark_case, monkeypatch):
+    _, dark = dark_case(30.0, 0.5)
+    seen = built_map_types(monkeypatch)
+    ps.adiabatic_simulate(pulse, dark)
+    assert seen == {np.dtype(float)}
+
+
+def counted_loop_runs(monkeypatch):
+    runs = []
+    loop = dark_state._dark_loop
+
+    def spy(*args):
+        runs.append(args)
+        return loop(*args)
+
+    monkeypatch.setattr(dark_state, "_dark_loop", spy)
+    return runs
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("cause", ["nan_angle", "nan_drive", "huge_drive"])
+def test_a_later_dark_block_that_blows_up_raises_as_the_loop(
+    pulse, block_dark, monkeypatch, loop_run, cause
+):
+    _, grid, dark = block_dark
+    at = 2 * dynamics._BLOCK + 300
+    if cause == "nan_angle":
+        angle = dark.mixing_angle.copy()
+        angle[at] = np.nan
+        broken = replace(dark, mixing_angle=angle)
+    else:
+        n_drive = dark.design.n_drive.copy()
+        if cause == "nan_drive":
+            n_drive[at] = np.nan
+        else:
+            n_drive[at:] = 1e308
+        broken = replace(dark, design=replace(dark.design, n_drive=n_drive))
+    runs = counted_loop_runs(monkeypatch)
+    with pytest.raises(NonFiniteState) as run_err:
+        ps.adiabatic_simulate(pulse, broken)
+    assert len(runs) == 1
+    with pytest.raises(NonFiniteState) as loop_err:
+        loop_run(ps.adiabatic_simulate, pulse, broken)
+    run, loop = run_err.value, loop_err.value
+    assert (run.t, run.amplitude, str(run)) == (loop.t, loop.amplitude, str(loop))
+    assert 2 * dynamics._BLOCK * grid.dt < run.t < grid.span
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_dark_block_near_overflow_is_stepped_by_the_loop(
+    pulse, block_dark, monkeypatch, loop_run
+):
+    # N scaled to 1e305 drives d1 to 1e305: near enough to the float
+    # maximum for the blocks not to settle, yet no stage of the scalar
+    # loop overflows
+    _, _, dark = block_dark
+    huge = replace(dark, design=replace(dark.design, n_drive=1e305 * dark.design.n_drive))
+    runs = counted_loop_runs(monkeypatch)
+    run = ps.adiabatic_simulate(pulse, huge)
+    assert len(runs) == 1
+    ref = loop_run(ps.adiabatic_simulate, pulse, huge)
+    for name in ("d1", "q_mem"):
+        series = getattr(run, name)
+        assert np.isfinite(series).all(), name
+        assert np.array_equal(series, getattr(ref, name)), name
+    assert np.max(run.d1) > 1e304
 
 
 # ------------------------------------------------------ dual-route population

@@ -12,11 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import photon_store as ps
 from photon_store import dynamics
 from photon_store._integrate import half_lattice
-from photon_store.errors import BandTooNarrow, GridMismatch, NonFiniteState
+from photon_store.errors import BandTooNarrow, GridMismatch, InfeasibleDesign, NonFiniteState
 
 PI = math.pi
 
@@ -258,7 +260,7 @@ def detuned_case(make_params):
 
 
 @pytest.mark.parametrize("memory", [True, False], ids=["nonmarkovian", "markovian"])
-def test_reduced_solver_is_rk4_bit_for_bit(pulse, detuned_case, rk4, memory):
+def test_reduced_solver_is_rk4_bit_for_bit(pulse, detuned_case, rk4, scalar_loops, memory):
     params, grid, drive, init = detuned_case
     solve = ps.simulate_nonmarkovian if memory else ps.simulate_markovian
     traj = solve(pulse, drive, params, init, grid)
@@ -314,7 +316,7 @@ def detuned_blocks(detuned_case):
 
 @pytest.mark.parametrize("memory", [True, False], ids=["nonmarkovian", "markovian"])
 def test_reduced_solver_is_rk4_bit_for_bit_across_blocks(
-    pulse, detuned_blocks, rk4, memory
+    pulse, detuned_blocks, rk4, scalar_loops, memory
 ):
     params, grid, drive, init = detuned_blocks
     assert grid.n_steps > 3 * dynamics._BLOCK and grid.n_steps % dynamics._BLOCK
@@ -428,7 +430,7 @@ def complex_field(monkeypatch):
 @pytest.mark.parametrize("start", REAL_STARTS)
 @pytest.mark.parametrize("solver", SOLVERS)
 def test_resonant_real_field_is_the_complex_loop_bit_for_bit(
-    resonant_blocks, monkeypatch, solver, start, pulse_kind, drive_kind
+    resonant_blocks, monkeypatch, scalar_loops, solver, start, pulse_kind, drive_kind
 ):
     params, grid, pulses, drives = resonant_blocks
     drive, init = drives[pulse_kind, drive_kind], REAL_STARTS[start]
@@ -446,7 +448,7 @@ def test_resonant_real_field_is_the_complex_loop_bit_for_bit(
 @pytest.mark.parametrize("start", REAL_STARTS)
 @pytest.mark.parametrize("memory", [True, False], ids=["nonmarkovian", "markovian"])
 def test_resonant_real_field_is_rk4_bit_for_bit(
-    resonant_blocks, rk4, memory, start, pulse_kind
+    resonant_blocks, rk4, scalar_loops, memory, start, pulse_kind
 ):
     params, grid, pulses, drives = resonant_blocks
     pulse = pulses[pulse_kind]
@@ -515,7 +517,7 @@ def stepped_types(monkeypatch):
 )
 @pytest.mark.parametrize("solver", SOLVERS)
 def test_only_resonant_real_runs_step_floats(
-    pulse, resonant_blocks, make_params, monkeypatch, solver, case
+    pulse, resonant_blocks, make_params, monkeypatch, scalar_loops, solver, case
 ):
     # the couplings are complex in every run but the first; the sources
     # N and sqrt(big_gamma) phi_in are real in all of them
@@ -538,7 +540,7 @@ def test_only_resonant_real_runs_step_floats(
 
 
 def test_a_start_whose_minus_zero_part_persists_steps_complex(
-    pulse, make_params, monkeypatch
+    pulse, make_params, monkeypatch, scalar_loops
 ):
     # without loss, under a constant drive, Im e = -0 at a start with
     # x = 0 - 0j stays -0 for the first steps of the complex loop; a real
@@ -552,6 +554,227 @@ def test_a_start_whose_minus_zero_part_persists_steps_complex(
     assert complex in seen
     later = traj.e.imag[1:]
     assert np.any(np.signbit(later) & (later == 0.0))
+
+
+# ------------------------------------- block recurrences against the loops
+
+# the block recurrences sum each step's RK4 stages in another order than
+# the scalar loops; over the presets' parameters and 36 random draws at
+# dt = 1e-4 and 1e-3 the largest gap, relative to a series' largest
+# modulus, was 3.2e-13 (x of the memory-kernel route at W = 1)
+SCAN_REL = 1e-12
+
+
+def rel_gap(a, b):
+    """``max |a - b|`` relative to the largest modulus of ``b``."""
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+def assert_tracks_the_loop(traj, ref):
+    for name in ("g", "e", "x", "z_mem", "y_out"):
+        if np.any(getattr(ref, name)):
+            assert rel_gap(getattr(traj, name), getattr(ref, name)) <= SCAN_REL, name
+        else:
+            assert not np.any(getattr(traj, name)), name
+    scale = np.max(np.abs(ref.phi_in))
+    assert np.max(np.abs(traj.phi_out - ref.phi_out)) <= SCAN_REL * scale
+
+
+@pytest.mark.parametrize("dt", [1e-4, 1e-3])
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("start", ["matched", "vacuum"])
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_block_recurrences_track_the_scalar_loops(
+    pulse, make_params, loop_run, solver, start, field, dt
+):
+    # a resonant run steps floats, a detuned one complex values; both
+    # grids hold several blocks, the last one partial
+    detuning = {} if field == "real" else {"delta1": 0.7, "delta2": -1.3}
+    params = make_params(1.6716, 0.002, **detuning)
+    grid = ps.TimeGrid.from_span(PI, dt)
+    assert grid.n_steps > dynamics._BLOCK and grid.n_steps % dynamics._BLOCK
+    drive = ps.design_drive(pulse, params, grid).drive
+    init = REAL_STARTS[start]
+    assert dynamics._real_field(drive, params, init) == (field == "real")
+    args = (pulse, drive, params, init, grid)
+    traj = SOLVERS[solver](*args)
+    assert_tracks_the_loop(traj, loop_run(SOLVERS[solver], *args))
+    if field == "real":
+        # the floats are written into the complex series: the zero
+        # parts are +0, as the real loop writes them
+        for part in (traj.g.imag, traj.e.imag, traj.x.real, traj.z_mem.imag):
+            assert not np.any(part) and not np.any(np.signbit(part))
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(
+    w=st.floats(math.log(0.5), math.log(25.0)).map(math.exp),
+    rho=st.floats(0.001, 0.01),
+    g_over_pi=st.floats(14.0, 30.0),
+    detuned=st.booleans(),
+    d1=st.floats(-10.0, 10.0),
+    d2=st.floats(-10.0, 10.0),
+)
+def test_block_recurrences_track_the_scalar_loops_over_draws(
+    pulse, make_params, loop_run, w, rho, g_over_pi, detuned, d1, d2
+):
+    detuning = {"delta1": d1, "delta2": d2} if detuned else {}
+    params = make_params(w, rho, g_cav=g_over_pi * PI, **detuning)
+    grid = ps.TimeGrid.from_span(PI, 1e-3)
+    try:
+        drive = ps.design_drive(pulse, params, grid).drive
+    except InfeasibleDesign:
+        return
+    for solve in SOLVERS.values():
+        for init in (ps.InitialState.matched(rho), ps.InitialState.vacuum()):
+            args = (pulse, drive, params, init, grid)
+            assert_tracks_the_loop(solve(*args), loop_run(solve, *args))
+
+
+def built_map_types(monkeypatch):
+    """The dtypes of the affine maps the forward routes build."""
+    seen = set()
+    build = dynamics.rk4_affine_maps
+
+    def spy(*args):
+        maps = build(*args)
+        seen.add(maps.dtype)
+        return maps
+
+    monkeypatch.setattr(dynamics, "rk4_affine_maps", spy)
+    return seen
+
+
+@pytest.mark.parametrize("case", ["resonant", "delta1", "complex_drive", "imaginary_g"])
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_only_resonant_real_runs_build_float_maps(
+    pulse, resonant_blocks, make_params, monkeypatch, solver, case
+):
+    params, grid, _, drives = resonant_blocks
+    drive, init = drives["builtin", "designed"], REAL_STARTS["matched"]
+    if case == "delta1":
+        params = make_params(2.0, 0.002, delta1=0.7)
+    elif case == "complex_drive":
+        drive = drive.copy()
+        drive[100] += 1e-12j
+    elif case == "imaginary_g":
+        init = ps.InitialState(g_amp=0.1j)
+    seen = built_map_types(monkeypatch)
+    SOLVERS[solver](pulse, drive, params, init, grid)
+    assert seen == {np.dtype(float) if case == "resonant" else np.dtype(complex)}
+
+
+def counted_loop_runs(monkeypatch):
+    """How often the reduced routes step their scalar loop."""
+    runs = []
+    loop = dynamics._reduced_loop
+
+    def spy(*args):
+        runs.append(args)
+        return loop(*args)
+
+    monkeypatch.setattr(dynamics, "_reduced_loop", spy)
+    return runs
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("cause", ["nan_sample", "huge_drive", "unstable_drive"])
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_a_later_block_that_blows_up_raises_as_the_loop(
+    pulse, resonant_blocks, make_params, monkeypatch, loop_run, solver, field, cause
+):
+    # from the third block on: a NaN sample, a drive whose stages
+    # overflow at once, and one past RK4's stability bound, which grows
+    # about 16-fold a step until it overflows
+    params, grid, _, drives = resonant_blocks
+    if field == "complex":
+        params = make_params(2.0, 0.002, delta2=0.7)
+    drive = drives["builtin", "designed"].copy()
+    at = 2 * dynamics._BLOCK + 300
+    if cause == "nan_sample":
+        drive[at] = np.nan
+    else:
+        drive[at:] = 1e200 if cause == "huge_drive" else 1e4
+    args = (pulse, drive, params, REAL_STARTS["matched"], grid)
+    runs = counted_loop_runs(monkeypatch)
+    with pytest.raises(NonFiniteState) as run_err:
+        SOLVERS[solver](*args)
+    assert len(runs) == 1
+    with pytest.raises(NonFiniteState) as loop_err:
+        loop_run(SOLVERS[solver], *args)
+    run, loop = run_err.value, loop_err.value
+    assert (run.t, run.amplitude, str(run)) == (loop.t, loop.amplitude, str(loop))
+    assert 2 * dynamics._BLOCK * grid.dt < run.t < grid.span
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_a_block_near_overflow_is_stepped_by_the_loop(
+    pulse, make_params, monkeypatch, loop_run, solver
+):
+    # a photon of amplitude 1e306 under a silent drive: the cavity
+    # reaches ~1e304, near enough to the float maximum for the blocks
+    # not to settle, yet no stage of the scalar loop overflows
+    params = make_params(2.0, 0.002)
+    grid = block_grid()
+    huge = ps.InputPulse(
+        duration=PI,
+        _value=lambda t: 1e306 * pulse.value(t),
+        _d1=lambda t: 1e306 * pulse.d1(t),
+        _d2=lambda t: 1e306 * pulse.d2(t),
+    )
+    args = (huge, np.zeros(grid.n_steps + 1), params, ps.InitialState.vacuum(), grid)
+    runs = counted_loop_runs(monkeypatch)
+    traj = SOLVERS[solver](*args)
+    assert len(runs) == 1
+    ref = loop_run(SOLVERS[solver], *args)
+    for name in ("g", "e", "x", "z_mem", "y_out", "phi_out"):
+        series = getattr(traj, name)
+        assert np.isfinite(series).all(), name
+        assert np.array_equal(bits(series), bits(getattr(ref, name))), name
+    assert np.max(np.abs(traj.g)) > 1e303
+
+
+def test_phase_at_zero_detuning_is_one_evaluation(grid):
+    # the block's e^{-i delta t} against the np.exp over every sample
+    # that it replaces, at both signed zeros and one detuning
+    for delta in (0.0, -0.0, 0.7):
+        for k0, k1 in ((0, 5), (7, 2055), (grid.n_steps - 3, grid.n_steps)):
+            th = grid.half_times_block(k0, k1)
+            expected = np.exp(-1j * delta * th)
+            assert np.array_equal(bits(dynamics._phase(delta, th)), bits(expected)), delta
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("real", [False, True])
+@pytest.mark.parametrize("deltas", [(0.0, 0.0), (-0.0, -0.0), (0.7, -1.3)])
+def test_couplings_keep_their_bits_with_non_finite_drive_samples(make_params, real, deltas):
+    params = make_params(2.0, 0.002, delta1=deltas[0], delta2=deltas[1])
+    grid = ps.TimeGrid.from_span(PI, PI / 40)
+    drive = 40.0 * np.sin(grid.times) + 0j
+    drive[[3, 9, 17]] = np.nan, np.inf, -np.inf
+    th = grid.half_times_block(2, 30)
+    om_h = half_lattice(drive)[4:61]
+    e2m = np.exp(-1j * params.delta2 * th)
+    e1m = np.exp(-1j * params.delta1 * th)
+    cav = -1j * params.g_cav * e2m
+    sto = -1j * np.conj(om_h) * e1m
+    rev = -1j * om_h * np.conj(e1m)
+    bck = -1j * params.g_cav * np.conj(e2m)
+    expected = (-cav.imag, -sto.imag, rev.imag, bck.imag) if real else (cav, sto, rev, bck)
+    got = dynamics._couplings(drive, params, grid, real)(2, 30)
+    for a, b in zip(got, expected):
+        assert np.array_equal(bits(a), bits(b))
+
+
+def test_output_envelope_is_the_complex_difference_bit_for_bit():
+    # y - phi_in for a real phi_in, the signs of zero parts included
+    grid = ps.TimeGrid.from_span(1.0, 0.25)
+    y = np.array([1 + 0j, complex(2.0, -0.0), complex(-0.0, 3.0), complex(0.5, -0.0), 1j])
+    phi_in = np.array([1.0, -0.0, 0.0, 0.5, 2.0])
+    traj = dynamics._trajectory(grid, phi_in, y, y, y, y, y)
+    assert np.array_equal(bits(traj.phi_out), bits(y - phi_in))
 
 
 def test_forward_run_memory_beyond_its_output_does_not_grow_with_the_grid(
