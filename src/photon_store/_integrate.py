@@ -23,8 +23,8 @@ whose first non-finite y raises.
 The forward routes are small linear systems s' = A(t) s + f(t), and an
 RK4 step of one is likewise an affine map s -> M_k s + c_k.
 :func:`rk4_affine_maps` builds a block of those maps elementwise, and
-:func:`affine_scan` solves their recurrence by a sqrt(B) sub-block scan;
-neither calls BLAS.
+:func:`affine_scan` solves their recurrence by a recursive sub-block
+scan; neither calls BLAS.
 """
 
 from __future__ import annotations
@@ -39,6 +39,9 @@ from .errors import NonFiniteState
 # cap on width * |log r|: r^(+-width) <= exp(700) ~ 1e304 stays finite
 _EXP_ROOM = 700.0
 _FLOAT_MAX = float(np.finfo(float).max)
+# at most this many affine maps are carried by a scalar loop in
+# affine_scan; longer runs of maps split into sub-blocks
+_SCAN_BASE = 16
 
 
 def cubic_midpoints(y: np.ndarray) -> np.ndarray:
@@ -256,36 +259,45 @@ def affine_scan(maps: np.ndarray, start) -> np.ndarray:
     """States s_1 .. s_B of ``s_{k+1} = M_k s_k + c_k`` from ``start``.
 
     ``maps`` holds [M_k | c_k] as :func:`rk4_affine_maps` gives them.
-    The B steps split into sub-blocks of L = ceil(sqrt(B)) steps: L - 1
+    The B steps split into sub-blocks of L ~ B^(1/3) steps: L - 1
     products, each over all sub-blocks at once, give every step's map
-    from the start of its sub-block; a scalar carry over the ~sqrt(B)
-    sub-blocks gives their starts, and one product applies each map to
-    its start.  The maps compose as (n + 1) x (n + 1) matrices with the
-    last row (0, ..., 0, 1).  Returns the states as an (n, B) array;
-    a map that is not finite leaves a path that is not finite either.
+    from the start of its sub-block.  The sub-blocks' whole maps form
+    the same recurrence over ~B^(2/3) steps, whose states are the
+    sub-blocks' starts; it is solved the same way, down to at most
+    :data:`_SCAN_BASE` maps that a scalar loop carries.  One product
+    then applies each map to its start.  The maps compose as
+    (n + 1) x (n + 1) matrices with the last row (0, ..., 0, 1).  Returns
+    the states as an (n, B) array; a map that is not finite leaves a
+    path that is not finite either.
     """
     n, m, b = maps.shape
-    dtype = maps.dtype
-    width = math.isqrt(b - 1) + 1
+    if b <= _SCAN_BASE:
+        path = []
+        s = list(start)
+        for whole in maps.transpose(2, 0, 1).tolist():
+            affine = (*s, 1.0)
+            s = [sum(map(mul, row, affine)) for row in whole]
+            path.append(s)
+        return np.array(path).T
+    width = max(2, round(b ** (1.0 / 3.0)))
     rows = -(-b // width)
     full = b // width
     # step j of sub-block i at [j, :, :, i]: one step of every sub-block
     # is contiguous; steps past the block are zero maps, which no state
     # reads
-    lay = np.zeros((width, m, m, rows), dtype=dtype)
+    lay = np.zeros((width, m, m, rows), dtype=maps.dtype)
     lay[:, n, n] = 1.0
     lay[:, :n, :, :full] = maps[:, :, : full * width].reshape(n, m, full, width).transpose(3, 0, 1, 2)
     lay[: b - full * width, :n, :, full:] = maps[:, :, full * width :, None].transpose(2, 0, 1, 3)
     del maps
-    step = np.empty_like(lay[0])
+    step = np.empty_like(lay[0, :n])
     for j in range(1, width):
-        np.einsum("ims,mks->iks", lay[j], lay[j - 1], out=step)
-        lay[j] = step
-    starts = []
-    s = list(start)
-    for whole in lay[-1, :n].transpose(2, 0, 1).tolist():
-        s.append(1.0)
-        starts.append(s)
-        s = [sum(map(mul, row, s)) for row in whole]
-    path = np.einsum("jiks,ks->jis", lay[:, :n], np.array(starts).T)
+        np.einsum("ims,mks->iks", lay[j, :n], lay[j - 1], out=step)
+        lay[j, :n] = step
+    ends = affine_scan(lay[-1, :n], start)
+    starts = np.empty((m, rows), dtype=np.result_type(ends, lay))
+    starts[:n, 0] = start
+    starts[:n, 1:] = ends[:, :-1]
+    starts[n] = 1.0
+    path = np.einsum("jiks,ks->jis", lay[:, :n], starts)
     return path.transpose(1, 2, 0).reshape(n, rows * width)[:, :b]

@@ -346,12 +346,10 @@ def _reduced_run(couplings, src, rate, w, mem, params, init, grid, real=False):
     gamma_l = params.gamma_L
 
     def stage(cav, sto, rev, bck, src, g, e, x, z):
-        return (
-            cav * x + src - z - rate * g,
-            sto * x,
-            rev * e + bck * g - gamma_l * x,
-            -w * z + mem * g,
-        )
+        dg = cav * x + src - z
+        if rate:
+            dg = dg - rate * g
+        return dg, sto * x, rev * e + bck * g - gamma_l * x, -w * z + mem * g
 
     def rates(cav, sto, rev, bck, src):
         return cav + sto + rev + bck + abs(rate) + abs(gamma_l) + abs(w) + abs(mem) + 1.0, src
