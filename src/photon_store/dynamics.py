@@ -20,15 +20,23 @@ comb is linear with a constant diagonal generator, so
 :func:`simulate_discrete_bath` writes its RK4 step out exactly instead
 of evaluating four vector stages.
 
-The system amplitudes step as Python scalars: complex numbers, or
-floats where the reduced equations are real (:func:`_real_field`, on
-resonance), bit for bit and at about half the cost.  On resonance the
-oracle likewise steps only the positive half of its mirrored comb, as
-floats, with the other half its conjugate.  :func:`_feed`
-hands each loop its half-lattice couplings and sources one block of
-:data:`_BLOCK` steps at a time, so a loop holds no whole-grid list and
-its memory beyond the output arrays does not grow with the grid.  The
-oracle's Fourier projection likewise takes one block of modes at a time.
+The reduced equations are a linear system of four amplitudes, and an
+RK4 step of a linear system is exactly an affine map s -> M_k s + c_k.
+:func:`simulate_nonmarkovian` and :func:`simulate_markovian` build those
+maps one block of :data:`_BLOCK` steps at a time and solve their
+recurrence by a sub-block scan (:func:`_affine_run`), in floats where
+the reduced equations are real (:func:`_real_field`, on resonance) and
+in complex numbers otherwise; the dark-state route does the same.  The
+scalar loop each route stands for (:func:`_reduced_loop`) steps the
+amplitudes as Python numbers; it is the bit-for-bit RK4 reference, and
+the path of a run whose blocks cannot settle, whose raise is the
+:class:`NonFiniteState` contract.  The oracle's comb loop steps its
+system amplitudes the same way, and on resonance only the positive half
+of its mirrored comb, as floats, with the other half its conjugate.
+Every route takes its half-lattice couplings and sources one block at a
+time (:func:`_feed` hands them to a loop), so its memory beyond the
+output arrays does not grow with the grid.  The oracle's Fourier
+projection likewise takes one block of modes at a time.
 """
 
 from __future__ import annotations
@@ -388,9 +396,9 @@ def simulate_nonmarkovian(
     is its multiple (2 / sqrt(big_gamma)) Z.  The anticipated input N is
     integrated backward once before the forward sweep.
 
-    Beyond the series it returns, the run holds N and one block of the
-    loop's inputs: phi_in is formed before N, and N is freed with the
-    loop, ahead of y and phi_out.
+    Beyond the series it returns, the run holds N and one block of
+    inputs and affine maps: phi_in is formed before N, and N is freed
+    after the run, ahead of y and phi_out.
     """
     grid.require_cover(pulse.duration)
     w = params.bandwidth_w

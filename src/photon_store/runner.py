@@ -154,8 +154,8 @@ def load_pulse(cfg: ScenarioConfig) -> InputPulse:
 
 
 # cost ceilings of one run: a simulate run holds about 0.27 kB per grid
-# step (0.25 GiB at the ceiling; a traced peak of 280 B a step at
-# dt = 1e-4 and 264 B at 1e-5); the oracle steps every bath mode at
+# step (0.25 GiB at the ceiling; a fig2c run's traced peak is 277 B a
+# step at dt = 1e-4 and 264 B at 1e-5); the oracle steps every bath mode at
 # every grid step (about 15 ns a mode-step, 4 s at the ceiling), and its
 # mode vectors (dynamics.comb_bytes: 224 B a mode, whatever the grid)
 # get at most 0.85 GiB
