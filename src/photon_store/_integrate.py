@@ -216,12 +216,12 @@ def rk4_affine_maps(stage, couplings, sources, n_state: int, dt: float) -> np.nd
     ``couplings`` and ``sources`` hold the block's B steps of half-lattice
     series (2B + 1 samples each), and ``stage(*couplings, *sources, *s)``
     is the system's right-hand side at one lattice position, written as
-    the scalar loop writes it; it returns new arrays.  The four stages are applied at once to
-    the identity and to the source: component i of the state is row i of
-    [I | 0], and each source is lifted into the last column, the affine
-    part, so every stage is elementwise over the steps.  Returns
-    [M_k | c_k] as an array of shape (n, n + 1, B), of floats where the
-    inputs are.
+    the scalar loop writes it; it returns new arrays.  The four stages
+    are applied at once to the identity and to the source: component i
+    of the state is row i of [I | 0], and each source is lifted into the
+    last column, the affine part, so every stage is elementwise over the
+    steps.  Returns [M_k | c_k] as an array of shape (n, n + 1, B), of
+    floats where the inputs are.
     """
     b = (couplings[0].shape[0] - 1) // 2
     at = [(a[0:-1:2], a[1::2], a[2::2]) for a in couplings]

@@ -210,14 +210,15 @@ def _affine_run(stage, series, rates, start, dest, dt: float) -> bool:
     ``series(k0, k1)`` gives the couplings and the sources of steps
     ``k0 .. k1 - 1`` on the half lattice and ``stage`` the right-hand
     side, as for :func:`rk4_affine_maps`; ``rates`` maps the block's
-    largest input moduli to bounds (a, f) on the coefficient moduli of
-    any one component's slope and on the source.  Writes the states after each
-    step into ``dest[i][1:]``, one array per component.  Returns False
-    at the first block it cannot settle: one whose path is not finite,
-    or comes near enough to overflow for a stage of the scalar loop it
-    stands for to.  With |s| <= sigma (the sum of the moduli), every
-    stage state of a step stays below grow^3 (sigma + dt f) and every
-    slope term below a grow^3 (sigma + dt f) + f, with grow = 1 + dt a.
+    largest input moduli to bounds (a, f) on the summed coefficient
+    moduli of any one component's slope and on its source.  Writes the
+    states after each step into ``dest[i][1:]``, one array per
+    component.  Returns False at the first block it cannot settle: one
+    whose path is not finite, or comes near enough to overflow for a
+    stage of the scalar loop it stands for to.  With |s| <= sigma (the
+    sum of the moduli), every stage state of a step stays below
+    grow^3 (sigma + dt f) and every slope term below
+    a grow^3 (sigma + dt f) + f, with grow = 1 + dt a.
     """
     n = dest[0].shape[0] - 1
     state = list(start)
@@ -230,6 +231,10 @@ def _affine_run(stage, series, rates, start, dest, dt: float) -> bool:
             a, f = rates(*(float(np.max(np.abs(v))) for v in inputs))
             sigma = max(sum(map(abs, state)), float(np.max(np.sum(np.abs(path), axis=0))))
             grow = 1.0 + dt * a
+            # the stage states and the weighted sum of the four slopes
+            # stay below this; a quarter of the float maximum leaves a
+            # factor 2 for a complex product's two terms and 2 for the
+            # loop's rounding apart from the blocks
             if not (6.0 * a + 1.0) * grow * grow * grow * (sigma + dt * f) + 6.0 * f < _FLOAT_MAX / 4.0:
                 return False
             for out, p in zip(dest, path):
@@ -355,7 +360,7 @@ def _reduced_run(couplings, src, rate, w, mem, params, init, grid, real=False):
 
     def stage(cav, sto, rev, bck, src, g, e, x, z):
         dg = cav * x + src - z
-        if rate:
+        if rate:  # the memory-kernel route has none: spare the product
             dg = dg - rate * g
         return dg, sto * x, rev * e + bck * g - gamma_l * x, -w * z + mem * g
 

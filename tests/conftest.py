@@ -153,6 +153,22 @@ def loop_run():
     return _loop_run
 
 
+@pytest.fixture
+def built_map_types(monkeypatch):
+    """The dtypes of the affine maps that the forward routes build in
+    the test, collected as they are built."""
+    seen = set()
+    build = dynamics.rk4_affine_maps
+
+    def spy(*args):
+        maps = build(*args)
+        seen.add(maps.dtype)
+        return maps
+
+    monkeypatch.setattr(dynamics, "rk4_affine_maps", spy)
+    return seen
+
+
 @pytest.fixture(scope="session")
 def rk4():
     """Classical RK4 of an explicit vector right-hand side: the

@@ -248,24 +248,10 @@ def test_adiabatic_run_tracks_the_scalar_loop_across_blocks(pulse, block_dark, l
         assert np.max(np.abs(got - want)) <= DARK_REL * np.max(np.abs(want)), name
 
 
-def built_map_types(monkeypatch):
-    seen = set()
-    build = dynamics.rk4_affine_maps
-
-    def spy(*args):
-        maps = build(*args)
-        seen.add(maps.dtype)
-        return maps
-
-    monkeypatch.setattr(dynamics, "rk4_affine_maps", spy)
-    return seen
-
-
-def test_adiabatic_run_builds_float_maps(pulse, dark_case, monkeypatch):
+def test_adiabatic_run_builds_float_maps(pulse, dark_case, built_map_types):
     _, dark = dark_case(30.0, 0.5)
-    seen = built_map_types(monkeypatch)
     ps.adiabatic_simulate(pulse, dark)
-    assert seen == {np.dtype(float)}
+    assert built_map_types == {np.dtype(float)}
 
 
 def counted_loop_runs(monkeypatch):

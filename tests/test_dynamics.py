@@ -631,24 +631,10 @@ def test_block_recurrences_track_the_scalar_loops_over_draws(
             assert_tracks_the_loop(solve(*args), loop_run(solve, *args))
 
 
-def built_map_types(monkeypatch):
-    """The dtypes of the affine maps the forward routes build."""
-    seen = set()
-    build = dynamics.rk4_affine_maps
-
-    def spy(*args):
-        maps = build(*args)
-        seen.add(maps.dtype)
-        return maps
-
-    monkeypatch.setattr(dynamics, "rk4_affine_maps", spy)
-    return seen
-
-
 @pytest.mark.parametrize("case", ["resonant", "delta1", "complex_drive", "imaginary_g"])
 @pytest.mark.parametrize("solver", SOLVERS)
 def test_only_resonant_real_runs_build_float_maps(
-    pulse, resonant_blocks, make_params, monkeypatch, solver, case
+    pulse, resonant_blocks, make_params, built_map_types, solver, case
 ):
     params, grid, _, drives = resonant_blocks
     drive, init = drives["builtin", "designed"], REAL_STARTS["matched"]
@@ -659,9 +645,8 @@ def test_only_resonant_real_runs_build_float_maps(
         drive[100] += 1e-12j
     elif case == "imaginary_g":
         init = ps.InitialState(g_amp=0.1j)
-    seen = built_map_types(monkeypatch)
     SOLVERS[solver](pulse, drive, params, init, grid)
-    assert seen == {np.dtype(float) if case == "resonant" else np.dtype(complex)}
+    assert built_map_types == {np.dtype(float if case == "resonant" else complex)}
 
 
 def counted_loop_runs(monkeypatch):
