@@ -22,8 +22,8 @@ whose first non-finite y raises.
 
 The forward routes are small linear systems s' = A(t) s + f(t), and an
 RK4 step of one is likewise an affine map s -> M_k s + c_k.
-:func:`rk4_affine_maps` builds a block of those maps elementwise, and
-:func:`affine_scan` solves their recurrence by a recursive sub-block
+:func:`_rk4_affine_maps` builds a block of those maps elementwise, and
+:func:`_affine_scan` solves their recurrence by a recursive sub-block
 scan; neither calls BLAS.
 """
 
@@ -40,7 +40,7 @@ from .errors import NonFiniteState
 _EXP_ROOM = 700.0
 _FLOAT_MAX = float(np.finfo(float).max)
 # at most this many affine maps are carried by a scalar loop in
-# affine_scan; longer runs of maps split into sub-blocks
+# _affine_scan; longer runs of maps split into sub-blocks
 _SCAN_BASE = 16
 
 
@@ -209,7 +209,7 @@ def _rk4_linear(
     return path
 
 
-def rk4_affine_maps(stage, couplings, sources, n_state: int, dt: float) -> np.ndarray:
+def _rk4_affine_maps(stage, couplings, sources, n_state: int, dt: float) -> np.ndarray:
     """The RK4 steps of one block of the linear system s' = A(t) s + f(t)
     as affine maps ``s_{k+1} = M_k s_k + c_k``.
 
@@ -255,10 +255,10 @@ def rk4_affine_maps(stage, couplings, sources, n_state: int, dt: float) -> np.nd
     return maps
 
 
-def affine_scan(maps: np.ndarray, start) -> np.ndarray:
+def _affine_scan(maps: np.ndarray, start) -> np.ndarray:
     """States s_1 .. s_B of ``s_{k+1} = M_k s_k + c_k`` from ``start``.
 
-    ``maps`` holds [M_k | c_k] as :func:`rk4_affine_maps` gives them.
+    ``maps`` holds [M_k | c_k] as :func:`_rk4_affine_maps` gives them.
     The B steps split into sub-blocks of L ~ B^(1/3) steps: L - 1
     products, each over all sub-blocks at once, give every step's map
     from the start of its sub-block.  The sub-blocks' whole maps form
@@ -294,7 +294,7 @@ def affine_scan(maps: np.ndarray, start) -> np.ndarray:
     for j in range(1, width):
         np.einsum("ims,mks->iks", lay[j, :n], lay[j - 1], out=step)
         lay[j, :n] = step
-    ends = affine_scan(lay[-1, :n], start)
+    ends = _affine_scan(lay[-1, :n], start)
     starts = np.empty((m, rows), dtype=np.result_type(ends, lay))
     starts[:n, 0] = start
     starts[:n, 1:] = ends[:, :-1]

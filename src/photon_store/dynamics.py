@@ -48,7 +48,7 @@ from itertools import islice
 
 import numpy as np
 
-from ._integrate import _FLOAT_MAX, affine_scan, half_lattice_block, rk4_affine_maps
+from ._integrate import _FLOAT_MAX, _affine_scan, _rk4_affine_maps, half_lattice_block
 from .errors import BandTooNarrow, GridMismatch, NonFiniteState
 from .grid import TimeGrid
 from .model import InputPulse, PhysicalParams, future_drive
@@ -204,12 +204,12 @@ def _feed(n: int, series):
 
 def _affine_run(stage, series, rates, start, dest, dt: float) -> bool:
     """Step an RK4 route of s' = A(t) s + f(t) block by block as affine
-    recurrences (:func:`rk4_affine_maps`, :func:`affine_scan`), each
+    recurrences (:func:`_rk4_affine_maps`, :func:`_affine_scan`), each
     block from the end state of the one before.
 
     ``series(k0, k1)`` gives the couplings and the sources of steps
     ``k0 .. k1 - 1`` on the half lattice and ``stage`` the right-hand
-    side, as for :func:`rk4_affine_maps`; ``rates`` maps the block's
+    side, as for :func:`_rk4_affine_maps`; ``rates`` maps the block's
     largest input moduli to bounds (a, f) on the summed coefficient
     moduli of any one component's slope and on its source.  Writes the
     states after each step into ``dest[i][1:]``, one array per
@@ -226,7 +226,7 @@ def _affine_run(stage, series, rates, start, dest, dt: float) -> bool:
         for k0 in range(0, n, _BLOCK):
             k1 = min(k0 + _BLOCK, n)
             couplings, sources = series(k0, k1)
-            path = affine_scan(rk4_affine_maps(stage, couplings, sources, len(state), dt), state)
+            path = _affine_scan(_rk4_affine_maps(stage, couplings, sources, len(state), dt), state)
             inputs = (*couplings, *sources)
             a, f = rates(*(float(np.max(np.abs(v))) for v in inputs))
             sigma = max(sum(map(abs, state)), float(np.max(np.sum(np.abs(path), axis=0))))

@@ -1,7 +1,8 @@
 """Shared fixtures: one pulse, one lab grid, cached designs, the
 generic RK4 that the package's unrolled stepping loops are checked
-against, a switch that makes the forward routes step those loops, the scalar RK4 loops of the two bath terms that the package
-now solves as array recurrences, and the direct reference formulas
+against, a switch that makes the forward routes step those loops, the
+scalar RK4 loops of the two bath terms that the package now solves as
+array recurrences, and the direct reference formulas
 (kernels, convolutions, rotations) that only the tests use, and the
 traced memory peak of a call.
 
@@ -158,14 +159,14 @@ def built_map_types(monkeypatch):
     """The dtypes of the affine maps that the forward routes build in
     the test, collected as they are built."""
     seen = set()
-    build = dynamics.rk4_affine_maps
+    build = dynamics._rk4_affine_maps
 
     def spy(*args):
         maps = build(*args)
         seen.add(maps.dtype)
         return maps
 
-    monkeypatch.setattr(dynamics, "rk4_affine_maps", spy)
+    monkeypatch.setattr(dynamics, "_rk4_affine_maps", spy)
     return seen
 
 

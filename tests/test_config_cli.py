@@ -1370,13 +1370,13 @@ def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     and a pooled 12-point W sweep write the same bytes on two BLAS
     threads as on one: the design chain and the block recurrences of the
     forward routes call no BLAS, and a user's thread count wins over the
-    CLI's default.  Criterion
-    10's oracle (4000 modes over +-160 MHz, W = 1.7, the default dt)
-    writes the same bytes with ``OPENBLAS_NUM_THREADS`` unset and set to
-    1: its comb projection and stepping call BLAS, whose last bits depend
-    on the thread count, so the CLI runs BLAS on one thread unless told
-    otherwise.  On a one-core host the oracle's two runs both have one
-    thread, and that part passes trivially."""
+    CLI's default.  Criterion 10's oracle (4000 modes over +-160 MHz,
+    W = 1.7, the default dt) writes the same bytes with
+    ``OPENBLAS_NUM_THREADS`` unset and set to 1: its comb projection and
+    stepping call BLAS, whose last bits depend on the thread count, so
+    the CLI runs BLAS on one thread unless told otherwise.  On a one-core
+    host the oracle's two runs both have one thread, and that part passes
+    trivially."""
     widths = ", ".join(f"{w:.6g}" for w in np.geomspace(0.5, 25.0, 12))
     configs = {
         "design": ("preset = fig2a\n", "2"),
