@@ -213,8 +213,9 @@ def _rk4_affine_maps(stage, couplings, sources, n_state: int, dt: float) -> np.n
     """The RK4 steps of one block of the linear system s' = A(t) s + f(t)
     as affine maps ``s_{k+1} = M_k s_k + c_k``.
 
-    ``couplings`` and ``sources`` hold the block's B steps of half-lattice
-    series (2B + 1 samples each), and ``stage(*couplings, *sources, *s)``
+    ``sources`` hold the block's B steps of half-lattice series (2B + 1
+    samples each), and so do ``couplings``, or a number where one is
+    constant over the block; ``stage(*couplings, *sources, *s)``
     is the system's right-hand side at one lattice position, written as
     the scalar loop writes it; it returns new arrays.  The four stages
     are applied at once to the identity and to the source: component i
@@ -223,8 +224,8 @@ def _rk4_affine_maps(stage, couplings, sources, n_state: int, dt: float) -> np.n
     steps.  Returns [M_k | c_k] as an array of shape (n, n + 1, B), of
     floats where the inputs are.
     """
-    b = (couplings[0].shape[0] - 1) // 2
-    at = [(a[0:-1:2], a[1::2], a[2::2]) for a in couplings]
+    b = (sources[0].shape[0] - 1) // 2
+    at = [(a, a, a) if np.ndim(a) == 0 else (a[0:-1:2], a[1::2], a[2::2]) for a in couplings]
 
     def slopes(pos, state):
         lifted = []

@@ -351,12 +351,26 @@ def _reduced_loop(couplings, src, rate, w, mem, params, init, grid, real=False):
     return pg, pe, px, pz
 
 
-def _reduced_run(couplings, src, rate, w, mem, params, init, grid, real=False):
-    """The path of :func:`_reduced_loop`, solved block by block as affine
-    recurrences (:func:`_affine_run`) on the same couplings and sources,
-    in floats with ``real``.  A path the blocks cannot settle is stepped
-    by that loop, whose raise is the contract."""
+def _reduced_run(drive, src, rate, w, mem, params, init, grid):
+    """g, e, x and Z on the grid: the path of :func:`_reduced_loop` on the
+    couplings of :func:`_couplings` and the source ``src``, solved block
+    by block as affine recurrences (:func:`_affine_run`).  Where
+    :func:`_real_field` holds, the blocks build float maps from couplings
+    taken straight from g_cav and the drive, g_cav as a number: for a
+    finite drive they are the values the complex couplings give, and a
+    block with a sample that is not finite does not settle.  A path the
+    blocks cannot settle is stepped by that loop, whose raise is the
+    contract."""
     gamma_l = params.gamma_L
+    real = _real_field(drive, params, init)
+    couplings = _couplings(drive, params, grid, real)
+    blocks = couplings
+    if real:
+        om, g_cav = drive.real, params.g_cav
+
+        def blocks(k0, k1):
+            om_h = half_lattice_block(om, k0, k1)
+            return g_cav, om_h, -om_h, -g_cav
 
     def stage(cav, sto, rev, bck, src, g, e, x, z):
         dg = cav * x + src - z
@@ -368,7 +382,7 @@ def _reduced_run(couplings, src, rate, w, mem, params, init, grid, real=False):
         return cav + sto + rev + bck + abs(rate) + abs(gamma_l) + abs(w) + abs(mem) + 1.0, src
 
     def inputs(k0, k1):
-        return couplings(k0, k1), (src(k0, k1),)
+        return blocks(k0, k1), (src(k0, k1),)
 
     n = grid.n_steps
     pg = np.empty(n + 1, dtype=complex)
@@ -408,14 +422,10 @@ def simulate_nonmarkovian(
     grid.require_cover(pulse.duration)
     w = params.bandwidth_w
     drive = _grid_drive(drive, grid)
-    real = _real_field(drive, params, init)
-    couplings = _couplings(drive, params, grid, real)
     phi_in = pulse.value(grid.times)
     src = partial(half_lattice_block, future_drive(pulse, params, grid))
     mem = 0.5 * w * params.big_gamma
-    pg, pe, px, pz = _reduced_run(
-        couplings, src, 0.0, w, mem, params, init, grid, real
-    )
+    pg, pe, px, pz = _reduced_run(drive, src, 0.0, w, mem, params, init, grid)
     del src
     # h = (2 / sqrt(big_gamma)) f, so y = integral h G is that multiple of Z
     py = (2.0 / math.sqrt(params.big_gamma)) * pz
@@ -440,17 +450,13 @@ def simulate_markovian(
     grid.require_cover(pulse.duration)
     root_gamma = math.sqrt(params.big_gamma)
     drive = _grid_drive(drive, grid)
-    real = _real_field(drive, params, init)
-    couplings = _couplings(drive, params, grid, real)
 
     def src(k0, k1):
         return root_gamma * pulse.value(grid.half_times_block(k0, k1))
 
     phi_in = pulse.value(grid.times)
     rate = 0.5 * params.big_gamma
-    pg, pe, px, pz = _reduced_run(
-        couplings, src, rate, 0.0, 0.0, params, init, grid, real
-    )
+    pg, pe, px, pz = _reduced_run(drive, src, rate, 0.0, 0.0, params, init, grid)
     return _trajectory(grid, phi_in, pg, pe, px, pz, root_gamma * pg)
 
 

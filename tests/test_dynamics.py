@@ -561,7 +561,7 @@ def test_a_start_whose_minus_zero_part_persists_steps_complex(
 # the block recurrences sum each step's RK4 stages in another order than
 # the scalar loops; over the presets' parameters and 36 random draws at
 # dt = 1e-4 and 1e-3 the largest gap, relative to a series' largest
-# modulus, was 3.2e-13 (x of the memory-kernel route at W = 1)
+# modulus, was 3.6e-13 (x of the memory-kernel route at W = 1)
 SCAN_REL = 1e-12
 
 
