@@ -364,11 +364,11 @@ def _reduced_run(drive, src, rate, w, mem, params, init, grid):
     gamma_l = params.gamma_L
     real = _real_field(drive, params, init)
     couplings = _couplings(drive, params, grid, real)
-    blocks = couplings
+    map_couplings = couplings
     if real:
         om, g_cav = drive.real, params.g_cav
 
-        def blocks(k0, k1):
+        def map_couplings(k0, k1):
             om_h = half_lattice_block(om, k0, k1)
             return g_cav, om_h, -om_h, -g_cav
 
@@ -382,7 +382,7 @@ def _reduced_run(drive, src, rate, w, mem, params, init, grid):
         return cav + sto + rev + bck + abs(rate) + abs(gamma_l) + abs(w) + abs(mem) + 1.0, src
 
     def inputs(k0, k1):
-        return blocks(k0, k1), (src(k0, k1),)
+        return map_couplings(k0, k1), (src(k0, k1),)
 
     n = grid.n_steps
     pg = np.empty(n + 1, dtype=complex)
