@@ -5,11 +5,11 @@ The classical RK4 stages need the driving terms at t, t + dt/2 and
 t + dt.  Drivers known only on the grid (a designed drive, the
 anticipated input, the mixing angle) are therefore interpolated once
 onto the half lattice -- grid points interleaved with cubic midpoints --
-and the scalar stepping loops in ``dynamics`` and ``dark_state`` read
-them by half-lattice *index* instead of by time, which keeps each loop
-free of interpolation and bitwise reproducible.  The loops take them
-one block of steps at a time (:func:`half_lattice_block`), so no loop
-holds a whole half lattice.
+and the forward routes in ``dynamics`` and ``dark_state`` read them by
+half-lattice *index* instead of by time, which keeps each route free of
+interpolation and bitwise reproducible.  The routes take them one block
+of steps at a time (:func:`half_lattice_block`), so no route holds a
+whole half lattice.
 
 The two bath terms of the drive design (the anticipated input N and the
 memory Z) each obey one scalar equation y' = lam y + f, because a
@@ -22,9 +22,11 @@ whose first non-finite y raises.
 
 The forward routes are small linear systems s' = A(t) s + f(t), and an
 RK4 step of one is likewise an affine map s -> M_k s + c_k.
-:func:`_rk4_affine_maps` builds a block of those maps elementwise, and
-:func:`_affine_scan` solves their recurrence by a recursive sub-block
-scan; neither calls BLAS.
+:func:`_rk4_affine_maps` builds a block of those maps elementwise from
+the system's right-hand side, and :func:`_affine_scan` solves their
+recurrence by a recursive sub-block scan; neither calls BLAS.  The one
+scalar RK4 loop of those routes, ``dynamics._rk4_loop``, steps the same
+right-hand side where the blocks cannot settle.
 """
 
 from __future__ import annotations
@@ -216,8 +218,9 @@ def _rk4_affine_maps(stage, couplings, sources, n_state: int, dt: float) -> np.n
     ``sources`` hold the block's B steps of half-lattice series (2B + 1
     samples each), and so do ``couplings``, or a number where one is
     constant over the block; ``stage(*couplings, *sources, *s)``
-    is the system's right-hand side at one lattice position, written as
-    the scalar loop writes it; it returns new arrays.  The four stages
+    is the system's right-hand side at one lattice position, the one
+    that ``dynamics._rk4_loop`` steps on numbers; on arrays it returns
+    new arrays.  The four stages
     are applied at once to the identity and to the source: component i
     of the state is row i of [I | 0], and each source is lifted into the
     last column, the affine part, so every stage is elementwise over the

@@ -12,8 +12,9 @@ agree wherever g_cav^2 >> gamma_L * big_gamma.
 :func:`adiabatic_simulate` takes classical RK4 steps of the two real
 amplitudes d1 and the memory Q.  Like the forward solvers in
 ``dynamics``, it solves them block by block as affine recurrences in
-floats, and keeps the scalar loop (:func:`_dark_loop`) as the reference
-and as the path for a block the recurrences cannot settle.
+floats, and its right-hand side also drives the one scalar RK4 loop of
+those solvers (``dynamics._rk4_loop``), the reference and the path for
+a block the recurrences cannot settle.
 """
 
 from __future__ import annotations
@@ -25,13 +26,8 @@ from functools import cached_property
 import numpy as np
 
 from ._integrate import cumulative_trapezoid, half_lattice_block
-from .dynamics import _affine_run, _feed
-from .errors import (
-    AngleDomain,
-    NegativeAccumulator,
-    NonFiniteState,
-    UnsupportedRegime,
-)
+from .dynamics import _affine_run, _rk4_loop
+from .errors import AngleDomain, NegativeAccumulator, UnsupportedRegime
 from .grid import TimeGrid
 from .model import InputPulse, PhysicalParams
 from .pulse_design import DesignResult, design_drive
@@ -122,58 +118,6 @@ class AdiabaticRun:
     flux_cumulative: np.ndarray
 
 
-def _dark_loop(inputs, w: float, mem: float, grid: TimeGrid):
-    """d1 and Q on the grid by scalar RK4, fed ``inputs(k0, k1)``, the
-    half-lattice cos(phi) and N of steps ``k0 .. k1 - 1``.
-
-    Scalar RK4 in the layout of the forward solvers in ``dynamics``: the
-    two real amplitudes step as Python floats, with each stage's
-    arithmetic in the order of the vector right-hand side that
-    tests/test_dark_state.py checks this loop against bit for bit.
-    """
-    n = grid.n_steps
-    dt = grid.dt
-    h = dt / 2.0
-    sixth = dt / 6.0
-    pd = np.empty(n + 1)
-    pq = np.empty(n + 1)
-    d, q = 0.0, 0.0
-    pd[0], pq[0] = d, q
-
-    for k0, k1, steps in _feed(n, inputs):
-        od, oq = [], []
-        for c0, c1, c2, n0, n1, n2 in steps:
-            u = c0 * d
-            a1d = c0 * (n0 - q)
-            a1q = -w * q + mem * u
-
-            bd, bq = d + h * a1d, q + h * a1q
-            u = c1 * bd
-            a2d = c1 * (n1 - bq)
-            a2q = -w * bq + mem * u
-
-            bd, bq = d + h * a2d, q + h * a2q
-            u = c1 * bd
-            a3d = c1 * (n1 - bq)
-            a3q = -w * bq + mem * u
-
-            bd, bq = d + dt * a3d, q + dt * a3q
-            u = c2 * bd
-            a4d = c2 * (n2 - bq)
-            a4q = -w * bq + mem * u
-
-            d = d + sixth * (a1d + 2.0 * a2d + 2.0 * a3d + a4d)
-            q = q + sixth * (a1q + 2.0 * a2q + 2.0 * a3q + a4q)
-
-            tot = abs(d) + abs(q)
-            if tot != tot or tot == math.inf:
-                raise NonFiniteState.among((k0 + len(od) + 1) * dt, d=d, q=q)
-            od.append(d)
-            oq.append(q)
-        pd[k0 + 1 : k1 + 1], pq[k0 + 1 : k1 + 1] = od, oq
-    return pd, pq
-
-
 def adiabatic_simulate(pulse: InputPulse, dark: DarkDesign) -> AdiabaticRun:
     """Integrate the dark amplitude under the designed mixing angle.
 
@@ -185,10 +129,11 @@ def adiabatic_simulate(pulse: InputPulse, dark: DarkDesign) -> AdiabaticRun:
     dynamics would deposit in d1^2.  The run uses the parameters and grid
     of the design.
 
-    d1 and Q are the RK4 path of :func:`_dark_loop`, solved block by
-    block as affine recurrences (``dynamics._affine_run``) from the same
-    half-lattice cos(phi) and N; a path the blocks cannot settle is
-    stepped by that loop, whose raise is the contract.
+    d1 and Q are the RK4 path of ``stage`` on the half-lattice cos(phi)
+    and N, solved block by block as affine recurrences
+    (``dynamics._affine_run``); a path the blocks cannot settle is
+    stepped by ``dynamics._rk4_loop`` from the same ``stage``, whose
+    raise is the contract.
     """
     params = dark.design.params
     grid = dark.grid
@@ -197,15 +142,8 @@ def adiabatic_simulate(pulse: InputPulse, dark: DarkDesign) -> AdiabaticRun:
     cos_mixing = dark.cos_mixing
     n_drive = dark.design.n_drive
 
-    def inputs(k0, k1):
-        return (
-            half_lattice_block(cos_mixing, k0, k1),
-            half_lattice_block(n_drive, k0, k1),
-        )
-
     def series(k0, k1):
-        c, nd = inputs(k0, k1)
-        return (c,), (nd,)
+        return (half_lattice_block(cos_mixing, k0, k1),), (half_lattice_block(n_drive, k0, k1),)
 
     def stage(c, nd, d, q):
         u = c * d
@@ -219,7 +157,7 @@ def adiabatic_simulate(pulse: InputPulse, dark: DarkDesign) -> AdiabaticRun:
     pq = np.empty(n + 1)
     pd[0], pq[0] = 0.0, 0.0
     if not _affine_run(stage, series, rates, [0.0, 0.0], [pd, pq], grid.dt):
-        pd, pq = _dark_loop(inputs, w, mem, grid)
+        _rk4_loop(stage, series, [0.0, 0.0], [pd, pq], grid.dt, "dq")
 
     # h = (2 / sqrt(big_gamma)) f, so y = integral h u is that multiple of Q
     py = (2.0 / math.sqrt(params.big_gamma)) * pq

@@ -26,13 +26,14 @@ RK4 step of a linear system is exactly an affine map s -> M_k s + c_k.
 maps one block of :data:`_BLOCK` steps at a time and solve their
 recurrence by a sub-block scan (:func:`_affine_run`), in floats where
 the reduced equations are real (:func:`_real_field`, on resonance) and
-in complex numbers otherwise; the dark-state route does the same.  The
-scalar loop each route stands for (:func:`_reduced_loop`) steps the
-amplitudes as Python numbers; it is the bit-for-bit RK4 reference, and
-the path of a run whose blocks cannot settle, whose raise is the
-:class:`NonFiniteState` contract.  The oracle's comb loop steps its
-system amplitudes the same way, and on resonance only the positive half
-of its mirrored comb, as floats, with the other half its conjugate.
+in complex numbers otherwise; the dark-state route does the same.  One
+scalar loop (:func:`_rk4_loop`) steps each of those routes as Python
+numbers from the same right-hand side its maps are built from; it is
+the bit-for-bit RK4 reference, and the path of a run whose blocks
+cannot settle, whose raise is the :class:`NonFiniteState` contract.
+The oracle's comb loop steps its system amplitudes as Python numbers
+too, and on resonance only the positive half of its mirrored comb, as
+floats, with the other half its conjugate.
 Every route takes its half-lattice couplings and sources one block at a
 time (:func:`_feed` hands them to a loop), so its memory beyond the
 output arrays does not grow with the grid.  The oracle's Fourier
@@ -188,9 +189,10 @@ def _feed(n: int, series):
     ``series(k0, k1)`` gives the inputs of steps ``k0 .. k1 - 1`` as
     arrays on the half lattice ``2 k0 .. 2 k1``.  Yields ``k0``, ``k1``
     and an iterator over those steps: for step k, each array's samples
-    at 2k, 2k + 1 and 2k + 2 in turn, as Python numbers.  The four
-    coupled amplitudes are too small a state vector to pay per-step
-    array overhead for, and a block bounds what the lists hold.
+    at 2k, 2k + 1 and 2k + 2 in turn, as Python numbers.  The loops of
+    :func:`_rk4_loop` and :func:`simulate_discrete_bath` step a few
+    amplitudes, too small a state vector to pay per-step array overhead
+    for, and a block bounds what the lists hold.
     """
     for k0 in range(0, n, _BLOCK):
         k1 = min(k0 + _BLOCK, n)
@@ -243,6 +245,55 @@ def _affine_run(stage, series, rates, start, dest, dt: float) -> bool:
     return True
 
 
+def _rk4_loop(stage, series, start, dest, dt: float, names) -> None:
+    """Step the RK4 route that :func:`_affine_run` solves in blocks one
+    step at a time, on Python numbers: the bit-for-bit RK4 reference of
+    the route, and the path of a run whose blocks cannot settle.
+
+    ``stage``, ``series``, ``start`` and ``dest`` are those of
+    :func:`_affine_run`, with every coupling an array; :func:`_feed`
+    hands the loop each step's inputs at 2k, 2k + 1 and 2k + 2, so the
+    four stages evaluate ``stage`` as the affine maps do.  Writes the
+    states after each step into ``dest[i][1:]``.  Raises
+    :class:`NonFiniteState` at the first step whose state is not finite
+    or whose sum of moduli overflows, naming the components by
+    ``names``.
+    """
+    n = dest[0].shape[0] - 1
+    h = dt / 2.0
+    sixth = dt / 6.0
+    s = list(start)
+
+    def inputs(k0, k1):
+        couplings, sources = series(k0, k1)
+        return (*couplings, *sources)
+
+    for k0, k1, steps in _feed(n, inputs):
+        path = []
+        for at in steps:
+            mid = at[1::3]
+            a1 = stage(*at[0::3], *s)
+            a2 = stage(*mid, *[v + h * a for v, a in zip(s, a1)])
+            a3 = stage(*mid, *[v + h * a for v, a in zip(s, a2)])
+            a4 = stage(*at[2::3], *[v + dt * a for v, a in zip(s, a3)])
+            s = [
+                v + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                for v, b1, b2, b3, b4 in zip(s, a1, a2, a3, a4)
+            ]
+            tot = 0.0
+            try:
+                for v in s:
+                    tot += abs(v)
+            except OverflowError:  # a modulus past the float maximum
+                tot = math.inf
+            if tot != tot or tot == math.inf:
+                t = (k0 + len(path) + 1) * dt
+                raise NonFiniteState.among(t, **dict(zip(names, s)))
+            path.append(s)
+        for out, p in zip(dest, zip(*path)):
+            out[k0 + 1 : k1 + 1] = p
+
+
 def _trajectory(grid, phi_in, g, e, x, z_mem, y_out) -> Trajectory:
     """The input-output relation ``phi_out = y_out - phi_in`` on the grid.
 
@@ -264,103 +315,24 @@ def _trajectory(grid, phi_in, g, e, x, z_mem, y_out) -> Trajectory:
     )
 
 
-def _reduced_loop(couplings, src, rate, w, mem, params, init, grid, real=False):
-    """Step g, e, x and the pseudomode Z of the reduced equations
+def _reduced_run(drive, src, rate, w, mem, params, init, grid):
+    """g, e, x and Z on the grid: the RK4 path of the reduced equations
 
         G' = cav X + src - Z - rate G,   Z' = -w Z + mem G,
 
-    with the atom block of :func:`_couplings`; ``src(k0, k1)`` gives the
-    source on the half lattice ``2 k0 .. 2 k1``.  Returns the four
-    amplitudes on the grid.
-
-    With ``real`` the same body steps floats: g, e and Z are the real
-    parts and y = Im x stands in x's place, with the real couplings and
-    a real source (N and sqrt(big_gamma) phi_in are).
-    Every complex product then has one exactly zero term, so each
-    nonzero part takes the complex loop's operations in its order and
-    its bits, and the zero parts, +0 at every step of the complex loop,
-    are written as +0.  A float step costs about half a complex one.
-    """
-    gamma_l = params.gamma_L
-    n = grid.n_steps
-    dt = grid.dt
-    h = dt / 2.0
-    sixth = dt / 6.0
-    pg = np.empty(n + 1, dtype=complex)
-    pe = np.empty(n + 1, dtype=complex)
-    px = np.zeros(n + 1, dtype=complex)
-    pz = np.empty(n + 1, dtype=complex)
-    g, e, x = complex(init.g_amp), complex(init.e_amp), complex(init.x_amp)
-    z = 0.0 + 0.0j
-    pg[0], pe[0], px[0], pz[0] = g, e, x, z
-    xs = px
-    if real:
-        # y = Im x fills x's imaginary part; its real part stays +0
-        g, e, x, z, xs = g.real, e.real, x.imag, 0.0, px.imag
-
-    def inputs(k0, k1):
-        return (*couplings(k0, k1), src(k0, k1))
-
-    for k0, k1, steps in _feed(n, inputs):
-        og, oe, ox, oz = [], [], [], []
-        for (
-            cav0, cav1, cav2, sto0, sto1, sto2,
-            rev0, rev1, rev2, bck0, bck1, bck2, src0, src1, src2,
-        ) in steps:
-            a1g = cav0 * x + src0 - z - rate * g
-            a1e = sto0 * x
-            a1x = rev0 * e + bck0 * g - gamma_l * x
-            a1z = -w * z + mem * g
-
-            bg, be, bx, bz = g + h * a1g, e + h * a1e, x + h * a1x, z + h * a1z
-            a2g = cav1 * bx + src1 - bz - rate * bg
-            a2e = sto1 * bx
-            a2x = rev1 * be + bck1 * bg - gamma_l * bx
-            a2z = -w * bz + mem * bg
-
-            bg, be, bx, bz = g + h * a2g, e + h * a2e, x + h * a2x, z + h * a2z
-            a3g = cav1 * bx + src1 - bz - rate * bg
-            a3e = sto1 * bx
-            a3x = rev1 * be + bck1 * bg - gamma_l * bx
-            a3z = -w * bz + mem * bg
-
-            bg, be, bx, bz = g + dt * a3g, e + dt * a3e, x + dt * a3x, z + dt * a3z
-            a4g = cav2 * bx + src2 - bz - rate * bg
-            a4e = sto2 * bx
-            a4x = rev2 * be + bck2 * bg - gamma_l * bx
-            a4z = -w * bz + mem * bg
-
-            g = g + sixth * (a1g + 2.0 * a2g + 2.0 * a3g + a4g)
-            e = e + sixth * (a1e + 2.0 * a2e + 2.0 * a3e + a4e)
-            x = x + sixth * (a1x + 2.0 * a2x + 2.0 * a3x + a4x)
-            z = z + sixth * (a1z + 2.0 * a2z + 2.0 * a3z + a4z)
-
-            try:
-                tot = abs(g) + abs(e) + abs(x) + abs(z)
-            except OverflowError:  # a modulus past the float maximum
-                tot = math.inf
-            if tot != tot or tot == math.inf:
-                t = (k0 + len(og) + 1) * dt
-                raise NonFiniteState.among(t, g=g, e=e, x=x, z=z)
-            og.append(g)
-            oe.append(e)
-            ox.append(x)
-            oz.append(z)
-        pg[k0 + 1 : k1 + 1], pe[k0 + 1 : k1 + 1] = og, oe
-        xs[k0 + 1 : k1 + 1], pz[k0 + 1 : k1 + 1] = ox, oz
-    return pg, pe, px, pz
-
-
-def _reduced_run(drive, src, rate, w, mem, params, init, grid):
-    """g, e, x and Z on the grid: the path of :func:`_reduced_loop` on the
-    couplings of :func:`_couplings` and the source ``src``, solved block
-    by block as affine recurrences (:func:`_affine_run`).  Where
-    :func:`_real_field` holds, the blocks build float maps from couplings
-    taken straight from g_cav and the drive, g_cav as a number: for a
-    finite drive they are the values the complex couplings give, and a
-    block with a sample that is not finite does not settle.  A path the
-    blocks cannot settle is stepped by that loop, whose raise is the
-    contract."""
+    with the atom block of :func:`_couplings` and the source ``src``,
+    solved block by block as affine recurrences (:func:`_affine_run`).
+    Where :func:`_real_field` holds, the same ``stage`` steps floats: g,
+    e and Z are the real parts and y = Im x stands in x's place.  The
+    blocks then build float maps from couplings taken straight from g_cav
+    and the drive, g_cav as a number: for a finite drive they are the
+    values the complex couplings give, and a block with a sample that is
+    not finite does not settle.  A path the blocks cannot settle is
+    stepped by :func:`_rk4_loop` on the couplings of :func:`_couplings`,
+    whose raise is the contract.  On the real couplings every complex
+    product has one exactly zero term, so each nonzero part takes the
+    complex loop's operations in its order and its bits, and the zero
+    parts, +0 at every step of the complex loop, are written as +0."""
     gamma_l = params.gamma_L
     real = _real_field(drive, params, init)
     couplings = _couplings(drive, params, grid, real)
@@ -384,6 +356,9 @@ def _reduced_run(drive, src, rate, w, mem, params, init, grid):
     def inputs(k0, k1):
         return map_couplings(k0, k1), (src(k0, k1),)
 
+    def loop_inputs(k0, k1):
+        return couplings(k0, k1), (src(k0, k1),)
+
     n = grid.n_steps
     pg = np.empty(n + 1, dtype=complex)
     pe = np.empty(n + 1, dtype=complex)
@@ -396,9 +371,9 @@ def _reduced_run(drive, src, rate, w, mem, params, init, grid):
         # y = Im x fills x's imaginary part; its real part stays +0
         start = [start[0].real, start[1].real, start[2].imag, 0.0]
         dest[2] = px.imag
-    if _affine_run(stage, inputs, rates, start, dest, grid.dt):
-        return pg, pe, px, pz
-    return _reduced_loop(couplings, src, rate, w, mem, params, init, grid, real)
+    if not _affine_run(stage, inputs, rates, start, dest, grid.dt):
+        _rk4_loop(stage, loop_inputs, start, dest, grid.dt, "gexz")
+    return pg, pe, px, pz
 
 
 def simulate_nonmarkovian(

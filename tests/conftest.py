@@ -155,6 +155,23 @@ def loop_run():
 
 
 @pytest.fixture
+def loop_runs(monkeypatch):
+    """The calls of the scalar RK4 loop that the reduced and dark-state
+    routes make in the test: one for each run their blocks cannot
+    settle."""
+    runs = []
+    loop = dynamics._rk4_loop
+
+    def spy(*args):
+        runs.append(args)
+        return loop(*args)
+
+    for module in (dynamics, dark_state):
+        monkeypatch.setattr(module, "_rk4_loop", spy)
+    return runs
+
+
+@pytest.fixture
 def built_map_types(monkeypatch):
     """The dtypes of the affine maps that the forward routes build in
     the test, collected as they are built."""

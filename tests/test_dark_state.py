@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import photon_store as ps
-from photon_store import dark_state, dynamics
+from photon_store import dynamics
 from photon_store._integrate import half_lattice
 from photon_store.errors import (
     AngleDomain,
@@ -254,22 +254,10 @@ def test_adiabatic_run_builds_float_maps(pulse, dark_case, built_map_types):
     assert built_map_types == {np.dtype(float)}
 
 
-def counted_loop_runs(monkeypatch):
-    runs = []
-    loop = dark_state._dark_loop
-
-    def spy(*args):
-        runs.append(args)
-        return loop(*args)
-
-    monkeypatch.setattr(dark_state, "_dark_loop", spy)
-    return runs
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("cause", ["nan_angle", "nan_drive", "huge_drive"])
 def test_a_later_dark_block_that_blows_up_raises_as_the_loop(
-    pulse, block_dark, monkeypatch, loop_run, cause
+    pulse, block_dark, loop_runs, loop_run, cause
 ):
     _, grid, dark = block_dark
     at = 2 * dynamics._BLOCK + 300
@@ -284,10 +272,9 @@ def test_a_later_dark_block_that_blows_up_raises_as_the_loop(
         else:
             n_drive[at:] = 1e308
         broken = replace(dark, design=replace(dark.design, n_drive=n_drive))
-    runs = counted_loop_runs(monkeypatch)
     with pytest.raises(NonFiniteState) as run_err:
         ps.adiabatic_simulate(pulse, broken)
-    assert len(runs) == 1
+    assert len(loop_runs) == 1
     with pytest.raises(NonFiniteState) as loop_err:
         loop_run(ps.adiabatic_simulate, pulse, broken)
     run, loop = run_err.value, loop_err.value
@@ -297,16 +284,15 @@ def test_a_later_dark_block_that_blows_up_raises_as_the_loop(
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_dark_block_near_overflow_is_stepped_by_the_loop(
-    pulse, block_dark, monkeypatch, loop_run
+    pulse, block_dark, loop_runs, loop_run
 ):
     # N scaled to 1e305 drives d1 to 1e305: near enough to the float
     # maximum for the blocks not to settle, yet no stage of the scalar
     # loop overflows
     _, _, dark = block_dark
     huge = replace(dark, design=replace(dark.design, n_drive=1e305 * dark.design.n_drive))
-    runs = counted_loop_runs(monkeypatch)
     run = ps.adiabatic_simulate(pulse, huge)
-    assert len(runs) == 1
+    assert len(loop_runs) == 1
     ref = loop_run(ps.adiabatic_simulate, pulse, huge)
     for name in ("d1", "q_mem"):
         series = getattr(run, name)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import photon_store as ps
-from photon_store import dynamics
+from photon_store import config, dynamics, runner
 from photon_store._integrate import half_lattice
 from photon_store.errors import BandTooNarrow, GridMismatch, InfeasibleDesign, NonFiniteState
 
@@ -351,13 +351,16 @@ def test_reduced_solver_and_rk4_fail_alike_in_a_later_block(
     assert run_err.value.amplitude == named_as_the_loop_names(rk4_err.value, "gexz")
 
 
-def test_reduced_loop_ends_an_overflowing_modulus_in_nonfinite_state():
+def test_reduced_loop_ends_an_overflowing_modulus_in_nonfinite_state(
+    monkeypatch, scalar_loops
+):
     # g = 1.5e308 (1 + 1j) after the one step: both parts are finite,
-    # but abs(g) would raise OverflowError.  The loop reads only
-    # gamma_L of the parameters; the couplings come from the feed
+    # but abs(g) would raise OverflowError.  The loop steps the reduced
+    # stage with zero couplings; of the parameters it reads gamma_L, and
+    # the detuning makes the field complex
     grid = ps.TimeGrid.from_span(6.0, 6.0)
     params = ps.PhysicalParams(
-        g_cav=1.0, gamma_L=0.0, delta1=0.0, delta2=0.0,
+        g_cav=1.0, gamma_L=0.0, delta1=0.7, delta2=0.0,
         big_gamma=1.0, bandwidth_w=1.0, rho_offset=0.0,
     )
 
@@ -367,9 +370,10 @@ def test_reduced_loop_ends_an_overflowing_modulus_in_nonfinite_state():
     def src(k0, k1):
         return np.full(2 * (k1 - k0) + 1, 0.25e308 * (1 + 1j))
 
+    monkeypatch.setattr(dynamics, "_couplings", lambda *args: zero_couplings)
     with pytest.raises(NonFiniteState) as err:
-        dynamics._reduced_loop(
-            zero_couplings, src, 0.0, 0.0, 0.0, params, ps.InitialState(), grid
+        dynamics._reduced_run(
+            np.zeros(2), src, 0.0, 0.0, 0.0, params, ps.InitialState(), grid
         )
     assert err.value.t == 6.0 and err.value.amplitude == "g"
 
@@ -649,25 +653,12 @@ def test_only_resonant_real_runs_build_float_maps(
     assert built_map_types == {np.dtype(float if case == "resonant" else complex)}
 
 
-def counted_loop_runs(monkeypatch):
-    """How often the reduced routes step their scalar loop."""
-    runs = []
-    loop = dynamics._reduced_loop
-
-    def spy(*args):
-        runs.append(args)
-        return loop(*args)
-
-    monkeypatch.setattr(dynamics, "_reduced_loop", spy)
-    return runs
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("cause", ["nan_sample", "huge_drive", "unstable_drive"])
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("solver", SOLVERS)
 def test_a_later_block_that_blows_up_raises_as_the_loop(
-    pulse, resonant_blocks, make_params, monkeypatch, loop_run, solver, field, cause
+    pulse, resonant_blocks, make_params, loop_runs, loop_run, solver, field, cause
 ):
     # from the third block on: a NaN sample, a drive whose stages
     # overflow at once, and one past RK4's stability bound, which grows
@@ -682,10 +673,9 @@ def test_a_later_block_that_blows_up_raises_as_the_loop(
     else:
         drive[at:] = 1e200 if cause == "huge_drive" else 1e4
     args = (pulse, drive, params, REAL_STARTS["matched"], grid)
-    runs = counted_loop_runs(monkeypatch)
     with pytest.raises(NonFiniteState) as run_err:
         SOLVERS[solver](*args)
-    assert len(runs) == 1
+    assert len(loop_runs) == 1
     with pytest.raises(NonFiniteState) as loop_err:
         loop_run(SOLVERS[solver], *args)
     run, loop = run_err.value, loop_err.value
@@ -696,7 +686,7 @@ def test_a_later_block_that_blows_up_raises_as_the_loop(
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("solver", SOLVERS)
 def test_a_block_near_overflow_is_stepped_by_the_loop(
-    pulse, make_params, monkeypatch, loop_run, solver
+    pulse, make_params, loop_runs, loop_run, solver
 ):
     # a photon of amplitude 1e306 under a silent drive: the cavity
     # reaches ~1e304, near enough to the float maximum for the blocks
@@ -710,15 +700,36 @@ def test_a_block_near_overflow_is_stepped_by_the_loop(
         _d2=lambda t: 1e306 * pulse.d2(t),
     )
     args = (huge, np.zeros(grid.n_steps + 1), params, ps.InitialState.vacuum(), grid)
-    runs = counted_loop_runs(monkeypatch)
     traj = SOLVERS[solver](*args)
-    assert len(runs) == 1
+    assert len(loop_runs) == 1
     ref = loop_run(SOLVERS[solver], *args)
     for name in ("g", "e", "x", "z_mem", "y_out", "phi_out"):
         series = getattr(traj, name)
         assert np.isfinite(series).all(), name
         assert np.array_equal(bits(series), bits(getattr(ref, name))), name
     assert np.max(np.abs(traj.g)) > 1e303
+
+
+PAPER_RUNS = {
+    "fig2c": ("simulate", "preset = fig2c\n"),
+    "fig7a": ("dark", "preset = fig7a\n"),
+    "fig7c": ("dark", "preset = fig7c\n"),
+    "fig7e": ("dark", "preset = fig7e\n"),
+    "oracle_500": (
+        "oracle",
+        "g_cav = 30pi\ngamma_L = 6pi\nbandwidth_w = 2.0\nrho_offset = 0.002\n"
+        "n_modes = 500\nband_halfwidth = 40.0\ngrid.dt = 5e-4\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("run", PAPER_RUNS)
+def test_the_paper_runs_never_step_the_scalar_loop(tmp_path, loop_runs, run):
+    # fig2c steps its matched and its vacuum start, the oracle mode its
+    # reduced route: the blocks settle every one of them
+    mode, text = PAPER_RUNS[run]
+    assert runner.run_scenario(config.parse_config(text, mode), tmp_path) == 0
+    assert loop_runs == []
 
 
 def test_phase_at_zero_detuning_is_one_evaluation(grid):
@@ -781,9 +792,12 @@ def test_forward_run_memory_beyond_its_output_does_not_grow_with_the_grid(
         series = (traj.g, traj.e, traj.x, traj.z_mem, traj.y_out, traj.phi_in, traj.phi_out)
         return peak - sum(a.nbytes for a in series)
 
-    # measured 6.1 B a step; one whole half lattice as a list of
-    # floats adds 64, and the whole-grid lists of the coupling feed
-    # added 424
+    # a first traced run fills one-time caches, which the longer run
+    # would otherwise read as growth per step
+    excess(1000)
+    # measured -7.2 to -6.6 B a step after the warm-up; one whole half
+    # lattice as a list of floats adds 64, and the whole-grid lists of
+    # the coupling feed added 424
     assert (excess(4000) - excess(1000)) / 3000 < 12.0
 
 
