@@ -29,7 +29,13 @@ class DegeneratePulse(PhotonStoreError):
 
 
 class InfeasibleDesign(PhotonStoreError):
-    """The excited-state population would cross its positivity floor."""
+    """The excited-state population would cross its positivity floor.
+
+    ``least_seed`` is the least rho_offset that would keep it above, as
+    the message rounds it, or NaN where none is named.
+    """
+
+    least_seed = math.nan
 
 
 class NonFiniteState(PhotonStoreError):

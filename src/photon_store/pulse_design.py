@@ -18,7 +18,10 @@ parameter changes; :func:`memory_chain` or :func:`markovian_chain`
 computes everything up to rho_ee and the in-phase drive quadrature,
 which depend on W and big_gamma but on neither detuning; and
 :func:`rotate_drive` adds the detunings.  A sweep computes the first
-stage once and the second once per W.
+stage once and the second once per W.  Its points rotate nothing: the
+drive is ``(p + i q) e^(-i φ)``, so a point reads max|Ω| = max
+hypot(p, q), which does not depend on delta1, and θ straight from the
+chain (:func:`_polar_drive`).
 """
 
 from __future__ import annotations
@@ -101,8 +104,9 @@ def excited_population(
     :class:`InfeasibleDesign` if the population falls below the
     positivity floor anywhere on the grid, since the drive divides by
     ``sqrt(rho_ee)``, and names the least seed that would keep it above:
-    ``rho_ee - rho_offset`` does not depend on ``rho_offset``.  A NaN
-    population counts as below the floor, and no seed lifts it.
+    ``rho_ee - rho_offset`` does not depend on ``rho_offset``, and the
+    error carries it as ``least_seed``.  A NaN population counts as
+    below the floor, and no seed lifts it.
     """
     flow = 2.0 * params.g_cav * x_tilde * g_series - 2.0 * params.gamma_L * x_tilde ** 2
     acc = cumulative_trapezoid(flow, grid.dt)
@@ -111,6 +115,7 @@ def excited_population(
     if below.any():
         k = int(np.argmax(below))
         least = float(_RHO_FLOOR - np.min(acc - x_tilde ** 2))
+        seed = math.nan
         if not math.isfinite(least):
             fix = "the population is not finite"
         elif (seed := _round_up(least)) < 1.0:
@@ -120,9 +125,11 @@ def excited_population(
                 f"no rho_offset < 1 stores this pulse at big_gamma = {params.big_gamma:.6g}; "
                 "big_gamma can be set explicitly"
             )
-        raise InfeasibleDesign(
+        error = InfeasibleDesign(
             f"rho_ee reaches {rho[k]:.3e} at t = {grid.times[k]:.6g} us; {fix}"
         )
+        error.least_seed = seed
+        raise error
     return rho
 
 
@@ -204,7 +211,7 @@ class DesignResult(DesignChain):
     @property
     def omega_phase(self) -> np.ndarray:
         """Unwrapped phase of ``alpha + i beta``, computed when read."""
-        return np.unwrap(np.arctan2(self.beta, self.alpha))
+        return _unwrap(np.arctan2(self.beta, self.alpha))
 
     @property
     def drive(self) -> np.ndarray:
@@ -323,11 +330,24 @@ def markovian_population(samples: DesignSamples, params: PhysicalParams) -> np.n
     return excited_population(x_tilde, g, params, samples.grid)
 
 
+def _quadrature(chain: DesignChain, params: PhysicalParams) -> np.ndarray:
+    """q = delta2 x_tilde / sqrt(rho_ee), the drive quadrature that Δ₂
+    adds out of phase with ``p``; delta1 does not enter it."""
+    return params.delta2 * chain.x_tilde / chain.root_rho
+
+
+def _frame_phase(chain: DesignChain, params: PhysicalParams) -> np.ndarray:
+    """φ = -(delta2 - delta1) t + delta2 * winding, the angle by which the
+    detunings turn the drive: ``alpha + i beta = (p + i q) e^(-i φ)``."""
+    return -params.delta * chain.grid.times + params.delta2 * chain.winding
+
+
 def rotate_drive(chain: DesignChain, params: PhysicalParams) -> DesignResult:
     """The design of a chain at the detunings of ``params`` (resonance
-    included): the drive quadratures ``alpha``, ``beta`` and their modulus."""
-    q = params.delta2 * chain.x_tilde / chain.root_rho
-    phase = -params.delta * chain.grid.times + params.delta2 * chain.winding
+    included): the drive quadratures ``alpha``, ``beta`` and their modulus.
+    A sweep point needs only max|Ω| and θ, which :func:`_polar_drive`
+    reads from ``p``, q and φ without this rotation."""
+    q, phase = _quadrature(chain, params), _frame_phase(chain, params)
     cos_a, sin_a = np.cos(phase), np.sin(phase)
     alpha = chain.p * cos_a + q * sin_a
     beta = q * cos_a - chain.p * sin_a
@@ -338,6 +358,58 @@ def rotate_drive(chain: DesignChain, params: PhysicalParams) -> DesignResult:
         beta=beta,
         omega_modulus=np.hypot(alpha, beta),
     )
+
+
+# hypot(p, q) is sqrt(p^2 + q^2) to a few ulps, so no sample below this
+# fraction of the largest normal p^2 + q^2 holds the largest hypot
+_PEAK_BAND = 1.0 - 1e-13
+_TINY = float(np.finfo(float).tiny)
+
+
+def _polar_drive(
+    chain: DesignChain, params: PhysicalParams, phase: bool
+) -> tuple[float, np.ndarray | None]:
+    """max|Ω| and, when ``phase`` asks for it, θ of a chain at the
+    detunings of ``params``, read from ``alpha + i beta = (p + i q)
+    e^(-i φ)`` with no cos, sin or :class:`DesignResult`.
+
+    max|Ω| is max hypot(p, q) bit for bit and never reads delta1; hypot
+    is taken only where p^2 + q^2 is within the band of its maximum, or
+    everywhere when that maximum is not finite or not normal.  It and
+    θ = unwrap(arctan2(q, p) - φ) differ from :func:`rotate_drive`'s by
+    the rotation's rounding, about 1e-16 relative.
+    """
+    p = chain.p
+    q = _quadrature(chain, params)
+    power = p * p + q * q
+    top = float(np.max(power))
+    near = power >= _PEAK_BAND * top if _TINY <= top < math.inf else slice(None)
+    peak = float(np.max(np.hypot(p[near], q[near])))
+    theta = _unwrap(np.arctan2(q, p) - _frame_phase(chain, params)) if phase else None
+    return peak, theta
+
+
+def _unwrap(phase: np.ndarray) -> np.ndarray:
+    """``np.unwrap(phase)`` of a 1-D float series, bit for bit.
+
+    numpy adds to each sample the running sum of its corrections
+    ``mod(d + pi, 2 pi) - pi - d`` over the steps d before it, where a
+    correction is zeroed unless |d| >= pi (or d is NaN).  This evaluates
+    the correction at those steps alone; adding +0 leaves a running sum
+    as it is, so the sum over them alone is numpy's at every sample, and
+    ``np.repeat`` spreads it to the samples between.
+    """
+    step = np.diff(phase)
+    jumps = np.flatnonzero(~(np.abs(step) < math.pi))
+    d = step[jumps]
+    wrapped = np.mod(d + math.pi, 2.0 * math.pi) - math.pi
+    # a step of exactly +pi keeps its sign, as in numpy
+    wrapped[(wrapped == -math.pi) & (d > 0)] = math.pi
+    running = np.cumsum(np.concatenate(([0.0], wrapped - d)))
+    spans = np.diff(jumps, prepend=0, append=step.size)
+    out = phase.copy()
+    out[1:] += np.repeat(running, spans)
+    return out
 
 
 def design_drive(

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import dark_state, dynamics, pulse_design
 from .config import ScenarioConfig, with_point
-from .errors import ConfigError, PhotonStoreError
+from .errors import ConfigError, InfeasibleDesign, PhotonStoreError
 from .grid import TimeGrid
 from .model import InputPulse, PhysicalParams, builtin_packet, sampled_packet
 
@@ -267,7 +267,9 @@ class RunState:
         on resonance gives the Markovian gap of its aggregate.  On
         resonance the rotation is the identity, α = p and β = ±0, so
         max|Ω| is max|p| of the chain, bit for bit what ``hypot(α, β)``
-        would give."""
+        would give.  Off resonance the point rotates nothing either: it
+        reads max|Ω| = max hypot(p, q), which does not read Δ₁, and θ
+        from the drive's polar form (``pulse_design._polar_drive``)."""
         try:
             params, chain, backflow = self.chain(with_point(self.cfg, value))
             metrics: dict[str, object] = {
@@ -281,10 +283,9 @@ class RunState:
                     flat = pulse_design.markovian_population(self.design_samples, params)
                     metrics["sup_diff_rho"] = float(np.max(np.abs(chain.rho_ee - flat)))
             else:
-                design = pulse_design.rotate_drive(chain, params)
-                metrics["max_abs_omega"] = float(np.max(design.omega_modulus))
-                if phase:
-                    theta = design.omega_phase
+                metrics["max_abs_omega"], theta = pulse_design._polar_drive(
+                    chain, params, phase
+                )
         except PhotonStoreError as exc:
             return exc.exit_code, {}, None
         return EXIT_OK, metrics, theta
@@ -607,12 +608,22 @@ def run_sweep(cfg: ScenarioConfig, outdir: Path) -> None:
     }
     if cfg.sweep_param == "delta2":
         summary["theta_odd_residual"] = residual
-        # every point rotates the one chain of the sweep's W, so the
+        # every point reads the one chain of the sweep's W, so the
         # largest |ρ_ee − ρ_ee(Δ₂ = 0)| is 0 by construction
         summary["rho_detuning_spread"] = 0.0
     with _staged(outdir) as stage:
         _stream(stage("sweep_aggregate.csv"), [",".join(names) + "\n", *rows])
         write_summary(stage("summary"), summary)
+
+
+def _collapsed(state: RunState, exc: InfeasibleDesign) -> InfeasibleDesign:
+    """``exc``, which no seed below 1 fixes, with the cause of a derived
+    Γ's collapse named: the pulse's curvature at t = 0."""
+    curvature = float(state.pulse.d2(0.0))
+    return InfeasibleDesign(
+        f"{exc}: the derived value, phi_in''(0) / (W^2 * weighted pulse area), "
+        f"collapses at phi_in''(0) = {curvature:.3g}"
+    )
 
 
 _MODE_RUNNERS = {
@@ -643,7 +654,12 @@ def run_scenario(cfg: ScenarioConfig, outdir: str | Path | None = None) -> int:
             elif cfg.mode in _MODE_RUNNERS:
                 state = RunState(cfg)
                 params = state.params(cfg)
-                files, metrics = _MODE_RUNNERS[cfg.mode](state, params)
+                try:
+                    files, metrics = _MODE_RUNNERS[cfg.mode](state, params)
+                except InfeasibleDesign as exc:
+                    if cfg.big_gamma is None and exc.least_seed >= 1.0:
+                        raise _collapsed(state, exc) from exc
+                    raise
                 with _staged(target) as stage:
                     for name, columns in files.items():
                         write_csv(stage(name), columns)

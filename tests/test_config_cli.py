@@ -1050,17 +1050,75 @@ def test_delta2_sweep_pairs_mirrors_alike_in_any_pool(tmp_path):
 
 def test_delta2_sweep_forms_phases_only_for_mirror_pairs(tmp_path, monkeypatch):
     # (3, -3) and (7, -7) form a residual; 0 (detuned by Δ₁ = 2) and 11
-    # are lone points, whose θ nothing reads
+    # are lone points, whose θ nothing reads; every θ is unwrapped by
+    # the one helper
     formed = []
-    unwrap = np.unwrap
+    unwrap = pulse_design._unwrap
 
-    def counted(phase, *args, **kwargs):
+    def counted(phase):
         formed.append(phase.size)
-        return unwrap(phase, *args, **kwargs)
+        return unwrap(phase)
 
-    monkeypatch.setattr(pulse_design.np, "unwrap", counted)
+    monkeypatch.setattr(pulse_design, "_unwrap", counted)
     assert run_cli(["sweep", "--out", str(tmp_path / "o")], tmp_path, DELTA2_EDGES) == 0
     assert len(formed) == 4
+
+
+def delta2_sweep_text(n_pairs: int, delta1: float) -> str:
+    mags = [0.25 + 0.5 * k for k in range(n_pairs)]
+    values = ", ".join(repr(v) for v in [0.0, *mags, *(-m for m in mags)])
+    return SWEEP_BASE + (
+        f"bandwidth_w = 0.5\ndelta1 = {delta1!r}\ndelta2 = {values}\nrho_offset = 0.003\n"
+    )
+
+
+def test_delta2_sweep_drive_modulus_does_not_read_delta1(tmp_path):
+    # the paper's claim as an exact property: |Ω| = hypot(p, q) depends
+    # on Δ₂ alone, so the column is the same bytes at any Δ₁
+    columns = {}
+    for delta1 in (0.0, 5.0):
+        out = tmp_path / f"d{delta1}"
+        text = delta2_sweep_text(6, delta1)
+        assert run_cli(["sweep", "--out", str(out)], tmp_path, text) == 0
+        columns[delta1] = [row["max_abs_omega"] for row in aggregate_rows(out)]
+    assert columns[0.0] == columns[5.0]
+
+    # every digit, not only the printed twelve, and each detuned point
+    # is the rotated design's maximum, to rounding
+    cfg = config.parse_config(delta2_sweep_text(6, 5.0))
+    state = runner.RunState(cfg)
+    still = runner.RunState(config.parse_config(delta2_sweep_text(6, 0.0)))
+    for value in cfg.sweep_values:
+        params, chain, _ = state.chain(config.with_point(cfg, value))
+        _, metrics, _ = state.point(value)
+        assert metrics["max_abs_omega"] == still.point(value)[1]["max_abs_omega"]
+        rotated = float(np.max(pulse_design.rotate_drive(chain, params).omega_modulus))
+        assert metrics["max_abs_omega"] == pytest.approx(rotated, rel=1e-15, abs=0)
+
+
+def test_sweeps_never_rotate_a_drive(tmp_path, monkeypatch):
+    # a sweep point reads max|Ω| and θ from the polar form; counting the
+    # rotations, not timing them, keeps the rotation out of the sweeps
+    rotations = []
+    rotate = pulse_design.rotate_drive
+
+    def counted(chain, params):
+        rotations.append(params)
+        return rotate(chain, params)
+
+    monkeypatch.setattr(pulse_design, "rotate_drive", counted)
+    texts = {
+        "delta2": delta2_sweep_text(20, 2.0),
+        "bandwidth_w": SWEEP_BASE + "bandwidth_w = 0.5, 1.6716, 25\ndelta2 = 3\n"
+        "rho_offset = 0.0075\n",
+    }
+    for name, text in texts.items():
+        out = tmp_path / name
+        assert run_cli(["sweep", "--out", str(out)], tmp_path, text) == 0
+        rows = aggregate_rows(out)
+        assert len(rows) == (41 if name == "delta2" else 3)
+        assert all(row["status"] == "0" and row["max_abs_omega"] for row in rows)
+    assert rotations == []
 
 
 def test_pooled_sweep_under_spawn_matches_serial(tmp_path):
@@ -1309,16 +1367,29 @@ def test_cli_infeasible_design_names_the_least_seed(tmp_path, capsys):
 
 
 def test_cli_design_that_no_seed_stores_says_so(tmp_path, capsys):
-    # phi''(0) of sin^3 is about 0, so big_gamma collapses (9.2e-7) and
-    # the least seed is about 9e6
+    # phi''(0) of sin^3 is about 0 (its spline's is 1.46e-7), so the
+    # derived big_gamma collapses (9.2e-7) and the least seed is about
+    # 9e6; the message names phi''(0) as the cause
     path = shape_file(tmp_path, "cubed", lambda t: np.sin(t) ** 3)
     text = f"g_cav = 30pi\ngamma_L = 6pi\nbandwidth_w = 0.5\nrho_offset = 0.002\npulse = {path}\n"
     assert run_cli(["design", "--out", str(tmp_path / "o")], tmp_path, text) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error[3]: rho_ee reaches")
     tail = r".*; no rho_offset < 1 stores this pulse at big_gamma = (\S+); "
-    match = re.fullmatch(tail + "big_gamma can be set explicitly", err[0])
+    cause = (
+        r"big_gamma can be set explicitly: the derived value, phi_in''\(0\) / "
+        r"\(W\^2 \* weighted pulse area\), collapses at phi_in''\(0\) = (\S+)"
+    )
+    match = re.fullmatch(tail + cause, err[0])
     assert match and 5e-7 < float(match[1]) < 2e-6
+    assert 0.0 < float(match[2]) < 1e-6
+
+    # a big_gamma set explicitly is not derived from phi''(0), and the
+    # message does not name it
+    explicit = text + "big_gamma = 1e-6\n"
+    assert run_cli(["design", "--out", str(tmp_path / "e")], tmp_path, explicit) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and re.fullmatch(tail + "big_gamma can be set explicitly", err[0])
 
 
 @pytest.fixture()

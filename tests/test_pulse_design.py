@@ -552,6 +552,117 @@ def test_drive_quadratures_assemble_the_complex_drive(design_for):
     assert np.max(np.abs(np.diff(des.omega_phase))) < PI
 
 
+# ------------------------------------------------------------ exact unwrap
+
+UNWRAP_EDGES = [0.0, -0.0, math.nan, math.inf, -math.inf, PI, -PI, 2 * PI, -2 * PI, 3.5]
+
+
+def numpy_unwrap_bits(series) -> tuple[bytes, bytes]:
+    """The bytes of ``_unwrap`` and of ``np.unwrap`` of one series."""
+    x = np.asarray(series, dtype=float)
+    with np.errstate(all="ignore"):
+        return pulse_design._unwrap(x).tobytes(), np.unwrap(x).tobytes()
+
+
+@pytest.mark.parametrize(
+    "series",
+    [
+        [0.25],  # length 1
+        [0.0, -0.0],  # length 2, and a sum of +0 turns -0 into +0
+        [-0.0, 0.0, -0.0, -0.0],
+        [0.0, PI],  # steps of exactly +pi and -pi
+        [0.0, -PI],
+        [PI, 0.0, PI, 2 * PI, 0.0, -2 * PI],  # and of 2 pi
+        [1.0, PI + 1.0, 1.0],
+        [0.0, math.nan, 1.0, 5.0],
+        [0.0, math.inf, 0.0, -4.0],
+        [-math.inf, 0.0, 7.0],
+        [math.nan, math.nan],
+        np.linspace(0.0, 40.0, 1001),  # steps of 0.04: no jump
+        np.linspace(0.0, -400.0, 101),  # every step a jump
+    ],
+)
+def test_unwrap_is_numpys_bit_for_bit_at_the_edges(series):
+    mine, numpys = numpy_unwrap_bits(series)
+    assert mine == numpys
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.one_of(st.floats(width=64), st.sampled_from(UNWRAP_EDGES)), min_size=1, max_size=40
+    )
+)
+def test_unwrap_is_numpys_bit_for_bit(values):
+    mine, numpys = numpy_unwrap_bits(values)
+    assert mine == numpys
+
+
+def test_unwrap_is_numpys_bit_for_bit_on_random_phases():
+    # random walks with steps of every size, raw and wrapped to
+    # (-pi, pi] as arctan2 returns them
+    rng = np.random.default_rng(29)
+    for scale in (0.1, 1.0, 3.0, 10.0):
+        for size in (2, 3, 17, 1000, 31_417):
+            walk = np.cumsum(rng.normal(0.0, scale, size))
+            for series in (walk, np.arctan2(np.sin(walk), np.cos(walk))):
+                mine, numpys = numpy_unwrap_bits(series)
+                assert mine == numpys
+
+
+@pytest.mark.parametrize("detunings", [{}, {"delta1": 20.0, "delta2": 5.0}])
+def test_design_phase_is_numpys_unwrap(design_for, detunings):
+    # fig2a's parameters on resonance, and a detuned design
+    _, des = design_for(1.6716, 0.002, **detunings)
+    expected = np.unwrap(np.arctan2(des.beta, des.alpha))
+    assert des.omega_phase.tobytes() == expected.tobytes()
+
+
+def test_polar_drive_reads_the_rotated_design(design_for):
+    # max|Ω| and θ of the polar form are the rotated design's up to the
+    # rotation's rounding, and max|Ω| does not read delta1
+    params, des = design_for(2.0, 0.002, delta1=20.0, delta2=5.0)
+    peak, theta = pulse_design._polar_drive(des, params, phase=True)
+    assert peak == pytest.approx(float(np.max(des.omega_modulus)), rel=1e-15, abs=0)
+    np.testing.assert_allclose(theta, des.omega_phase, rtol=0, atol=1e-12)
+    for delta1 in (0.0, -3.0):
+        shifted = replace(params, delta1=delta1)
+        assert pulse_design._polar_drive(des, shifted, phase=False) == (peak, None)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
+def test_polar_drive_peak_is_the_full_hypot_when_the_power_is_not_finite(design_for, bad):
+    params, des = design_for(2.0, 0.002, delta1=20.0, delta2=5.0)
+    p = des.p.copy()
+    p[100] = bad
+    chain = replace(des, p=p)
+    q = pulse_design._quadrature(chain, params)
+    with np.errstate(all="ignore"):
+        peak, _ = pulse_design._polar_drive(chain, params, phase=False)
+        full = float(np.max(np.hypot(p, q)))
+    assert np.array_equal(peak, full, equal_nan=True)
+
+
+def test_polar_drive_peak_is_the_full_hypot_below_the_normal_range(design_for):
+    # a subnormal p^2 + q^2 keeps few digits: with r = 2^-537, p = q =
+    # sqrt(10.4) r squares to 20 ulps of 2^-1074 and p = sqrt(20.6) r to
+    # 21, though the first hypot is the larger, so every sample's hypot
+    # is taken
+    params, des = design_for(2.0, 0.002, delta1=20.0, delta2=5.0)
+    r = 2.0 ** -537
+    tiny = replace(
+        des,
+        p=np.array([math.sqrt(10.4), math.sqrt(20.6)]) * r,
+        x_tilde=np.array([math.sqrt(10.4) * r, 0.0]),
+        root_rho=np.ones(2),
+    )
+    scaled = replace(des, p=des.p * 1e-160, x_tilde=des.x_tilde * 1e-160)
+    for chain, at in ((tiny, replace(params, delta2=1.0)), (scaled, params)):
+        q = pulse_design._quadrature(chain, at)
+        peak, _ = pulse_design._polar_drive(chain, at, phase=False)
+        assert 0.0 < peak == float(np.max(np.hypot(chain.p, q)))
+
+
 def test_symmetric_pulse_starts_with_silent_drive(design_for):
     _, des = design_for(2.0, 0.002)
     assert abs(des.drive[0]) < 1e-9
