@@ -1,5 +1,5 @@
-"""Half-lattice sampling for the RK4 loops, and RK4 of a scalar linear
-equation solved as array operations.
+"""Half-lattice sampling, and the package's one stepping layer: every
+RK4 recurrence, solved as array operations or by one scalar loop.
 
 The classical RK4 stages need the driving terms at t, t + dt/2 and
 t + dt.  Drivers known only on the grid (a designed drive, the
@@ -17,21 +17,23 @@ Lorentzian bath acts as one damped pseudomode.  RK4 applied to it is
 exactly an affine recurrence, which :func:`_rk4_linear` solves as a
 blocked running sum instead of stepping it in Python: O(n) work and no
 BLAS call.  Only a path the blocks cannot settle (not finite, or near
-enough to overflow for an RK4 stage to) is stepped by that scalar loop,
-whose first non-finite y raises.
+enough to overflow for an RK4 stage to) is stepped by the scalar loop
+below, whose first non-finite y raises.
 
 The forward routes are small linear systems s' = A(t) s + f(t), and an
 RK4 step of one is likewise an affine map s -> M_k s + c_k.
 :func:`_rk4_affine_maps` builds a block of those maps elementwise from
-the system's right-hand side, and :func:`_affine_scan` solves their
-recurrence by a recursive sub-block scan; neither calls BLAS.  The one
-scalar RK4 loop of those routes, ``dynamics._rk4_loop``, steps the same
-right-hand side where the blocks cannot settle.
+the system's right-hand side, :func:`_affine_scan` solves their
+recurrence by a recursive sub-block scan, neither calling BLAS, and
+:func:`_affine_run` chains the blocks.  Where they cannot settle,
+:func:`_rk4_loop` steps the same right-hand side on Python numbers; on
+y' = lam y + f it is the fallback of :func:`_rk4_linear` as well.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import islice, repeat
 from operator import mul
 
 import numpy as np
@@ -44,6 +46,9 @@ _FLOAT_MAX = float(np.finfo(float).max)
 # at most this many affine maps are carried by a scalar loop in
 # _affine_scan; longer runs of maps split into sub-blocks
 _SCAN_BASE = 16
+# steps per block of the forward routes: a block of affine maps, or of
+# the scalar loops' half-lattice feed
+_BLOCK = 2048
 
 
 def cubic_midpoints(y: np.ndarray) -> np.ndarray:
@@ -133,11 +138,13 @@ def _rk4_linear(
 
     A path the blocks cannot settle -- one that is not finite, or that
     comes near enough to overflow for an RK4 stage to -- is stepped by
-    the scalar RK4 loop the recurrence stands for.  That loop's raise is
+    the scalar RK4 loop the recurrence stands for, :func:`_rk4_loop` on
+    the stage ``lam y + f``, into a scratch path.  That loop's raise is
     the contract: :class:`NonFiniteState`, naming ``amplitude``, at the
-    first step whose y is not finite.  If the loop gets through, the
-    block path is returned, or the loop's own where the blocks overflowed
-    and the loop did not; no call returns a non-finite path.
+    grid time of the first step whose y is not finite.  If the loop gets
+    through, the block path is returned, or the loop's own where the
+    blocks overflowed and the loop did not; no call returns a non-finite
+    path.
     """
     n = (f_half.shape[0] - 1) // 2
     if backward:
@@ -191,23 +198,22 @@ def _rk4_linear(
     if not np.max(np.abs(path)) < limit:
         # step the loop the blocks stand for, which stops where it blows up
         lam = z / dt
-        h = dt / 2.0
-        f = f_half.tolist()
-        y = 0.0
-        ys = []
-        for k in range(n):
-            j = 2 * k
-            k1 = lam * y + f[j]
-            k2 = lam * (y + h * k1) + f[j + 1]
-            k3 = lam * (y + h * k2) + f[j + 1]
-            k4 = lam * (y + dt * k3) + f[j + 2]
-            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not math.isfinite(y):
-                raise NonFiniteState((n - k - 1 if backward else k + 1) * dt, amplitude)
-            ys.append(y)
+        ys = np.empty(n + 1)
+        try:
+            _rk4_loop(
+                lambda f, y: (lam * y + f,),
+                lambda k0, k1: ((), (f_half[2 * k0 : 2 * k1 + 1],)),
+                [0.0], [ys], dt, (amplitude,),
+            )
+        except NonFiniteState as err:
+            if not backward:
+                raise
+            # the loop stamps its step k at (k + 1) dt; run backward, that
+            # step ends at grid time (n - k - 1) dt
+            raise NonFiniteState((n - round(err.t / dt)) * dt, amplitude) from None
         if not np.isfinite(path).all():
             # the blocks overflowed where the loop did not: its path stands
-            stepped[1:] = ys
+            stepped[1:] = ys[1:]
     return path
 
 
@@ -219,7 +225,7 @@ def _rk4_affine_maps(stage, couplings, sources, n_state: int, dt: float) -> np.n
     samples each), and so do ``couplings``, or a number where one is
     constant over the block; ``stage(*couplings, *sources, *s)``
     is the system's right-hand side at one lattice position, the one
-    that ``dynamics._rk4_loop`` steps on numbers; on arrays it returns
+    that :func:`_rk4_loop` steps on numbers; on arrays it returns
     new arrays.  The four stages
     are applied at once to the identity and to the source: component i
     of the state is row i of [I | 0], and each source is lifted into the
@@ -305,3 +311,120 @@ def _affine_scan(maps: np.ndarray, start) -> np.ndarray:
     starts[n] = 1.0
     path = np.einsum("jiks,ks->jis", lay[:, :n], starts)
     return path.transpose(1, 2, 0).reshape(n, rows * width)[:, :b]
+
+
+def _feed(n: int, series):
+    """The half-lattice inputs of an ``n``-step scalar RK4 loop, by block.
+
+    ``series(k0, k1)`` gives the inputs of steps ``k0 .. k1 - 1`` as
+    arrays on the half lattice ``2 k0 .. 2 k1``, or a number where one
+    is constant over the block; at least one is an array.  Yields
+    ``k0``, ``k1`` and an iterator over those steps: for step k, each
+    input's samples at 2k, 2k + 1 and 2k + 2 in turn, as Python numbers.
+    The loops of :func:`_rk4_loop` and
+    ``dynamics.simulate_discrete_bath`` step a few amplitudes, too small
+    a state vector to pay per-step array overhead for, and a block
+    bounds what the lists hold.
+    """
+    for k0 in range(0, n, _BLOCK):
+        k1 = min(k0 + _BLOCK, n)
+        cols = []
+        for arr in series(k0, k1):
+            if np.ndim(arr) == 0:
+                cols += (repeat(arr),) * 3
+                continue
+            even = arr[0::2].tolist()
+            # step k's 2k + 2 is step k + 1's 2k: one list serves both
+            cols += (even, arr[1::2].tolist(), islice(even, 1, None))
+        yield k0, k1, zip(*cols)
+
+
+def _affine_run(stage, series, rates, start, dest, dt: float) -> bool:
+    """Step an RK4 route of s' = A(t) s + f(t) block by block as affine
+    recurrences (:func:`_rk4_affine_maps`, :func:`_affine_scan`), each
+    block from the end state of the one before.
+
+    ``series(k0, k1)`` gives the couplings and the sources of steps
+    ``k0 .. k1 - 1`` on the half lattice and ``stage`` the right-hand
+    side, as for :func:`_rk4_affine_maps`; ``rates`` maps the block's
+    largest input moduli to bounds (a, f) on the summed coefficient
+    moduli of any one component's slope and on its source.  Writes the
+    states after each step into ``dest[i][1:]``, one array per
+    component.  Returns False at the first block it cannot settle: one
+    whose path is not finite, or comes near enough to overflow for a
+    stage of the scalar loop it stands for to.  With |s| <= sigma (the
+    sum of the moduli), every stage state of a step stays below
+    grow^3 (sigma + dt f) and every slope term below
+    a grow^3 (sigma + dt f) + f, with grow = 1 + dt a.
+    """
+    n = dest[0].shape[0] - 1
+    state = list(start)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0 in range(0, n, _BLOCK):
+            k1 = min(k0 + _BLOCK, n)
+            couplings, sources = series(k0, k1)
+            path = _affine_scan(_rk4_affine_maps(stage, couplings, sources, len(state), dt), state)
+            inputs = (*couplings, *sources)
+            a, f = rates(*(float(np.max(np.abs(v))) for v in inputs))
+            sigma = max(sum(map(abs, state)), float(np.max(np.sum(np.abs(path), axis=0))))
+            grow = 1.0 + dt * a
+            # the stage states and the weighted sum of the four slopes
+            # stay below this; a quarter of the float maximum leaves a
+            # factor 2 for a complex product's two terms and 2 for the
+            # loop's rounding apart from the blocks
+            if not (6.0 * a + 1.0) * grow * grow * grow * (sigma + dt * f) + 6.0 * f < _FLOAT_MAX / 4.0:
+                return False
+            for out, p in zip(dest, path):
+                out[k0 + 1 : k1 + 1] = p
+            state = path[:, -1].tolist()
+    return True
+
+
+def _rk4_loop(stage, series, start, dest, dt: float, names) -> None:
+    """Step the RK4 route that :func:`_affine_run` solves in blocks one
+    step at a time, on Python numbers: the bit-for-bit RK4 reference of
+    the route, and the path of a run whose blocks cannot settle.
+
+    ``stage``, ``series``, ``start`` and ``dest`` are those of
+    :func:`_affine_run`, each input an array or a number that is
+    constant over the block; :func:`_feed` hands the loop each step's
+    inputs at 2k, 2k + 1 and 2k + 2, so the four stages evaluate
+    ``stage`` as the affine maps do.  Writes the
+    states after each step into ``dest[i][1:]``.  Raises
+    :class:`NonFiniteState` at the first step whose state is not finite
+    or whose sum of moduli overflows, naming the components by
+    ``names``.
+    """
+    n = dest[0].shape[0] - 1
+    h = dt / 2.0
+    sixth = dt / 6.0
+    s = list(start)
+
+    def inputs(k0, k1):
+        couplings, sources = series(k0, k1)
+        return (*couplings, *sources)
+
+    for k0, k1, steps in _feed(n, inputs):
+        path = []
+        for at in steps:
+            mid = at[1::3]
+            a1 = stage(*at[0::3], *s)
+            a2 = stage(*mid, *[v + h * a for v, a in zip(s, a1)])
+            a3 = stage(*mid, *[v + h * a for v, a in zip(s, a2)])
+            a4 = stage(*at[2::3], *[v + dt * a for v, a in zip(s, a3)])
+            s = [
+                v + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                for v, b1, b2, b3, b4 in zip(s, a1, a2, a3, a4)
+            ]
+            tot = 0.0
+            try:
+                for v in s:
+                    tot += abs(v)
+            except OverflowError:  # a modulus past the float maximum
+                tot = math.inf
+            if tot != tot or tot == math.inf:
+                t = (k0 + len(path) + 1) * dt
+                raise NonFiniteState.among(t, **dict(zip(names, s)))
+            path.append(s)
+        for out, p in zip(dest, zip(*path)):
+            out[k0 + 1 : k1 + 1] = p

@@ -11,10 +11,10 @@ agree wherever g_cav^2 >> gamma_L * big_gamma.
 
 :func:`adiabatic_simulate` takes classical RK4 steps of the two real
 amplitudes d1 and the memory Q.  Like the forward solvers in
-``dynamics``, it solves them block by block as affine recurrences in
-floats, and its right-hand side also drives the one scalar RK4 loop of
-those solvers (``dynamics._rk4_loop``), the reference and the path for
-a block the recurrences cannot settle.
+``dynamics``, it gives only its right-hand side, inputs and bounds to
+``_integrate``, which solves them block by block as affine recurrences
+in floats and steps its one scalar RK4 loop, the reference, where they
+cannot settle.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._integrate import cumulative_trapezoid, half_lattice_block
-from .dynamics import _affine_run, _rk4_loop
+from ._integrate import _affine_run, _rk4_loop, cumulative_trapezoid, half_lattice_block
 from .errors import AngleDomain, NegativeAccumulator, UnsupportedRegime
 from .grid import TimeGrid
 from .model import InputPulse, PhysicalParams
@@ -131,8 +130,8 @@ def adiabatic_simulate(pulse: InputPulse, dark: DarkDesign) -> AdiabaticRun:
 
     d1 and Q are the RK4 path of ``stage`` on the half-lattice cos(phi)
     and N, solved block by block as affine recurrences
-    (``dynamics._affine_run``); a path the blocks cannot settle is
-    stepped by ``dynamics._rk4_loop`` from the same ``stage``, whose
+    (``_integrate._affine_run``); a path the blocks cannot settle is
+    stepped by ``_integrate._rk4_loop`` from the same ``stage``, whose
     raise is the contract.
     """
     params = dark.design.params

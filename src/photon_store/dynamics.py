@@ -22,20 +22,20 @@ of evaluating four vector stages.
 
 The reduced equations are a linear system of four amplitudes, and an
 RK4 step of a linear system is exactly an affine map s -> M_k s + c_k.
-:func:`simulate_nonmarkovian` and :func:`simulate_markovian` build those
-maps one block of :data:`_BLOCK` steps at a time and solve their
-recurrence by a sub-block scan (:func:`_affine_run`), in floats where
-the reduced equations are real (:func:`_real_field`, on resonance) and
-in complex numbers otherwise; the dark-state route does the same.  One
-scalar loop (:func:`_rk4_loop`) steps each of those routes as Python
-numbers from the same right-hand side its maps are built from; it is
-the bit-for-bit RK4 reference, and the path of a run whose blocks
-cannot settle, whose raise is the :class:`NonFiniteState` contract.
+:func:`simulate_nonmarkovian` and :func:`simulate_markovian` give the
+stepping layer in ``_integrate`` their right-hand side, couplings
+(:func:`_couplings`) and source; it solves the maps' recurrence block by
+block (``_integrate._affine_run``), in floats where the reduced
+equations are real (:func:`_real_field`, on resonance) and in complex
+numbers otherwise.  Its one scalar loop (``_integrate._rk4_loop``)
+steps the same right-hand side as Python numbers: the bit-for-bit RK4
+reference, and the path of a run whose blocks cannot settle, whose
+raise is the :class:`NonFiniteState` contract.
 The oracle's comb loop steps its system amplitudes as Python numbers
 too, and on resonance only the positive half of its mirrored comb, as
 floats, with the other half its conjugate.
 Every route takes its half-lattice couplings and sources one block at a
-time (:func:`_feed` hands them to a loop), so its memory beyond the
+time (``_integrate._feed`` hands them to a loop), so its memory beyond the
 output arrays does not grow with the grid.  The oracle's Fourier
 projection likewise takes one block of modes at a time.
 """
@@ -45,11 +45,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
 
 import numpy as np
 
-from ._integrate import _FLOAT_MAX, _affine_scan, _rk4_affine_maps, half_lattice_block
+from ._integrate import _affine_run, _feed, _rk4_loop, half_lattice_block
 from .errors import BandTooNarrow, GridMismatch, NonFiniteState
 from .grid import TimeGrid
 from .model import InputPulse, PhysicalParams, future_drive
@@ -65,9 +64,6 @@ _MODE_VECTORS = 14
 # many such blocks it holds at once (see initial_modes)
 _PHASE_BYTES = 2**18
 _PHASE_BLOCKS = 3
-# steps per block of the forward routes: a block of affine maps, or of
-# the scalar loops' half-lattice feed
-_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -143,155 +139,34 @@ def _real_field(drive: np.ndarray, params: PhysicalParams, init: InitialState) -
     )
 
 
-def _phase(delta: float, th: np.ndarray) -> np.ndarray:
-    """``exp(-1j * delta * th)`` at the half-lattice times ``th``, bit for
-    bit.  At zero detuning of either sign every sample is the same number
-    (the times are finite and not below +0), so one evaluation fills them."""
-    if delta == 0.0:
-        return np.full(th.shape, np.exp(-1j * delta * th[:1])[0])
-    return np.exp(-1j * delta * th)
-
-
 def _couplings(drive: np.ndarray, params: PhysicalParams, grid: TimeGrid, real=False):
-    """Half-lattice couplings of the scalar stepping loops, by block.
+    """Half-lattice couplings of the reduced routes and the comb, by block.
 
     Checks the drive against the grid at once and returns a function of
     a step block ``k0, k1`` that gives the four couplings on the half
-    lattice ``2 k0 .. 2 k1`` as arrays.  The loops' arithmetic matches
-    the vector form operation for operation.  With ``real`` (see
-    :func:`_real_field`) they are the real couplings of g, e, y = Im x
-    and Z: -Im cav, -Im sto, Im rev and Im bck, taken from the complex
-    ones so that a product with y rounds as the complex product's
-    nonzero part does.
+    lattice ``2 k0 .. 2 k1``.  They are complex arrays, or with ``real``
+    (see :func:`_real_field`) the real couplings of g, e, y = Im x and
+    Z, taken straight from the drive: g_cav, Omega, -Omega and -g_cav,
+    with g_cav a number.  For a finite drive on resonance these are
+    -Im cav, -Im sto, Im rev and Im bck of the complex ones, bit for bit.
     """
     drive = _grid_drive(drive, grid)
 
     def block(k0: int, k1: int):
+        if real:
+            om_h = half_lattice_block(drive.real, k0, k1)
+            return params.g_cav, om_h, -om_h, -params.g_cav
         th = grid.half_times_block(k0, k1)
         om_h = half_lattice_block(drive, k0, k1)
-        e2m = _phase(params.delta2, th)
-        e1m = _phase(params.delta1, th)
+        e2m = np.exp(-1j * params.delta2 * th)
+        e1m = np.exp(-1j * params.delta1 * th)
         cav = -1j * params.g_cav * e2m           # G <- X coupling
         sto = -1j * np.conj(om_h) * e1m          # E <- X coupling
         rev = -1j * om_h * np.conj(e1m)          # X <- E coupling
         bck = -1j * params.g_cav * np.conj(e2m)  # X <- G coupling
-        if real:
-            # copies, so that no complex array outlives the block
-            return -cav.imag, -sto.imag, rev.imag.copy(), bck.imag.copy()
         return cav, sto, rev, bck
 
     return block
-
-
-def _feed(n: int, series):
-    """The half-lattice inputs of an ``n``-step scalar RK4 loop, by block.
-
-    ``series(k0, k1)`` gives the inputs of steps ``k0 .. k1 - 1`` as
-    arrays on the half lattice ``2 k0 .. 2 k1``.  Yields ``k0``, ``k1``
-    and an iterator over those steps: for step k, each array's samples
-    at 2k, 2k + 1 and 2k + 2 in turn, as Python numbers.  The loops of
-    :func:`_rk4_loop` and :func:`simulate_discrete_bath` step a few
-    amplitudes, too small a state vector to pay per-step array overhead
-    for, and a block bounds what the lists hold.
-    """
-    for k0 in range(0, n, _BLOCK):
-        k1 = min(k0 + _BLOCK, n)
-        cols = []
-        for arr in series(k0, k1):
-            even = arr[0::2].tolist()
-            # step k's 2k + 2 is step k + 1's 2k: one list serves both
-            cols += (even, arr[1::2].tolist(), islice(even, 1, None))
-        yield k0, k1, zip(*cols)
-
-
-def _affine_run(stage, series, rates, start, dest, dt: float) -> bool:
-    """Step an RK4 route of s' = A(t) s + f(t) block by block as affine
-    recurrences (:func:`_rk4_affine_maps`, :func:`_affine_scan`), each
-    block from the end state of the one before.
-
-    ``series(k0, k1)`` gives the couplings and the sources of steps
-    ``k0 .. k1 - 1`` on the half lattice and ``stage`` the right-hand
-    side, as for :func:`_rk4_affine_maps`; ``rates`` maps the block's
-    largest input moduli to bounds (a, f) on the summed coefficient
-    moduli of any one component's slope and on its source.  Writes the
-    states after each step into ``dest[i][1:]``, one array per
-    component.  Returns False at the first block it cannot settle: one
-    whose path is not finite, or comes near enough to overflow for a
-    stage of the scalar loop it stands for to.  With |s| <= sigma (the
-    sum of the moduli), every stage state of a step stays below
-    grow^3 (sigma + dt f) and every slope term below
-    a grow^3 (sigma + dt f) + f, with grow = 1 + dt a.
-    """
-    n = dest[0].shape[0] - 1
-    state = list(start)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k0 in range(0, n, _BLOCK):
-            k1 = min(k0 + _BLOCK, n)
-            couplings, sources = series(k0, k1)
-            path = _affine_scan(_rk4_affine_maps(stage, couplings, sources, len(state), dt), state)
-            inputs = (*couplings, *sources)
-            a, f = rates(*(float(np.max(np.abs(v))) for v in inputs))
-            sigma = max(sum(map(abs, state)), float(np.max(np.sum(np.abs(path), axis=0))))
-            grow = 1.0 + dt * a
-            # the stage states and the weighted sum of the four slopes
-            # stay below this; a quarter of the float maximum leaves a
-            # factor 2 for a complex product's two terms and 2 for the
-            # loop's rounding apart from the blocks
-            if not (6.0 * a + 1.0) * grow * grow * grow * (sigma + dt * f) + 6.0 * f < _FLOAT_MAX / 4.0:
-                return False
-            for out, p in zip(dest, path):
-                out[k0 + 1 : k1 + 1] = p
-            state = path[:, -1].tolist()
-    return True
-
-
-def _rk4_loop(stage, series, start, dest, dt: float, names) -> None:
-    """Step the RK4 route that :func:`_affine_run` solves in blocks one
-    step at a time, on Python numbers: the bit-for-bit RK4 reference of
-    the route, and the path of a run whose blocks cannot settle.
-
-    ``stage``, ``series``, ``start`` and ``dest`` are those of
-    :func:`_affine_run`, with every coupling an array; :func:`_feed`
-    hands the loop each step's inputs at 2k, 2k + 1 and 2k + 2, so the
-    four stages evaluate ``stage`` as the affine maps do.  Writes the
-    states after each step into ``dest[i][1:]``.  Raises
-    :class:`NonFiniteState` at the first step whose state is not finite
-    or whose sum of moduli overflows, naming the components by
-    ``names``.
-    """
-    n = dest[0].shape[0] - 1
-    h = dt / 2.0
-    sixth = dt / 6.0
-    s = list(start)
-
-    def inputs(k0, k1):
-        couplings, sources = series(k0, k1)
-        return (*couplings, *sources)
-
-    for k0, k1, steps in _feed(n, inputs):
-        path = []
-        for at in steps:
-            mid = at[1::3]
-            a1 = stage(*at[0::3], *s)
-            a2 = stage(*mid, *[v + h * a for v, a in zip(s, a1)])
-            a3 = stage(*mid, *[v + h * a for v, a in zip(s, a2)])
-            a4 = stage(*at[2::3], *[v + dt * a for v, a in zip(s, a3)])
-            s = [
-                v + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                for v, b1, b2, b3, b4 in zip(s, a1, a2, a3, a4)
-            ]
-            tot = 0.0
-            try:
-                for v in s:
-                    tot += abs(v)
-            except OverflowError:  # a modulus past the float maximum
-                tot = math.inf
-            if tot != tot or tot == math.inf:
-                t = (k0 + len(path) + 1) * dt
-                raise NonFiniteState.among(t, **dict(zip(names, s)))
-            path.append(s)
-        for out, p in zip(dest, zip(*path)):
-            out[k0 + 1 : k1 + 1] = p
 
 
 def _trajectory(grid, phi_in, g, e, x, z_mem, y_out) -> Trajectory:
@@ -322,27 +197,17 @@ def _reduced_run(drive, src, rate, w, mem, params, init, grid):
 
     with the atom block of :func:`_couplings` and the source ``src``,
     solved block by block as affine recurrences (:func:`_affine_run`).
-    Where :func:`_real_field` holds, the same ``stage`` steps floats: g,
-    e and Z are the real parts and y = Im x stands in x's place.  The
-    blocks then build float maps from couplings taken straight from g_cav
-    and the drive, g_cav as a number: for a finite drive they are the
-    values the complex couplings give, and a block with a sample that is
-    not finite does not settle.  A path the blocks cannot settle is
-    stepped by :func:`_rk4_loop` on the couplings of :func:`_couplings`,
-    whose raise is the contract.  On the real couplings every complex
-    product has one exactly zero term, so each nonzero part takes the
-    complex loop's operations in its order and its bits, and the zero
+    A path the blocks cannot settle is stepped by :func:`_rk4_loop` on
+    the same inputs, whose raise is the contract.  Where
+    :func:`_real_field` holds, the same ``stage`` steps floats on the
+    real couplings: g, e and Z are the real parts and y = Im x stands in
+    x's place.  For a finite drive every complex product of the complex
+    loop then has one exactly zero term, so each nonzero part takes that
+    loop's operations in its order and its bits, and the zero
     parts, +0 at every step of the complex loop, are written as +0."""
     gamma_l = params.gamma_L
     real = _real_field(drive, params, init)
     couplings = _couplings(drive, params, grid, real)
-    map_couplings = couplings
-    if real:
-        om, g_cav = drive.real, params.g_cav
-
-        def map_couplings(k0, k1):
-            om_h = half_lattice_block(om, k0, k1)
-            return g_cav, om_h, -om_h, -g_cav
 
     def stage(cav, sto, rev, bck, src, g, e, x, z):
         dg = cav * x + src - z
@@ -354,9 +219,6 @@ def _reduced_run(drive, src, rate, w, mem, params, init, grid):
         return cav + sto + rev + bck + abs(rate) + abs(gamma_l) + abs(w) + abs(mem) + 1.0, src
 
     def inputs(k0, k1):
-        return map_couplings(k0, k1), (src(k0, k1),)
-
-    def loop_inputs(k0, k1):
         return couplings(k0, k1), (src(k0, k1),)
 
     n = grid.n_steps
@@ -372,7 +234,7 @@ def _reduced_run(drive, src, rate, w, mem, params, init, grid):
         start = [start[0].real, start[1].real, start[2].imag, 0.0]
         dest[2] = px.imag
     if not _affine_run(stage, inputs, rates, start, dest, grid.dt):
-        _rk4_loop(stage, loop_inputs, start, dest, grid.dt, "gexz")
+        _rk4_loop(stage, inputs, start, dest, grid.dt, "gexz")
     return pg, pe, px, pz
 
 

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import photon_store as ps
-from photon_store import dark_state, dynamics
+from photon_store import _integrate, dark_state, dynamics
 from photon_store.errors import NonFiniteState
 
 PI = math.pi
@@ -160,7 +160,7 @@ def loop_runs(monkeypatch):
     routes make in the test: one for each run their blocks cannot
     settle."""
     runs = []
-    loop = dynamics._rk4_loop
+    loop = _integrate._rk4_loop
 
     def spy(*args):
         runs.append(args)
@@ -176,14 +176,14 @@ def built_map_types(monkeypatch):
     """The dtypes of the affine maps that the forward routes build in
     the test, collected as they are built."""
     seen = set()
-    build = dynamics._rk4_affine_maps
+    build = _integrate._rk4_affine_maps
 
     def spy(*args):
         maps = build(*args)
         seen.add(maps.dtype)
         return maps
 
-    monkeypatch.setattr(dynamics, "_rk4_affine_maps", spy)
+    monkeypatch.setattr(_integrate, "_rk4_affine_maps", spy)
     return seen
 
 

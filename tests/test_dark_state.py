@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import photon_store as ps
-from photon_store import dynamics
+from photon_store import _integrate
 from photon_store._integrate import half_lattice
 from photon_store.errors import (
     AngleDomain,
@@ -175,7 +175,7 @@ def test_adiabatic_run_and_rk4_fail_at_the_same_time(pulse, dark_case, grid, rk4
 def block_dark(pulse, make_params):
     """The (30 pi, W = 0.5) design on a grid of three full blocks of the
     loop's input feed and a partial fourth."""
-    n = 3 * dynamics._BLOCK + 517
+    n = 3 * _integrate._BLOCK + 517
     grid = ps.TimeGrid.from_span(PI, PI / n)
     params = make_params(0.5, DARK_RHO)
     return params, grid, ps.adiabatic_design(pulse, params, grid)
@@ -183,7 +183,7 @@ def block_dark(pulse, make_params):
 
 def test_adiabatic_run_is_rk4_bit_for_bit_across_blocks(pulse, block_dark, rk4, scalar_loops):
     params, grid, dark = block_dark
-    assert grid.n_steps > 3 * dynamics._BLOCK and grid.n_steps % dynamics._BLOCK
+    assert grid.n_steps > 3 * _integrate._BLOCK and grid.n_steps % _integrate._BLOCK
     run = ps.adiabatic_simulate(pulse, dark)
     path = rk4(np.zeros(2), adiabatic_rhs(dark, params), grid.dt, grid.n_steps).real
     assert np.array_equal(run.d1, path[:, 0])
@@ -196,7 +196,7 @@ def test_adiabatic_run_and_rk4_fail_alike_in_a_later_block(
     pulse, block_dark, rk4, series
 ):
     params, grid, dark = block_dark
-    at = 2 * dynamics._BLOCK + 300
+    at = 2 * _integrate._BLOCK + 300
     if series == "angle":
         angle = dark.mixing_angle.copy()
         angle[at] = np.nan
@@ -210,7 +210,7 @@ def test_adiabatic_run_and_rk4_fail_alike_in_a_later_block(
     with pytest.raises(NonFiniteState) as rk4_err:
         rk4(np.zeros(2), adiabatic_rhs(broken, params), grid.dt, grid.n_steps)
     assert run_err.value.t == rk4_err.value.t
-    assert 2 * dynamics._BLOCK * grid.dt < run_err.value.t < grid.span
+    assert 2 * _integrate._BLOCK * grid.dt < run_err.value.t < grid.span
     assert run_err.value.amplitude == "dq"[int(rk4_err.value.amplitude[2:-1])]
 
 
@@ -260,7 +260,7 @@ def test_a_later_dark_block_that_blows_up_raises_as_the_loop(
     pulse, block_dark, loop_runs, loop_run, cause
 ):
     _, grid, dark = block_dark
-    at = 2 * dynamics._BLOCK + 300
+    at = 2 * _integrate._BLOCK + 300
     if cause == "nan_angle":
         angle = dark.mixing_angle.copy()
         angle[at] = np.nan
@@ -279,7 +279,7 @@ def test_a_later_dark_block_that_blows_up_raises_as_the_loop(
         loop_run(ps.adiabatic_simulate, pulse, broken)
     run, loop = run_err.value, loop_err.value
     assert (run.t, run.amplitude, str(run)) == (loop.t, loop.amplitude, str(loop))
-    assert 2 * dynamics._BLOCK * grid.dt < run.t < grid.span
+    assert 2 * _integrate._BLOCK * grid.dt < run.t < grid.span
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import photon_store as ps
-from photon_store import config, dynamics, runner
+from photon_store import _integrate, config, dynamics, runner
 from photon_store._integrate import half_lattice
 from photon_store.errors import BandTooNarrow, GridMismatch, InfeasibleDesign, NonFiniteState
 
@@ -110,7 +110,8 @@ def test_a_short_drive_is_rejected_before_any_series_is_computed(
 
     monkeypatch.setattr(dynamics, "future_drive", unbuilt)
     monkeypatch.setattr(dynamics, "initial_modes", unbuilt)
-    monkeypatch.setattr(dynamics, "_feed", unbuilt)
+    for module in (_integrate, dynamics):
+        monkeypatch.setattr(module, "_feed", unbuilt)
     params, des = design_for(1.6716, 0.002)
     args = [pulse, des.drive[:-5], params, ps.InitialState.vacuum()]
     if entry == "simulate_discrete_bath":
@@ -295,7 +296,7 @@ def test_memory_solver_and_rk4_fail_at_the_same_time(pulse, detuned_case, rk4, m
 
 def block_grid():
     """Three full blocks of the loops' input feed and a partial fourth."""
-    n = 3 * dynamics._BLOCK + 517
+    n = 3 * _integrate._BLOCK + 517
     return ps.TimeGrid.from_span(PI, PI / n)
 
 
@@ -319,7 +320,7 @@ def test_reduced_solver_is_rk4_bit_for_bit_across_blocks(
     pulse, detuned_blocks, rk4, scalar_loops, memory
 ):
     params, grid, drive, init = detuned_blocks
-    assert grid.n_steps > 3 * dynamics._BLOCK and grid.n_steps % dynamics._BLOCK
+    assert grid.n_steps > 3 * _integrate._BLOCK and grid.n_steps % _integrate._BLOCK
     solve = ps.simulate_nonmarkovian if memory else ps.simulate_markovian
     traj = solve(pulse, drive, params, init, grid)
     y0 = [init.g_amp, init.e_amp, init.x_amp] + ([0.0] if memory else [])
@@ -338,7 +339,7 @@ def test_reduced_solver_and_rk4_fail_alike_in_a_later_block(
 ):
     params, grid, drive, init = detuned_blocks
     drive = drive.copy()
-    drive[2 * dynamics._BLOCK + 300] = np.nan
+    drive[2 * _integrate._BLOCK + 300] = np.nan
     solve = ps.simulate_nonmarkovian if memory else ps.simulate_markovian
     with pytest.raises(NonFiniteState) as run_err:
         solve(pulse, drive, params, init, grid)
@@ -347,7 +348,7 @@ def test_reduced_solver_and_rk4_fail_alike_in_a_later_block(
     with pytest.raises(NonFiniteState) as rk4_err:
         rk4(y0, rhs, grid.dt, grid.n_steps)
     assert run_err.value.t == rk4_err.value.t
-    assert 2 * dynamics._BLOCK * grid.dt < run_err.value.t < grid.span
+    assert 2 * _integrate._BLOCK * grid.dt < run_err.value.t < grid.span
     assert run_err.value.amplitude == named_as_the_loop_names(rk4_err.value, "gexz")
 
 
@@ -467,19 +468,24 @@ def test_resonant_real_field_is_rk4_bit_for_bit(
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("cause", ["nan_sample", "huge_drive", "unstable_drive"])
+@pytest.mark.parametrize(
+    "cause", ["nan_sample", "inf_sample", "minus_inf_sample", "huge_drive", "unstable_drive"]
+)
 @pytest.mark.parametrize("start", REAL_STARTS)
 @pytest.mark.parametrize("solver", SOLVERS)
 def test_resonant_real_field_blows_up_as_the_complex_loop(
     pulse, resonant_blocks, monkeypatch, solver, start, cause
 ):
-    # a NaN sample in the third block; a drive whose first stages
-    # overflow; and one past RK4's stability bound (|dt * 1e4| = 4.7),
-    # which grows about 16-fold a step until it overflows
+    # a NaN or infinite sample in the third block, which the real
+    # couplings carry as it is and the complex ones partly as NaN; a
+    # drive whose first stages overflow; and one past RK4's stability
+    # bound (|dt * 1e4| = 4.7), which grows about 16-fold a step until
+    # it overflows
     params, grid, _, drives = resonant_blocks
     drive = drives["builtin", "designed"].copy()
-    if cause == "nan_sample":
-        drive[2 * dynamics._BLOCK + 300] = np.nan
+    samples = {"nan_sample": np.nan, "inf_sample": np.inf, "minus_inf_sample": -np.inf}
+    if cause in samples:
+        drive[2 * _integrate._BLOCK + 300] = samples[cause]
     else:
         drive[:] = 1e200 if cause == "huge_drive" else 1e4
     init = REAL_STARTS[start]
@@ -500,7 +506,7 @@ def stepped_types(monkeypatch):
     """The types of the numbers the scalar loops step through, collected
     from the first step of each block as the loops run."""
     seen = set()
-    feed = dynamics._feed
+    feed = _integrate._feed
 
     def spy(n, series):
         for k0, k1, steps in feed(n, series):
@@ -508,7 +514,8 @@ def stepped_types(monkeypatch):
             seen.update(type(v) for v in first)
             yield k0, k1, itertools.chain([first], steps)
 
-    monkeypatch.setattr(dynamics, "_feed", spy)
+    for module in (_integrate, dynamics):
+        monkeypatch.setattr(module, "_feed", spy)
     return seen
 
 
@@ -596,7 +603,7 @@ def test_block_recurrences_track_the_scalar_loops(
     detuning = {} if field == "real" else {"delta1": 0.7, "delta2": -1.3}
     params = make_params(1.6716, 0.002, **detuning)
     grid = ps.TimeGrid.from_span(PI, dt)
-    assert grid.n_steps > dynamics._BLOCK and grid.n_steps % dynamics._BLOCK
+    assert grid.n_steps > _integrate._BLOCK and grid.n_steps % _integrate._BLOCK
     drive = ps.design_drive(pulse, params, grid).drive
     init = REAL_STARTS[start]
     assert dynamics._real_field(drive, params, init) == (field == "real")
@@ -667,7 +674,7 @@ def test_a_later_block_that_blows_up_raises_as_the_loop(
     if field == "complex":
         params = make_params(2.0, 0.002, delta2=0.7)
     drive = drives["builtin", "designed"].copy()
-    at = 2 * dynamics._BLOCK + 300
+    at = 2 * _integrate._BLOCK + 300
     if cause == "nan_sample":
         drive[at] = np.nan
     else:
@@ -680,7 +687,7 @@ def test_a_later_block_that_blows_up_raises_as_the_loop(
         loop_run(SOLVERS[solver], *args)
     run, loop = run_err.value, loop_err.value
     assert (run.t, run.amplitude, str(run)) == (loop.t, loop.amplitude, str(loop))
-    assert 2 * dynamics._BLOCK * grid.dt < run.t < grid.span
+    assert 2 * _integrate._BLOCK * grid.dt < run.t < grid.span
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -723,29 +730,45 @@ PAPER_RUNS = {
 }
 
 
+def coupling_types(monkeypatch):
+    """For each run of the reduced routes and the comb, the dtypes of the
+    coupling blocks it takes from ``dynamics._couplings``, collected as
+    the blocks are formed."""
+    runs = []
+    couplings = dynamics._couplings
+
+    def spy(*args):
+        block = couplings(*args)
+        seen = set()
+        runs.append(seen)
+
+        def spied(k0, k1):
+            out = block(k0, k1)
+            seen.update(np.result_type(c) for c in out)
+            return out
+
+        return spied
+
+    monkeypatch.setattr(dynamics, "_couplings", spy)
+    return runs
+
+
 @pytest.mark.parametrize("run", PAPER_RUNS)
-def test_the_paper_runs_never_step_the_scalar_loop(tmp_path, loop_runs, run):
+def test_the_paper_runs_never_step_the_scalar_loop(tmp_path, monkeypatch, loop_runs, run):
     # fig2c steps its matched and its vacuum start, the oracle mode its
-    # reduced route: the blocks settle every one of them
+    # reduced route: the blocks settle every one of them.  Both and the
+    # oracle's comb are resonant and real, so they form no complex
+    # coupling block either
     mode, text = PAPER_RUNS[run]
+    formed = coupling_types(monkeypatch)
     assert runner.run_scenario(config.parse_config(text, mode), tmp_path) == 0
     assert loop_runs == []
-
-
-def test_phase_at_zero_detuning_is_one_evaluation(grid):
-    # the block's e^{-i delta t} against the np.exp over every sample
-    # that it replaces, at both signed zeros and one detuning
-    for delta in (0.0, -0.0, 0.7):
-        for k0, k1 in ((0, 5), (7, 2055), (grid.n_steps - 3, grid.n_steps)):
-            th = grid.half_times_block(k0, k1)
-            expected = np.exp(-1j * delta * th)
-            assert np.array_equal(bits(dynamics._phase(delta, th)), bits(expected)), delta
+    assert formed == ([] if mode == "dark" else [{np.dtype(float)}] * 2)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("real", [False, True])
 @pytest.mark.parametrize("deltas", [(0.0, 0.0), (-0.0, -0.0), (0.7, -1.3)])
-def test_couplings_keep_their_bits_with_non_finite_drive_samples(make_params, real, deltas):
+def test_couplings_keep_their_bits_with_non_finite_drive_samples(make_params, deltas):
     params = make_params(2.0, 0.002, delta1=deltas[0], delta2=deltas[1])
     grid = ps.TimeGrid.from_span(PI, PI / 40)
     drive = 40.0 * np.sin(grid.times) + 0j
@@ -758,9 +781,8 @@ def test_couplings_keep_their_bits_with_non_finite_drive_samples(make_params, re
     sto = -1j * np.conj(om_h) * e1m
     rev = -1j * om_h * np.conj(e1m)
     bck = -1j * params.g_cav * np.conj(e2m)
-    expected = (-cav.imag, -sto.imag, rev.imag, bck.imag) if real else (cav, sto, rev, bck)
-    got = dynamics._couplings(drive, params, grid, real)(2, 30)
-    for a, b in zip(got, expected):
+    got = dynamics._couplings(drive, params, grid)(2, 30)
+    for a, b in zip(got, (cav, sto, rev, bck)):
         assert np.array_equal(bits(a), bits(b))
 
 
@@ -779,7 +801,7 @@ def test_forward_run_memory_beyond_its_output_does_not_grow_with_the_grid(
     # the loop's inputs reach it one block at a time.  Tracing costs
     # about 0.5 ms a step of the loop, so short grids of 64-step blocks
     # stand in for long grids of full blocks
-    monkeypatch.setattr(dynamics, "_BLOCK", 64)
+    monkeypatch.setattr(_integrate, "_BLOCK", 64)
     params = make_params(2.0, 0.002)
 
     def excess(n_steps):
@@ -1070,7 +1092,7 @@ def test_comb_step_is_rk4_of_the_full_system_across_blocks(pulse, block_comb, rk
 def test_comb_step_and_rk4_fail_alike_in_a_later_block(pulse, block_comb, rk4):
     params, bath, grid, c0, drive, _ = block_comb
     drive = drive.copy()
-    drive[3 * dynamics._BLOCK + 100] = np.nan
+    drive[3 * _integrate._BLOCK + 100] = np.nan
     init = ps.InitialState.matched(params.rho_offset)
     with pytest.raises(NonFiniteState) as oracle_err:
         ps.simulate_discrete_bath(pulse, drive, params, init, bath, grid)
@@ -1078,7 +1100,7 @@ def test_comb_step_and_rk4_fail_alike_in_a_later_block(pulse, block_comb, rk4):
     with pytest.raises(NonFiniteState) as rk4_err:
         rk4(y0, explicit_comb_rhs(drive, params, bath, grid), grid.dt, grid.n_steps)
     assert oracle_err.value.t == rk4_err.value.t
-    assert 3 * dynamics._BLOCK * grid.dt < oracle_err.value.t < grid.span
+    assert 3 * _integrate._BLOCK * grid.dt < oracle_err.value.t < grid.span
     names = ("g", "e", "x", "modes")
     assert oracle_err.value.amplitude == named_as_the_loop_names(rk4_err.value, names)
 

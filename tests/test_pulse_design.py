@@ -356,12 +356,13 @@ def test_linear_rk4_keeps_a_finite_path_near_the_stage_bound(z, backward):
     assert np.array_equal(got, scale * ref)
 
 
-def test_linear_rk4_raises_where_only_a_stage_overflows(rk4):
+@pytest.mark.parametrize("backward", [False, True])
+def test_linear_rk4_raises_where_only_a_stage_overflows(rk4, backward):
     # R(-5) > 1, so the path grows; scaled to end near 1e305 it stays
     # finite, but the last step's k4 = lam (y + dt k3) overflows, and a
-    # stepping loop stops there
+    # stepping loop stops there: at t = 0 when it runs backward
     z, dt, n = -5.0, 1e-3, 40
-    unit = _rk4_linear(z, dt, np.ones(2 * n + 1), amplitude="y")
+    unit = _rk4_linear(z, dt, np.ones(2 * n + 1), backward=backward, amplitude="y")
     scale = 2.0 ** math.floor(math.log2(1e305 / np.max(np.abs(unit))))
     assert np.isfinite(scale * unit).all()
     f = np.full(2 * n + 1, scale)
@@ -369,8 +370,9 @@ def test_linear_rk4_raises_where_only_a_stage_overflows(rk4):
         with pytest.raises(NonFiniteState) as ref:
             rk4([0.0], lambda j, y: (z / dt) * y + f[j], dt, n)
     with pytest.raises(NonFiniteState) as got:
-        _rk4_linear(z, dt, f, amplitude="y")
-    assert got.value.t == ref.value.t == n * dt
+        _rk4_linear(z, dt, f, backward=backward, amplitude="y")
+    assert ref.value.t == n * dt
+    assert got.value.t == (0.0 if backward else n * dt)
     assert got.value.amplitude == "y"
 
 
@@ -401,14 +403,17 @@ def test_linear_rk4_edges_equal_a_stepping_loop(rk4, z, n, scale, backward):
     assert np.array_equal(got, scale * unit)
 
 
-def test_linear_rk4_returns_the_loop_path_where_only_the_blocks_overflow(rk4):
+@pytest.mark.parametrize("backward", [False, True])
+def test_linear_rk4_returns_the_loop_path_where_only_the_blocks_overflow(rk4, backward):
     # the path settles near 5.6e307, above the stage bound, so the scalar
     # loop steps it and gets through; the blocks' running sums, scaled by
     # up to r^(-3) ~ 4.5, overflow there, and the loop's path is returned
     z, dt, n = -0.5, 1.0, 400
     f = np.full(2 * n + 1, 1.25 * 2.0**1021)
     ref = rk4([0.0], lambda j, y: (z / dt) * y + f[j], dt, n)[:, 0].real
-    got = _rk4_linear(z, dt, f, amplitude="y")
+    if backward:
+        ref = ref[::-1]
+    got = _rk4_linear(z, dt, f, backward=backward, amplitude="y")
     assert np.isfinite(got).all()
     assert _rel(got, ref) <= 1e-12
 
