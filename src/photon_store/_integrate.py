@@ -18,7 +18,10 @@ exactly an affine recurrence, which :func:`_rk4_linear` solves as a
 blocked running sum instead of stepping it in Python: O(n) work and no
 BLAS call.  Only a path the blocks cannot settle (not finite, or near
 enough to overflow for an RK4 stage to) is stepped by the scalar loop
-below, whose first non-finite y raises.
+below, whose first non-finite y raises.  Every running integral of the
+package (rho_ee, the drive's winding, the dark route's d1^2 and flux,
+the reflected probability) is the same recurrence at lam = 0, Simpson's
+rule on the half lattice (:func:`running_integral`).
 
 The forward routes are small linear systems s' = A(t) s + f(t), and an
 RK4 step of one is likewise an affine map s -> M_k s + c_k.
@@ -102,10 +105,59 @@ def half_lattice_block(y: np.ndarray, k0: int, k1: int) -> np.ndarray:
     return half_lattice(y[lo : hi + 1])[2 * (k0 - lo) : 2 * (k1 - lo) + 1]
 
 
-def cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
-    """Running trapezoid integral of uniform samples from 0: scipy's
-    ``cumulative_trapezoid(y, dx=dx, initial=0)``, bit for bit."""
-    return np.concatenate(([0.0], np.cumsum(dx * (y[1:] + y[:-1]) / 2.0)))
+def refined_peak(y: np.ndarray) -> float:
+    """Largest value of uniform samples ``y`` of a smooth curve, read
+    from the parabola through the grid maximum and its two neighbours.
+
+    A grid maximum misses a smooth peak by up to y'' (dt/2)^2 / 2; the
+    vertex of the parabola, within half a step of the grid maximum,
+    misses it by O(dt^3).  At an end of the samples, or where the three
+    samples are not all finite, the grid maximum (NaN where there is
+    one, as ``np.max`` gives) stands.
+    """
+    k = int(np.argmax(y))
+    top = float(y[k])
+    if 0 < k < y.shape[0] - 1:
+        lo, hi = float(y[k - 1]), float(y[k + 1])
+        # top is the largest of the three, so curv <= 0
+        curv = lo - 2.0 * top + hi
+        if curv < 0.0 and math.isfinite(curv):
+            return top - 0.125 * (hi - lo) ** 2 / curv
+    return top
+
+
+def running_integral(f: np.ndarray, dt: float) -> np.ndarray:
+    """Running integral from 0 of uniform grid samples ``f``: the z = 0
+    path of :func:`_rk4_linear` on ``half_lattice(f)``, bit for bit.
+
+    RK4 on y' = f(t) is Simpson's rule on the half lattice, so each step
+    adds dt/6 (f_k + 4 f_{k+1/2} + f_{k+1}), with f_{k+1/2} the cubic
+    midpoint: fourth order, like every stepper of the package.  The
+    half lattice is taken one block of steps at a time
+    (:func:`half_lattice_block`), so no whole one is held.  A running
+    sum has no feedback to blow up, so nothing is raised: a sample that
+    is not finite leaves the path from its step on not finite, and the
+    caller's own check names it.
+    """
+    n = f.shape[0] - 1
+    path = np.empty(n + 1)
+    path[0] = 0.0
+    for k0 in range(0, n, _BLOCK):
+        k1 = min(k0 + _BLOCK, n)
+        path[k0 + 1 : k1 + 1] = _rk4_increments(0.0, dt, half_lattice_block(f, k0, k1))
+    return np.cumsum(path, out=path)
+
+
+def _rk4_increments(z: float, dt: float, f_half: np.ndarray) -> np.ndarray:
+    """b_k of the RK4 step y_{k+1} = r y_k + b_k of y' = lam y + f, with
+    ``z = lam * dt``, from f on the half lattice (see :func:`_rk4_linear`);
+    at z = 0 it is dt/6 (f_k + 4 f_{k+1/2} + f_{k+1}) exactly."""
+    zz = z * z
+    return (dt / 6.0) * (
+        (1.0 + z + 0.5 * zz + 0.25 * zz * z) * f_half[0:-1:2]
+        + (4.0 + 2.0 * z + 0.5 * zz) * f_half[1::2]
+        + f_half[2::2]
+    )
 
 
 def _rk4_linear(
@@ -130,7 +182,10 @@ def _rk4_linear(
     ``exp(+-k log1p(r - 1))``, with r - 1 formed without the leading 1:
     ``r**k`` loses the digits of r near 1 and puts N(0) ~1e-13 off G'(0)
     at small W.  L is capped so that r^(+-L) and, on a path below the
-    stage bound, every scaled sample and running sum stay finite.
+    stage bound, every scaled sample and running sum stay finite
+    (:func:`_rk4_blocks`).  At z = 0, r = 1 and the path is b's running
+    sum, with no power and no block: Simpson's rule on the half lattice,
+    which :func:`running_integral` takes from grid samples.
 
     With ``backward=True`` the recurrence runs from the last sample to
     t = 0 and ``lam``, ``f_half`` describe the equation in reversed
@@ -149,25 +204,55 @@ def _rk4_linear(
     n = (f_half.shape[0] - 1) // 2
     if backward:
         f_half = f_half[::-1]
-    q = z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
-    log_r = math.log1p(q)
-    zz = z * z
-    b = (dt / 6.0) * (
-        (1.0 + z + 0.5 * zz + 0.25 * zz * z) * f_half[0:-1:2]
-        + (4.0 + 2.0 * z + 0.5 * zz) * f_half[1::2]
-        + f_half[2::2]
-    )
-
+    b = _rk4_increments(z, dt, f_half)
     # below this size no RK4 stage of the next step can overflow
     size = abs(z)
     grow = 1.0 + size
     limit = _FLOAT_MAX / (6.0 * (grow + size / dt) * grow * grow * grow)
+    if z == 0.0:
+        # r = 1: the path is b's running sum, with no power to take
+        steps = np.cumsum(b)
+    else:
+        # log(_FLOAT_MAX / (4 limit)), the room of _rk4_blocks' powers
+        room = min(_EXP_ROOM, math.log(1.5 * (grow + size / dt) * grow**3))
+        steps = _rk4_blocks(z, b, room)
+    path = np.empty(n + 1)
+    stepped = path[::-1] if backward else path
+    stepped[0] = 0.0
+    stepped[1:] = steps
+    if not np.max(np.abs(path)) < limit:
+        # step the loop the blocks stand for, which stops where it blows up
+        lam = z / dt
+        ys = np.empty(n + 1)
+        try:
+            _rk4_loop(
+                lambda f, y: (lam * y + f,),
+                lambda k0, k1: ((), (f_half[2 * k0 : 2 * k1 + 1],)),
+                [0.0], [ys], dt, (amplitude,),
+            )
+        except NonFiniteState as err:
+            if not backward:
+                raise
+            # the loop stamps its step k at (k + 1) dt; run backward, that
+            # step ends at grid time (n - k - 1) dt
+            raise NonFiniteState((n - round(err.t / dt)) * dt, amplitude) from None
+        if not np.isfinite(path).all():
+            # the blocks overflowed where the loop did not: its path stands
+            stepped[1:] = ys[1:]
+    return path
+
+
+def _rk4_blocks(z: float, b: np.ndarray, room: float) -> np.ndarray:
+    """y_1 .. y_n of y_{k+1} = r y_k + b_k from y_0 = 0, r = R(z) != 1, in
+    blocks of at most isqrt(n) steps (see :func:`_rk4_linear`), with the
+    width capped so that r^(+-width) <= exp(``room``).  A block past
+    the first that is not finite leaves NaN in every later one."""
+    n = b.shape[0]
+    log_r = math.log1p(z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0))))
     width = max(1, math.isqrt(n))
     # while |y| < limit, |b_i| < (1 + r) limit and a block's path from
     # rest stays below (1 + r^width) limit, so no scaled sample, running
-    # sum or block path passes 2 limit r^(+-width) <= _FLOAT_MAX / 2;
-    # room is log(_FLOAT_MAX / (4 limit))
-    room = min(_EXP_ROOM, math.log(1.5 * (grow + size / dt) * grow**3))
+    # sum or block path passes 2 limit r^(+-width) <= _FLOAT_MAX / 2
     if room < width * abs(log_r):
         width = max(1, int(room / abs(log_r)))
     blocks = -(-n // width)
@@ -190,31 +275,7 @@ def _rk4_linear(
                 # no later block is finite either: they stay NaN
                 break
         local += carry * powers[1:]
-
-    path = np.empty(n + 1)
-    stepped = path[::-1] if backward else path
-    stepped[0] = 0.0
-    stepped[1:] = local.reshape(-1)[:n]
-    if not np.max(np.abs(path)) < limit:
-        # step the loop the blocks stand for, which stops where it blows up
-        lam = z / dt
-        ys = np.empty(n + 1)
-        try:
-            _rk4_loop(
-                lambda f, y: (lam * y + f,),
-                lambda k0, k1: ((), (f_half[2 * k0 : 2 * k1 + 1],)),
-                [0.0], [ys], dt, (amplitude,),
-            )
-        except NonFiniteState as err:
-            if not backward:
-                raise
-            # the loop stamps its step k at (k + 1) dt; run backward, that
-            # step ends at grid time (n - k - 1) dt
-            raise NonFiniteState((n - round(err.t / dt)) * dt, amplitude) from None
-        if not np.isfinite(path).all():
-            # the blocks overflowed where the loop did not: its path stands
-            stepped[1:] = ys[1:]
-    return path
+    return local.reshape(-1)[:n]
 
 
 def _rk4_affine_maps(stage, couplings, sources, n_state: int, dt: float) -> np.ndarray:

@@ -128,7 +128,7 @@ class ScenarioConfig:
     bandwidth_w: Optional[float] = None
     rho_offset: Optional[float] = None
     pulse_duration: float = math.pi
-    grid_dt: float = 1e-4
+    grid_dt: float = 2e-4
     grid_span: Optional[float] = None
     n_modes: int = 2000
     band_halfwidth: float = 80.0

@@ -48,7 +48,7 @@ from functools import partial
 
 import numpy as np
 
-from ._integrate import _affine_run, _feed, _rk4_loop, half_lattice_block
+from ._integrate import _affine_run, _feed, _rk4_loop, half_lattice_block, running_integral
 from .errors import BandTooNarrow, GridMismatch, NonFiniteState
 from .grid import TimeGrid
 from .model import InputPulse, PhysicalParams, future_drive
@@ -647,7 +647,7 @@ def storage_metrics(traj: Trajectory) -> StorageMetrics:
     """Reflected probability and final-state occupations."""
     out2 = np.abs(traj.phi_out) ** 2
     return StorageMetrics(
-        reflected=float(np.trapezoid(out2, dx=traj.grid.dt)),
+        reflected=float(running_integral(out2, traj.grid.dt)[-1]),
         final_excited=float(np.abs(traj.e[-1]) ** 2),
         final_cavity=float(np.abs(traj.g[-1]) ** 2),
         peak_intermediate=float(np.max(np.abs(traj.x) ** 2)),

@@ -6,9 +6,11 @@ cavity amplitude G follows from the input-output relation, the
 intermediate-level amplitude x_tilde from the cavity equation of
 motion, the excited-state population rho_ee from probability flow, and
 finally the drive quadratures from the intermediate-level equation.
-All series live on a shared uniform grid; explicit integrals use the
-trapezoid rule and auxiliary first-order equations use RK4; big_gamma's
-pulse area alone uses Gauss-Legendre panels (:func:`coupling_from_bandwidth`).
+All series live on a shared uniform grid, and every running integral
+and auxiliary first-order equation is stepped by RK4, which on an
+integral is Simpson's rule on the half lattice: the design converges at
+fourth order.  big_gamma's pulse area alone uses Gauss-Legendre panels
+(:func:`coupling_from_bandwidth`).
 
 The Markovian (broadband) design is the W -> infinity limit of the same
 chain: the anticipated input N becomes sqrt(big_gamma) * phi_in and the
@@ -19,7 +21,7 @@ computes everything up to rho_ee and the in-phase drive quadrature,
 which depend on W and big_gamma but on neither detuning; and
 :func:`rotate_drive` adds the detunings.  A sweep computes the first
 stage once and the second once per W.  Its points rotate nothing: the
-drive is ``(p + i q) e^(-i φ)``, so a point reads max|Ω| = max
+drive is ``(p + i q) e^(-i φ)``, so a point reads max|Ω| from
 hypot(p, q), which does not depend on delta1, and θ straight from the
 chain (:func:`_polar_drive`).
 """
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrate import _rk4_linear, cumulative_trapezoid
+from ._integrate import _rk4_linear, refined_peak, running_integral
 from .errors import ConfigError, DegeneratePulse, InfeasibleDesign
 from .grid import TimeGrid
 from .model import InputPulse, PhysicalParams, future_drive
@@ -109,7 +111,7 @@ def excited_population(
     below the floor, and no seed lifts it.
     """
     flow = 2.0 * params.g_cav * x_tilde * g_series - 2.0 * params.gamma_L * x_tilde ** 2
-    acc = cumulative_trapezoid(flow, grid.dt)
+    acc = running_integral(flow, grid.dt)
     rho = params.rho_offset - x_tilde ** 2 + acc
     below = ~(rho >= _RHO_FLOOR)
     if below.any():
@@ -244,7 +246,7 @@ def _close_chain(
         rho_ee=rho,
         root_rho=root,
         p=(x_tilde_dot - params.g_cav * g + params.gamma_L * x_tilde) / root,
-        winding=cumulative_trapezoid(x_tilde ** 2 / rho, grid.dt),
+        winding=running_integral(x_tilde ** 2 / rho, grid.dt),
     )
 
 
@@ -373,9 +375,10 @@ def _polar_drive(
     detunings of ``params``, read from ``alpha + i beta = (p + i q)
     e^(-i φ)`` with no cos, sin or :class:`DesignResult`.
 
-    max|Ω| is max hypot(p, q) bit for bit and never reads delta1; hypot
-    is taken only where p^2 + q^2 is within the band of its maximum, or
-    everywhere when that maximum is not finite or not normal.  It and
+    max|Ω| is ``refined_peak(hypot(p, q))`` bit for bit and never reads
+    delta1; hypot is taken only where p^2 + q^2 is within the band of
+    its maximum, and at the grid maximum's neighbours, or everywhere
+    when that maximum is not finite or not normal.  It and
     θ = unwrap(arctan2(q, p) - φ) differ from :func:`rotate_drive`'s by
     the rotation's rounding, about 1e-16 relative.
     """
@@ -383,8 +386,13 @@ def _polar_drive(
     q = _quadrature(chain, params)
     power = p * p + q * q
     top = float(np.max(power))
-    near = power >= _PEAK_BAND * top if _TINY <= top < math.inf else slice(None)
-    peak = float(np.max(np.hypot(p[near], q[near])))
+    lo, hi = 0, p.shape[0]
+    if _TINY <= top < math.inf:
+        near = np.flatnonzero(power >= _PEAK_BAND * top)
+        k = int(near[np.argmax(np.hypot(p[near], q[near]))])
+        # the grid maximum and its neighbours are all refined_peak reads
+        lo, hi = max(k - 1, 0), k + 2
+    peak = refined_peak(np.hypot(p[lo:hi], q[lo:hi]))
     theta = _unwrap(np.arctan2(q, p) - _frame_phase(chain, params)) if phase else None
     return peak, theta
 

@@ -70,13 +70,25 @@ def test_criterion_03_equilibrium_condition(pulse, design_for, grid):
 
 
 def test_criterion_04_matched_storage(pulse, make_params):
+    """The matched drive stores, and its reflection converges as dt falls.
+
+    The design and the forward route are both fourth order, so phi_out
+    is O(dt^4) and the reflection integral of |phi_out|^2 is O(dt^8),
+    until rounding, which accumulates over the n = span/dt steps, sets a
+    floor that rises as dt falls.  Measured: 6.5e-22 at dt = 1e-3,
+    3.9e-24 at 5e-4 (168x for one halving; dt^8 gives 256x), 9.5e-27 at
+    2e-4, then the floor: 4.3e-27 at 1e-4 and 2.1e-25 at 5e-5.  So the
+    convergence is shown on two steps far above the floor, and the
+    storage bound at the default step.
+    """
     params = make_params(1.6716, 0.002)
     started = time.perf_counter()
-    base = reflected_matched(pulse, params, 1e-4)
-    finer = reflected_matched(pulse, params, 5e-5)
+    base = reflected_matched(pulse, params, config.ScenarioConfig.grid_dt)
+    coarse = reflected_matched(pulse, params, 1e-3)
+    finer = reflected_matched(pulse, params, 5e-4)
     elapsed = time.perf_counter() - started
     assert base <= 1e-6
-    assert finer < base
+    assert finer < coarse / 64.0
     assert elapsed < 5.0
 
 

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 import photon_store as ps
 from photon_store import cli, config, dynamics, errors, model, pulse_design, runner
+from photon_store._integrate import refined_peak
 from photon_store.errors import ConfigError, PhotonStoreError
 from photon_store.grid import TimeGrid
 
@@ -80,7 +81,7 @@ def test_minimal_design_config():
     assert cfg.g_cav == pytest.approx(30.0 * PI)
     assert cfg.gamma_L == pytest.approx(6.0 * PI)
     assert cfg.big_gamma is None  # derived at run time
-    assert cfg.grid_dt == 1e-4
+    assert cfg.grid_dt == config.ScenarioConfig.grid_dt
     assert cfg.n_modes == 2000
     assert cfg.band_halfwidth == 80.0
     assert cfg.workers == 1
@@ -493,7 +494,7 @@ def test_cli_design_run_writes_series_and_summary(tmp_path):
         "theta",
     ]
     rows = files["design_series.csv"].decode().count("\n") - 1
-    assert rows == 31416 + 1
+    assert rows == round(PI / config.ScenarioConfig.grid_dt) + 1
     summary = files["summary"].decode()
     assert "mode = design" in summary
     assert "big_gamma_derived = true" in summary
@@ -1084,7 +1085,7 @@ def test_delta2_sweep_drive_modulus_does_not_read_delta1(tmp_path):
     assert columns[0.0] == columns[5.0]
 
     # every digit, not only the printed twelve, and each detuned point
-    # is the rotated design's maximum, to rounding
+    # is the rotated design's refined maximum, to rounding
     cfg = config.parse_config(delta2_sweep_text(6, 5.0))
     state = runner.RunState(cfg)
     still = runner.RunState(config.parse_config(delta2_sweep_text(6, 0.0)))
@@ -1092,7 +1093,7 @@ def test_delta2_sweep_drive_modulus_does_not_read_delta1(tmp_path):
         params, chain, _ = state.chain(config.with_point(cfg, value))
         _, metrics, _ = state.point(value)
         assert metrics["max_abs_omega"] == still.point(value)[1]["max_abs_omega"]
-        rotated = float(np.max(pulse_design.rotate_drive(chain, params).omega_modulus))
+        rotated = refined_peak(pulse_design.rotate_drive(chain, params).omega_modulus)
         assert metrics["max_abs_omega"] == pytest.approx(rotated, rel=1e-15, abs=0)
 
 

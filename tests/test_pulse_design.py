@@ -12,8 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import photon_store as ps
-from photon_store import pulse_design
-from photon_store._integrate import _rk4_linear
+from photon_store import config, pulse_design
+from photon_store._integrate import _rk4_linear, half_lattice, refined_peak, running_integral
 from photon_store.errors import (
     DegeneratePulse,
     InfeasibleDesign,
@@ -418,6 +418,77 @@ def test_linear_rk4_returns_the_loop_path_where_only_the_blocks_overflow(rk4, ba
     assert _rel(got, ref) <= 1e-12
 
 
+# ------------------------------------------- running integrals and peaks
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 2047, 2048, 2049, 5000])
+def test_running_integral_is_simpsons_rule_on_the_half_lattice(n):
+    # RK4 on y' = f, the z = 0 path, adds dt/6 (f_k + 4 f_{k+1/2} + f_{k+1})
+    # a step; taken whole or one block of the half lattice at a time, the
+    # path is that running sum bit for bit
+    f = np.random.default_rng(n).standard_normal(n + 1)
+    dt = 0.37
+    h = half_lattice(f)
+    steps = dt / 6.0 * (h[0:-1:2] + 4.0 * h[1::2] + h[2::2])
+    simpson = np.concatenate(([0.0], np.cumsum(steps)))
+    assert np.array_equal(_rk4_linear(0.0, dt, h, amplitude="y"), simpson)
+    assert np.array_equal(running_integral(f, dt), simpson)
+
+
+@pytest.mark.parametrize("w", [0.5, 1.6716, 25.0])
+def test_excited_population_converges_at_fourth_order(pulse, make_params, w):
+    # nested grids of 1000, 2000 and 4000 steps on [0, pi] against 32 000:
+    # each halving of dt cut sup|rho_ee - ref| by 15.9 to 16.6 (to 7e-12,
+    # 4.9e-12 and 2.0e-11 at 4000 steps); the trapezoid rule cut it by 4
+    params = make_params(w, 0.002)
+
+    def rho(n):
+        return ps.design_drive(pulse, params, ps.TimeGrid.from_span(PI, PI / n)).rho_ee
+
+    ref = rho(32000)
+    errs = [float(np.max(np.abs(rho(n) - ref[:: 32000 // n]))) for n in (1000, 2000, 4000)]
+    assert errs[0] >= 14.0 * errs[1]
+    assert errs[1] >= 14.0 * errs[2]
+
+
+def test_refined_peak_reads_the_vertex_of_the_local_parabola():
+    x = np.arange(7.0)
+    assert refined_peak(5.0 - 0.75 * (x - 2.3) ** 2) == pytest.approx(5.0, abs=1e-14)
+    # an end of the samples, and a sample that is not finite, leave the
+    # grid maximum as it is
+    assert refined_peak(x) == 6.0
+    assert refined_peak(np.array([0.0, 2.0, math.inf, 1.0])) == math.inf
+    assert math.isnan(refined_peak(np.array([0.0, 2.0, math.nan, 1.0])))
+
+
+@pytest.mark.parametrize(
+    "w,rho", [(1.6716, 0.002), (0.5, 0.0075), (0.5, 0.00075)], ids=["fig2a", "fig3a", "fig7a"]
+)
+def test_refined_drive_peak_holds_at_the_default_step(pulse, make_params, w, rho):
+    # against a dt = 2.5e-5 design, the refined max|Omega| at the default
+    # dt = 2e-4 was 2.1e-9, 6.7e-10 and 4.3e-9 off (relative); the plain
+    # grid maximum was 6.0e-7, 1.4e-7 and 5.8e-7 off, and 2.1e-8 to 2.6e-7
+    # at dt = 1e-4
+    params = make_params(w, rho)
+
+    def peak(dt):
+        grid = ps.TimeGrid.from_span(PI, dt)
+        return refined_peak(ps.design_drive(pulse, params, grid).omega_modulus)
+
+    assert peak(config.ScenarioConfig.grid_dt) == pytest.approx(peak(2.5e-5), rel=1e-8, abs=0)
+
+
+def test_design_memory_per_step_does_not_grow(pulse, make_params, traced_peak):
+    # a design keeps 104 B a step; with trapezoid integrals it peaked at
+    # 144.4 B a step here, and Simpson's rule, one block of the half
+    # lattice at a time, peaks at 144.2
+    params = make_params(1.6716, 0.002)
+    grid = ps.TimeGrid.from_span(PI, 1e-4)
+    ps.design_drive(pulse, params, grid)  # one-time caches
+    peak, _ = traced_peak(lambda: ps.design_drive(pulse, params, grid))
+    assert peak <= 144.5 * grid.n_steps
+
+
 # -------------------------------------------------------- excited population
 
 
@@ -628,7 +699,7 @@ def test_polar_drive_reads_the_rotated_design(design_for):
     # rotation's rounding, and max|Ω| does not read delta1
     params, des = design_for(2.0, 0.002, delta1=20.0, delta2=5.0)
     peak, theta = pulse_design._polar_drive(des, params, phase=True)
-    assert peak == pytest.approx(float(np.max(des.omega_modulus)), rel=1e-15, abs=0)
+    assert peak == pytest.approx(refined_peak(des.omega_modulus), rel=1e-15, abs=0)
     np.testing.assert_allclose(theta, des.omega_phase, rtol=0, atol=1e-12)
     for delta1 in (0.0, -3.0):
         shifted = replace(params, delta1=delta1)
@@ -644,7 +715,7 @@ def test_polar_drive_peak_is_the_full_hypot_when_the_power_is_not_finite(design_
     q = pulse_design._quadrature(chain, params)
     with np.errstate(all="ignore"):
         peak, _ = pulse_design._polar_drive(chain, params, phase=False)
-        full = float(np.max(np.hypot(p, q)))
+        full = refined_peak(np.hypot(p, q))
     assert np.array_equal(peak, full, equal_nan=True)
 
 
@@ -665,7 +736,7 @@ def test_polar_drive_peak_is_the_full_hypot_below_the_normal_range(design_for):
     for chain, at in ((tiny, replace(params, delta2=1.0)), (scaled, params)):
         q = pulse_design._quadrature(chain, at)
         peak, _ = pulse_design._polar_drive(chain, at, phase=False)
-        assert 0.0 < peak == float(np.max(np.hypot(chain.p, q)))
+        assert 0.0 < peak == refined_peak(np.hypot(chain.p, q))
 
 
 def test_symmetric_pulse_starts_with_silent_drive(design_for):
