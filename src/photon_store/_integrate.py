@@ -127,8 +127,9 @@ def refined_peak(y: np.ndarray) -> float:
 
 
 def running_integral(f: np.ndarray, dt: float) -> np.ndarray:
-    """Running integral from 0 of uniform grid samples ``f``: the z = 0
-    path of :func:`_rk4_linear` on ``half_lattice(f)``, bit for bit.
+    """Running integral from 0 of uniform grid samples ``f``: the RK4
+    recurrence of :func:`_rk4_linear` at z = 0, where r = 1 and the path
+    is the running sum of the increments.
 
     RK4 on y' = f(t) is Simpson's rule on the half lattice, so each step
     adds dt/6 (f_k + 4 f_{k+1/2} + f_{k+1}), with f_{k+1/2} the cubic
@@ -182,10 +183,7 @@ def _rk4_linear(
     ``exp(+-k log1p(r - 1))``, with r - 1 formed without the leading 1:
     ``r**k`` loses the digits of r near 1 and puts N(0) ~1e-13 off G'(0)
     at small W.  L is capped so that r^(+-L) and, on a path below the
-    stage bound, every scaled sample and running sum stay finite
-    (:func:`_rk4_blocks`).  At z = 0, r = 1 and the path is b's running
-    sum, with no power and no block: Simpson's rule on the half lattice,
-    which :func:`running_integral` takes from grid samples.
+    stage bound, every scaled sample and running sum stay finite.
 
     With ``backward=True`` the recurrence runs from the last sample to
     t = 0 and ``lam``, ``f_half`` describe the equation in reversed
@@ -204,55 +202,20 @@ def _rk4_linear(
     n = (f_half.shape[0] - 1) // 2
     if backward:
         f_half = f_half[::-1]
+    q = z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
+    log_r = math.log1p(q)
     b = _rk4_increments(z, dt, f_half)
+
     # below this size no RK4 stage of the next step can overflow
     size = abs(z)
     grow = 1.0 + size
     limit = _FLOAT_MAX / (6.0 * (grow + size / dt) * grow * grow * grow)
-    if z == 0.0:
-        # r = 1: the path is b's running sum, with no power to take
-        steps = np.cumsum(b)
-    else:
-        # log(_FLOAT_MAX / (4 limit)), the room of _rk4_blocks' powers
-        room = min(_EXP_ROOM, math.log(1.5 * (grow + size / dt) * grow**3))
-        steps = _rk4_blocks(z, b, room)
-    path = np.empty(n + 1)
-    stepped = path[::-1] if backward else path
-    stepped[0] = 0.0
-    stepped[1:] = steps
-    if not np.max(np.abs(path)) < limit:
-        # step the loop the blocks stand for, which stops where it blows up
-        lam = z / dt
-        ys = np.empty(n + 1)
-        try:
-            _rk4_loop(
-                lambda f, y: (lam * y + f,),
-                lambda k0, k1: ((), (f_half[2 * k0 : 2 * k1 + 1],)),
-                [0.0], [ys], dt, (amplitude,),
-            )
-        except NonFiniteState as err:
-            if not backward:
-                raise
-            # the loop stamps its step k at (k + 1) dt; run backward, that
-            # step ends at grid time (n - k - 1) dt
-            raise NonFiniteState((n - round(err.t / dt)) * dt, amplitude) from None
-        if not np.isfinite(path).all():
-            # the blocks overflowed where the loop did not: its path stands
-            stepped[1:] = ys[1:]
-    return path
-
-
-def _rk4_blocks(z: float, b: np.ndarray, room: float) -> np.ndarray:
-    """y_1 .. y_n of y_{k+1} = r y_k + b_k from y_0 = 0, r = R(z) != 1, in
-    blocks of at most isqrt(n) steps (see :func:`_rk4_linear`), with the
-    width capped so that r^(+-width) <= exp(``room``).  A block past
-    the first that is not finite leaves NaN in every later one."""
-    n = b.shape[0]
-    log_r = math.log1p(z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0))))
     width = max(1, math.isqrt(n))
     # while |y| < limit, |b_i| < (1 + r) limit and a block's path from
     # rest stays below (1 + r^width) limit, so no scaled sample, running
-    # sum or block path passes 2 limit r^(+-width) <= _FLOAT_MAX / 2
+    # sum or block path passes 2 limit r^(+-width) <= _FLOAT_MAX / 2;
+    # room is log(_FLOAT_MAX / (4 limit))
+    room = min(_EXP_ROOM, math.log(1.5 * (grow + size / dt) * grow**3))
     if room < width * abs(log_r):
         width = max(1, int(room / abs(log_r)))
     blocks = -(-n // width)
@@ -275,7 +238,31 @@ def _rk4_blocks(z: float, b: np.ndarray, room: float) -> np.ndarray:
                 # no later block is finite either: they stay NaN
                 break
         local += carry * powers[1:]
-    return local.reshape(-1)[:n]
+
+    path = np.empty(n + 1)
+    stepped = path[::-1] if backward else path
+    stepped[0] = 0.0
+    stepped[1:] = local.reshape(-1)[:n]
+    if not np.max(np.abs(path)) < limit:
+        # step the loop the blocks stand for, which stops where it blows up
+        lam = z / dt
+        ys = np.empty(n + 1)
+        try:
+            _rk4_loop(
+                lambda f, y: (lam * y + f,),
+                lambda k0, k1: ((), (f_half[2 * k0 : 2 * k1 + 1],)),
+                [0.0], [ys], dt, (amplitude,),
+            )
+        except NonFiniteState as err:
+            if not backward:
+                raise
+            # the loop stamps its step k at (k + 1) dt; run backward, that
+            # step ends at grid time (n - k - 1) dt
+            raise NonFiniteState((n - round(err.t / dt)) * dt, amplitude) from None
+        if not np.isfinite(path).all():
+            # the blocks overflowed where the loop did not: its path stands
+            stepped[1:] = ys[1:]
+    return path
 
 
 def _rk4_affine_maps(stage, couplings, sources, n_state: int, dt: float) -> np.ndarray:

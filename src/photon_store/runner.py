@@ -380,13 +380,16 @@ def _design_series(design, phi_in: np.ndarray) -> dict[str, np.ndarray]:
 _SIGNLESS = 1e-12
 
 
+def _sign_changes(alpha: np.ndarray) -> int:
+    """How often ``alpha`` changes sign.  A sample within rounding of
+    zero, like the silent drive at t = 0 or an exact 0.0 on a crossing,
+    has no sign to change, so it neither makes nor breaks a crossing."""
+    signs = np.sign(alpha[np.abs(alpha) > _SIGNLESS * np.max(np.abs(alpha))])
+    return int(np.count_nonzero(signs[1:] != signs[:-1]))
+
+
 def run_design(state: RunState, params: PhysicalParams) -> _Outputs:
     design = pulse_design.design_drive(state.pulse, params, state.grid)
-    alpha = design.alpha
-    # a sample within rounding of zero, like the silent drive at t = 0,
-    # has no sign to change
-    signs = np.sign(alpha[np.abs(alpha) > _SIGNLESS * np.max(np.abs(alpha))])
-    crossings = int(np.count_nonzero(signs[1:] != signs[:-1]))
     phi_in = state.pulse.value(state.grid.times)
     files = {"design_series.csv": _design_series(design, phi_in)}
     return files, {
@@ -394,7 +397,7 @@ def run_design(state: RunState, params: PhysicalParams) -> _Outputs:
         "rho_min": float(np.min(design.rho_ee)),
         "rho_final": float(design.rho_ee[-1]),
         "max_abs_omega": refined_peak(design.omega_modulus),
-        "omega_sign_changes": crossings,
+        "omega_sign_changes": _sign_changes(design.alpha),
         "backflow_detected": _backflow(design.rho_ee),
     }
 

@@ -501,6 +501,34 @@ def test_cli_design_run_writes_series_and_summary(tmp_path):
     assert "equilibrium_residual = " in summary
 
 
+@pytest.mark.parametrize(
+    "alpha,crossings",
+    [
+        ([0.0, 1e-16, -2e-15, 3e-15, 1.0, 2.0, -1.0, 1.0], 2),
+        ([1.0, 0.0, -1.0, -0.0, 1.0], 2),
+        ([-3.0, 1e-13, -1e-13, -2.0], 0),
+        ([0.0, 0.0, 0.0], 0),
+    ],
+    ids=["rounding_at_the_start", "exact_zero_on_a_crossing", "rounding_dip", "silent"],
+)
+def test_sign_changes_skip_samples_at_rounding_level(alpha, crossings):
+    # a sample within 1e-12 of the peak |alpha| has no sign: it neither
+    # makes a crossing (rounding of either sign next to t = 0) nor breaks
+    # one (an exact 0.0 between the two signs)
+    assert runner._sign_changes(np.array(alpha)) == crossings
+
+
+def test_fig5_drive_changes_sign_four_times(tmp_path):
+    # the fig5 drive crosses zero four times (a 2.5e-5 design reads 4);
+    # the rounding-level alpha at t = 0 is not a fifth crossing
+    out = tmp_path / "out"
+    assert run_cli(["design", "--out", str(out)], tmp_path, "preset = fig5\n") == 0
+    summary = dict(
+        line.split(" = ", 1) for line in (out / "summary").read_text().splitlines()
+    )
+    assert summary["omega_sign_changes"] == "4"
+
+
 def test_cli_rerun_is_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     run_cli(["design", "--out", str(out1)], tmp_path, GOOD_DESIGN)
