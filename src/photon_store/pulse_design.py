@@ -14,22 +14,26 @@ fourth order.  big_gamma's pulse area alone uses Gauss-Legendre panels
 
 The Markovian (broadband) design is the W -> infinity limit of the same
 chain: the anticipated input N becomes sqrt(big_gamma) * phi_in and the
-memory Z becomes (big_gamma / 2) * G.  Each design runs in three
-stages: :func:`sample_design_pulse` evaluates the envelope, which no
-parameter changes; :func:`memory_chain` or :func:`markovian_chain`
-computes everything up to rho_ee and the in-phase drive quadrature,
-which depend on W and big_gamma but on neither detuning; and
-:func:`rotate_drive` adds the detunings.  A sweep computes the first
-stage once and the second once per W.  Its points rotate nothing: the
-drive is ``(p + i q) e^(-i φ)``, so a point reads max|Ω| from
-hypot(p, q), which does not depend on delta1, and θ straight from the
-chain (:func:`_polar_drive`).
+memory Z becomes (big_gamma / 2) * G.  Each design runs in two stages:
+:func:`sample_design_pulse` evaluates the envelope, which no parameter
+changes, and :func:`memory_chain` or :func:`markovian_chain` computes
+everything up to rho_ee and the in-phase drive quadrature p, which
+depend on W and big_gamma but on neither detuning.  The detunings enter
+a :class:`DesignResult` only through the quadratures and the drive it
+forms when they are first read, so ``dataclasses.replace(design,
+params=...)`` is the design at other detunings, sharing every
+detuning-free series.  A sweep samples the pulse once and runs the
+chain once per W.  Its points rotate nothing: the drive is
+``(p + i q) e^(-i φ)``, so a point reads max|Ω| from hypot(p, q), which
+does not depend on delta1 (:func:`_polar_peak`), and θ straight from
+p, q and φ (:func:`_polar_phase`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -171,15 +175,23 @@ def sample_design_pulse(pulse: InputPulse, grid: TimeGrid) -> DesignSamples:
 
 
 @dataclass(frozen=True, eq=False)
-class DesignChain:
-    """The detuning-free part of a design.
+class DesignResult:
+    """Drive design on a grid at the detunings of ``params``, with every
+    intermediate series.
 
     Everything from G to ``p``, the drive quadrature in phase with the
     atomic frame, and ``winding``, the running integral of
     ``x_tilde^2 / rho_ee``, depends on W and big_gamma but on neither
-    detuning; :func:`rotate_drive` adds the detunings.
+    detuning.  The detunings enter through ``q`` and ``frame_phase``,
+    and ``alpha`` and ``beta``, the real drive quadratures in the frame
+    of the atomic transition, are ``(p + i q)`` turned by
+    ``-frame_phase``; each is formed when first read.  ``omega_modulus``
+    and the unwrapped ``omega_phase`` describe the same complex drive
+    ``alpha + i beta``.  The Markovian design fills ``n_drive`` and
+    ``z_mem`` with their W -> infinity limits.
     """
 
+    params: PhysicalParams
     grid: TimeGrid
     g: np.ndarray
     g_dot: np.ndarray
@@ -192,23 +204,33 @@ class DesignChain:
     p: np.ndarray
     winding: np.ndarray
 
+    @cached_property
+    def q(self) -> np.ndarray:
+        """delta2 x_tilde / sqrt(rho_ee), the drive quadrature that Δ₂
+        adds out of phase with ``p``; delta1 does not enter it."""
+        return self.params.delta2 * self.x_tilde / self.root_rho
 
-@dataclass(frozen=True, eq=False)
-class DesignResult(DesignChain):
-    """Drive design on a grid: its chain, rotated by the detunings of
-    ``params``, with every intermediate series.
+    @cached_property
+    def frame_phase(self) -> np.ndarray:
+        """φ = -(delta2 - delta1) t + delta2 * winding, the angle by which
+        the detunings turn the drive: ``alpha + i beta = (p + i q) e^(-i φ)``."""
+        return -self.params.delta * self.grid.times + self.params.delta2 * self.winding
 
-    ``alpha`` and ``beta`` are the real drive quadratures in the frame
-    of the atomic transition; ``omega_modulus`` and the unwrapped
-    ``omega_phase`` describe the same complex drive
-    ``alpha + i beta``.  The Markovian design fills ``n_drive`` and
-    ``z_mem`` with their W -> infinity limits.
-    """
+    @cached_property
+    def _quadratures(self) -> tuple[np.ndarray, np.ndarray]:
+        return _rotate(self.p, self.q, self.frame_phase)
 
-    params: PhysicalParams
-    alpha: np.ndarray
-    beta: np.ndarray
-    omega_modulus: np.ndarray
+    @property
+    def alpha(self) -> np.ndarray:
+        return self._quadratures[0]
+
+    @property
+    def beta(self) -> np.ndarray:
+        return self._quadratures[1]
+
+    @cached_property
+    def omega_modulus(self) -> np.ndarray:
+        return np.hypot(self.alpha, self.beta)
 
     @property
     def omega_phase(self) -> np.ndarray:
@@ -221,6 +243,15 @@ class DesignResult(DesignChain):
         return self.alpha + 1j * self.beta
 
 
+def _rotate(
+    p: np.ndarray, q: np.ndarray, phase: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """alpha and beta of ``(p + i q) e^(-i phase)``: the one rotation of
+    a design, which a sweep point never takes."""
+    cos_a, sin_a = np.cos(phase), np.sin(phase)
+    return p * cos_a + q * sin_a, q * cos_a - p * sin_a
+
+
 def _close_chain(
     params: PhysicalParams,
     grid: TimeGrid,
@@ -230,12 +261,13 @@ def _close_chain(
     x_tilde_dot: np.ndarray,
     n_drive: np.ndarray,
     z_mem: np.ndarray,
-) -> DesignChain:
+) -> DesignResult:
     """rho_ee and the detuning-free drive terms: the part of the tail
     that both designs share."""
     rho = excited_population(x_tilde, g, params, grid)
     root = np.sqrt(rho)
-    return DesignChain(
+    return DesignResult(
+        params=params,
         grid=grid,
         g=g,
         g_dot=g_dot,
@@ -250,8 +282,8 @@ def _close_chain(
     )
 
 
-def memory_chain(samples: DesignSamples, params: PhysicalParams) -> DesignChain:
-    """Detuning-free chain of the design with the Lorentzian bath.
+def memory_chain(samples: DesignSamples, params: PhysicalParams) -> DesignResult:
+    """Design with the Lorentzian bath at ``params``.
 
     Inverting the input-output relation for the Lorentzian bath gives
     the perfect-absorption cavity amplitude
@@ -304,13 +336,13 @@ def _markovian_cavity(
     return g, x_tilde
 
 
-def markovian_chain(samples: DesignSamples, params: PhysicalParams) -> DesignChain:
+def markovian_chain(samples: DesignSamples, params: PhysicalParams) -> DesignResult:
     """Same chain with the bath memory collapsed to a rate.
 
     Here ``G = phi_in / sqrt(big_gamma)`` and the cavity equation
     carries the decay rate big_gamma / 2 instead of the memory and
     anticipation integrals; everything downstream is unchanged.  The
-    chain holds the W -> infinity limits ``n_drive = sqrt(big_gamma)
+    design holds the W -> infinity limits ``n_drive = sqrt(big_gamma)
     phi_in`` and ``z_mem = (big_gamma / 2) G``, which keep the cavity
     equation ``g_cav x_tilde = -G' + N - Z`` of the memory design.
     """
@@ -332,58 +364,24 @@ def markovian_population(samples: DesignSamples, params: PhysicalParams) -> np.n
     return excited_population(x_tilde, g, params, samples.grid)
 
 
-def _quadrature(chain: DesignChain, params: PhysicalParams) -> np.ndarray:
-    """q = delta2 x_tilde / sqrt(rho_ee), the drive quadrature that Δ₂
-    adds out of phase with ``p``; delta1 does not enter it."""
-    return params.delta2 * chain.x_tilde / chain.root_rho
-
-
-def _frame_phase(chain: DesignChain, params: PhysicalParams) -> np.ndarray:
-    """φ = -(delta2 - delta1) t + delta2 * winding, the angle by which the
-    detunings turn the drive: ``alpha + i beta = (p + i q) e^(-i φ)``."""
-    return -params.delta * chain.grid.times + params.delta2 * chain.winding
-
-
-def rotate_drive(chain: DesignChain, params: PhysicalParams) -> DesignResult:
-    """The design of a chain at the detunings of ``params`` (resonance
-    included): the drive quadratures ``alpha``, ``beta`` and their modulus.
-    A sweep point needs only max|Ω| and θ, which :func:`_polar_drive`
-    reads from ``p``, q and φ without this rotation."""
-    q, phase = _quadrature(chain, params), _frame_phase(chain, params)
-    cos_a, sin_a = np.cos(phase), np.sin(phase)
-    alpha = chain.p * cos_a + q * sin_a
-    beta = q * cos_a - chain.p * sin_a
-    return DesignResult(
-        **vars(chain),
-        params=params,
-        alpha=alpha,
-        beta=beta,
-        omega_modulus=np.hypot(alpha, beta),
-    )
-
-
 # hypot(p, q) is sqrt(p^2 + q^2) to a few ulps, so no sample below this
 # fraction of the largest normal p^2 + q^2 holds the largest hypot
 _PEAK_BAND = 1.0 - 1e-13
 _TINY = float(np.finfo(float).tiny)
 
 
-def _polar_drive(
-    chain: DesignChain, params: PhysicalParams, phase: bool
-) -> tuple[float, np.ndarray | None]:
-    """max|Ω| and, when ``phase`` asks for it, θ of a chain at the
-    detunings of ``params``, read from ``alpha + i beta = (p + i q)
-    e^(-i φ)`` with no cos, sin or :class:`DesignResult`.
+def _polar_peak(design: DesignResult) -> float:
+    """max|Ω| of a design, read from ``alpha + i beta = (p + i q)
+    e^(-i φ)`` with no cos, sin or rotation.
 
-    max|Ω| is ``refined_peak(hypot(p, q))`` bit for bit and never reads
-    delta1; hypot is taken only where p^2 + q^2 is within the band of
-    its maximum, and at the grid maximum's neighbours, or everywhere
-    when that maximum is not finite or not normal.  It and
-    θ = unwrap(arctan2(q, p) - φ) differ from :func:`rotate_drive`'s by
+    It is ``refined_peak(hypot(p, q))`` bit for bit and never reads
+    delta1; on resonance q is ±0, so it is ``refined_peak(|p|)``.  hypot
+    is taken only where p^2 + q^2 is within the band of its maximum, and
+    at the grid maximum's neighbours, or everywhere when that maximum is
+    not finite or not normal.  It differs from ``omega_modulus``'s by
     the rotation's rounding, about 1e-16 relative.
     """
-    p = chain.p
-    q = _quadrature(chain, params)
+    p, q = design.p, design.q
     power = p * p + q * q
     top = float(np.max(power))
     lo, hi = 0, p.shape[0]
@@ -392,9 +390,13 @@ def _polar_drive(
         k = int(near[np.argmax(np.hypot(p[near], q[near]))])
         # the grid maximum and its neighbours are all refined_peak reads
         lo, hi = max(k - 1, 0), k + 2
-    peak = refined_peak(np.hypot(p[lo:hi], q[lo:hi]))
-    theta = _unwrap(np.arctan2(q, p) - _frame_phase(chain, params)) if phase else None
-    return peak, theta
+    return refined_peak(np.hypot(p[lo:hi], q[lo:hi]))
+
+
+def _polar_phase(design: DesignResult) -> np.ndarray:
+    """θ = unwrap(arctan2(q, p) - φ), the drive phase with no rotation;
+    it differs from ``omega_phase`` by the rotation's rounding."""
+    return _unwrap(np.arctan2(design.q, design.p) - design.frame_phase)
 
 
 def _unwrap(phase: np.ndarray) -> np.ndarray:
@@ -424,9 +426,8 @@ def design_drive(
     pulse: InputPulse, params: PhysicalParams, grid: TimeGrid
 ) -> DesignResult:
     """Drive that stores the input packet, for any pair of detunings:
-    :func:`memory_chain` of the pulse's samples, rotated by the
-    detunings."""
-    return rotate_drive(memory_chain(sample_design_pulse(pulse, grid), params), params)
+    :func:`memory_chain` of the pulse's samples."""
+    return memory_chain(sample_design_pulse(pulse, grid), params)
 
 
 def design_drive_markovian(
@@ -434,6 +435,4 @@ def design_drive_markovian(
 ) -> DesignResult:
     """The Markovian design (:func:`markovian_chain`) for any pair of
     detunings."""
-    return rotate_drive(
-        markovian_chain(sample_design_pulse(pulse, grid), params), params
-    )
+    return markovian_chain(sample_design_pulse(pulse, grid), params)

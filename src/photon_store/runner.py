@@ -213,18 +213,23 @@ class RunState:
     The pulse and the grid are loaded up front; :meth:`params` gives the
     physical parameters of the config or of one of its sweep points.  A
     single run designs its own drive, so the state holds no design
-    samples or chain while a forward solver runs.  Only sweep tasks
+    samples or design while a forward solver runs.  Only sweep tasks
     (:meth:`task`) take the pulse's design samples, when one first
-    needs them, and keep the parameters, detuning-free chain and
-    backflow flag of the last W, so the points of a Δ₂ sweep, which
-    share W, share all three.  The entry is stored only once the chain
-    succeeded, so a failed point cannot poison the points after it.
+    needs them, and keep the resonant design of the last W, so the
+    points of a Δ₂ sweep, which share W, share its series.  The design
+    is stored only once it succeeded, so a failed point cannot poison
+    the points after it.
     """
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
         self.pulse, self.grid = _pulse_and_grid(cfg)
-        self._last: tuple[PhysicalParams, pulse_design.DesignChain, bool] | None = None
+        self._resonant: pulse_design.DesignResult | None = None
+        # only a W sweep on resonance compares its points with the
+        # Markovian design
+        self._markovian_gap = (
+            cfg.sweep_param == "bandwidth_w" and cfg.delta1 == 0.0 and cfg.delta2 == 0.0
+        )
 
     def params(self, cfg: ScenarioConfig) -> PhysicalParams:
         """The physical parameters of a single-valued ``cfg`` of this
@@ -247,48 +252,39 @@ class RunState:
     def design_samples(self) -> pulse_design.DesignSamples:
         return pulse_design.sample_design_pulse(self.pulse, self.grid)
 
-    def chain(
-        self, cfg: ScenarioConfig
-    ) -> tuple[PhysicalParams, pulse_design.DesignChain, bool]:
-        """A point's parameters, the detuning-free chain at its W and
-        whether that chain's ρ_ee flows back."""
-        if self._last is None or self._last[0].bandwidth_w != cfg.bandwidth_w:
-            resonant = self.params(replace(cfg, delta1=0.0, delta2=0.0))
-            chain = pulse_design.memory_chain(self.design_samples, resonant)
-            self._last = resonant, chain, _backflow(chain.rho_ee)
-        resonant, chain, backflow = self._last
-        return replace(resonant, delta1=cfg.delta1, delta2=cfg.delta2), chain, backflow
+    def design(self, cfg: ScenarioConfig) -> pulse_design.DesignResult:
+        """A point's design: the resonant design at its W, which shares
+        its every detuning-free series, at the point's detunings."""
+        resonant = self._resonant
+        if resonant is None or resonant.params.bandwidth_w != cfg.bandwidth_w:
+            at = self.params(replace(cfg, delta1=0.0, delta2=0.0))
+            resonant = self._resonant = pulse_design.memory_chain(self.design_samples, at)
+        detuned = replace(resonant.params, delta1=cfg.delta1, delta2=cfg.delta2)
+        return replace(resonant, params=detuned)
 
     def point(
         self, value: float, phase: bool = False
     ) -> tuple[int, dict[str, object], np.ndarray | None]:
         """Exit code, scalar metrics and drive phase θ of one sweep
-        point.  A failed point has no metrics; a point off resonance
-        forms its θ only when ``phase`` asks for it, and only a W point
-        on resonance gives the Markovian gap of its aggregate.  On
-        resonance the rotation is the identity, α = p and β = ±0, so
-        max|Ω| is the refined peak of |p|, bit for bit what
-        ``hypot(α, β)`` would give.  Off resonance the point rotates
-        nothing either: it reads max|Ω| as the refined peak of
-        hypot(p, q), which does not read Δ₁, and θ from the drive's polar
-        form (``pulse_design._polar_drive``).  Every max|Ω| and Markovian
-        gap is read by ``_integrate.refined_peak``."""
+        point.  A failed point has no metrics; a point forms its θ only
+        when ``phase`` asks for it, and only a W point on resonance
+        gives the Markovian gap of its aggregate.  No point rotates its
+        drive: max|Ω| is the refined peak of hypot(p, q), which does not
+        read Δ₁ and on resonance is the refined peak of |p|, and θ is
+        read from the drive's polar form (``pulse_design._polar_peak``
+        and ``_polar_phase``).  Every max|Ω| and Markovian gap is read
+        by ``_integrate.refined_peak``."""
         try:
-            params, chain, backflow = self.chain(with_point(self.cfg, value))
+            design = self.design(with_point(self.cfg, value))
             metrics: dict[str, object] = {
-                "big_gamma": params.big_gamma,
-                "backflow_detected": backflow,
+                "big_gamma": design.params.big_gamma,
+                "backflow_detected": _backflow(design.rho_ee),
+                "max_abs_omega": pulse_design._polar_peak(design),
             }
-            theta = None
-            if params.is_resonant:
-                metrics["max_abs_omega"] = refined_peak(np.abs(chain.p))
-                if self.cfg.sweep_param == "bandwidth_w":
-                    flat = pulse_design.markovian_population(self.design_samples, params)
-                    metrics["sup_diff_rho"] = refined_peak(np.abs(chain.rho_ee - flat))
-            else:
-                metrics["max_abs_omega"], theta = pulse_design._polar_drive(
-                    chain, params, phase
-                )
+            if self._markovian_gap:
+                flat = pulse_design.markovian_population(self.design_samples, design.params)
+                metrics["sup_diff_rho"] = refined_peak(np.abs(design.rho_ee - flat))
+            theta = pulse_design._polar_phase(design) if phase else None
         except PhotonStoreError as exc:
             return exc.exit_code, {}, None
         return EXIT_OK, metrics, theta
@@ -449,14 +445,10 @@ def run_markovian(state: RunState, params: PhysicalParams) -> _Outputs:
     # both designs take the same envelope samples; the outputs read two
     # series of the Markovian design, which is dropped before the other
     samples = pulse_design.sample_design_pulse(state.pulse, state.grid)
-    flat = pulse_design.rotate_drive(
-        pulse_design.markovian_chain(samples, params), params
-    )
+    flat = pulse_design.markovian_chain(samples, params)
     rho_f, omega_f = flat.rho_ee, flat.omega_modulus
     del flat
-    design = pulse_design.rotate_drive(
-        pulse_design.memory_chain(samples, params), params
-    )
+    design = pulse_design.memory_chain(samples, params)
     series = _design_series(design, samples.phi_half[::2])
     series["rho_fee"] = rho_f
     series["abs_omega_f"] = omega_f
@@ -511,10 +503,6 @@ def run_dark(state: RunState, params: PhysicalParams) -> _Outputs:
     run = dark_state.adiabatic_simulate(state.pulse, dark)
     comparison = dark_state.compare_dark(dark)
 
-    gap = np.abs(dark.omega_adiabatic - dark.design.alpha)
-    finite = np.isfinite(gap)
-    t_gap = float(state.grid.times[finite][np.argmax(gap[finite])])
-
     files = {
         "dark_series.csv": {
             "t": state.grid.times,
@@ -533,7 +521,6 @@ def run_dark(state: RunState, params: PhysicalParams) -> _Outputs:
             running_integral(np.abs(run.phi_out) ** 2, state.grid.dt)[-1]
         ),
         "d1_final_sq": float(run.d1[-1] ** 2),
-        "max_drive_gap_time": t_gap,
     }
 
 
@@ -622,7 +609,7 @@ def run_sweep(cfg: ScenarioConfig, outdir: Path) -> None:
     }
     if cfg.sweep_param == "delta2":
         summary["theta_odd_residual"] = residual
-        # every point reads the one chain of the sweep's W, so the
+        # every point reads the one design of the sweep's W, so the
         # largest |ρ_ee − ρ_ee(Δ₂ = 0)| is 0 by construction
         summary["rho_detuning_spread"] = 0.0
     with _staged(outdir) as stage:

@@ -3,6 +3,7 @@ command-line entry point."""
 
 from __future__ import annotations
 
+import ast
 import collections
 import concurrent.futures
 import contextlib
@@ -1118,24 +1119,37 @@ def test_delta2_sweep_drive_modulus_does_not_read_delta1(tmp_path):
     state = runner.RunState(cfg)
     still = runner.RunState(config.parse_config(delta2_sweep_text(6, 0.0)))
     for value in cfg.sweep_values:
-        params, chain, _ = state.chain(config.with_point(cfg, value))
+        design = state.design(config.with_point(cfg, value))
         _, metrics, _ = state.point(value)
         assert metrics["max_abs_omega"] == still.point(value)[1]["max_abs_omega"]
-        rotated = refined_peak(pulse_design.rotate_drive(chain, params).omega_modulus)
+        rotated = refined_peak(design.omega_modulus)
         assert metrics["max_abs_omega"] == pytest.approx(rotated, rel=1e-15, abs=0)
+
+
+def test_a_resonant_bandwidth_point_reads_the_peak_of_its_real_drive():
+    # on resonance q is ±0 and the drive is p alone: the polar read-out
+    # is bit for bit the refined peak of |p|, at each of fig4's W
+    cfg = config.parse_config("preset = fig4\n", cli_mode="sweep")
+    state = runner.RunState(cfg)
+    assert cfg.sweep_values == (0.5, 1.0, 2.0, 5.0, 25.0)
+    for value in cfg.sweep_values:
+        design = state.design(config.with_point(cfg, value))
+        code, metrics, _ = state.point(value)
+        assert code == 0
+        assert metrics["max_abs_omega"] == refined_peak(np.abs(design.p))
 
 
 def test_sweeps_never_rotate_a_drive(tmp_path, monkeypatch):
     # a sweep point reads max|Ω| and θ from the polar form; counting the
     # rotations, not timing them, keeps the rotation out of the sweeps
     rotations = []
-    rotate = pulse_design.rotate_drive
+    rotate = pulse_design._rotate
 
-    def counted(chain, params):
-        rotations.append(params)
-        return rotate(chain, params)
+    def counted(p, q, phase):
+        rotations.append(phase)
+        return rotate(p, q, phase)
 
-    monkeypatch.setattr(pulse_design, "rotate_drive", counted)
+    monkeypatch.setattr(pulse_design, "_rotate", counted)
     texts = {
         "delta2": delta2_sweep_text(20, 2.0),
         "bandwidth_w": SWEEP_BASE + "bandwidth_w = 0.5, 1.6716, 25\ndelta2 = 3\n"
@@ -1591,6 +1605,37 @@ assert all(star[name] is getattr(ps, name) for name in ps.__all__)
 print(ps.__version__, ps.InfeasibleDesign.__module__, ps.design_drive.__module__)
 """
     assert run_python(code) == "0.1.0 photon_store.errors photon_store.pulse_design"
+
+
+def _names_read(node: ast.AST) -> set[str]:
+    """Every name ``node`` reads, as a name, an attribute or an import."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+    return names
+
+
+def test_every_public_definition_is_exported_or_read():
+    # a public top-level function or class that the package neither
+    # exports nor reads anywhere outside its own definition has no caller
+    statements = []
+    for path in sorted(Path(ps.__file__).resolve().parent.glob("*.py")):
+        statements += [(path.name, node) for node in ast.parse(path.read_text()).body]
+    read = [_names_read(node) for _, node in statements]
+    unread = [
+        f"{module}:{node.name}"
+        for i, (module, node) in enumerate(statements)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in ps.__all__
+        and not any(node.name in names for j, names in enumerate(read) if j != i)
+    ]
+    assert unread == []
 
 
 def test_submodules_resolve_from_a_bare_import():

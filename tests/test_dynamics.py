@@ -1213,12 +1213,13 @@ def test_comb_bytes_bounds_what_a_mode_costs(pulse, make_params, traced_peak, pa
     # mode vectors do.  The real half-comb measured 0.52 of the estimate
     grid = ps.TimeGrid.from_span(PI, 2e-3)
     params = make_params(2.0, 0.002, delta1=0.7 if path == "complex" else 0.0)
-    des = ps.design_drive(pulse, params, grid)
+    # a design forms its drive when first read: form it before tracing
+    drive = ps.design_drive(pulse, params, grid).drive
     seed = ps.InitialState.matched(params.rho_offset)
 
     def run(n_modes):
         bath = ps.discretize_bath(params, n_modes=n_modes, band_halfwidth=40.0)
-        ps.simulate_discrete_bath(pulse, des.drive, params, seed, bath, grid)
+        ps.simulate_discrete_bath(pulse, drive, params, seed, bath, grid)
 
     def peak(n_modes):
         return traced_peak(lambda: run(n_modes))[0]

@@ -546,13 +546,14 @@ _RESULT_ARRAYS = (
     d2=st.floats(-12.0, 12.0),
 )
 def test_rotating_a_shared_chain_is_the_design(pulse, make_params, w, d1, d2):
-    # a sweep computes the chain once at zero detuning and only rotates
-    # it per point; that must be bit for bit the design of the point
+    # a sweep computes the design once at zero detuning and only moves
+    # it to each point's detunings; that must be bit for bit the design
+    # of the point
     grid = ps.TimeGrid.from_span(PI, 1e-2)
     samples = pulse_design.sample_design_pulse(pulse, grid)
-    chain = pulse_design.memory_chain(samples, make_params(w, 0.0075))
+    design = pulse_design.memory_chain(samples, make_params(w, 0.0075))
     params = make_params(w, 0.0075, delta1=d1, delta2=d2)
-    got = pulse_design.rotate_drive(chain, params)
+    got = replace(design, params=params)
     want = ps.design_drive(pulse, params, grid)
     for name in _RESULT_ARRAYS:
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -697,12 +698,12 @@ def test_polar_drive_reads_the_rotated_design(design_for):
     # max|Ω| and θ of the polar form are the rotated design's up to the
     # rotation's rounding, and max|Ω| does not read delta1
     params, des = design_for(2.0, 0.002, delta1=20.0, delta2=5.0)
-    peak, theta = pulse_design._polar_drive(des, params, phase=True)
+    peak, theta = pulse_design._polar_peak(des), pulse_design._polar_phase(des)
     assert peak == pytest.approx(refined_peak(des.omega_modulus), rel=1e-15, abs=0)
     np.testing.assert_allclose(theta, des.omega_phase, rtol=0, atol=1e-12)
     for delta1 in (0.0, -3.0):
-        shifted = replace(params, delta1=delta1)
-        assert pulse_design._polar_drive(des, shifted, phase=False) == (peak, None)
+        shifted = replace(des, params=replace(params, delta1=delta1))
+        assert pulse_design._polar_peak(shifted) == peak
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
@@ -711,9 +712,9 @@ def test_polar_drive_peak_is_the_full_hypot_when_the_power_is_not_finite(design_
     p = des.p.copy()
     p[100] = bad
     chain = replace(des, p=p)
-    q = pulse_design._quadrature(chain, params)
+    q = chain.q
     with np.errstate(all="ignore"):
-        peak, _ = pulse_design._polar_drive(chain, params, phase=False)
+        peak = pulse_design._polar_peak(chain)
         full = refined_peak(np.hypot(p, q))
     assert np.array_equal(peak, full, equal_nan=True)
 
@@ -727,15 +728,36 @@ def test_polar_drive_peak_is_the_full_hypot_below_the_normal_range(design_for):
     r = 2.0 ** -537
     tiny = replace(
         des,
+        params=replace(params, delta2=1.0),
         p=np.array([math.sqrt(10.4), math.sqrt(20.6)]) * r,
         x_tilde=np.array([math.sqrt(10.4) * r, 0.0]),
         root_rho=np.ones(2),
     )
     scaled = replace(des, p=des.p * 1e-160, x_tilde=des.x_tilde * 1e-160)
-    for chain, at in ((tiny, replace(params, delta2=1.0)), (scaled, params)):
-        q = pulse_design._quadrature(chain, at)
-        peak, _ = pulse_design._polar_drive(chain, at, phase=False)
-        assert 0.0 < peak == refined_peak(np.hypot(chain.p, q))
+    for chain in (tiny, scaled):
+        peak = pulse_design._polar_peak(chain)
+        assert 0.0 < peak == refined_peak(np.hypot(chain.p, chain.q))
+
+
+def test_a_design_rotates_its_drive_once(design_for, monkeypatch):
+    # alpha and beta are formed together on first read and kept, however
+    # often the design's drive is read and in whatever form
+    calls = []
+    rotate = pulse_design._rotate
+
+    def counted(*args):
+        calls.append(args)
+        return rotate(*args)
+
+    monkeypatch.setattr(pulse_design, "_rotate", counted)
+    params, memo = design_for(2.0, 0.002, delta1=20.0, delta2=5.0)
+    # a copy of the memoized design, whose drive nothing has read yet
+    des = replace(memo, params=params)
+    assert calls == []
+    for _ in range(3):
+        for name in ("alpha", "beta", "drive", "omega_modulus", "omega_phase"):
+            getattr(des, name)
+    assert len(calls) == 1
 
 
 def test_symmetric_pulse_starts_with_silent_drive(design_for):
