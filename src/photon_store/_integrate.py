@@ -11,14 +11,15 @@ interpolation and bitwise reproducible.  The routes take them one block
 of steps at a time (:func:`half_lattice_block`), so no route holds a
 whole half lattice.
 
-The two bath terms of the drive design (the anticipated input N and the
-memory Z) each obey one scalar equation y' = lam y + f, because a
-Lorentzian bath acts as one damped pseudomode.  RK4 applied to it is
-exactly an affine recurrence, which :func:`_rk4_linear` solves as a
-blocked running sum instead of stepping it in Python: O(n) work and no
-BLAS call.  Only a path the blocks cannot settle (not finite, or near
-enough to overflow for an RK4 stage to) is stepped by the scalar loop
-below, whose first non-finite y raises.  Every running integral of the
+The drive design's one bath term that needs stepping, the anticipated
+input N, obeys one scalar equation y' = lam y + f, because a Lorentzian
+bath acts as one damped pseudomode (the memory Z is closed form under
+perfect absorption).  RK4 applied to it is exactly an affine
+recurrence, which :func:`_rk4_linear` solves as a blocked running sum
+instead of stepping it in Python: O(n) work and no BLAS call.  Only a
+path the blocks cannot settle (not finite, or near enough to overflow
+for an RK4 stage to) is stepped by the scalar loop below, whose first
+non-finite y raises.  Every running integral of the
 package (rho_ee, the drive's winding, the dark route's d1^2 and flux,
 the reflected probability) is the same recurrence at lam = 0, Simpson's
 rule on the half lattice (:func:`running_integral`).
@@ -99,10 +100,23 @@ def half_lattice_block(y: np.ndarray, k0: int, k1: int) -> np.ndarray:
     least four samples, so its one-sided midpoints fall outside the
     block or on the ends of ``y``, where ``half_lattice`` has them too.
     """
+    lo, window = _block_window(y, k0, k1)
+    return half_lattice(window)[2 * (k0 - lo) : 2 * (k1 - lo) + 1]
+
+
+def _block_midpoints(y: np.ndarray, k0: int, k1: int) -> np.ndarray:
+    """``cubic_midpoints(y)[k0:k1]``, bit for bit, from the window of
+    :func:`half_lattice_block`."""
+    lo, window = _block_window(y, k0, k1)
+    return cubic_midpoints(window)[k0 - lo : k1 - lo]
+
+
+def _block_window(y: np.ndarray, k0: int, k1: int) -> tuple[int, np.ndarray]:
+    """The index of the first sample of the window around steps
+    ``k0 .. k1``, and the window."""
     n = y.shape[0] - 1
     lo = max(0, min(k0 - 1, n - 3))
-    hi = min(n, max(k1 + 1, 3))
-    return half_lattice(y[lo : hi + 1])[2 * (k0 - lo) : 2 * (k1 - lo) + 1]
+    return lo, y[lo : min(n, max(k1 + 1, 3)) + 1]
 
 
 def refined_peak(y: np.ndarray) -> float:
@@ -134,18 +148,24 @@ def running_integral(f: np.ndarray, dt: float) -> np.ndarray:
     RK4 on y' = f(t) is Simpson's rule on the half lattice, so each step
     adds dt/6 (f_k + 4 f_{k+1/2} + f_{k+1}), with f_{k+1/2} the cubic
     midpoint: fourth order, like every stepper of the package.  The
-    half lattice is taken one block of steps at a time
-    (:func:`half_lattice_block`), so no whole one is held.  A running
-    sum has no feedback to blow up, so nothing is raised: a sample that
-    is not finite leaves the path from its step on not finite, and the
-    caller's own check names it.
+    increments are formed in place, one block of midpoints at a time
+    (:func:`_block_midpoints`), so no half lattice is held, and the path
+    is the running sum of :func:`_rk4_increments` at z = 0 bit for bit.
+    A running sum has no feedback to blow up, so nothing is raised: a
+    sample that is not finite leaves the path from its step on not
+    finite, and the caller's own check names it.
     """
     n = f.shape[0] - 1
     path = np.empty(n + 1)
     path[0] = 0.0
+    sixth = dt / 6.0
     for k0 in range(0, n, _BLOCK):
         k1 = min(k0 + _BLOCK, n)
-        path[k0 + 1 : k1 + 1] = _rk4_increments(0.0, dt, half_lattice_block(f, k0, k1))
+        inc = path[k0 + 1 : k1 + 1]
+        np.multiply(_block_midpoints(f, k0, k1), 4.0, out=inc)
+        inc += f[k0:k1]
+        inc += f[k0 + 1 : k1 + 1]
+        inc *= sixth
     return np.cumsum(path, out=path)
 
 

@@ -6,10 +6,13 @@ cavity amplitude G follows from the input-output relation, the
 intermediate-level amplitude x_tilde from the cavity equation of
 motion, the excited-state population rho_ee from probability flow, and
 finally the drive quadratures from the intermediate-level equation.
-All series live on a shared uniform grid, and every running integral
-and auxiliary first-order equation is stepped by RK4, which on an
-integral is Simpson's rule on the half lattice: the design converges at
-fourth order.  big_gamma's pulse area alone uses Gauss-Legendre panels
+Perfect absorption fixes the bath memory in closed form as well: with
+phi_out = (2 / sqrt(big_gamma)) Z - phi_in held at zero, Z is
+(sqrt(big_gamma) / 2) * phi_in, in either design.  All series live on
+a shared uniform grid, and every running integral and the anticipated
+input's first-order equation are stepped by RK4, which on an integral
+is Simpson's rule on the half lattice: the design converges at fourth
+order.  big_gamma's pulse area alone uses Gauss-Legendre panels
 (:func:`coupling_from_bandwidth`).
 
 The Markovian (broadband) design is the W -> infinity limit of the same
@@ -25,8 +28,8 @@ params=...)`` is the design at other detunings, sharing every
 detuning-free series.  A sweep samples the pulse once and runs the
 chain once per W.  Its points rotate nothing: the drive is
 ``(p + i q) e^(-i φ)``, so a point reads max|Ω| from hypot(p, q), which
-does not depend on delta1 (:func:`_polar_peak`), and θ straight from
-p, q and φ (:func:`_polar_phase`).
+does not depend on delta1 and on resonance is |p| (:func:`_polar_peak`),
+and θ straight from p, q and φ (:func:`_polar_phase`).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._integrate import _rk4_linear, refined_peak, running_integral
+from ._integrate import refined_peak, running_integral
 from .errors import ConfigError, DegeneratePulse, InfeasibleDesign
 from .grid import TimeGrid
 from .model import InputPulse, PhysicalParams, future_drive
@@ -79,7 +82,9 @@ def coupling_from_bandwidth(pulse: InputPulse, bandwidth_w: float) -> float:
     if edges is None:
         edges = np.linspace(0.0, pulse.duration, _SMOOTH_PANELS + 1)
     decay = np.arange(1, _DECAY_PANELS + 1) / bandwidth_w
-    edges = np.union1d(edges, decay[decay < pulse.duration])
+    # np.union1d's values, without the numpy.ma import its np.unique makes
+    edges = np.sort(np.concatenate((edges, decay[decay < pulse.duration])))
+    edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
     half = 0.5 * np.diff(edges)[:, None]
     tau = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half * _GL_NODES
     weighted = half * _GL_WEIGHTS * np.exp(-bandwidth_w * tau) * pulse.value(tau)
@@ -151,13 +156,14 @@ def _round_up(value: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class DesignSamples:
-    """The envelope on a design grid: value and slope on the half
-    lattice, curvature and third derivative on the grid."""
+    """The envelope on a design grid: its value on the half lattice,
+    which the anticipated input is stepped on, and its first three
+    derivatives on the grid."""
 
     pulse: InputPulse
     grid: TimeGrid
     phi_half: np.ndarray
-    d1_half: np.ndarray
+    d1: np.ndarray
     d2: np.ndarray
     d3: np.ndarray
 
@@ -168,10 +174,9 @@ def sample_design_pulse(pulse: InputPulse, grid: TimeGrid) -> DesignSamples:
     needs its third derivative (:func:`memory_chain` takes it for G'')."""
     grid.require_cover(pulse.duration)
     th = grid.half_times
-    phi_half, d1_half = pulse.value(th), pulse.d1(th)
     # half_times[::2] is bitwise grid.times
     t = th[::2]
-    return DesignSamples(pulse, grid, phi_half, d1_half, pulse.d2(t), pulse.d3(t))
+    return DesignSamples(pulse, grid, pulse.value(th), pulse.d1(t), pulse.d2(t), pulse.d3(t))
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,36 +297,31 @@ def memory_chain(samples: DesignSamples, params: PhysicalParams) -> DesignResult
     envelope's third derivative).  The cavity equation then gives
     ``x_tilde = (-G' + N - Z) / g_cav``, where N is the anticipated
     input (:func:`photon_store.model.future_drive`) and Z the bath
-    memory ``integral_0^t f(t - tau) G(tau) d tau``.  The exponential
-    kernel makes Z the solution of ``Z' = -W Z + (W big_gamma / 2) G``
-    from Z(0) = 0, whose RK4 path is solved as the exact recurrence of
-    :func:`photon_store._integrate._rk4_linear`, a blocked running sum
-    with no BLAS call.
+    memory ``integral_0^t f(t - tau) G(tau) d tau``.  Z is not
+    stepped: the output field is ``phi_out = (2 / sqrt(big_gamma)) Z -
+    phi_in``, so perfect absorption, phi_out = 0, fixes it in closed
+    form, ``Z = (sqrt(big_gamma) / 2) phi_in``, and Z' likewise.  This
+    is the path of ``Z' = -W Z + (W big_gamma / 2) G`` from Z(0) = 0
+    that the exponential kernel gives, with no step error.
     """
     grid = samples.grid
     w = params.bandwidth_w
     root_gamma = math.sqrt(params.big_gamma)
-    phi_half, d1_half, v2 = samples.phi_half, samples.d1_half, samples.d2
-    v0, v1 = phi_half[::2], d1_half[::2]
+    v0, v1, v2 = samples.phi_half[::2], samples.d1, samples.d2
     scale = 1.0 / (w * root_gamma)
     g = scale * (v1 + w * v0)
     g_dot = scale * (v2 + w * v1)
     g_ddot = scale * (samples.d3 + w * v2)
 
-    n_drive = future_drive(samples.pulse, params, grid, phi_half=phi_half)
-    # the memory's source is G on the half lattice; it divides where G
-    # above multiplies by ``scale``, which rounds differently
-    g_half = (d1_half + w * phi_half) / (w * root_gamma)
-    z_mem = _rk4_linear(
-        -w * grid.dt, grid.dt, 0.5 * w * params.big_gamma * g_half, amplitude="Z"
-    )
+    n_drive = future_drive(samples.pulse, params, grid, phi_half=samples.phi_half)
+    z_mem = 0.5 * root_gamma * v0
     n_dot = w * n_drive - w * root_gamma * v0
-    z_dot = -w * z_mem + 0.5 * w * params.big_gamma * g
+    z_dot = 0.5 * root_gamma * v1
     x_tilde = (-g_dot + n_drive - z_mem) / params.g_cav
     x_tilde_dot = (-g_ddot + n_dot - z_dot) / params.g_cav
     # the tail peaks with temporaries of its own, so drop the series it
     # does not take first
-    del g_ddot, g_half, n_dot, z_dot
+    del g_ddot, n_dot, z_dot
     return _close_chain(params, grid, g, g_dot, x_tilde, x_tilde_dot, n_drive, z_mem)
 
 
@@ -330,7 +330,7 @@ def _markovian_cavity(
 ) -> tuple[np.ndarray, np.ndarray]:
     """G and x_tilde of the Markovian design."""
     root_gamma = math.sqrt(params.big_gamma)
-    v0, v1 = samples.phi_half[::2], samples.d1_half[::2]
+    v0, v1 = samples.phi_half[::2], samples.d1
     g = v0 / root_gamma
     x_tilde = (-v1 / root_gamma + 0.5 * root_gamma * v0) / params.g_cav
     return g, x_tilde
@@ -342,17 +342,19 @@ def markovian_chain(samples: DesignSamples, params: PhysicalParams) -> DesignRes
     Here ``G = phi_in / sqrt(big_gamma)`` and the cavity equation
     carries the decay rate big_gamma / 2 instead of the memory and
     anticipation integrals; everything downstream is unchanged.  The
-    design holds the W -> infinity limits ``n_drive = sqrt(big_gamma)
-    phi_in`` and ``z_mem = (big_gamma / 2) G``, which keep the cavity
-    equation ``g_cav x_tilde = -G' + N - Z`` of the memory design.
+    design holds the W -> infinity limit ``n_drive = sqrt(big_gamma)
+    phi_in`` and the memory of perfect absorption, ``z_mem =
+    (sqrt(big_gamma) / 2) phi_in`` as in :func:`memory_chain`, which
+    keep the cavity equation ``g_cav x_tilde = -G' + N - Z`` of the
+    memory design.
     """
     root_gamma = math.sqrt(params.big_gamma)
-    v0, v1, v2 = samples.phi_half[::2], samples.d1_half[::2], samples.d2
+    v0, v1, v2 = samples.phi_half[::2], samples.d1, samples.d2
     g, x_tilde = _markovian_cavity(samples, params)
     g_dot = v1 / root_gamma
     x_tilde_dot = (-v2 / root_gamma + 0.5 * root_gamma * v1) / params.g_cav
     n_drive = root_gamma * v0
-    z_mem = 0.5 * params.big_gamma * g
+    z_mem = 0.5 * root_gamma * v0
     return _close_chain(
         params, samples.grid, g, g_dot, x_tilde, x_tilde_dot, n_drive, z_mem
     )
@@ -375,12 +377,15 @@ def _polar_peak(design: DesignResult) -> float:
     e^(-i φ)`` with no cos, sin or rotation.
 
     It is ``refined_peak(hypot(p, q))`` bit for bit and never reads
-    delta1; on resonance q is ±0, so it is ``refined_peak(|p|)``.  hypot
-    is taken only where p^2 + q^2 is within the band of its maximum, and
-    at the grid maximum's neighbours, or everywhere when that maximum is
-    not finite or not normal.  It differs from ``omega_modulus``'s by
-    the rotation's rounding, about 1e-16 relative.
+    delta1.  On resonance (delta2 = 0) q is ±0 and hypot(p, ±0) = |p|,
+    so it is ``refined_peak(|p|)``, and q is not formed.  Otherwise
+    hypot is taken only where p^2 + q^2 is within the band of its
+    maximum, and at the grid maximum's neighbours, or everywhere when
+    that maximum is not finite or not normal.  It differs from
+    ``omega_modulus``'s by the rotation's rounding, about 1e-16 relative.
     """
+    if design.params.delta2 == 0.0:
+        return refined_peak(np.abs(design.p))
     p, q = design.p, design.q
     power = p * p + q * q
     top = float(np.max(power))

@@ -26,7 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import photon_store as ps
-from photon_store import cli, config, dynamics, errors, model, pulse_design, runner
+from photon_store import _integrate, cli, config, dynamics, errors, model, pulse_design, runner
 from photon_store._integrate import refined_peak
 from photon_store.errors import ConfigError, PhotonStoreError
 from photon_store.grid import TimeGrid
@@ -950,16 +950,17 @@ def test_serial_delta2_sweep_samples_and_solves_once(tmp_path, monkeypatch):
 
     count(pulse_design, "coupling_from_bandwidth")
     count(pulse_design, "sample_design_pulse")
-    # N is solved through model, Z in pulse_design
-    for module in (model, pulse_design):
-        count(module, "_rk4_linear", key=lambda kwargs: kwargs["amplitude"])
+    # N is solved through model.  The memory Z is closed form: every
+    # solve of a recurrence forms its increments once, and only N's does
+    count(model, "_rk4_linear", key=lambda kwargs: kwargs["amplitude"])
+    count(_integrate, "_rk4_increments")
     text = SWEEP_BASE + "bandwidth_w = 0.5\ndelta2 = -4, -2, 0, 2, 4\nrho_offset = 0.003\n"
     assert run_cli(["sweep", "--out", str(tmp_path / "o")], tmp_path, text) == 0
     assert calls == {
         ("coupling_from_bandwidth", None): 1,
         ("sample_design_pulse", None): 1,
         ("_rk4_linear", "N"): 1,
-        ("_rk4_linear", "Z"): 1,
+        ("_rk4_increments", None): 1,
     }
 
 
@@ -967,9 +968,12 @@ def _fake_pool(monkeypatch, cores):
     """Replace the sweep's process pool by one that runs each task in
     this process on a machine of ``cores`` cores.  A fork-started pool
     launches all max_workers processes at the first submit; the fake
-    pool records the size and starts none, and keeps what each task
-    returned.  Returns ``(sizes, results)``."""
-    sizes, results = [], []
+    pool records the size and starts none.  Its map checks and records
+    the chunk size, runs the chunks last first, as a real pool may
+    finish them, and yields in the order of the tasks, as a real pool
+    does; it keeps what each task returned.  Returns ``(sizes, results,
+    chunks)``."""
+    sizes, results, chunks = [], [], []
 
     class FakePool:
         def __init__(self, max_workers, initializer, initargs):
@@ -984,22 +988,30 @@ def _fake_pool(monkeypatch, cores):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            for task in tasks:
-                results.append(fn(task))
-                yield results[-1]
+        def map(self, fn, tasks, chunksize=1):
+            # a real pool raises ValueError below 1
+            assert chunksize >= 1
+            chunks.append(chunksize)
+            tasks = list(tasks)
+            done = {}
+            for start in reversed(range(0, len(tasks), chunksize)):
+                for i in range(start, min(start + chunksize, len(tasks))):
+                    done[i] = fn(tasks[i])
+            for i in range(len(tasks)):
+                results.append(done[i])
+                yield done[i]
 
     # run_sweep imports the pool class from concurrent.futures when it needs one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(runner, "_worker_state", None)
     monkeypatch.setattr(runner.os, "cpu_count", lambda: cores)
-    return sizes, results
+    return sizes, results, chunks
 
 
 def _pool_sizes(tmp_path, monkeypatch, cores):
     """Pool sizes a 3-point sweep asks for with unbounded ``workers`` on
     a machine of ``cores`` cores."""
-    sizes, _ = _fake_pool(monkeypatch, cores)
+    sizes, _, _ = _fake_pool(monkeypatch, cores)
     text = SWEEP_BASE + SWEEPS["bandwidth_w"] + f"workers = {10**6}\n"
     assert run_cli(["sweep", "--out", str(tmp_path / "o")], tmp_path, text) == 0
     assert [row["status"] for row in aggregate_rows(tmp_path / "o")] == ["0"] * 3
@@ -1014,10 +1026,26 @@ def test_sweep_pool_has_no_more_workers_than_cores(tmp_path, monkeypatch):
     assert _pool_sizes(tmp_path, monkeypatch, cores=2) == [2]
 
 
+def test_pooled_sweep_sends_chunks_and_keeps_the_task_order(tmp_path, monkeypatch):
+    # nine W on two workers cross in chunks of ceil(9 / 8) = 2; chunks
+    # finished last first leave the aggregate of the serial run
+    _, _, chunks = _fake_pool(monkeypatch, cores=2)
+    values = ", ".join(f"{0.5 * 1.5 ** k:.6g}" for k in range(9))
+    text = SWEEP_BASE + f"bandwidth_w = {values}\nrho_offset = 0.0075\n"
+    outs = {}
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        assert run_cli(["sweep", "--out", str(out)], tmp_path, text + f"workers = {workers}\n") == 0
+        outs[workers] = read_dir(out)
+    assert chunks == [2]
+    assert [row["status"] for row in aggregate_rows(tmp_path / "w2")] == ["0"] * 9
+    assert outs["1"] == outs["2"]
+
+
 def test_pooled_delta2_sweep_returns_only_python_scalars(tmp_path, monkeypatch):
     # a point's θ and ρ_ee series stay in the worker: what crosses the
     # pool pickles without numpy
-    _, results = _fake_pool(monkeypatch, cores=2)
+    _, results, _ = _fake_pool(monkeypatch, cores=2)
     text = SWEEP_BASE + "bandwidth_w = 0.5\ndelta2 = -3.5, 0, 3.5\nrho_offset = 0.003\n"
     assert run_cli(["sweep", "--out", str(tmp_path / "o")], tmp_path, text + "workers = 2\n") == 0
     assert [row["status"] for row in aggregate_rows(tmp_path / "o")] == ["0"] * 3
@@ -1137,6 +1165,25 @@ def test_a_resonant_bandwidth_point_reads_the_peak_of_its_real_drive():
         code, metrics, _ = state.point(value)
         assert code == 0
         assert metrics["max_abs_omega"] == refined_peak(np.abs(design.p))
+
+
+def test_a_bandwidth_sweep_never_forms_q(tmp_path, monkeypatch):
+    # a resonant point reads max|Ω| from |p|: q = 0 x_tilde / sqrt(rho_ee)
+    # is formed by no point of a W sweep, and by the two of Δ₂ = -7, 0,
+    # 3.5 that are detuned
+    reads = []
+    q = pulse_design.DesignResult.q
+
+    def spy(design):
+        reads.append(design.params.bandwidth_w)
+        return q.func(design)
+
+    monkeypatch.setattr(pulse_design.DesignResult, "q", property(spy))
+    for sweep in ("bandwidth_w", "delta2"):
+        out = tmp_path / sweep
+        assert run_cli(["sweep", "--out", str(out)], tmp_path, SWEEP_BASE + SWEEPS[sweep]) == 0
+        assert [row["status"] for row in aggregate_rows(out)] == ["0"] * 3
+        assert len(reads) == (0 if sweep == "bandwidth_w" else 2)
 
 
 def test_sweeps_never_rotate_a_drive(tmp_path, monkeypatch):
@@ -1593,6 +1640,43 @@ print([name for name in {HEAVY!r} if name in sys.modules])
 """
     # the last line: --help prints its usage first
     assert run_python(code, str(tmp_path / "bad.cfg")).splitlines()[-1] == "[]"
+
+
+def _coupling_on_union1d_edges(pulse, w):
+    """``coupling_from_bandwidth`` with its panel edges merged by
+    ``np.union1d``, as the package merged them before."""
+    edges = pulse.breakpoints
+    if edges is None:
+        edges = np.linspace(0.0, pulse.duration, pulse_design._SMOOTH_PANELS + 1)
+    decay = np.arange(1, pulse_design._DECAY_PANELS + 1) / w
+    edges = np.union1d(edges, decay[decay < pulse.duration])
+    half = 0.5 * np.diff(edges)[:, None]
+    tau = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half * pulse_design._GL_NODES
+    weighted = half * pulse_design._GL_WEIGHTS * np.exp(-w * tau) * pulse.value(tau)
+    return float(pulse.d2(0.0)) / (w ** 2 * float(np.sum(weighted)))
+
+
+def test_coupling_merges_its_edges_without_loading_numpy_ma():
+    # np.union1d loads numpy.ma through np.unique, about 10 ms in a
+    # fresh process; the sampled pulse's breakpoints hold every k / 2,
+    # so at W = 2 the merge drops duplicates
+    code = """
+import sys
+import numpy as np
+import photon_store as ps
+from photon_store import pulse_design
+packet = ps.builtin_packet()
+t = np.arange(1609) / 512.0
+for pulse in (packet, ps.sampled_packet(t, packet.value(t))):
+    print(" ".join(pulse_design.coupling_from_bandwidth(pulse, w).hex() for w in (0.5, 2.0, 25.0)))
+print("numpy.ma" in sys.modules)
+"""
+    *gammas, loaded = run_python(code).splitlines()
+    packet = ps.builtin_packet()
+    t = np.arange(1609) / 512.0
+    for line, pulse in zip(gammas, (packet, ps.sampled_packet(t, packet.value(t)))):
+        assert line == " ".join(_coupling_on_union1d_edges(pulse, w).hex() for w in (0.5, 2.0, 25.0))
+    assert loaded == "False"
 
 
 def test_every_export_resolves_from_a_bare_import():

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import photon_store as ps
-from photon_store import config, pulse_design
+from photon_store import _integrate, config, pulse_design
 from photon_store._integrate import _rk4_linear, half_lattice, refined_peak, running_integral
 from photon_store.errors import (
     DegeneratePulse,
@@ -254,8 +254,29 @@ def test_bath_terms_match_the_scalar_loops(
     n_ref = future_drive_loop(pulse, params, grid)
     assert _rel(ps.future_drive(pulse, params, grid), n_ref) <= 1e-13
     assert _rel(des.n_drive, n_ref) <= 1e-13
-    z_ref = memory_series_loop(_g_half(pulse, params, grid), params, grid)
-    assert _rel(des.z_mem, z_ref) <= 1e-13
+    # perfect absorption fixes the memory in closed form, which the
+    # scalar loop reaches to its own step error: rounding up to W = 25,
+    # 2.3e-12 at W = 400, where it falls at fourth order (below)
+    assert np.array_equal(des.z_mem, 0.5 * math.sqrt(params.big_gamma) * pulse.value(grid.times))
+    if w <= 25.0:
+        z_ref = memory_series_loop(_g_half(pulse, params, grid), params, grid)
+        assert _rel(des.z_mem, z_ref) <= 1e-13
+
+
+def test_memory_loop_converges_to_the_closed_form_at_fourth_order(
+    pulse, make_params, memory_series_loop
+):
+    # at W = 400 each halving of dt from 2e-4 cut the loop's distance to
+    # (sqrt(big_gamma) / 2) phi_in by 16.3 and 16.2, to 1.4e-13
+    params = make_params(400.0, 0.002)
+    errors = []
+    for dt in (2e-4, 1e-4, 5e-5):
+        grid = ps.TimeGrid.from_span(PI, dt)
+        z_ref = memory_series_loop(_g_half(pulse, params, grid), params, grid)
+        errors.append(_rel(ps.design_drive(pulse, params, grid).z_mem, z_ref))
+    assert errors[2] <= 2e-13
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 15.0 <= coarse / fine <= 17.0
 
 
 def test_anticipated_input_keeps_the_equilibrium_digits(pulse, design_for, grid):
@@ -296,7 +317,8 @@ def test_bath_terms_fail_where_the_scalar_loops_do(
     grid = ps.TimeGrid.from_span(PI, dt)
     params = make_params(w, 0.002)
     g_half = _g_half(src, params, grid)
-    # the design's memory recurrence, fed as in ``design_drive``
+    # the memory's recurrence Z' = -W Z + (W big_gamma / 2) G, which the
+    # design takes in closed form: a decaying path of _rk4_linear
     feed = 0.5 * w * params.big_gamma * g_half
     with pytest.raises(NonFiniteState) as n_ref:
         future_drive_loop(src, params, grid)
@@ -421,17 +443,29 @@ def test_linear_rk4_returns_the_loop_path_where_only_the_blocks_overflow(rk4, ba
 # ------------------------------------------- running integrals and peaks
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 2047, 2048, 2049, 5000])
+_BLOCK_EDGES = [k * _integrate._BLOCK + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("n", [*range(1, 40), *_BLOCK_EDGES, 5000, 15_708, 31_416])
 def test_running_integral_is_simpsons_rule_on_the_half_lattice(n):
-    # RK4 on y' = f adds dt/6 (f_k + 4 f_{k+1/2} + f_{k+1}) a step; taken
-    # one block of the half lattice at a time, the path is the running sum
-    # over the whole half lattice bit for bit
-    f = np.random.default_rng(n).standard_normal(n + 1)
+    # RK4 on y' = f adds dt/6 (f_k + 4 f_{k+1/2} + f_{k+1}) a step; formed
+    # one block of midpoints at a time, the path is the running sum over
+    # the whole half lattice bit for bit, and so is the RK4 recurrence's
+    # at z = 0 where a sample is NaN (either sign) or infinite
+    rng = np.random.default_rng(n)
+    f = rng.standard_normal(n + 1)
     dt = 0.37
     h = half_lattice(f)
     steps = dt / 6.0 * (h[0:-1:2] + 4.0 * h[1::2] + h[2::2])
     simpson = np.concatenate(([0.0], np.cumsum(steps)))
     assert np.array_equal(running_integral(f, dt), simpson)
+    for bad in ([], [math.nan], [-math.nan], [math.inf], [-math.inf, math.nan]):
+        g = f.copy()
+        g[rng.integers(0, n + 1, len(bad))] = bad
+        with np.errstate(all="ignore"):
+            increments = _integrate._rk4_increments(0.0, dt, half_lattice(g))
+            ref = np.cumsum(np.concatenate(([0.0], increments)))
+            assert running_integral(g, dt).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("w", [0.5, 1.6716, 25.0])
@@ -571,7 +605,7 @@ def test_even_half_lattice_samples_are_the_grid_samples(pulse, dt):
         grid = ps.TimeGrid.from_span(PI, dt)
         samples = pulse_design.sample_design_pulse(src, grid)
         assert np.array_equal(samples.phi_half[::2], src.value(grid.times))
-        assert np.array_equal(samples.d1_half[::2], src.d1(grid.times))
+        assert np.array_equal(samples.d1, src.d1(grid.times))
 
 
 def test_design_reports_infeasible_offset(pulse, make_params, grid):
@@ -739,6 +773,25 @@ def test_polar_drive_peak_is_the_full_hypot_below_the_normal_range(design_for):
         assert 0.0 < peak == refined_peak(np.hypot(chain.p, chain.q))
 
 
+@pytest.mark.parametrize("w", [0.5, 2.0, 25.0])
+def test_resonant_polar_peak_is_the_full_hypot(design_for, w):
+    # on resonance the read-out takes |p| alone; hypot(p, ±0) = |p| at
+    # every sample, so it is the full hypot's refined peak bit for bit,
+    # at any delta1, for a negative or not finite p, and below the
+    # normal range
+    params, des = design_for(w, 0.0075)
+    chains = [replace(des, params=replace(params, delta1=20.0)), replace(des, p=-des.p)]
+    chains.append(replace(des, p=des.p * 1e-160))
+    for bad in (math.nan, math.inf, -math.inf):
+        p = des.p.copy()
+        p[100] = bad
+        chains.append(replace(des, p=p))
+    for chain in (des, *chains):
+        with np.errstate(all="ignore"):
+            full = refined_peak(np.hypot(chain.p, chain.q))
+        assert np.array_equal(pulse_design._polar_peak(chain), full, equal_nan=True)
+
+
 def test_a_design_rotates_its_drive_once(design_for, monkeypatch):
     # alpha and beta are formed together on first read and kept, however
     # often the design's drive is read and in whatever form
@@ -824,9 +877,11 @@ def test_markovian_design_series_follow_closed_forms(
         (-pulse.d1(t) / root + 0.5 * root * pulse.value(t)) / params.g_cav,
         rtol=0,
     )
-    # the W -> infinity limits of the anticipated input and the memory
+    # the W -> infinity limit of the anticipated input, and the memory
+    # of perfect absorption, one expression in both designs
     np.testing.assert_array_equal(des.n_drive, root * pulse.value(t))
-    np.testing.assert_array_equal(des.z_mem, 0.5 * params.big_gamma * des.g)
+    np.testing.assert_array_equal(des.z_mem, 0.5 * root * pulse.value(t))
+    np.testing.assert_array_equal(des.z_mem, design_for(400.0, 0.0075)[1].z_mem)
     # both designs satisfy the cavity equation g_cav x_tilde = -G' + N - Z
     for d in (des, design_for(400.0, 0.0075)[1]):
         lhs = params.g_cav * d.x_tilde
